@@ -8,7 +8,7 @@ weak-efficiency certificates with explicit multipliers, and brute-force
 lattice oracles to cross-validate them.
 """
 
-from .cones import Cone, Vector
+from .cones import Cone
 from .docio import (Tolerances, load_problem, problem_from_document,
                     problem_to_document, save_problem)
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
@@ -37,7 +37,7 @@ __all__ = [
     "DimensionError", "Fan", "GridScan", "LinearProgram", "LpResult",
     "PointCloud", "PolyhedralSet", "PreconditionError", "Problem",
     "QuadraticObjective", "RepresentationError", "SamplingError",
-    "ScenarioMap", "Tolerances", "ValidationError", "Vector",
+    "ScenarioMap", "Tolerances", "ValidationError",
     "check_metric_increase", "check_penalization_condition",
     "check_penalization_transfer", "check_tangential_condition",
     "contingent_cone", "convex_scalarized_certificate", "cq_sigma",

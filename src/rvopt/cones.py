@@ -6,16 +6,18 @@ A cone is stored as one of
 * ``halfspaces``  -- {z : m_j . z >= 0 for every row m_j},
 * ``rays``        -- {sum_i lam_i r_i : lam >= 0} for generators r_i.
 
-Rows and generators are unit-normalized at construction.  Membership and
-distance queries are exact for the orthant and delegate to iterative
-projections otherwise: cyclic Dykstra steps for halfspace intersections,
-projected-gradient nonnegative least squares for finitely generated cones.
+Rows and generators are unit-normalized at construction.  Projections are
+exact: clamping for the orthant, and one Lawson-Hanson active-set solver
+for nonnegative least squares (:func:`_nnls`) otherwise.  A ray cone is
+projected by solving for its generator coefficients directly.  A halfspace
+cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
+K° = cone{-m_j} is a ray cone.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +43,6 @@ def _unit_rows(rows: np.ndarray, label: str) -> np.ndarray:
     if np.any(norms < 1e-12):
         raise ValueError(f"{label}: zero row")
     return rows / norms[:, None]
-
-
-@dataclass(frozen=True)
-class Vector:
-    """A point or direction with its Euclidean norm cached."""
-
-    coords: np.ndarray
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        coords = _readonly(np.asarray(self.coords, dtype=float).ravel())
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "norm", float(np.linalg.norm(coords)))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 @dataclass(frozen=True)
@@ -125,7 +110,7 @@ class Cone:
             for sign in (1.0, -1.0):
                 e = np.zeros(self.dim)
                 e[i] = sign
-                if self._rays_distance(e) > 1e-9:
+                if self.distance(e) > 1e-9:
                     return False
         return True
 
@@ -165,8 +150,8 @@ class Cone:
         if self.kind == ORTHANT:
             return np.maximum(z, 0.0)
         if self.kind == HALFSPACES:
-            return self._dykstra(z)
-        return self._rays_project(z)
+            return self._moreau_project(z)
+        return self.gens.T @ _nnls(self.gens, z)
 
     def distance(self, z) -> float:
         z = self._check_dim(z)
@@ -174,66 +159,9 @@ class Cone:
             return float(np.linalg.norm(np.minimum(z, 0.0)))
         return float(np.linalg.norm(z - self.project(z)))
 
-    def _dykstra(self, z: np.ndarray) -> np.ndarray:
-        """Dykstra's alternating projections over the halfspace rows."""
-        rows = self.rows
-        if rows.shape[0] == 0:
-            return z.copy()
-        x = z.copy()
-        corrections = np.zeros_like(rows)
-        for _ in range(PROJECTION_BUDGET):
-            x_prev = x.copy()
-            for j in range(rows.shape[0]):
-                y = x + corrections[j]
-                viol = float(rows[j] @ y)
-                proj = y if viol >= 0.0 else y - viol * rows[j]
-                corrections[j] = y - proj
-                x = proj
-            if np.linalg.norm(x - x_prev) < PROJECTION_TOL:
-                return x
-        residual = float(-min(0.0, np.min(rows @ x)))
-        raise ConvergenceError("halfspace projection did not converge",
-                               last_iterate=x, residual=residual)
-
-    def _rays_project(self, z: np.ndarray) -> np.ndarray:
-        lam = self._rays_coefficients(z)
-        if lam.size == 0:
-            return np.zeros(self.dim)
-        return self.gens.T @ lam
-
-    def _rays_distance(self, z: np.ndarray) -> float:
-        return float(np.linalg.norm(z - self._rays_project(z)))
-
-    def _rays_coefficients(self, z: np.ndarray) -> np.ndarray:
-        """Projected-gradient NNLS: min_{lam >= 0} ||gens.T lam - z||.
-
-        Accelerated with Nesterov momentum (restarted on oscillation);
-        plain steps crawl when the generator Gram matrix is singular and
-        the solution sits on a degenerate face.
-        """
-        gens = self.gens
-        if gens.shape[0] == 0:
-            return np.zeros(0)
-        gram = gens @ gens.T
-        rhs = gens @ z
-        step = 1.0 / max(float(np.linalg.norm(gram, 2)), 1e-12)
-        lam = np.maximum(np.linalg.lstsq(gens.T, z, rcond=None)[0], 0.0)
-        accel, t = lam, 1.0
-        for _ in range(PROJECTION_BUDGET):
-            lam_next = np.maximum(accel - step * (gram @ accel - rhs), 0.0)
-            if np.linalg.norm(lam_next - lam) < PROJECTION_TOL \
-                    or np.linalg.norm(gens.T @ (lam_next - lam)) < PROJECTION_TOL:
-                return lam_next
-            if float((accel - lam_next) @ (lam_next - lam)) > 0.0:
-                accel, t = lam_next, 1.0
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                accel = lam_next + ((t - 1.0) / t_next) * (lam_next - lam)
-                t = t_next
-            lam = lam_next
-        raise ConvergenceError("ray-coefficient NNLS did not converge",
-                               last_iterate=lam,
-                               residual=float(np.linalg.norm(gens.T @ lam - z)))
+    def _moreau_project(self, z: np.ndarray) -> np.ndarray:
+        """P_K(z) = z - P_{K°}(z), the polar K° = cone{-m_j} being a ray cone."""
+        return z + self.rows.T @ _nnls(-self.rows, z)
 
     # ----- duality --------------------------------------------------------
 
@@ -294,6 +222,50 @@ class Cone:
             return {"kind": HALFSPACES, "dim": self.dim,
                     "rows": self.rows.tolist()}
         return {"kind": RAYS, "dim": self.dim, "gens": self.gens.tolist()}
+
+
+def _nnls(gens: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set NNLS: argmin_{lam >= 0} ||gens.T lam - z||.
+
+    A coefficient enters the free set when its generator has the largest
+    positive pairing with the residual; a least-squares solve on the free
+    set follows, with interpolation steps back to lam >= 0 that drop the
+    coefficients reaching zero.  The result is exact up to rounding once
+    no pairing exceeds PROJECTION_TOL * |z|.  That tolerance must stay well
+    above rounding, or dependent generators can enter the free set and
+    the steps cycle.  Raises ConvergenceError, carrying the point
+    gens.T lam reached, after PROJECTION_BUDGET entries.
+    """
+    lam = np.zeros(gens.shape[0])
+    free = np.zeros(gens.shape[0], dtype=bool)
+    tol = PROJECTION_TOL * float(np.linalg.norm(z))
+    for _ in range(PROJECTION_BUDGET):
+        pairing = gens @ (z - gens.T @ lam)
+        pairing[free] = -np.inf
+        if np.all(pairing <= tol):
+            return lam
+        enter = int(np.argmax(pairing))
+        free[enter] = True
+        first = True
+        while True:
+            trial = np.zeros_like(lam)
+            trial[free] = np.linalg.lstsq(gens[free].T, z, rcond=None)[0]
+            if first and trial[enter] <= 0.0:
+                # the entering pairing was rounding noise: lam is optimal
+                return lam
+            if np.all(trial[free] > 0.0):
+                lam = trial
+                break
+            first = False
+            blocked = np.flatnonzero(free & (trial <= 0.0))
+            ratios = lam[blocked] / (lam[blocked] - trial[blocked])
+            lam = lam + float(np.min(ratios)) * (trial - lam)
+            lam[blocked[int(np.argmin(ratios))]] = 0.0
+            free &= lam > 0.0
+            lam[~free] = 0.0
+    point = gens.T @ lam
+    raise ConvergenceError("active-set NNLS exceeded its budget", last_iterate=point,
+                           residual=float(np.max(gens @ (z - point), initial=0.0)))
 
 
 def distance_many(cone: Cone, points: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ def _increase_witness(scenario_map, cone, region, probe, base, alpha, r,
             # dist to G(x') + C = min over scenario anchors of cone distance
             dist = np.full(boundary.shape[0], np.inf)
             for q in base:
-                np.minimum(dist, distance_many(cone, boundary - q[None, :]), dist)
+                np.minimum(dist, distance_many(cone, boundary - q[None, :]), out=dist)
             worst = max(worst, float(np.max(dist)))
             if worst > r + tol:
                 ok = False

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.cones as cones_mod
-from rvopt.cones import Cone, Vector, distance_many
+from rvopt.cones import Cone, distance_many
 from rvopt.errors import ConvergenceError, DimensionError, RepresentationError
 from rvopt.sampling import grid_points, sphere_directions
 
@@ -114,11 +114,13 @@ class TestHalfspaceWedge:
         assert_allclose(np.linalg.norm(self.wedge.rows, axis=1), [1.0, 1.0])
 
     def test_budget_exhaustion_reports_last_iterate(self, monkeypatch):
+        ray = Cone.rays([[1.0, 1.0]])
         monkeypatch.setattr(cones_mod, "PROJECTION_BUDGET", 0)
-        with pytest.raises(ConvergenceError) as err:
-            self.wedge.project([1.0, 0.0])
-        assert err.value.last_iterate is not None
-        assert err.value.residual >= 0.0
+        for cone in (self.wedge, ray):
+            with pytest.raises(ConvergenceError) as err:
+                cone.project([1.0, 0.0])
+            assert err.value.last_iterate is not None
+            assert err.value.residual >= 0.0
 
 
 class TestRayCones:
@@ -166,11 +168,6 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             Cone.orthant(2).contains([1.0, 2.0, 3.0])
 
-    def test_vector_caches_norm(self):
-        v = Vector([3.0, 4.0])
-        assert v.norm == pytest.approx(5.0)
-        assert v.dim == 2
-
 
 class TestProjectionInvariants:
     """Sampled optimality, idempotence, Lipschitz and homogeneity laws."""
@@ -213,6 +210,37 @@ class TestProjectionInvariants:
                     for t in (0.5, 2.0, 10.0):
                         assert cone.distance(t * z) == pytest.approx(
                             t * base, rel=1e-8, abs=1e-10)
+
+
+def kkt_cases(seed):
+    """Ray cones with dim + 2 generators and halfspace cones with 8 rows in
+    R^2..R^4, each with 8 points to project."""
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 4)
+    data = [rng.standard_normal((d + 2, d)) for d in dims]
+    data += [rng.standard_normal((8, d)) for d in dims]
+    cones = [Cone.rays(a) for a in data[:3]] + [Cone.halfspaces(a) for a in data[3:]]
+    return [(cone, rng.standard_normal((8, cone.dim)) * 2.0) for cone in cones]
+
+
+class TestProjectionKKT:
+    """p = P_K(z) iff p in K, z - p in the negative dual and <z - p, p> = 0.
+
+    Seeds 4, 14, 28 and 31 hold slowly converging cases for iterative
+    schemes: a ray cone whose spanning test (seed 14), and halfspace cones
+    whose projections (seeds 4, 28, 31), run past 10,000 cyclic-projection
+    or projected-gradient steps.
+    """
+
+    @pytest.mark.parametrize("seed", (0, 4, 14, 28, 31))
+    def test_kkt_conditions(self, seed):
+        for cone, points in kkt_cases(seed):
+            dual = cone.negative_dual()
+            for z in points:
+                p = cone.project(z)
+                assert cone.contains(p, tol=1e-9)
+                assert dual.contains(z - p, tol=1e-9)
+                assert abs(float((z - p) @ p)) <= 1e-9 * float(z @ z)
 
 
 class TestDuality:
