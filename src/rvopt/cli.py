@@ -259,9 +259,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = load_document(args.file)
-    problem = problem_from_document(doc)
-    tolerances = tolerances_from_document(doc).scaled(args.tol_scale)
+    problem, tolerances = _load(args)
     report = run_report(problem, args.at, seed=args.seed, radius=args.radius,
                         skip_cq=args.skip_cq, tolerances=tolerances)
     if args.out:

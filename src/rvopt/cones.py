@@ -8,7 +8,12 @@ A cone is stored as one of
 
 Rows and generators are unit-normalized at construction.  Projections are
 exact: clamping for the orthant, and one Lawson-Hanson active-set solver
-for nonnegative least squares (:func:`_nnls`) otherwise.  A ray cone is
+for nonnegative least squares (:func:`_nnls`) otherwise.  That solver takes
+a batch of points and runs their active-set steps in lockstep: one matrix
+product pairs every live residual with the generators, and the
+least-squares solves are grouped by free set, one ``lstsq`` call per
+group.  :func:`project_many` and :func:`distance_many` hand it whole
+batches; :meth:`Cone.project` is its one-row case.  A ray cone is
 projected by solving for its generator coefficients directly.  A halfspace
 cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
 K° = cone{-m_j} is a ray cone.
@@ -106,13 +111,8 @@ class Cone:
 
     def _positively_spans(self) -> bool:
         # cone(gens) = R^d iff it contains every +-axis vector
-        for i in range(self.dim):
-            for sign in (1.0, -1.0):
-                e = np.zeros(self.dim)
-                e[i] = sign
-                if self.distance(e) > 1e-9:
-                    return False
-        return True
+        axes = np.eye(self.dim)
+        return bool(np.all(distance_many(self, np.vstack([axes, -axes])) <= 1e-9))
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         """Membership within an absolute tolerance on unit-normalized data."""
@@ -145,23 +145,14 @@ class Cone:
     # ----- projection and distance ---------------------------------------
 
     def project(self, z) -> np.ndarray:
-        """Euclidean projection onto the cone."""
-        z = self._check_dim(z)
-        if self.kind == ORTHANT:
-            return np.maximum(z, 0.0)
-        if self.kind == HALFSPACES:
-            return self._moreau_project(z)
-        return self.gens.T @ _nnls(self.gens, z)
+        """Euclidean projection onto the cone (one row of :func:`project_many`)."""
+        return project_many(self, self._check_dim(z))[0]
 
     def distance(self, z) -> float:
         z = self._check_dim(z)
         if self.kind == ORTHANT:
             return float(np.linalg.norm(np.minimum(z, 0.0)))
         return float(np.linalg.norm(z - self.project(z)))
-
-    def _moreau_project(self, z: np.ndarray) -> np.ndarray:
-        """P_K(z) = z - P_{K°}(z), the polar K° = cone{-m_j} being a ray cone."""
-        return z + self.rows.T @ _nnls(-self.rows, z)
 
     # ----- duality --------------------------------------------------------
 
@@ -224,56 +215,127 @@ class Cone:
         return {"kind": RAYS, "dim": self.dim, "gens": self.gens.tolist()}
 
 
-def _nnls(gens: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Lawson-Hanson active-set NNLS: argmin_{lam >= 0} ||gens.T lam - z||.
+def _gemv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mat @ row`` for every row, as one matrix-vector product per row, so
+    each result rounds exactly like the one-row product."""
+    return np.matmul(mat[None], rows[:, :, None])[:, :, 0]
 
-    A coefficient enters the free set when its generator has the largest
-    positive pairing with the residual; a least-squares solve on the free
-    set follows, with interpolation steps back to lam >= 0 that drop the
-    coefficients reaching zero.  The result is exact up to rounding once
-    no pairing exceeds PROJECTION_TOL * |z|.  That tolerance must stay well
-    above rounding, or dependent generators can enter the free set and
-    the steps cycle.  Raises ConvergenceError, carrying the point
-    gens.T lam reached, after PROJECTION_BUDGET entries.
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms, each rounded like ``np.linalg.norm`` of that row."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _solve_groups(gens: np.ndarray, points: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients on each row's free set, one ``lstsq`` call
+    per distinct free-set pattern with all of its rows as right-hand sides."""
+    trial = np.zeros(free.shape)
+    rest = np.arange(free.shape[0])
+    while rest.size:
+        pattern = free[rest[0]]
+        same = (free[rest] == pattern).all(axis=1)
+        group, cols = rest[same], np.flatnonzero(pattern)
+        trial[group[:, None], cols] = np.linalg.lstsq(gens[cols].T, points[group].T,
+                                                      rcond=None)[0].T
+        rest = rest[~same]
+    return trial
+
+
+def _nnls(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set NNLS, argmin_{lam >= 0} ||gens.T lam - z||,
+    for every row z of ``points``; returns one coefficient row per point.
+
+    The rows run in lockstep.  Each entering step pairs every live row's
+    residual with the generators at once, retires the rows whose pairings
+    are all <= PROJECTION_TOL * |z|, and enters each other row's largest
+    pairing into its free set.  The least-squares solves that follow are
+    grouped by free-set pattern (:func:`_solve_groups`); interpolation
+    steps back to lam >= 0 drop the coefficients reaching zero.  A row
+    whose entering coefficient is <= 0 on its first solve is optimal: the
+    entering pairing was rounding noise.  The result is exact up to
+    rounding, and each row rounds as it would alone while the dimension
+    and free-set size stay below 8 (LAPACK takes a blocked path for larger
+    solves with several right-hand sides).  The tolerance must stay well
+    above rounding, or dependent generators can enter the free set and the
+    steps cycle.  Raises ConvergenceError after PROJECTION_BUDGET entering
+    steps, carrying the point gens.T lam of the first unfinished row and
+    its largest pairing.
     """
-    lam = np.zeros(gens.shape[0])
-    free = np.zeros(gens.shape[0], dtype=bool)
-    tol = PROJECTION_TOL * float(np.linalg.norm(z))
+    out = np.zeros((points.shape[0], gens.shape[0]))
+    # live rows: their indices, points, tolerances, coefficients, free sets
+    rows, z = np.arange(points.shape[0]), points
+    tol = PROJECTION_TOL * _norms(points)
+    lam, free = out.copy(), out > 0.0
     for _ in range(PROJECTION_BUDGET):
-        pairing = gens @ (z - gens.T @ lam)
+        pairing = _gemv(gens, z - _gemv(gens.T, lam))
         pairing[free] = -np.inf
-        if np.all(pairing <= tol):
-            return lam
-        enter = int(np.argmax(pairing))
-        free[enter] = True
-        first = True
-        while True:
-            trial = np.zeros_like(lam)
-            trial[free] = np.linalg.lstsq(gens[free].T, z, rcond=None)[0]
-            if first and trial[enter] <= 0.0:
-                # the entering pairing was rounding noise: lam is optimal
-                return lam
-            if np.all(trial[free] > 0.0):
-                lam = trial
-                break
-            first = False
-            blocked = np.flatnonzero(free & (trial <= 0.0))
-            ratios = lam[blocked] / (lam[blocked] - trial[blocked])
-            lam = lam + float(np.min(ratios)) * (trial - lam)
-            lam[blocked[int(np.argmin(ratios))]] = 0.0
-            free &= lam > 0.0
-            lam[~free] = 0.0
-    point = gens.T @ lam
+        done = (pairing <= tol[:, None]).all(axis=1)
+        if done.any():
+            out[rows[done]] = lam[done]
+            go = ~done
+            rows, z, tol, lam, free, pairing = (rows[go], z[go], tol[go], lam[go],
+                                                free[go], pairing[go])
+        if rows.size == 0:
+            return out
+        enter = pairing.argmax(axis=1)
+        free[np.arange(rows.size), enter] = True
+        done = _descend(gens, z, lam, free, enter)
+        if done.any():
+            out[rows[done]] = lam[done]
+            go = ~done
+            rows, z, tol, lam, free = rows[go], z[go], tol[go], lam[go], free[go]
+            if rows.size == 0:
+                return out
+    point = gens.T @ lam[0]
     raise ConvergenceError("active-set NNLS exceeded its budget", last_iterate=point,
-                           residual=float(np.max(gens @ (z - point), initial=0.0)))
+                           residual=float(np.max(gens @ (z[0] - point), initial=0.0)))
+
+
+def _descend(gens, z, lam, free, enter) -> np.ndarray:
+    """The least-squares and interpolation steps after an entering step,
+    updating ``lam`` and ``free`` in place.  Returns a mask of the rows the
+    rounding guard finished, whose ``lam`` is left as it was."""
+    trial = _solve_groups(gens, z, free)
+    noise = trial[np.arange(z.shape[0]), enter] <= 0.0
+    step = (free & (trial <= 0.0)).any(axis=1) & ~noise
+    accept = ~(step | noise)
+    lam[accept] = trial[accept]
+    act = np.flatnonzero(step)       # rows that need interpolation steps
+    trial = trial[act]
+    while act.size:
+        cur, on = lam[act], free[act]
+        blocked = on & (trial <= 0.0)
+        ratios = np.full(cur.shape, np.inf)
+        ratios[blocked] = cur[blocked] / (cur[blocked] - trial[blocked])
+        drop = ratios.argmin(axis=1)
+        cur += ratios.min(axis=1)[:, None] * (trial - cur)
+        cur[np.arange(act.size), drop] = 0.0
+        on &= cur > 0.0
+        cur[~on] = 0.0
+        lam[act], free[act] = cur, on
+        trial = _solve_groups(gens, z[act], on)
+        step = (on & (trial <= 0.0)).any(axis=1)
+        lam[act[~step]] = trial[~step]
+        act, trial = act[step], trial[step]
+    return noise
+
+
+def project_many(cone: Cone, points: np.ndarray) -> np.ndarray:
+    """Projections of the rows of ``points`` onto the cone, in one batched
+    NNLS call for halfspace and ray cones."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if cone.kind == ORTHANT:
+        return np.maximum(points, 0.0)
+    if cone.kind == HALFSPACES:
+        # Moreau: P_K(z) = z - P_{K°}(z), the polar K° = cone{-m_j} being a ray cone
+        return points + _gemv(cone.rows.T, _nnls(-cone.rows, points))
+    return _gemv(cone.gens.T, _nnls(cone.gens, points))
 
 
 def distance_many(cone: Cone, points: np.ndarray) -> np.ndarray:
-    """Distances from the rows of ``points`` to the cone.
-
-    Vectorized for the orthant; representation-generic otherwise.
-    """
+    """Distances from the rows of ``points`` to the cone: a clamp for the
+    orthant, one batched NNLS call (:func:`project_many`) otherwise."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if cone.kind == ORTHANT:
         return np.linalg.norm(np.minimum(points, 0.0), axis=1)
-    return np.array([cone.distance(p) for p in points])
+    return _norms(points - project_many(cone, points))

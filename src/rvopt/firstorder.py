@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone
+from .cones import Cone, project_many
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
@@ -499,10 +499,8 @@ def sampled_cone_directions(cone: Cone, count: int = 64, seed: int = 0) -> np.nd
     Projection catches thin cones that rejection sampling would miss; the
     result may be empty only when the cone is (numerically) {0}.
     """
-    dirs = sphere_directions(cone.dim, count, seed=seed)
     out = []
-    for d in dirs:
-        v = cone.project(d)
+    for v in project_many(cone, sphere_directions(cone.dim, count, seed=seed)):
         norm = float(np.linalg.norm(v))
         if norm < 1e-9:
             continue

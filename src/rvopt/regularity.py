@@ -89,25 +89,19 @@ def check_metric_increase(scenario_map: ScenarioMap, cone: Cone,
 
 def _increase_witness(scenario_map, cone, region, probe, base, alpha, r,
                       step_set, sphere, tol):
-    candidates = [probe] + [region.project(probe + r * d) for d in step_set]
-    shift = alpha * r * sphere
-    for z in candidates:
-        images = scenario_map.evaluate(z).points
-        worst = 0.0
-        ok = True
-        for g in images:
-            boundary = g[None, :] + shift
-            # dist to G(x') + C = min over scenario anchors of cone distance
-            dist = np.full(boundary.shape[0], np.inf)
-            for q in base:
-                np.minimum(dist, distance_many(cone, boundary - q[None, :]), out=dist)
-            worst = max(worst, float(np.max(dist)))
-            if worst > r + tol:
-                ok = False
-                break
-        if ok and worst <= r + tol:
-            return z
-    return None
+    """The first candidate step whose enlarged images stay within r + tol of
+    G(probe) + C on every sampled boundary point, or None."""
+    candidates = np.array([probe] + [region.project(probe + r * d) for d in step_set])
+    # images[c, w] = A_w z_c + b_w, each rounded like ScenarioMap.evaluate
+    images = (np.matmul(scenario_map.mats[None], candidates[:, None, :, None])[..., 0]
+              + scenario_map.offsets)
+    boundary = images[:, :, None, :] + alpha * r * sphere
+    # dist to G(x') + C = min over scenario anchors q of dist(. - q, C)
+    diffs = boundary[:, :, :, None, :] - base
+    dist = distance_many(cone, diffs.reshape(-1, base.shape[1])).reshape(diffs.shape[:-1])
+    worst = dist.min(axis=3).max(axis=(1, 2))
+    passing = np.flatnonzero(worst <= r + tol)
+    return candidates[passing[0]] if passing.size else None
 
 
 def estimate_increase_bound(scenario_map: ScenarioMap, cone: Cone,
@@ -177,7 +171,8 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     for chunk in range(0, sample_pts.shape[0], 256):
         block = sample_pts[chunk:chunk + 256]
         diff = block[:, None, :] - solv[None, :, :]
-        dist = np.min(np.linalg.norm(diff, axis=2), axis=1)
+        diff *= diff             # squared in place: one block-sized buffer
+        dist = np.sqrt(np.min(diff.sum(axis=2), axis=1))
         viol = dist - sample_phi[chunk:chunk + 256] / sigma - slack
         k = int(np.argmax(viol))
         if viol[k] > worst:

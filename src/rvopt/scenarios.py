@@ -88,13 +88,12 @@ class ScenarioMap:
         return excess(self.evaluate(x), cone)
 
     def merit_many(self, cone: Cone, points: np.ndarray) -> np.ndarray:
-        """Merit values for the rows of ``points`` (vectorized for orthants)."""
+        """Merit values for the rows of ``points``: one distance call over
+        all scenario images, then the max over scenarios."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for w in range(self.scenario_count):
-            images = points @ self.mats[w].T + self.offsets[w]
-            np.maximum(out, distance_many(cone, images), out=out)
-        return out
+        images = points @ self.mats.transpose(0, 2, 1) + self.offsets[:, None, :]
+        dist = distance_many(cone, images.reshape(-1, self.image_dim))
+        return np.max(dist.reshape(self.scenario_count, -1), axis=0, initial=0.0)
 
     def lipschitz_constant(self) -> float:
         """max_w ||A_w||, a global Lipschitz constant of the merit function."""
@@ -121,10 +120,9 @@ def excess(cloud: PointCloud, target) -> float:
     if isinstance(target, PointCloud):
         return float(max(_point_set_distance(z, target) for z in cloud.points))
     base, cone = target
-    worst = 0.0
-    for z in cloud.points:
-        worst = max(worst, float(np.min(distance_many(cone, z[None, :] - base.points))))
-    return worst
+    diffs = cloud.points[:, None, :] - base.points
+    dist = distance_many(cone, diffs.reshape(-1, cloud.dim)).reshape(diffs.shape[:-1])
+    return float(np.max(np.min(dist, axis=1), initial=0.0))
 
 
 def hausdorff(a: PointCloud, b: PointCloud) -> float:
@@ -132,21 +130,3 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
     if a.dim != b.dim:
         raise DimensionError("clouds live in different spaces")
     return max(excess(a, b), excess(b, a))
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    bounded: bool
-    reason: str
-
-
-def c_bounded_check(scenario_map: ScenarioMap, cone: Cone, x, radius: float,
-                    samples: int = 0) -> BoundednessReport:
-    """Local boundedness of the image family relative to the cone.
-
-    A finite family of continuous affine maps has locally bounded images,
-    so the answer is affirmative by construction; the report keeps the
-    reason string for audit trails.
-    """
-    del cone, x, radius, samples
-    return BoundednessReport(bounded=True, reason="finite scenario family")

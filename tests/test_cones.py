@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.cones as cones_mod
-from rvopt.cones import Cone, distance_many
+from rvopt.cones import Cone, distance_many, project_many
 from rvopt.errors import ConvergenceError, DimensionError, RepresentationError
 from rvopt.sampling import grid_points, sphere_directions
 
@@ -241,6 +241,58 @@ class TestProjectionKKT:
                 assert cone.contains(p, tol=1e-9)
                 assert dual.contains(z - p, tol=1e-9)
                 assert abs(float((z - p) @ p)) <= 1e-9 * float(z @ z)
+
+
+def batch_cases():
+    """Halfspace and ray cones, with more rows than dimensions among them,
+    each with a batch of points that holds the zero point and cone members."""
+    rng = np.random.default_rng(11)
+    cones = [Cone.halfspaces(rng.standard_normal((8, 2))),
+             Cone.halfspaces(rng.standard_normal((3, 3))),
+             Cone.rays(rng.standard_normal((5, 3))),
+             Cone.rays(rng.standard_normal((2, 4))),
+             Cone.rays([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
+             Cone.whole_space(3),
+             Cone.rays(np.zeros((0, 2)), dim=2)]
+    for cone in cones:
+        points = rng.standard_normal((40, cone.dim)) * 2.0
+        points[0] = 0.0
+        points[1:6] = [cone.project(z) for z in points[1:6]]
+        yield cone, points
+
+
+class TestBatchedProjection:
+    """One batched NNLS call gives each row exactly what a one-row call gives."""
+
+    def test_batch_equals_row_calls(self):
+        for cone, points in batch_cases():
+            projections = project_many(cone, points)
+            assert np.array_equal(projections, [cone.project(z) for z in points])
+            assert np.array_equal(distance_many(cone, points),
+                                  [cone.distance(z) for z in points])
+
+    @pytest.mark.parametrize("budget", (0, 1))
+    def test_budget_exhaustion_in_a_batch(self, monkeypatch, budget):
+        """The error describes the first unfinished row, as a one-row call
+        on that row would; rows that finish within the budget are skipped."""
+        cones = (Cone.halfspaces([[-1.0, 1.0], [1.0, 1.0]]),
+                 Cone.rays([[1.0, 0.0], [1.0, 1.0]]))
+        points = np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 3.0], [-1.0, -2.0], [1.0, 0.0]])
+        monkeypatch.setattr(cones_mod, "PROJECTION_BUDGET", budget)
+        for cone in cones:
+            with pytest.raises(ConvergenceError) as err:
+                distance_many(cone, points)
+            alone = None
+            for z in points:
+                try:
+                    cone.project(z)
+                except ConvergenceError as exc:
+                    alone = exc
+                    break
+            assert err.value.last_iterate is not None
+            assert err.value.residual is not None
+            assert np.array_equal(err.value.last_iterate, alone.last_iterate)
+            assert err.value.residual == alone.residual
 
 
 class TestDuality:

@@ -8,6 +8,7 @@ from rvopt.errors import PreconditionError
 from rvopt.firstorder import PolyhedralSet
 from rvopt.regularity import (check_metric_increase, cq_sigma,
                               estimate_increase_bound, verify_error_bound)
+from rvopt.sampling import ball_points, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
 from conftest import shifted_pair_scenarios
@@ -62,6 +63,56 @@ class TestMetricIncrease:
         with pytest.raises(PreconditionError, match="outside the region"):
             check_metric_increase(identity_scenario(), CONE, box,
                                   [5.0, 5.0], 1.5, 0.5)
+
+
+SAMPLES = dict(point_samples=3, radius_levels=2, step_dirs=6, boundary_dirs=8)
+
+
+def increase_oracle(smap, cone, region, x, alpha, radius, point_samples,
+                    radius_levels, step_dirs, boundary_dirs, tol=1e-9):
+    """The sampled increase check with one cone.distance call per point:
+    returns (passed, witness) for the same samples the checker draws."""
+    x = np.asarray(x, dtype=float)
+    probes = [x] + [region.project(p) for p in ball_points(x, radius, point_samples)]
+    steps = sphere_directions(x.size, step_dirs)
+    sphere = sphere_directions(smap.image_dim, boundary_dirs)
+    for probe in probes:
+        base = smap.evaluate(probe).points
+        for k in range(radius_levels):
+            r = radius * 0.75 / 2.0 ** k
+            candidates = [probe] + [region.project(probe + r * d) for d in steps]
+            if not any(all(min(cone.distance(g + alpha * r * s - q) for q in base) <= r + tol
+                           for g in smap.evaluate(z).points for s in sphere)
+                       for z in candidates):
+                return False, (probe, r)
+    return True, None
+
+
+class TestIncreaseOnGeneralCones:
+    """Halfspace and ray cones reach the batched projection kernel, whose
+    verdicts and witnesses must match a per-point distance loop."""
+
+    smap = ScenarioMap(mats=np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]),
+                       offsets=np.array([[0.0, 0.0], [0.1, -0.1]]))
+
+    @pytest.mark.parametrize("cone, x, alphas", [
+        (Cone.halfspaces([[-1.0, 2.0], [1.0, 1.0]]), [1.0, -1.0], (1.2, 1.5, 1.7, 2.0)),
+        (Cone.rays([[1.0, 0.2], [0.3, 1.0]]), [0.5, 1.0], (1.1, 1.3, 1.6, 3.0)),
+    ], ids=["halfspaces", "rays"])
+    def test_matches_per_point_oracle(self, cone, x, alphas):
+        outcomes = set()
+        for alpha in alphas:
+            rep = check_metric_increase(self.smap, cone, PLANE, x, alpha, 0.5, **SAMPLES)
+            passed, witness = increase_oracle(self.smap, cone, PLANE, x, alpha, 0.5,
+                                              **SAMPLES)
+            assert rep.passed == passed, alpha
+            if witness is None:
+                assert rep.witness is None
+            else:
+                assert np.array_equal(rep.witness[0], witness[0])
+                assert rep.witness[1] == witness[1]
+            outcomes.add(passed)
+        assert outcomes == {True, False}
 
 
 class TestIncreaseEstimate:

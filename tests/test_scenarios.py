@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from rvopt.cones import Cone
 from rvopt.errors import DimensionError
-from rvopt.scenarios import (PointCloud, ScenarioMap, c_bounded_check, excess,
-                             hausdorff)
+from rvopt.scenarios import PointCloud, ScenarioMap, excess, hausdorff
 
 from conftest import shifted_pair_scenarios
 
@@ -145,11 +144,3 @@ class TestSetDistances:
     def test_hausdorff_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             hausdorff(PointCloud([[0.0, 0.0]]), PointCloud([[0.0, 0.0, 0.0]]))
-
-
-class TestBoundedness:
-    def test_always_bounded_with_reason(self):
-        report = c_bounded_check(shifted_pair_scenarios(), Cone.orthant(2),
-                                 [0.0, 0.0], radius=1.0)
-        assert report.bounded
-        assert report.reason == "finite scenario family"
