@@ -183,17 +183,17 @@ def estimate_order_lipschitz(problem: Problem, x, radius: float = 0.5,
     pts.extend(ball_points(x, radius, samples, seed=seed))
     pts = np.array(pts)
 
-    ell = 0.0
-    count = 0
-    values = np.array([problem.objective.value(p) for p in pts])
-    for i in range(pts.shape[0]):
-        for j in range(i + 1, pts.shape[0]):
-            gap = float(np.linalg.norm(pts[i] - pts[j]))
-            if gap < 1e-12:
-                continue
-            count += 1
-            diff = rows @ (values[i] - values[j])
-            ell = max(ell, float(np.max(np.abs(diff) / (gap * row_e))))
+    first, second = np.triu_indices(pts.shape[0], k=1)
+    steps = pts[first] - pts[second]
+    # stacked products round each pair as the 1-D norm and rows @ diff do
+    gap = np.sqrt(np.matmul(steps[:, None, :], steps[:, :, None])[:, 0, 0])
+    kept = gap >= 1e-12
+    values = problem.objective.value_many(pts)
+    diffs = values[first[kept]] - values[second[kept]]
+    diff = np.matmul(rows[None], diffs[:, :, None])[..., 0]
+    ratios = np.abs(diff) / (gap[kept, None] * row_e)
+    ell = float(ratios.max(initial=0.0))
+    count = int(np.count_nonzero(kept))
     return KLipschitzEstimate(ell=ell, radius=radius, pair_count=count)
 
 

@@ -83,6 +83,17 @@ class PolyhedralSet:
             return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
         return bool(np.max(self.a @ x - self.b) <= tol)
 
+    def contains_many(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Row-wise ``contains``: one boolean per row of ``points``."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionError(f"expected rows of dim {self.dim}")
+        if self.kind == "box":
+            return np.all(pts >= self.lo - tol, axis=1) & np.all(pts <= self.hi + tol, axis=1)
+        # stacked matrix-vector products round each row as ``a @ x`` does
+        slack = np.matmul(self.a[None], pts[:, :, None])[..., 0] - self.b
+        return np.max(slack, axis=1) <= tol
+
     def project(self, x) -> np.ndarray:
         """Euclidean projection; Dykstra sweeps for halfspace intersections."""
         x = np.asarray(x, dtype=float).ravel()
@@ -192,6 +203,11 @@ class AffineObjective:
     def value(self, x) -> np.ndarray:
         return self.jac @ np.asarray(x, dtype=float).ravel() + self.offset
 
+    def value_many(self, points) -> np.ndarray:
+        """Row-wise ``value``, each row rounded exactly as ``value`` rounds it."""
+        pts = np.asarray(points, dtype=float)
+        return np.matmul(self.jac[None], pts[:, :, None])[..., 0] + self.offset
+
     def jacobian(self, x) -> np.ndarray:
         del x
         return self.jac
@@ -236,8 +252,16 @@ class QuadraticObjective:
         return self.quads.shape[0]
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        return np.einsum("i,kij,j->k", x, self.quads, x) + self.lins @ x + self.consts
+        return self.value_many(np.asarray(x, dtype=float).ravel()[None])[0]
+
+    def value_many(self, points) -> np.ndarray:
+        """Row-wise ``value``.  Every product is a stacked matrix-vector
+        product, which rounds a row the same way whatever the batch size;
+        einsum's summation order depends on the operand shapes."""
+        pts = np.asarray(points, dtype=float)
+        quad_x = np.matmul(self.quads[None], pts[:, None, :, None])[..., 0]
+        return (np.matmul(quad_x, pts[:, :, None])[..., 0]
+                + np.matmul(self.lins[None], pts[:, :, None])[..., 0] + self.consts)
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

@@ -7,6 +7,14 @@ certificates can be cross-validated against something that involves no
 calculus.  Dominance uses the interior of the ordering cone with a small
 absolute margin; efficiency uses the punctured cone, so the efficient set
 is always contained in the weakly efficient set.
+
+The comparison is exhaustive in result but blocked in execution: objective
+values and region membership are evaluated for the whole lattice at once,
+feasible points are sorted by their first order-row value, and each block
+of lattice points is compared, one order row at a time, only with the
+sorted prefix that can still improve on some point of the block.  Float
+subtraction is monotone, so skipping the rest changes no mask or count
+(see ``grid_scan``).
 """
 
 import csv
@@ -21,6 +29,7 @@ from .problem import Problem
 from .sampling import grid_points
 
 DOMINANCE_MARGIN = 1e-9
+_BLOCK_ENTRIES = 1 << 18   # entries per dominance-pass buffer: 2 MiB of float gaps
 
 
 def _order_rows(cone: Cone) -> np.ndarray:
@@ -29,11 +38,17 @@ def _order_rows(cone: Cone) -> np.ndarray:
     return np.array(cone.rows)
 
 
+def _interior_gaps(cone: Cone, fx, others) -> np.ndarray:
+    """min over the order rows of rows @ (fx - fy), for each row fy of
+    ``others``; the stacked products round each row as ``rows @ gap`` does."""
+    gaps = np.asarray(fx, dtype=float) - np.atleast_2d(np.asarray(others, dtype=float))
+    return np.min(np.matmul(_order_rows(cone)[None], gaps[:, :, None])[..., 0], axis=1)
+
+
 def strictly_dominates(cone: Cone, fx, fy, margin: float = DOMINANCE_MARGIN) -> bool:
     """True when fy improves on fx into the interior of the cone:
     fx - fy lies in int(cone) with the given margin."""
-    gap = np.asarray(fx, dtype=float) - np.asarray(fy, dtype=float)
-    return bool(np.min(_order_rows(cone) @ gap) >= margin)
+    return bool(_interior_gaps(cone, fx, fy)[0] >= margin)
 
 
 @dataclass(frozen=True)
@@ -67,18 +82,9 @@ class GridScan:
                                  *map(float, self.values[i])])
 
 
-def grid_scan(problem: Problem, lo, hi, resolution,
-              feas_tol: float = 1e-9, margin: float = DOMINANCE_MARGIN,
-              constrained: bool = True) -> GridScan:
-    """Feasibility, weak efficiency, and efficiency masks on a lattice.
-
-    With ``constrained=False`` the scenario constraint is ignored and
-    feasibility means region membership only (used by penalization
-    transfer).  Given masks F (feasible) and values f, a point is weakly
-    efficient when no feasible lattice point improves on it into the
-    interior of the ordering cone, and efficient when no other feasible
-    lattice point improves into the punctured cone.
-    """
+def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float,
+                    constrained: bool = True):
+    """Lattice points, objective values, merit, region and feasibility masks."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
     if np.isscalar(resolution) or np.ndim(resolution) == 0:
@@ -90,37 +96,101 @@ def grid_scan(problem: Problem, lo, hi, resolution,
     if np.prod(res_tuple) > 1_000_000:
         raise PreconditionError("grid exceeds the 1e6 point cap")
     pts = grid_points(lo, hi, resolution)
-
-    values = np.array([problem.objective.value(p) for p in pts])
+    values = problem.objective.value_many(pts)
     phi = problem.merit_many(pts)
-    in_region = np.array([problem.region.contains(p, tol=feas_tol) for p in pts])
+    in_region = problem.region.contains_many(pts, tol=feas_tol)
     feasible = in_region & ((phi <= feas_tol) if constrained else True)
+    return lo, hi, res_tuple, pts, values, phi, in_region, feasible
 
-    rows = _order_rows(problem.ordering_cone)
-    proj = values @ rows.T                     # row values in the dual pairing
-    feas_idx = np.flatnonzero(feasible)
-    n_pts = pts.shape[0]
-    weak = np.zeros(n_pts, dtype=bool)
-    eff = np.zeros(n_pts, dtype=bool)
-    dom_count = np.zeros(n_pts, dtype=int)
 
-    if feas_idx.size:
-        feas_proj = proj[feas_idx]
-        feas_vals = values[feas_idx]
-        for i in range(n_pts):
-            gap = proj[i][None, :] - feas_proj
-            strict = np.all(gap >= margin, axis=1)
-            dom_count[i] = int(np.sum(strict))
-            if not feasible[i]:
-                continue
-            weak[i] = not np.any(strict)
-            weak_gap = np.all(gap >= -margin, axis=1)
-            nonzero = np.linalg.norm(values[i][None, :] - feas_vals, axis=1) > margin
-            eff[i] = not np.any(weak_gap & nonzero)
+def grid_scan(problem: Problem, lo, hi, resolution,
+              feas_tol: float = 1e-9, margin: float = DOMINANCE_MARGIN,
+              constrained: bool = True) -> GridScan:
+    """Feasibility, weak efficiency, and efficiency masks on a lattice.
+
+    With ``constrained=False`` the scenario constraint is ignored and
+    feasibility means region membership only.  Given masks F (feasible)
+    and values f, a point is weakly efficient when no feasible lattice
+    point improves on it into the interior of the ordering cone, and
+    efficient when no other feasible lattice point improves into the
+    punctured cone; ``dominance_count`` counts, for every lattice point,
+    the feasible points that improve on it into the interior.
+
+    The pairwise pass is blocked: feasible points are sorted by their first
+    order-row value fp0, lattice points are taken in blocks in the same
+    order, and a block is compared only with the sorted prefix where
+    max_block_proj0 - fp0 >= -margin.  The prefix is exact because float
+    a - b is monotone in b: every later feasible point fails the weak test
+    (and so the strict one) on the first order row for every point of the
+    block.  The results equal those of comparing every pair.
+    """
+    lo, hi, res_tuple, pts, values, phi, _, feasible = _sample_lattice(
+        problem, lo, hi, resolution, feas_tol, constrained)
+    proj = values @ _order_rows(problem.ordering_cone).T    # dual-pairing values
+    weak, eff, dom_count = _dominance_pass(proj, values, feasible, margin)
     return GridScan(lo=lo, hi=hi, resolution=res_tuple, points=pts,
                     values=values, merit=phi, feasible=feasible,
                     weak_efficient=weak, efficient=eff,
                     dominance_count=dom_count)
+
+
+def _dominance_pass(proj, values, feasible, margin):
+    """Weak and efficient masks and dominance counts; see ``grid_scan``.
+
+    Feasible j improves on point i strictly when every order-row gap
+    proj[i] - proj[j] is >= margin, and weakly when every gap is >= -margin.
+    A block holds as many points as keep its (block, feasible) buffers
+    within _BLOCK_ENTRIES entries; the strict and weak masks are built one
+    order row at a time into those 2-D buffers.  A feasible point is
+    efficient when none of its weak hits lies farther than margin from it:
+    each row's first hit (smallest fp0) is tested, and only rows whose first
+    hit lies within margin test all their hits.
+    """
+    n_pts = proj.shape[0]
+    weak = np.zeros(n_pts, dtype=bool)
+    eff = np.zeros(n_pts, dtype=bool)
+    dom_count = np.zeros(n_pts, dtype=int)
+    feas_idx = np.flatnonzero(feasible)
+    if not feas_idx.size:
+        return weak, eff, dom_count
+    feas_idx = feas_idx[np.argsort(proj[feas_idx, 0], kind="stable")]
+    feas_proj = np.ascontiguousarray(proj[feas_idx].T)      # one row per order row
+    feas_vals = values[feas_idx]
+    block_rows = max(1, _BLOCK_ENTRIES // feas_idx.size)
+    gap_buf = np.empty(block_rows * feas_idx.size)
+    strict_buf = np.empty(gap_buf.size, dtype=bool)
+    weak_buf = np.empty(gap_buf.size, dtype=bool)
+    order = np.argsort(proj[:, 0], kind="stable")
+    for start in range(0, n_pts, block_rows):
+        idx = order[start:start + block_rows]
+        block = proj[idx]
+        # fmax skips NaN rows, whose gaps all compare false; one column at
+        # least, so that every row has a first column below
+        width = max(1, int(np.count_nonzero(
+            np.fmax.reduce(block[:, 0]) - feas_proj[0] >= -margin)))
+        shape = (idx.size, width)
+        gap, strict, weak_gap = (buf[:idx.size * width].reshape(shape)
+                                 for buf in (gap_buf, strict_buf, weak_buf))
+        strict[...] = True
+        weak_gap[...] = True
+        for k in range(proj.shape[1]):
+            np.subtract(block[:, k, None], feas_proj[k, :width], out=gap)
+            strict &= gap >= margin
+            weak_gap &= gap >= -margin
+        dom_count[idx] = np.count_nonzero(strict, axis=1)
+        rows = np.flatnonzero(feasible[idx])
+        weak[idx[rows]] = ~strict.any(axis=1)[rows]
+        first = np.argmax(weak_gap[rows], axis=1)
+        far_first = weak_gap[rows, first] & (np.linalg.norm(
+            values[idx[rows]] - feas_vals[first], axis=1) > margin)
+        rows = rows[~far_first]
+        pair_row, pair_col = np.nonzero(weak_gap[rows])
+        far = np.linalg.norm(values[idx[rows[pair_row]]] - feas_vals[pair_col],
+                             axis=1) > margin
+        dominated = np.zeros(rows.size, dtype=bool)
+        dominated[pair_row[far]] = True
+        eff[idx[rows]] = ~dominated
+    return weak, eff, dom_count
 
 
 # ===== penalization ======================================================
@@ -149,7 +219,7 @@ class PenalizedObjective:
 
     def value_many(self, points) -> np.ndarray:
         prob = self.problem
-        base = np.array([prob.objective.value(p) for p in points])
+        base = prob.objective.value_many(points)
         phi = prob.merit_many(points)
         return base + (self.ell / self.sigma) * phi[:, None] * prob.direction[None, :]
 
@@ -185,26 +255,22 @@ def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
     into the interior of the ordering cone.
     """
     x = np.asarray(x, dtype=float).ravel()
-    constrained = grid_scan(problem, lo, hi, resolution, feas_tol=feas_tol,
-                            margin=margin)
+    _, _, _, pts, values, _, in_region, feasible = _sample_lattice(
+        problem, lo, hi, resolution, feas_tol)
     fx = problem.objective.value(x)
     if not problem.feasible(x, tol=feas_tol):
         raise PreconditionError("reference point is not feasible")
-    for j in np.flatnonzero(constrained.feasible):
-        if strictly_dominates(problem.ordering_cone, fx, constrained.values[j],
-                              margin):
-            raise PreconditionError("reference point is not weakly efficient "
-                                    "on the constrained lattice")
+    if np.any(_interior_gaps(problem.ordering_cone, fx, values[feasible]) >= margin):
+        raise PreconditionError("reference point is not weakly efficient "
+                                "on the constrained lattice")
 
     pen = build_penalized(problem, ell, sigma)
-    pen_ref = pen.value(x)
-    region_mask = np.array([problem.region.contains(p, tol=feas_tol)
-                            for p in constrained.points])
-    pen_vals = pen.value_many(constrained.points[region_mask])
-    for row, point in zip(pen_vals, constrained.points[region_mask]):
-        if strictly_dominates(problem.ordering_cone, pen_ref, row, margin):
-            return TransferReport(passed=False, dominator=point, ell=ell,
-                                  sigma=sigma)
+    region_pts = pts[in_region]
+    beats = _interior_gaps(problem.ordering_cone, pen.value(x),
+                           pen.value_many(region_pts)) >= margin
+    if beats.any():
+        return TransferReport(passed=False, dominator=region_pts[np.argmax(beats)],
+                              ell=ell, sigma=sigma)
     return TransferReport(passed=True, dominator=None, ell=ell, sigma=sigma)
 
 
@@ -292,17 +358,15 @@ def refute_efficiency(problem: Problem, x, lo, hi, resolution,
     if not problem.feasible(x, tol=feas_tol):
         return RefutationResult(witness=None, searched=0,
                                 note="reference point infeasible")
-    scan = grid_scan(problem, lo, hi, resolution, feas_tol=feas_tol, margin=margin)
-    fx = problem.objective.value(x)
-    best_idx, best_gap = None, -np.inf
-    rows = _order_rows(problem.ordering_cone)
-    for j in np.flatnonzero(scan.feasible):
-        gap = float(np.min(rows @ (fx - scan.values[j])))
-        if gap >= margin and gap > best_gap:
-            best_idx, best_gap = j, gap
-    if best_idx is None:
-        return RefutationResult(witness=None, searched=int(np.sum(scan.feasible)),
+    _, _, _, pts, values, _, _, feasible = _sample_lattice(problem, lo, hi, resolution,
+                                                           feas_tol)
+    feas_idx = np.flatnonzero(feasible)
+    gaps = _interior_gaps(problem.ordering_cone, problem.objective.value(x),
+                          values[feas_idx])
+    dominating = gaps >= margin
+    if not dominating.any():
+        return RefutationResult(witness=None, searched=feas_idx.size,
                                 note="no dominating lattice point")
-    return RefutationResult(witness=scan.points[best_idx],
-                            searched=int(np.sum(scan.feasible)),
+    best = feas_idx[np.argmax(np.where(dominating, gaps, -np.inf))]   # first largest
+    return RefutationResult(witness=pts[best], searched=feas_idx.size,
                             note="dominating witness found")

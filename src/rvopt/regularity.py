@@ -156,7 +156,7 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     spacing = 2.0 * radius / (resolution - 1)
     slack = 2.0 * spacing
 
-    in_region = np.array([region.contains(p) for p in pts])
+    in_region = region.contains_many(pts)
     phi = scenario_map.merit_many(cone, pts)
     solv = pts[in_region & (phi <= feas_tol)]
     if solv.shape[0] == 0:

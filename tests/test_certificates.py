@@ -33,9 +33,63 @@ def scalar_first_coordinate_problem():
                    scenarios=negated_scenario())
 
 
+def loop_order_lipschitz(problem, x, radius=0.5, samples=48, seed=0):
+    """Per-pair reference for estimate_order_lipschitz."""
+    from rvopt.sampling import ball_points
+    cone = problem.ordering_cone
+    rows = np.eye(cone.dim) if cone.kind == "orthant" else cone.rows
+    row_e = rows @ problem.direction
+    x = np.asarray(x, dtype=float)
+    pts = [x]
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = radius
+        pts.extend([x + step, x - step])
+    pts = np.array(pts + list(ball_points(x, radius, samples, seed=seed)))
+    values = [problem.objective.value(p) for p in pts]
+    ell, count = 0.0, 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            gap = float(np.linalg.norm(pts[i] - pts[j]))
+            if gap < 1e-12:
+                continue
+            count += 1
+            diff = rows @ (values[i] - values[j])
+            ell = max(ell, float(np.max(np.abs(diff) / (gap * row_e))))
+    return ell, count
+
+
 class TestOrderLipschitz:
     """With e = (1,1)/sqrt(2) the identity map needs exactly ell = sqrt(2):
     an axis-aligned pair stresses one component with full step length."""
+
+    def test_matches_the_pair_loop(self, free_negative):
+        from rvopt.firstorder import QuadraticObjective
+        rng = np.random.default_rng(43)
+        objectives = [free_negative.objective,
+                      AffineObjective(rng.standard_normal((2, 2)), np.zeros(2)),
+                      QuadraticObjective(quads=rng.standard_normal((2, 2, 2)),
+                                         lins=rng.standard_normal((2, 2)),
+                                         consts=np.zeros(2))]
+        cones = [Cone.orthant(2), Cone.halfspaces([[1.0, -0.3], [-0.3, 1.0]])]
+        for objective in objectives:
+            for cone in cones:
+                prob = Problem(objective=objective, ordering_cone=cone,
+                               constraint_cone=free_negative.constraint_cone,
+                               region=free_negative.region,
+                               scenarios=free_negative.scenarios)
+                for x, seed in (([0.0, 0.0], 0), ([0.3, -1.2], 5)):
+                    est = estimate_order_lipschitz(prob, x, seed=seed)
+                    assert (est.ell, est.pair_count) \
+                        == loop_order_lipschitz(prob, x, seed=seed)
+        eye = np.eye(3)
+        prob = Problem(objective=AffineObjective(rng.standard_normal((3, 3)), np.zeros(3)),
+                       ordering_cone=Cone.orthant(3), constraint_cone=Cone.orthant(3),
+                       region=PolyhedralSet.whole_space(3),
+                       scenarios=ScenarioMap(mats=-eye[None], offsets=np.zeros((1, 3))))
+        est = estimate_order_lipschitz(prob, [0.1, 0.2, 0.3], radius=1.7)
+        assert (est.ell, est.pair_count) == loop_order_lipschitz(prob, [0.1, 0.2, 0.3],
+                                                                 radius=1.7)
 
     def test_identity_costs_root_two(self, free_negative):
         est = estimate_order_lipschitz(free_negative, [0.0, 0.0])

@@ -43,6 +43,48 @@ def dense_hull_distance(point, vertices, steps=101):
     return float(best)
 
 
+def near_boundary_points(region, rng, tol):
+    """Points on each bounding hyperplane and shifted by -tol, +tol and
+    +2 tol across it, plus a spread of random points."""
+    pts = [3.0 * rng.standard_normal((60, region.dim))]
+    if region.kind == "box":
+        for i in range(region.dim):
+            for bound in (region.lo[i], region.hi[i]):
+                if np.isfinite(bound):
+                    for shift in (-tol, 0.0, tol, 2.0 * tol):
+                        p = rng.standard_normal((8, region.dim))
+                        p[:, i] = bound + shift
+                        pts.append(p)
+    else:
+        for a, b in zip(region.a, region.b):
+            p = rng.standard_normal((8, region.dim))
+            on = p + (b - p @ a)[:, None] * a
+            pts += [on + shift * a for shift in (-tol, 0.0, tol, 2.0 * tol)]
+    return np.vstack(pts)
+
+
+class TestContainsMany:
+    rng = np.random.default_rng(17)
+    regions = [PolyhedralSet.box([-1.0, -np.inf], [np.inf, 2.0]),
+               PolyhedralSet.box([0.0, 0.0, -1.0], [1.0, 1.0, 1.0]),
+               PolyhedralSet.halfspaces(rng.standard_normal((5, 2)),
+                                        rng.random(5) + 0.5),
+               PolyhedralSet.halfspaces(rng.standard_normal((7, 3)), rng.random(7) + 0.5)]
+
+    @pytest.mark.parametrize("index", range(len(regions)))
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_matches_contains(self, index, tol):
+        region = self.regions[index]
+        pts = near_boundary_points(region, np.random.default_rng(index), tol)
+        rows = [region.contains(p, tol=tol) for p in pts]
+        assert np.array_equal(region.contains_many(pts, tol=tol), rows)
+        assert 0 < sum(rows) < len(rows)
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).contains_many(np.zeros((4, 3)))
+
+
 class TestTangentAndNormalCones:
     box = PolyhedralSet.box([-1.0, -1.0], [0.0, 0.0])
 
@@ -119,6 +161,22 @@ class TestObjectives:
         for t in (0.5, 2.0, 7.0):
             assert_allclose(obj.directional(x, t * v),
                             t * obj.directional(x, v), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_value_many_matches_value(self, n):
+        rng = np.random.default_rng(n)
+        pts = 3.0 * rng.standard_normal((400, n))
+        for k in (1, 2, 3):
+            affine = AffineObjective(rng.standard_normal((k, n)), rng.standard_normal(k))
+            quad = QuadraticObjective(quads=rng.standard_normal((k, n, n)),
+                                      lins=rng.standard_normal((k, n)),
+                                      consts=rng.standard_normal(k))
+            for obj in (affine, quad):
+                assert np.array_equal(obj.value_many(pts),
+                                      np.array([obj.value(p) for p in pts]))
+            assert_allclose(quad.value_many(pts),
+                            np.einsum("ni,kij,nj->nk", pts, quad.quads, pts)
+                            + pts @ quad.lins.T + quad.consts, rtol=1e-12, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):

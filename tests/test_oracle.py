@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rvopt.cones import ORTHANT, Cone
+from rvopt.docio import load_problem
 from rvopt.errors import PreconditionError
+from rvopt import oracle
+from rvopt.firstorder import AffineObjective, PolyhedralSet, QuadraticObjective
 from rvopt.oracle import (PenalizedObjective, build_penalized,
                           check_penalization_transfer, descent_solve,
                           grid_scan, refute_efficiency, strictly_dominates)
-from rvopt.cones import Cone
+from rvopt.problem import Problem
+from rvopt.sampling import grid_points
+from rvopt.scenarios import ScenarioMap
+
+from conftest import PROBLEMS_DIR, shifted_pair_scenarios
 
 ROOT2 = np.sqrt(2.0)
 SIGMA = 0.704046875  # certified descent constant for the shifted pair
@@ -37,6 +45,122 @@ def naive_masks(problem, pts, feas_tol=1e-9, margin=1e-9):
                     and np.linalg.norm(values[i] - values[j]) > margin:
                 eff[i] = False
     return feasible, weak, eff
+
+
+def order_rows(problem):
+    cone = problem.ordering_cone
+    return np.eye(cone.dim) if cone.kind == ORTHANT else np.array(cone.rows)
+
+
+def loop_lattice(problem, lo, hi, resolution, feas_tol=1e-9):
+    """Lattice points, values and feasibility, one point at a time."""
+    pts = grid_points(lo, hi, resolution)
+    values = np.array([problem.objective.value(p) for p in pts])
+    phi = problem.merit_many(pts)
+    in_region = np.array([problem.region.contains(p, tol=feas_tol) for p in pts])
+    return pts, values, phi, in_region, in_region & (phi <= feas_tol)
+
+
+def loop_scan(problem, lo, hi, resolution, feas_tol=1e-9, margin=1e-9):
+    """Per-point reference for grid_scan: every lattice point against every
+    feasible point, one row of gaps at a time, in any ordering cone."""
+    pts, values, phi, _, feasible = loop_lattice(problem, lo, hi, resolution,
+                                                 feas_tol)
+    proj = values @ order_rows(problem).T
+    feas_idx = np.flatnonzero(feasible)
+    weak = np.zeros(len(pts), dtype=bool)
+    eff = np.zeros(len(pts), dtype=bool)
+    dom_count = np.zeros(len(pts), dtype=int)
+    if feas_idx.size:
+        for i in range(len(pts)):
+            gap = proj[i][None, :] - proj[feas_idx]
+            strict = np.all(gap >= margin, axis=1)
+            dom_count[i] = int(np.sum(strict))
+            if not feasible[i]:
+                continue
+            weak[i] = not np.any(strict)
+            weak_gap = np.all(gap >= -margin, axis=1)
+            nonzero = np.linalg.norm(values[i][None, :] - values[feas_idx],
+                                     axis=1) > margin
+            eff[i] = not np.any(weak_gap & nonzero)
+    return values, phi, feasible, weak, eff, dom_count
+
+
+def loop_witness(problem, x, lo, hi, resolution, margin=1e-9):
+    """First lattice point with the largest interior gap >= margin."""
+    pts, values, _, _, feasible = loop_lattice(problem, lo, hi, resolution)
+    fx = problem.objective.value(x)
+    best, best_gap = None, -np.inf
+    for j in np.flatnonzero(feasible):
+        gap = float(np.min(order_rows(problem) @ (fx - values[j])))
+        if gap >= margin and gap > best_gap:
+            best, best_gap = j, gap
+    return None if best is None else pts[best]
+
+
+def loop_dominator(problem, x, ell, sigma, lo, hi, resolution, margin=1e-9):
+    """First region point, in lattice order, whose penalized value improves
+    on the reference's into the interior of the ordering cone."""
+    pen = PenalizedObjective(problem, ell=ell, sigma=sigma)
+    ref = pen.value(x)
+    for p in grid_points(lo, hi, resolution):
+        if problem.region.contains(p) \
+                and np.min(order_rows(problem) @ (ref - pen.value(p))) >= margin:
+            return p
+    return None
+
+
+def everywhere_feasible(objective, ordering_cone, region):
+    """The constraint image is the constant (1, 1), inside the orthant."""
+    n = objective.domain_dim
+    return Problem(objective=objective, ordering_cone=ordering_cone,
+                   constraint_cone=Cone.orthant(2), region=region,
+                   scenarios=ScenarioMap(mats=np.zeros((1, 2, n)),
+                                         offsets=np.ones((1, 2))))
+
+
+def three_objective_problem():
+    """Identity objective on [0, 2]^3 with x1 >= 0.5 and x2, x3 >= 0."""
+    eye = np.eye(3)
+    return Problem(objective=AffineObjective(eye, np.zeros(3)),
+                   ordering_cone=Cone.orthant(3), constraint_cone=Cone.orthant(3),
+                   region=PolyhedralSet.box(np.zeros(3), np.full(3, 2.0)),
+                   scenarios=ScenarioMap(mats=np.array([eye, eye]),
+                                         offsets=np.array([[0.0, 0.0, 0.0],
+                                                           [-0.5, 0.0, 0.0]])))
+
+
+def wedge_ordered_problem():
+    """A rotated affine objective ordered by a halfspace cone narrower than
+    the orthant, on the quarter_box constraint."""
+    return Problem(objective=AffineObjective([[1.0, 0.5], [-0.3, 1.0]], [0.1, 0.0]),
+                   ordering_cone=Cone.halfspaces([[1.0, -0.3], [-0.3, 1.0]]),
+                   constraint_cone=Cone.orthant(2),
+                   region=PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]),
+                   scenarios=shifted_pair_scenarios())
+
+
+def squares_problem():
+    """f = (x1^2, x2^2) on [-1, 1]^2: mirror images tie exactly."""
+    return everywhere_feasible(
+        QuadraticObjective(quads=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                           lins=np.zeros((2, 2)), consts=np.zeros(2)),
+        Cone.orthant(2), PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]))
+
+
+def sum_problem():
+    """f = (x1 + x2, x1 + x2): anti-diagonals tie up to rounding, so the
+    distance test decides efficiency."""
+    return everywhere_feasible(AffineObjective([[1.0, 1.0], [1.0, 1.0]], np.zeros(2)),
+                               Cone.orthant(2),
+                               PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]))
+
+
+def first_coordinate_problem():
+    """f = (x1, x1): every column of the lattice ties exactly."""
+    return everywhere_feasible(AffineObjective([[1.0, 0.0], [1.0, 0.0]], np.zeros(2)),
+                               Cone.orthant(2),
+                               PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]))
 
 
 class TestDominance:
@@ -108,6 +232,93 @@ class TestGridScan:
         assert lines[0] == ("x1,x2,merit,feasible,weak_efficient,"
                             "efficient,dominance_count,f1,f2")
         assert len(lines) == 26
+
+
+class TestBlockedScanMatchesLoop:
+    """grid_scan against the per-point loop it replaced: values, merit and
+    all masks equal, counts included, at lattice sizes that are not
+    multiples of the block size."""
+
+    @staticmethod
+    def assert_same(problem, lo, hi, resolution, margin=1e-9):
+        scan = grid_scan(problem, lo, hi, resolution, margin=margin)
+        values, phi, feasible, weak, eff, count = loop_scan(problem, lo, hi,
+                                                            resolution,
+                                                            margin=margin)
+        assert np.array_equal(scan.values, values)
+        assert np.array_equal(scan.merit, phi)
+        assert np.array_equal(scan.feasible, feasible)
+        assert np.array_equal(scan.weak_efficient, weak)
+        assert np.array_equal(scan.efficient, eff)
+        assert np.array_equal(scan.dominance_count, count)
+        return scan
+
+    @pytest.mark.parametrize("resolution", [21, 41])
+    def test_quarter_box(self, quarter_box, resolution):
+        self.assert_same(quarter_box, [0.0, 0.0], [2.0, 2.0], resolution)
+
+    @pytest.mark.parametrize("margin", [1e-9, 0.05])
+    def test_e1(self, margin):
+        problem = load_problem(PROBLEMS_DIR / "e1.json")
+        self.assert_same(problem, [-1.0, -1.0], [2.0, 2.0], 41, margin=margin)
+
+    def test_three_objectives(self):
+        scan = self.assert_same(three_objective_problem(), np.zeros(3),
+                                np.full(3, 2.0), 9)
+        assert scan.efficient.sum() == 1
+
+    def test_halfspace_ordering_cone(self):
+        self.assert_same(wedge_ordered_problem(), [0.0, 0.0], [2.0, 2.0], 23)
+
+    @pytest.mark.parametrize("make", [squares_problem, sum_problem,
+                                      first_coordinate_problem])
+    def test_non_injective_objectives(self, make):
+        scan = self.assert_same(make(), [-1.0, -1.0], [1.0, 1.0], 25)
+        assert np.unique(scan.values, axis=0).shape[0] < scan.points.shape[0]
+
+    @pytest.mark.parametrize("entries", [1, 500])
+    def test_small_buffers(self, monkeypatch, entries):
+        """One lattice point per block, and blocks of a few points."""
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+        self.assert_same(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0],
+                         [2.0, 2.0], 21)
+        self.assert_same(three_objective_problem(), np.zeros(3), np.full(3, 2.0), 7)
+
+    def test_no_feasible_point(self, free_negative):
+        scan = self.assert_same(free_negative, [1.0, 1.0], [2.0, 2.0], 11)
+        assert not scan.feasible.any()
+
+
+class TestBatchedWitnesses:
+    """Refutation witnesses and transfer dominators equal those of the
+    per-point loops, ties included."""
+
+    @pytest.mark.parametrize("make, x", [
+        (first_coordinate_problem, [0.5, 0.5]),
+        (sum_problem, [0.5, 0.5]),
+        (squares_problem, [0.5, -0.5]),
+        (wedge_ordered_problem, [1.5, 1.5]),
+        (wedge_ordered_problem, [0.5, 0.0]),
+    ])
+    def test_refutation_witness(self, make, x):
+        problem = make()
+        lo, hi = [-1.0, -1.0], [2.0, 2.0]
+        expected = loop_witness(problem, x, lo, hi, 31)
+        rep = refute_efficiency(problem, x, lo, hi, 31)
+        if expected is None:
+            assert rep.witness is None
+        else:
+            assert np.array_equal(rep.witness, expected)
+
+    @pytest.mark.parametrize("ell", [0.1, 0.3, 0.6, 1.0, 3.0])
+    def test_transfer_dominator(self, quarter_box, ell):
+        x, lo, hi = [0.5, 1.0], [0.0, 0.0], [2.0, 2.0]
+        expected = loop_dominator(quarter_box, x, ell, SIGMA, lo, hi, 41)
+        rep = check_penalization_transfer(quarter_box, x, ell=ell, sigma=SIGMA,
+                                          lo=lo, hi=hi, resolution=41)
+        assert rep.passed == (expected is None)
+        if expected is not None:
+            assert np.array_equal(rep.dominator, expected)
 
 
 class TestPenalizedObjective:
