@@ -27,8 +27,8 @@ import numpy as np
 
 from .cones import HALFSPACES, ORTHANT, RAYS, Cone
 from .errors import PreconditionError, RepresentationError
-from .firstorder import (contingent_cone, normal_cone, sampled_cone_directions,
-                         upper_inverse_cone, Fan)
+from .firstorder import (_merge_directions, contingent_cone, normal_cone,
+                         sampled_cone_directions, upper_inverse_cone, Fan)
 from .problem import Problem
 from .sampling import ball_points
 from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, feasibility, solve_lp
@@ -225,11 +225,7 @@ def _direction_set(cone: Cone, count: int, seed: int):
         gens = cone_generators(cone)
     except RepresentationError:
         return dirs, False
-    merged = list(dirs)
-    for g in gens:
-        if not any(np.linalg.norm(g - w) < 1e-9 for w in merged):
-            merged.append(g)
-    return (np.array(merged) if merged else np.zeros((0, cone.dim))), True
+    return _merge_directions(dirs, gens), True
 
 
 def _interior_depth(k_cone: Cone, z: np.ndarray) -> float:
@@ -364,13 +360,10 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
     beta = ell / (alpha - 1.0)
     tangent = contingent_cone(problem.region, x)
     try:
-        dirs = [g for g in cone_generators(tangent)]
+        gens = cone_generators(tangent)
     except RepresentationError:
-        dirs = []
-    for v in sampled_cone_directions(tangent, dir_count, seed=seed):
-        if not any(np.linalg.norm(v - w) < 1e-9 for w in dirs):
-            dirs.append(v)
-    dirs = np.array(dirs) if dirs else np.zeros((0, x.size))
+        gens = np.zeros((0, x.size))
+    dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
     base = problem.merit(x)
     vectors = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, project_many
+from .cones import Cone, _norms, project_many
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
@@ -116,6 +116,16 @@ class PolyhedralSet:
         raise ConvergenceError("polyhedral projection did not converge",
                                last_iterate=y,
                                residual=float(np.max(self.a @ y - self.b)))
+
+    def project_many(self, points) -> np.ndarray:
+        """Row-wise ``project``: one clip for boxes, a Dykstra run per row
+        for halfspace intersections."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionError(f"expected rows of dim {self.dim}")
+        if self.kind == "box":
+            return np.clip(pts, self.lo, self.hi)
+        return np.array([self.project(p) for p in pts]).reshape(pts.shape)
 
     def to_document(self) -> dict:
         if self.kind == "box":
@@ -523,12 +533,19 @@ def sampled_cone_directions(cone: Cone, count: int = 64, seed: int = 0) -> np.nd
     Projection catches thin cones that rejection sampling would miss; the
     result may be empty only when the cone is (numerically) {0}.
     """
-    out = []
-    for v in project_many(cone, sphere_directions(cone.dim, count, seed=seed)):
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-9:
-            continue
-        v = v / norm
-        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return np.array(out) if out else np.zeros((0, cone.dim))
+    proj = project_many(cone, sphere_directions(cone.dim, count, seed=seed))
+    norms = _norms(proj)
+    keep = norms >= 1e-9
+    return _merge_directions(np.zeros((0, cone.dim)), proj[keep] / norms[keep, None])
+
+
+def _merge_directions(kept: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """``kept`` followed by each row of ``extra`` that lies at least 1e-9
+    from every row taken before it: a greedy dedupe in first-seen order."""
+    pool = np.concatenate([kept, extra])
+    gaps = (extra[:, None, :] - pool[None, :, :]).reshape(-1, pool.shape[1])
+    close = (_norms(gaps) < 1e-9).reshape(extra.shape[0], pool.shape[0])
+    take = np.ones(pool.shape[0], dtype=bool)
+    for i, j in enumerate(range(kept.shape[0], pool.shape[0])):
+        take[j] = not np.any(close[i, :j] & take[:j])
+    return pool[take]

@@ -17,7 +17,6 @@ subtraction is monotone, so skipping the rest changes no mask or count
 (see ``grid_scan``).
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ from .sampling import grid_points
 
 DOMINANCE_MARGIN = 1e-9
 _BLOCK_ENTRIES = 1 << 18   # entries per dominance-pass buffer: 2 MiB of float gaps
+_CSV_BLOCK_ROWS = 1 << 10  # scan-table rows formatted per write
 
 
 def _order_rows(cone: Cone) -> np.ndarray:
@@ -67,23 +67,26 @@ class GridScan:
     dominance_count: np.ndarray
 
     def to_csv(self, path) -> None:
+        """The scan table in the csv module's default dialect: floats as
+        ``repr``, masks as 0/1, rows ended by CRLF; written in row blocks."""
         n, m = self.points.shape[1], self.values.shape[1]
         header = [f"x{i + 1}" for i in range(n)] + ["merit", "feasible",
                                                     "weak_efficient", "efficient",
                                                     "dominance_count"] \
             + [f"f{k + 1}" for k in range(m)]
+        counts = (self.feasible, self.weak_efficient, self.efficient, self.dominance_count)
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for i in range(self.points.shape[0]):
-                writer.writerow([*map(float, self.points[i]), float(self.merit[i]),
-                                 int(self.feasible[i]), int(self.weak_efficient[i]),
-                                 int(self.efficient[i]), int(self.dominance_count[i]),
-                                 *map(float, self.values[i])])
+            handle.write(",".join(header) + "\r\n")
+            for start in range(0, self.points.shape[0], _CSV_BLOCK_ROWS):
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                columns = ([map(repr, col) for col in self.points[rows].T.tolist()]
+                           + [map(repr, self.merit[rows].tolist())]
+                           + [map(str, col[rows].astype(int).tolist()) for col in counts]
+                           + [map(repr, col) for col in self.values[rows].T.tolist()])
+                handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
-def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float,
-                    constrained: bool = True):
+def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
     """Lattice points, objective values, merit, region and feasibility masks."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
@@ -99,22 +102,21 @@ def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float,
     values = problem.objective.value_many(pts)
     phi = problem.merit_many(pts)
     in_region = problem.region.contains_many(pts, tol=feas_tol)
-    feasible = in_region & ((phi <= feas_tol) if constrained else True)
+    feasible = in_region & (phi <= feas_tol)
     return lo, hi, res_tuple, pts, values, phi, in_region, feasible
 
 
 def grid_scan(problem: Problem, lo, hi, resolution,
-              feas_tol: float = 1e-9, margin: float = DOMINANCE_MARGIN,
-              constrained: bool = True) -> GridScan:
+              feas_tol: float = 1e-9, margin: float = DOMINANCE_MARGIN) -> GridScan:
     """Feasibility, weak efficiency, and efficiency masks on a lattice.
 
-    With ``constrained=False`` the scenario constraint is ignored and
-    feasibility means region membership only.  Given masks F (feasible)
-    and values f, a point is weakly efficient when no feasible lattice
-    point improves on it into the interior of the ordering cone, and
-    efficient when no other feasible lattice point improves into the
-    punctured cone; ``dominance_count`` counts, for every lattice point,
-    the feasible points that improve on it into the interior.
+    A lattice point is feasible when it lies in the region and its merit
+    is at most ``feas_tol``.  Given masks F (feasible) and values f, a
+    point is weakly efficient when no feasible lattice point improves on it
+    into the interior of the ordering cone, and efficient when no other
+    feasible lattice point improves into the punctured cone;
+    ``dominance_count`` counts, for every lattice point, the feasible
+    points that improve on it into the interior.
 
     The pairwise pass is blocked: feasible points are sorted by their first
     order-row value fp0, lattice points are taken in blocks in the same
@@ -125,7 +127,7 @@ def grid_scan(problem: Problem, lo, hi, resolution,
     block.  The results equal those of comparing every pair.
     """
     lo, hi, res_tuple, pts, values, phi, _, feasible = _sample_lattice(
-        problem, lo, hi, resolution, feas_tol, constrained)
+        problem, lo, hi, resolution, feas_tol)
     proj = values @ _order_rows(problem.ordering_cone).T    # dual-pairing values
     weak, eff, dom_count = _dominance_pass(proj, values, feasible, margin)
     return GridScan(lo=lo, hi=hi, resolution=res_tuple, points=pts,

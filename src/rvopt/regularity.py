@@ -13,6 +13,12 @@ for the scaled merit function, which then bounds the distance to the
 feasible region:  dist(x, Solv) <= merit(x) / sigma  near the reference.
 Both facts are checked by sampling: the inclusion on boundary spheres of
 the enlarged images, the error bound on a lattice approximation of Solv.
+
+The increase samples (probes, radii, candidate steps and their scenario
+images) do not depend on alpha.  They are drawn once per check or per
+bisection, and each tested alpha costs only the boundary distances: one
+batched distance call for the first (probe, r) pair, where a failing rate
+almost always fails, then one per chunk of the remaining pairs.
 """
 
 from dataclasses import dataclass
@@ -27,6 +33,7 @@ from .scenarios import ScenarioMap
 
 INCREASE_FLOOR = 1.0 + 1e-3
 INCREASE_CAP = 10.0
+_CHUNK_ENTRIES = 1 << 18   # entries per increase difference buffer: 2 MiB of floats
 
 
 @dataclass(frozen=True)
@@ -63,59 +70,103 @@ def check_metric_increase(scenario_map: ScenarioMap, cone: Cone,
     """
     if alpha <= 1.0:
         raise PreconditionError("metric increase needs alpha > 1")
+    samples = _increase_samples(scenario_map, region, x, radius, seed,
+                                point_samples, radius_levels, step_dirs,
+                                boundary_dirs)
+    failed = _first_failing_pair(samples, cone, alpha, tol)
+    if failed is None:
+        return IncreaseReport(alpha_tested=alpha, radius=radius, passed=True,
+                              witness=None, alpha_hat=alpha)
+    return IncreaseReport(alpha_tested=alpha, radius=radius, passed=False,
+                          witness=samples.pairs[failed], alpha_hat=1.0)
+
+
+@dataclass(frozen=True)
+class _IncreaseSamples:
+    """The alpha-independent part of the increase check, one entry per
+    (probe, r) pair in checking order: ``images[k, c, w]`` is A_w z_c + b_w
+    for candidate step c of pair k (candidate 0 is the probe itself) and
+    ``base[k]`` the scenario image of the probe of pair k."""
+
+    pairs: list
+    radii: np.ndarray
+    images: np.ndarray
+    base: np.ndarray
+    sphere: np.ndarray
+
+
+def _increase_samples(scenario_map, region, x, radius, seed, point_samples=12,
+                      radius_levels=4, step_dirs=16, boundary_dirs=16):
+    """Probes, test radii, candidate steps z = P_S(x' + r d) with their
+    scenario images, and the boundary sphere."""
     if radius <= 0.0:
         raise PreconditionError("metric increase needs radius > 0")
     x = np.asarray(x, dtype=float).ravel()
     if not region.contains(x):
         raise PreconditionError("reference point is outside the region")
 
-    probes = [x] + [region.project(p)
-                    for p in ball_points(x, radius, point_samples, seed=seed)]
-    test_radii = [radius * 0.75 / 2.0 ** k for k in range(radius_levels)]
+    probes = np.vstack([x, region.project_many(
+        ball_points(x, radius, point_samples, seed=seed))])
+    pairs = [(probe, radius * 0.75 / 2.0 ** k) for probe in probes
+             for k in range(radius_levels)]
+    starts = np.repeat(probes, radius_levels, axis=0)
+    radii = np.array([r for _, r in pairs])
     step_set = sphere_directions(x.size, step_dirs, seed=seed)
-    sphere = sphere_directions(scenario_map.image_dim, boundary_dirs, seed=seed)
-
-    for probe in probes:
-        base = scenario_map.evaluate(probe).points
-        for r in test_radii:
-            if _increase_witness(scenario_map, cone, region, probe, base,
-                                 alpha, r, step_set, sphere, tol) is None:
-                return IncreaseReport(alpha_tested=alpha, radius=radius,
-                                      passed=False, witness=(probe, r),
-                                      alpha_hat=1.0)
-    return IncreaseReport(alpha_tested=alpha, radius=radius, passed=True,
-                          witness=None, alpha_hat=alpha)
-
-
-def _increase_witness(scenario_map, cone, region, probe, base, alpha, r,
-                      step_set, sphere, tol):
-    """The first candidate step whose enlarged images stay within r + tol of
-    G(probe) + C on every sampled boundary point, or None."""
-    candidates = np.array([probe] + [region.project(probe + r * d) for d in step_set])
-    # images[c, w] = A_w z_c + b_w, each rounded like ScenarioMap.evaluate
-    images = (np.matmul(scenario_map.mats[None], candidates[:, None, :, None])[..., 0]
+    steps = region.project_many(
+        (starts[:, None, :] + radii[:, None, None] * step_set).reshape(-1, x.size))
+    candidates = np.concatenate([starts[:, None, :],
+                                 steps.reshape(len(pairs), step_set.shape[0], x.size)], axis=1)
+    # images[k, c, w] = A_w z_c + b_w, each rounded like ScenarioMap.evaluate
+    images = (np.matmul(scenario_map.mats[None, None], candidates[:, :, None, :, None])[..., 0]
               + scenario_map.offsets)
-    boundary = images[:, :, None, :] + alpha * r * sphere
-    # dist to G(x') + C = min over scenario anchors q of dist(. - q, C)
-    diffs = boundary[:, :, :, None, :] - base
-    dist = distance_many(cone, diffs.reshape(-1, base.shape[1])).reshape(diffs.shape[:-1])
-    worst = dist.min(axis=3).max(axis=(1, 2))
-    passing = np.flatnonzero(worst <= r + tol)
-    return candidates[passing[0]] if passing.size else None
+    base = np.repeat([scenario_map.evaluate(p).points for p in probes], radius_levels, axis=0)
+    return _IncreaseSamples(pairs=pairs, radii=radii, images=images, base=base,
+                            sphere=sphere_directions(scenario_map.image_dim,
+                                                     boundary_dirs, seed=seed))
+
+
+def _first_failing_pair(samples, cone, alpha, tol):
+    """Index of the first pair with no candidate whose enlarged images stay
+    within r + tol of G(probe) + C on every sampled boundary point, or None.
+
+    Pair 0 is tested alone, since a failing rate almost always fails there;
+    the rest go in order, in chunks whose difference buffer holds at most
+    _CHUNK_ENTRIES entries (but at least one pair), one distance call each.
+    """
+    start, stop = 0, 1
+    while start < len(samples.pairs):
+        r = samples.radii[start:stop]
+        boundary = (samples.images[start:stop, :, :, None, :]
+                    + (alpha * r)[:, None, None, None, None] * samples.sphere)
+        # dist to G(x') + C = min over scenario anchors q of dist(. - q, C)
+        diffs = boundary[:, :, :, :, None, :] - samples.base[start:stop, None, None, None]
+        dist = distance_many(cone, diffs.reshape(-1, diffs.shape[-1])).reshape(diffs.shape[:-1])
+        worst = dist.min(axis=4).max(axis=(2, 3))
+        failing = np.flatnonzero(~np.any(worst <= (r + tol)[:, None], axis=1))
+        if failing.size:
+            return start + int(failing[0])
+        start, stop = stop, min(len(samples.pairs),
+                                stop + max(1, _CHUNK_ENTRIES // diffs[0].size))
+    return None
 
 
 def estimate_increase_bound(scenario_map: ScenarioMap, cone: Cone,
                             region: PolyhedralSet, x, radius: float,
                             resolution: float = 0.01, seed: int = 0,
-                            **check_kwargs) -> float | None:
+                            tol: float = 1e-9, **sample_kwargs) -> float | None:
     """Largest alpha passing the sampled increase check, by bisection.
 
-    Returns None when even alpha slightly above 1 fails, in which case no
-    descent constant can be certified from these samples.
+    The samples do not depend on alpha, so they are drawn, projected and
+    mapped once (``sample_kwargs`` as in ``check_metric_increase``); each
+    tested alpha costs only its boundary distances.  Returns None when
+    even alpha slightly above 1 fails, in which case no descent constant
+    can be certified from these samples.
     """
+    samples = _increase_samples(scenario_map, region, x, radius, seed,
+                                **sample_kwargs)
+
     def passes(alpha: float) -> bool:
-        return check_metric_increase(scenario_map, cone, region, x, alpha,
-                                     radius, seed=seed, **check_kwargs).passed
+        return _first_failing_pair(samples, cone, alpha, tol) is None
 
     if not passes(INCREASE_FLOOR):
         return None

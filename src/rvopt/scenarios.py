@@ -89,9 +89,11 @@ class ScenarioMap:
 
     def merit_many(self, cone: Cone, points: np.ndarray) -> np.ndarray:
         """Merit values for the rows of ``points``: one distance call over
-        all scenario images, then the max over scenarios."""
+        all scenario images, then the max over scenarios.  The images are
+        stacked matrix-vector products, which round each row as ``merit``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        images = points @ self.mats.transpose(0, 2, 1) + self.offsets[:, None, :]
+        images = (np.matmul(self.mats[:, None], points[None, :, :, None])[..., 0]
+                  + self.offsets[:, None, :])
         dist = distance_many(cone, images.reshape(-1, self.image_dim))
         return np.max(dist.reshape(self.scenario_count, -1), axis=0, initial=0.0)
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
+                                _direction_set,
                                 check_penalization_condition,
                                 check_tangential_condition, cone_generators,
                                 convex_scalarized_certificate,
@@ -14,7 +15,8 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 scalarized_fan_certificate)
 from rvopt.cones import Cone
 from rvopt.errors import PreconditionError, RepresentationError
-from rvopt.firstorder import AffineObjective, Fan, PolyhedralSet
+from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, contingent_cone,
+                              sampled_cone_directions)
 from rvopt.problem import Problem
 from rvopt.scenarios import ScenarioMap
 from rvopt.simplex import INFEASIBLE, LinearProgram, feasibility
@@ -231,6 +233,43 @@ class TestConvexScalarized:
         with pytest.raises(PreconditionError):
             convex_scalarized_certificate(free_negative, [0.0, 0.0],
                                           alpha=1.0, ell=1.0)
+
+
+    @pytest.mark.parametrize("region, x", [
+        (PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]), [0.0, 0.0]),
+        (PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]), [0.5, 0.0]),
+        (PolyhedralSet.whole_space(2), [0.5, 0.5]),
+        (PolyhedralSet.halfspaces([[1.0, 1.0], [-1.0, 2.0]], [1.0, 1.0]), [1.0 / 3, 2.0 / 3]),
+    ], ids=["corner", "edge", "interior", "halfspace-vertex"])
+    def test_directions_merge_like_the_loop(self, quarter_box, region, x):
+        """Tangent generators first, then each new sampled direction."""
+        problem = Problem(objective=quarter_box.objective,
+                          ordering_cone=quarter_box.ordering_cone,
+                          constraint_cone=quarter_box.constraint_cone,
+                          region=region, scenarios=quarter_box.scenarios)
+        tangent = contingent_cone(region, x)
+        dirs = list(cone_generators(tangent))
+        for v in sampled_cone_directions(tangent, 64, seed=0):
+            if not any(np.linalg.norm(v - w) < 1e-9 for w in dirs):
+                dirs.append(v)
+        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+        assert np.array_equal(cert.directions, np.array(dirs).reshape(-1, 2))
+
+
+class TestDirectionSet:
+    @pytest.mark.parametrize("cone", [
+        Cone.orthant(2), Cone.halfspaces([[1.0, 1.0], [-1.0, 1.0]]),
+        Cone.halfspaces([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        Cone.rays([[1.0, 0.2], [0.3, 1.0]]), Cone.whole_space(2)])
+    def test_matches_the_merge_loop(self, cone):
+        """Sampled directions first, then each new exact generator."""
+        merged = list(sampled_cone_directions(cone, 32, seed=1))
+        for g in cone_generators(cone):
+            if not any(np.linalg.norm(g - w) < 1e-9 for w in merged):
+                merged.append(g)
+        dirs, exact = _direction_set(cone, 32, seed=1)
+        assert exact
+        assert np.array_equal(dirs, np.array(merged).reshape(-1, cone.dim))
 
 
 class TestMultiplierRule:

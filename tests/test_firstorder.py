@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rvopt.cones import Cone
+from rvopt.cones import Cone, project_many
 from rvopt.errors import DimensionError, PreconditionError
-from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet,
+from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, _merge_directions,
                               QuadraticObjective, check_outer_prederivative,
                               check_upper_subgradient, contingent_cone,
                               fan_from_scenarios, normal_cone,
                               polytope_distance, sampled_cone_directions,
                               strong_slope, upper_inverse_cone,
                               upper_subgradient_candidate)
+from rvopt.sampling import sphere_directions
 from rvopt.scenarios import ScenarioMap, hausdorff
 
 from conftest import shifted_pair_scenarios
@@ -83,6 +84,21 @@ class TestContainsMany:
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
             PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).contains_many(np.zeros((4, 3)))
+
+
+class TestProjectMany:
+    @pytest.mark.parametrize("index", range(len(TestContainsMany.regions)))
+    def test_matches_project(self, index):
+        region = TestContainsMany.regions[index]
+        pts = 3.0 * np.random.default_rng(index).standard_normal((40, region.dim))
+        rows = np.array([region.project(p) for p in pts])
+        assert np.array_equal(region.project_many(pts), rows)
+        assert not np.array_equal(rows, pts)          # some points move
+        assert region.project_many(np.zeros((0, region.dim))).shape == (0, region.dim)
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).project_many(np.zeros((4, 3)))
 
 
 class TestTangentAndNormalCones:
@@ -390,3 +406,49 @@ class TestSampledDirections:
     def test_trivial_cone_yields_nothing(self):
         cone = Cone.rays(np.zeros((0, 2)), dim=2)
         assert sampled_cone_directions(cone, 16, seed=0).shape[0] == 0
+
+
+def greedy_merge_loop(kept, extra, dim):
+    """Reference dedupe: one norm per pair, first seen wins."""
+    out = list(kept)
+    for v in extra:
+        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
+            out.append(v)
+    return np.array(out) if out else np.zeros((0, dim))
+
+
+def sampled_directions_loop(cone, count, seed):
+    """Reference for sampled_cone_directions: one row at a time."""
+    unit = []
+    for v in project_many(cone, sphere_directions(cone.dim, count, seed=seed)):
+        norm = float(np.linalg.norm(v))
+        if norm >= 1e-9:
+            unit.append(v / norm)
+    return greedy_merge_loop([], unit, cone.dim)
+
+
+class TestMergeDirections:
+    @pytest.mark.parametrize("cone", [
+        Cone.orthant(2), Cone.orthant(3), Cone.whole_space(2),
+        Cone.halfspaces([[1.0, 1.0], [-1.0, 1.0]]),
+        Cone.halfspaces([[1.0, 1e-3], [-1.0, 1e-3]]),
+        Cone.rays([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.0, 1.0]]),
+        Cone.rays(np.zeros((0, 2)), dim=2)])
+    @pytest.mark.parametrize("count", [16, 64])
+    def test_sampled_directions_match_the_loop(self, cone, count):
+        assert np.array_equal(sampled_cone_directions(cone, count, seed=3),
+                              sampled_directions_loop(cone, count, 3))
+
+    def test_near_duplicates_first_seen_wins(self):
+        kept = np.array([[1.0, 0.0], [0.0, 1.0]])
+        extra = np.array([[1.0, 5e-10], [0.6, 0.8], [0.6, 0.8 + 2e-9],
+                          [0.6, 0.8 + 5e-10], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0],
+                          [0.0, 1.0 + 8e-10], [0.0, 1.0 + 1.6e-9]])
+        merged = _merge_directions(kept, extra)
+        assert np.array_equal(merged, greedy_merge_loop(kept, extra, 2))
+        # a dropped row does not shadow a later one that is near only to it
+        assert np.array_equal(merged, [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8],
+                                       [0.6, 0.8 + 2e-9], [-1.0, 0.0],
+                                       [0.0, 1.0 + 1.6e-9]])
+        assert np.array_equal(_merge_directions(kept, np.zeros((0, 2))), kept)
+        assert _merge_directions(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)

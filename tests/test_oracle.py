@@ -1,5 +1,7 @@
 """Lattice Pareto oracle, merit penalization, descent, refutation."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -232,6 +234,27 @@ class TestGridScan:
         assert lines[0] == ("x1,x2,merit,feasible,weak_efficient,"
                             "efficient,dominance_count,f1,f2")
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("block_rows", [7, 1 << 10])
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, monkeypatch, block_rows):
+        """Byte for byte what csv.writer writes row by row, with negative
+        coordinates and values and dominance counts above 9."""
+        monkeypatch.setattr(oracle, "_CSV_BLOCK_ROWS", block_rows)
+        scan = grid_scan(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0], [2.0, 2.0], 23)
+        assert scan.points.min() < 0.0 and scan.values.min() < 0.0
+        assert scan.dominance_count.max() > 9
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x1", "x2", "merit", "feasible", "weak_efficient",
+                             "efficient", "dominance_count", "f1", "f2"])
+            for i in range(scan.points.shape[0]):
+                writer.writerow([*map(float, scan.points[i]), float(scan.merit[i]),
+                                 int(scan.feasible[i]), int(scan.weak_efficient[i]),
+                                 int(scan.efficient[i]), int(scan.dominance_count[i]),
+                                 *map(float, scan.values[i])])
+        scan.to_csv(tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_bytes() == ref.read_bytes()
 
 
 class TestBlockedScanMatchesLoop:

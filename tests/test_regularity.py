@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from rvopt.cones import Cone
+import rvopt.regularity
+from rvopt.cones import Cone, distance_many
 from rvopt.errors import PreconditionError
 from rvopt.firstorder import PolyhedralSet
-from rvopt.regularity import (check_metric_increase, cq_sigma,
-                              estimate_increase_bound, verify_error_bound)
+from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, check_metric_increase,
+                              cq_sigma, estimate_increase_bound, verify_error_bound)
 from rvopt.sampling import ball_points, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
@@ -113,6 +114,106 @@ class TestIncreaseOnGeneralCones:
                 assert rep.witness[1] == witness[1]
             outcomes.add(passed)
         assert outcomes == {True, False}
+
+
+def increase_pair_loop(smap, cone, region, x, alpha, radius, point_samples,
+                       radius_levels, step_dirs, boundary_dirs, tol=1e-9):
+    """The increase check drawn afresh for one alpha, one distance call per
+    (probe, r) pair in checking order: returns (passed, witness)."""
+    x = np.asarray(x, dtype=float)
+    probes = [x] + [region.project(p) for p in ball_points(x, radius, point_samples)]
+    steps = sphere_directions(x.size, step_dirs)
+    sphere = sphere_directions(smap.image_dim, boundary_dirs)
+    for probe in probes:
+        base = smap.evaluate(probe).points
+        for k in range(radius_levels):
+            r = radius * 0.75 / 2.0 ** k
+            cands = np.array([probe] + [region.project(probe + r * d) for d in steps])
+            images = np.matmul(smap.mats[None], cands[:, None, :, None])[..., 0] + smap.offsets
+            diffs = (images[:, :, None, :] + alpha * r * sphere)[:, :, :, None, :] - base
+            dist = distance_many(cone, diffs.reshape(-1, base.shape[1]))
+            worst = dist.reshape(diffs.shape[:-1]).min(axis=3).max(axis=(1, 2))
+            if not np.any(worst <= r + tol):
+                return False, (probe, r)
+    return True, None
+
+
+def bisection_loop(smap, cone, region, x, radius, resolution=0.01, **samples):
+    """The increase bisection over ``increase_pair_loop``."""
+    def passes(alpha):
+        return increase_pair_loop(smap, cone, region, x, alpha, radius, **samples)[0]
+
+    if not passes(INCREASE_FLOOR):
+        return None
+    if passes(INCREASE_CAP):
+        return INCREASE_CAP
+    lo, hi = INCREASE_FLOOR, INCREASE_CAP
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
+class TestSharedIncreaseSamples:
+    """Samples drawn once and tested per alpha in chunks of pairs give the
+    verdicts, witnesses and estimates of the per-pair loop, whatever the
+    chunk size."""
+
+    cones = {"orthant": Cone.orthant(2),
+             "halfspaces": Cone.halfspaces([[-1.0, 2.0], [1.0, 1.0]]),
+             "rays": Cone.rays([[1.0, 0.2], [0.3, 1.0]])}
+    regions = {"box": PolyhedralSet.box([-np.inf, 0.0], [1.5, np.inf]),
+               "halfspaces": PolyhedralSet.halfspaces([[1.0, 1.0], [-1.0, 0.4]],
+                                                      [1.8, -0.5])}
+    x = np.array([1.2, 0.3])          # within 0.5 of every region's boundary
+
+    @staticmethod
+    def smap(w):
+        rng = np.random.default_rng(0)
+        return ScenarioMap(np.eye(2) + 0.3 * rng.standard_normal((w, 2, 2)),
+                           0.2 * rng.standard_normal((w, 2)))
+
+    @staticmethod
+    def patch_chunks(monkeypatch, w, chunk_pairs):
+        """Chunks of one pair (budget 1 entry) or of ``chunk_pairs`` pairs."""
+        if chunk_pairs is not None:
+            per_pair = (SAMPLES["step_dirs"] + 1) * w * 2 * SAMPLES["boundary_dirs"] * w
+            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES",
+                                max(1, chunk_pairs * per_pair))
+
+    @pytest.mark.parametrize("chunk_pairs", [0, 3, None], ids=["one", "three", "default"])
+    @pytest.mark.parametrize("region", ["box", "halfspaces"])
+    @pytest.mark.parametrize("w", [1, 3])
+    @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
+    def test_check_and_estimate_match_the_pair_loop(self, monkeypatch, kind, w,
+                                                    region, chunk_pairs):
+        self.patch_chunks(monkeypatch, w, chunk_pairs)
+        smap, cone, reg = self.smap(w), self.cones[kind], self.regions[region]
+        for alpha in (1.1, 1.3, 1.6, 2.0, 3.0):
+            rep = check_metric_increase(smap, cone, reg, self.x, alpha, 0.5, **SAMPLES)
+            passed, witness = increase_pair_loop(smap, cone, reg, self.x, alpha, 0.5,
+                                                 **SAMPLES)
+            assert rep.passed == passed, alpha
+            if witness is None:
+                assert rep.witness is None
+            else:
+                assert np.array_equal(rep.witness[0], witness[0])
+                assert rep.witness[1] == witness[1]
+        assert estimate_increase_bound(smap, cone, reg, self.x, 0.5, **SAMPLES) \
+            == bisection_loop(smap, cone, reg, self.x, 0.5, **SAMPLES)
+
+    @pytest.mark.parametrize("chunk_pairs", [0, 3, None], ids=["one", "three", "default"])
+    def test_failure_after_pair_zero(self, monkeypatch, chunk_pairs):
+        """At alpha 1.3 the single-scenario orthant case passes its first six
+        pairs and fails on the seventh (probe 3, the larger radius)."""
+        self.patch_chunks(monkeypatch, 1, chunk_pairs)
+        smap, cone, reg = self.smap(1), self.cones["orthant"], self.regions["box"]
+        rep = check_metric_increase(smap, cone, reg, self.x, 1.3, 0.5, **SAMPLES)
+        probes = [self.x] + [reg.project(p) for p in ball_points(self.x, 0.5, 3)]
+        assert not rep.passed
+        assert np.array_equal(rep.witness[0], probes[3])
+        assert rep.witness[1] == 0.375
+        assert increase_pair_loop(smap, cone, reg, self.x, 1.3, 0.5, **SAMPLES)[0] is False
 
 
 class TestIncreaseEstimate:

@@ -78,6 +78,22 @@ class TestMerit:
         assert_allclose(many, [self.smap.merit(self.cone, p) for p in pts],
                         atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
+    def test_merit_many_rounds_like_merit(self, kind):
+        """Bit for bit, not only close: the batched images must round each
+        row as ``A_w @ x + b_w`` does, for every dimension and scenario count."""
+        rng = np.random.default_rng(23)
+        for n in range(1, 6):
+            for w in range(1, 5):
+                vecs = rng.standard_normal((n + 1, n)) + 2.0
+                cone = {"orthant": Cone.orthant(n), "halfspaces": Cone.halfspaces(vecs),
+                        "rays": Cone.rays(vecs)}[kind]
+                smap = ScenarioMap(rng.standard_normal((w, n, n)),
+                                   rng.standard_normal((w, n)))
+                pts = 3.0 * rng.standard_normal((24, n))
+                assert np.array_equal(smap.merit_many(cone, pts),
+                                      [smap.merit(cone, p) for p in pts]), (n, w)
+
     def test_nonnegative_and_zero_set_exact(self):
         """merit == 0 exactly on {x1 >= 0.5, x2 >= 0}."""
         grid = np.array([[x1, x2] for x1 in np.linspace(-1, 2, 31)
