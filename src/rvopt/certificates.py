@@ -29,9 +29,11 @@ from .cones import HALFSPACES, ORTHANT, RAYS, Cone
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (_merge_directions, contingent_cone, normal_cone,
                          sampled_cone_directions, upper_inverse_cone, Fan)
-from .problem import Problem
+from .problem import Problem, interior_witness, max_margin_point
 from .sampling import ball_points
-from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, feasibility, solve_lp
+# solve_lp is unused here but stays importable: bench/tracing.py wraps it at
+# this import site.
+from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, feasibility, solve_lp  # noqa: F401
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -525,25 +527,6 @@ def replay_certificate(problem: Problem, x, cert: Certificate,
 # ===== qualification =====================================================
 
 
-def _max_margin_point(rows: np.ndarray, dim: int):
-    """max t s.t. rows z >= t, |z_i| <= 1; returns (t, z)."""
-    if rows.shape[0] == 0:
-        return float("inf"), np.zeros(dim)
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    a_ub = np.vstack([
-        np.hstack([-rows, np.ones((rows.shape[0], 1))]),
-        np.hstack([np.eye(dim), np.zeros((dim, 1))]),
-        np.hstack([-np.eye(dim), np.zeros((dim, 1))]),
-    ])
-    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * dim)])
-    res = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub,
-                                 nonneg=np.zeros(dim + 1, dtype=bool)))
-    if res.status != OPTIMAL:
-        return float("-inf"), None
-    return float(res.x[dim]), res.x[:dim]
-
-
 def qualification_check(problem: Problem, x, fan: Fan | None = None,
                         tol: float = LP_SLACK) -> QualificationReport:
     """Interior-compatibility of the fan preimages with the tangent cone.
@@ -568,7 +551,7 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     if tangent.rows.shape[0]:
         rows.append(tangent.rows)
     rows = np.vstack(rows) if rows else np.zeros((0, x.size))
-    margin, witness = _max_margin_point(rows, x.size)
+    margin, witness = max_margin_point(rows, x.size)
     if not rows.shape[0]:
         notes.append("no active rows; condition vacuous")
     passed = margin > tol
@@ -578,7 +561,6 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     if slater_applicable:
         interior_ok = True
         if c_cone.kind == HALFSPACES:
-            from .problem import interior_witness
             _, c_margin = interior_witness(c_cone)
             interior_ok = c_margin > tol
         if not interior_ok:
@@ -592,7 +574,7 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     if slater_applicable:
         c_rows = np.eye(c_cone.dim) if c_cone.kind == ORTHANT else c_cone.rows
         stacked = np.vstack([c_rows @ mat for mat in fan.bundle])
-        s_margin, s_witness = _max_margin_point(stacked, x.size)
+        s_margin, s_witness = max_margin_point(stacked, x.size)
         slater_passed = s_margin > tol
     else:
         s_margin, s_witness, slater_passed = 0.0, None, False

@@ -23,23 +23,14 @@ from .simplex import LinearProgram, OPTIMAL, solve_lp
 INTERIOR_WITNESS_TOL = 1e-8
 
 
-def interior_witness(cone: Cone):
-    """A unit interior point of the cone and its interiority margin.
+def max_margin_point(rows: np.ndarray, dim: int):
+    """max t s.t. rows z >= t, |z_i| <= 1; returns (t, z).
 
-    Returns (witness, margin); margin <= 0 means the interior is empty.
+    With no rows the margin is unbounded: (inf, 0).  An LP that does not
+    solve to optimality gives (-inf, None).
     """
-    if cone.kind == ORTHANT:
-        e = np.ones(cone.dim) / np.sqrt(cone.dim)
-        return e, float(np.min(e))
-    if cone.kind != HALFSPACES:
-        raise ValidationError("interior witness needs an orthant or halfspace cone")
-    rows = cone.rows
     if rows.shape[0] == 0:
-        e = np.zeros(cone.dim)
-        e[0] = 1.0
-        return e, 1.0
-    # max t  s.t.  rows z >= t, |z_i| <= 1
-    dim = cone.dim
+        return float("inf"), np.zeros(dim)
     c = np.zeros(dim + 1)
     c[-1] = -1.0
     a_ub = np.vstack([
@@ -51,11 +42,30 @@ def interior_witness(cone: Cone):
     res = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub,
                                  nonneg=np.zeros(dim + 1, dtype=bool)))
     if res.status != OPTIMAL:
-        return np.zeros(dim), 0.0
-    z, t = res.x[:dim], float(res.x[dim])
+        return float("-inf"), None
+    return float(res.x[dim]), res.x[:dim]
+
+
+def interior_witness(cone: Cone):
+    """A unit interior point of the cone and its interiority margin.
+
+    Returns (witness, margin); margin <= 0 means the interior is empty.
+    """
+    if cone.kind == ORTHANT:
+        e = np.ones(cone.dim) / np.sqrt(cone.dim)
+        return e, float(np.min(e))
+    if cone.kind != HALFSPACES:
+        raise ValidationError("interior witness needs an orthant or halfspace cone")
+    if cone.rows.shape[0] == 0:
+        e = np.zeros(cone.dim)
+        e[0] = 1.0
+        return e, 1.0
+    t, z = max_margin_point(cone.rows, cone.dim)
+    if z is None:
+        return np.zeros(cone.dim), 0.0
     norm = float(np.linalg.norm(z))
     if t <= INTERIOR_WITNESS_TOL or norm < 1e-12:
-        return np.zeros(dim), min(t, 0.0)
+        return np.zeros(cone.dim), min(t, 0.0)
     return z / norm, t / norm
 
 

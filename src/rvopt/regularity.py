@@ -19,6 +19,16 @@ images) do not depend on alpha.  They are drawn once per check or per
 bisection, and each tested alpha costs only the boundary distances: one
 batched distance call for the first (probe, r) pair, where a failing rate
 almost always fails, then one per chunk of the remaining pairs.
+
+The error bound needs the distance from each tested lattice point to the
+feasible sublattice.  An exact separable distance transform gives every
+lattice point its integer squared index distance D to that sublattice,
+with O(N R n) integer work for N lattice points, R per axis, in place of
+the O(N |Solv|) float work of comparing every pair.  Feasible points at a
+larger integer distance are at least one squared spacing farther away,
+far more than any rounding error.  So the float distance is the minimum
+over the feasible points at exactly D, and it equals, bit for bit, the
+minimum over every feasible point.
 """
 
 from dataclasses import dataclass
@@ -33,7 +43,7 @@ from .scenarios import ScenarioMap
 
 INCREASE_FLOOR = 1.0 + 1e-3
 INCREASE_CAP = 10.0
-_CHUNK_ENTRIES = 1 << 18   # entries per increase difference buffer: 2 MiB of floats
+_CHUNK_ENTRIES = 1 << 18   # entries per difference or distance buffer: 2 MiB
 
 
 @dataclass(frozen=True)
@@ -199,9 +209,25 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     comparison gets a slack of two lattice spacings to absorb the
     discretization.  Points are tested inside the half-radius ball, the
     localization under which the bound is justified.
+
+    The distances equal, bit for bit, those of a comparison with every
+    feasible point.  An exact distance transform gives each lattice point
+    its squared index distance D to the feasible sublattice
+    (``_distance_passes``).  Every feasible point at a larger integer
+    distance is then at least spacing^2 farther away in squared Euclidean
+    distance, far more than any rounding error, so the nearest feasible
+    points are among the tie shell: the feasible points at an integer
+    offset o with |o|^2 = D.  The float distance is the smallest one over
+    the tie shell (``_tie_shell_min``), computed with the same arithmetic
+    as a comparison with every point.  The witness is the first largest
+    violation in row-major lattice order.
     """
     if sigma <= 0.0:
         raise PreconditionError("sigma must be positive")
+    if radius <= 0.0:
+        raise PreconditionError("error bound needs radius > 0")
+    if resolution < 2:
+        raise PreconditionError("error bound needs resolution >= 2")
     x = np.asarray(x, dtype=float).ravel()
     pts = grid_points(x - radius, x + radius, resolution)
     spacing = 2.0 * radius / (resolution - 1)
@@ -209,26 +235,92 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
 
     in_region = region.contains_many(pts)
     phi = scenario_map.merit_many(cone, pts)
-    solv = pts[in_region & (phi <= feas_tol)]
-    if solv.shape[0] == 0:
+    feasible = in_region & (phi <= feas_tol)
+    if not feasible.any():
         raise PreconditionError("no feasible lattice points within the radius")
-
     close = np.linalg.norm(pts - x[None, :], axis=1) <= radius / 2.0
-    tested = in_region & close
-    sample_pts = pts[tested]
-    sample_phi = phi[tested]
+    tested = np.flatnonzero(in_region & close)
+    if tested.size == 0:
+        raise PreconditionError("no region lattice points within half the radius")
 
-    worst, witness = -np.inf, None
-    for chunk in range(0, sample_pts.shape[0], 256):
-        block = sample_pts[chunk:chunk + 256]
-        diff = block[:, None, :] - solv[None, :, :]
-        diff *= diff             # squared in place: one block-sized buffer
-        dist = np.sqrt(np.min(diff.sum(axis=2), axis=1))
-        viol = dist - sample_phi[chunk:chunk + 256] / sigma - slack
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst, witness = float(viol[k]), block[k]
+    stages = _distance_passes(feasible.reshape((resolution,) * x.size))
+    dist = np.sqrt(_tie_shell_min(pts, stages, tested))
+    viol = dist - phi[tested] / sigma - slack
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
     passed = worst <= tol
     return ErrorBoundReport(sigma=sigma, radius=radius, slack=slack,
                             max_violation=worst, passed=passed,
-                            witness=None if passed else witness)
+                            witness=None if passed else pts[tested[k]].copy())
+
+
+def _distance_passes(feasible: np.ndarray) -> list:
+    """Exact squared index distances to the True entries of the n-d mask
+    ``feasible``, which has at least one: the list [D_0, ..., D_n], where
+    D_0 is 0 on the mask and huge elsewhere, and
+
+        D_(k+1)(i) = min_j D_k(j) + (i - j)^2   along every line of axis k
+
+    (Felzenszwalb & Huttenlocher, "Distance transforms of sampled
+    functions", Theory of Computing 2012).  D_n is the squared index
+    distance to the nearest True entry.  Each pass runs over blocks of
+    lines and output positions whose sum buffer holds at most
+    _CHUNK_ENTRIES entries, but at least one line of sums.
+    """
+    far = np.iinfo(np.int64).max // 2      # no feasible point yet; far + (i - j)^2 fits
+    stages = [np.where(feasible, 0, far)]
+    for axis in range(feasible.ndim):
+        moved = np.moveaxis(stages[-1], axis, -1)
+        length = moved.shape[-1]
+        lines = np.ascontiguousarray(moved).reshape(-1, length)
+        out = np.empty_like(lines)
+        per_out = max(1, min(length, _CHUNK_ENTRIES // length))
+        per_line = max(1, _CHUNK_ENTRIES // (per_out * length))
+        for i0 in range(0, length, per_out):
+            i = np.arange(i0, min(length, i0 + per_out))
+            penalty = (i[:, None] - np.arange(length)) ** 2
+            for l0 in range(0, lines.shape[0], per_line):
+                block = lines[l0:l0 + per_line, None, :] + penalty
+                out[l0:l0 + per_line, i0:i0 + i.size] = block.min(axis=2)
+        stages.append(np.moveaxis(out.reshape(moved.shape), -1, axis))
+    return stages
+
+
+def _tie_shell_min(pts, stages, tested) -> np.ndarray:
+    """Smallest float squared distance from each tested lattice point (flat
+    index ``tested[k]``) to its tie shell: the feasible points at exactly
+    its squared index distance D = D_n.
+
+    The shell is found by walking the passes of ``_distance_passes``
+    backwards.  A path starts at the tested point with remaining distance
+    D.  Along axis k (last first) it branches into every position j of its
+    line where D_k(j) + (i - j)^2 equals the remaining distance, which
+    drops by (i - j)^2.  The paths that reach axis 0 end exactly on the
+    shell, and every shell point ends one path.  Line gathers go in blocks
+    of at most _CHUNK_ENTRIES entries, but at least one line.  The
+    differences are squared in place and summed along the last axis, as in
+    a comparison with every feasible point.
+    """
+    shape = stages[0].shape
+    owner = np.arange(tested.size)
+    index = np.stack(np.unravel_index(tested, shape), axis=1)
+    remaining = stages[-1].ravel()[tested]
+    for axis in reversed(range(len(shape))):
+        lines = np.moveaxis(stages[axis], axis, -1)
+        positions = np.arange(shape[axis])
+        step = max(1, _CHUNK_ENTRIES // shape[axis])
+        paths = []
+        for start in range(0, owner.size, step):
+            at = index[start:start + step]
+            rest = remaining[start:start + step, None] - (at[:, axis, None] - positions) ** 2
+            line = lines[tuple(np.delete(at, axis, axis=1).T)]
+            row, j = np.nonzero(line == rest)
+            moved = at[row]
+            moved[:, axis] = j
+            paths.append((owner[start + row], moved, rest[row, j]))
+        owner, index, remaining = (np.concatenate(part) for part in zip(*paths))
+    diff = pts[tested[owner]] - pts[np.ravel_multi_index(index.T, shape)]
+    diff *= diff
+    best = np.full(tested.size, np.inf)
+    np.minimum.at(best, owner, diff.sum(axis=1))
+    return best

@@ -7,12 +7,14 @@ import rvopt.regularity
 from rvopt.cones import Cone, distance_many
 from rvopt.errors import PreconditionError
 from rvopt.firstorder import PolyhedralSet
-from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, check_metric_increase,
-                              cq_sigma, estimate_increase_bound, verify_error_bound)
-from rvopt.sampling import ball_points, sphere_directions
+from rvopt.docio import load_problem
+from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, _distance_passes,
+                              _tie_shell_min, check_metric_increase, cq_sigma,
+                              estimate_increase_bound, verify_error_bound)
+from rvopt.sampling import ball_points, grid_points, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
-from conftest import shifted_pair_scenarios
+from conftest import PROBLEMS_DIR, shifted_pair_scenarios
 
 CONE = Cone.orthant(2)
 PLANE = PolyhedralSet.whole_space(2)
@@ -288,3 +290,191 @@ class TestErrorBound:
         with pytest.raises(PreconditionError, match="no feasible lattice"):
             verify_error_bound(self.smap, CONE, PLANE, far,
                                sigma=0.5, radius=0.5, resolution=11)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(PreconditionError, match="radius > 0"):
+            verify_error_bound(self.smap, CONE, PLANE, [1.0, 0.0],
+                               sigma=0.5, radius=radius)
+
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_resolution_needs_two_points_per_axis(self, resolution):
+        with pytest.raises(PreconditionError, match="resolution >= 2"):
+            verify_error_bound(self.smap, CONE, PLANE, [1.0, 0.0],
+                               sigma=0.5, radius=0.5, resolution=resolution)
+
+    def test_needs_tested_lattice_points(self):
+        """At resolution 2 the lattice is the corners of the radius box, all
+        farther than radius / 2 from the centre: nothing would be tested."""
+        with pytest.raises(PreconditionError, match="half the radius"):
+            verify_error_bound(self.smap, CONE, PLANE, [1.0, 0.0],
+                               sigma=0.5, radius=0.5, resolution=2)
+
+
+def brute_error_bound(smap, cone, region, x, sigma, radius, resolution,
+                      feas_tol=1e-9, tol=1e-9):
+    """The error-bound check comparing every tested point with every feasible
+    lattice point, in blocks of 256: returns (max_violation, passed, witness)."""
+    x = np.asarray(x, dtype=float).ravel()
+    pts = grid_points(x - radius, x + radius, resolution)
+    slack = 2.0 * (2.0 * radius / (resolution - 1))
+    in_region = region.contains_many(pts)
+    phi = smap.merit_many(cone, pts)
+    solv = pts[in_region & (phi <= feas_tol)]
+    tested = in_region & (np.linalg.norm(pts - x[None, :], axis=1) <= radius / 2.0)
+    sample_pts, sample_phi = pts[tested], phi[tested]
+    worst, witness = -np.inf, None
+    for chunk in range(0, sample_pts.shape[0], 256):
+        block = sample_pts[chunk:chunk + 256]
+        diff = block[:, None, :] - solv[None, :, :]
+        diff *= diff
+        dist = np.sqrt(np.min(diff.sum(axis=2), axis=1))
+        viol = dist - sample_phi[chunk:chunk + 256] / sigma - slack
+        k = int(np.argmax(viol))
+        if viol[k] > worst:
+            worst, witness = float(viol[k]), block[k]
+    passed = worst <= tol
+    return worst, passed, None if passed else witness
+
+
+class MaskMerit:
+    """A stand-in scenario map whose merit is 0 on a chosen set of lattice
+    points and ``level`` (a positive constant or one value per lattice
+    point) elsewhere, so that Solv can be any lattice set, convex or not."""
+
+    def __init__(self, x, radius, resolution, mask, level):
+        self.lo = np.asarray(x, dtype=float) - radius
+        self.spacing = 2.0 * radius / (resolution - 1)
+        self.mask = np.asarray(mask, dtype=bool)
+        self.level = np.broadcast_to(level, self.mask.shape)
+
+    def merit_many(self, cone, points):
+        idx = tuple(np.rint((points - self.lo) / self.spacing).astype(int).T)
+        return np.where(self.mask[idx], 0.0, self.level[idx])
+
+
+def lattice_index(resolution, n):
+    return np.indices((resolution,) * n)
+
+
+def mask_cases():
+    """(x, radius, resolution, mask, merit level) per case."""
+    rng = np.random.default_rng(3)
+    cases = {}
+    i = lattice_index(23, 1)[0]
+    cases["n1-interval"] = ([0.2], 0.5, 23, i >= 17, 0.05 + 0.01 * np.abs(i - 11))
+    i, j = lattice_index(31, 2)
+    two_discs = ((i - 6) ** 2 + (j - 8) ** 2 <= 9) | ((i - 22) ** 2 + (j - 25) ** 2 <= 16)
+    cases["n2-disconnected"] = ([0.1, -0.3], 0.5, 31, two_discs,
+                                rng.uniform(0.01, 0.2, (31, 31)))
+    cases["n2-single-point"] = ([0.0, 0.0], 1.0, 31, (i == 20) & (j == 3), 0.1)
+    cases["n2-random"] = ([0.3, 0.3], 0.5, 31, rng.random((31, 31)) < 0.04,
+                          rng.uniform(0.0, 0.3, (31, 31)) + 1e-6)
+    i, j = lattice_index(41, 2)
+    cases["n2-far-corner"] = ([1.0, 2.0], 0.5, 41, (i <= 1) & (j >= 38), 0.02)
+    i, j = lattice_index(21, 2)
+    cases["n2-columns"] = ([0.0, 0.0], 0.5, 21, i >= 15, np.where(i == 5, 1.0, 0.01))
+    i, j, k = lattice_index(13, 3)
+    cases["n3-ball-and-line"] = ([0.0, 0.5, -0.5], 0.5, 13,
+                                 ((i - 2) ** 2 + (j - 3) ** 2 + (k - 2) ** 2 <= 4)
+                                 | ((i == 11) & (j == 10)), rng.uniform(0.01, 0.1, (13,) * 3))
+    i, j, k = lattice_index(15, 3)
+    cases["n3-far-corner"] = ([0.0, 0.0, 0.0], 0.5, 15, (i == 0) & (j == 14) & (k <= 1), 0.03)
+    return cases
+
+
+MASK_CASES = mask_cases()
+
+
+class TestErrorBoundTransform:
+    """The distance transform and its tie shells give the max violation,
+    the verdict and the witness of the comparison with every feasible
+    point, bit for bit, whatever the block size."""
+
+    @staticmethod
+    def assert_matches_brute(smap, cone, region, x, sigma, radius, resolution):
+        rep = verify_error_bound(smap, cone, region, x, sigma, radius,
+                                 resolution=resolution)
+        worst, passed, witness = brute_error_bound(smap, cone, region, x, sigma,
+                                                   radius, resolution)
+        assert rep.max_violation == worst
+        assert rep.passed == passed
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert np.array_equal(rep.witness, witness)
+        return passed
+
+    @pytest.mark.parametrize("budget", ["one-line", "few-entries", "default"])
+    @pytest.mark.parametrize("case", sorted(MASK_CASES))
+    def test_lattice_sets_match_brute_force(self, monkeypatch, case, budget):
+        x, radius, res, mask, level = MASK_CASES[case]
+        if budget == "one-line":
+            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", res * res)
+        elif budget == "few-entries":
+            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", 3)
+        smap = MaskMerit(x, radius, res, mask, level)
+        region = PolyhedralSet.whole_space(len(x))
+        verdicts = {self.assert_matches_brute(smap, CONE, region, x, sigma, radius, res)
+                    for sigma in (0.05, 0.5, 9.0)}
+        assert False in verdicts
+
+    def test_tied_violations_keep_the_first_witness(self):
+        """Solv is the columns i >= 15.  The merit is large on the leftmost
+        tested column i = 5 and constant on the others, so every tested
+        point of column 6 shares the largest violation; the witness is the
+        first of them in row-major order."""
+        x, radius, res, mask, level = MASK_CASES["n2-columns"]
+        rep = verify_error_bound(MaskMerit(x, radius, res, mask, level), CONE, PLANE,
+                                 x, 9.0, radius, resolution=res)
+        pts = grid_points(np.array(x) - radius, np.array(x) + radius, res)
+        tested = pts[np.linalg.norm(pts, axis=1) <= radius / 2.0]
+        column = tested[tested[:, 0] == pts[6 * res, 0]]
+        assert not rep.passed and column.shape[0] > 1
+        assert np.array_equal(rep.witness, column[0])
+
+    @pytest.mark.parametrize("name, x", [
+        ("e1", [0.5, 1.0]), ("e1", [0.3, -0.2]), ("e2", [-0.5, -0.25]),
+        ("e2", [0.0, 0.0]), ("e3", [0.5, 1.0]), ("e3", [0.2, 0.1])])
+    def test_shipped_problems_match_brute_force(self, name, x):
+        problem = load_problem(PROBLEMS_DIR / f"{name}.json")
+        for sigma in (0.5, 9.0):
+            self.assert_matches_brute(problem.scenarios, problem.constraint_cone,
+                                      problem.region, x, sigma, 0.5, 41)
+
+    def test_halfspace_region_and_cone(self):
+        smap = ScenarioMap(mats=np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]),
+                           offsets=np.array([[0.0, 0.0], [0.1, -0.1]]))
+        cone = Cone.halfspaces([[-1.0, 2.0], [1.0, 1.0]])
+        region = PolyhedralSet.halfspaces([[1.0, 1.0], [-1.0, 0.4]], [1.8, -0.5])
+        for sigma in (0.3, 3.0, 30.0):
+            self.assert_matches_brute(smap, cone, region, [1.2, 0.3], sigma, 0.5, 35)
+
+    @pytest.mark.parametrize("shape", [(40,), (9, 14), (5, 7, 6), (12, 12, 12)])
+    def test_transform_equals_integer_distances(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for density in (0.002, 0.05, 0.5):
+            mask = rng.random(shape) < density
+            mask.flat[rng.integers(mask.size)] = True
+            index = np.indices(shape).reshape(len(shape), -1).T
+            sites = index[mask.ravel()]
+            expect = ((index[:, None, :] - sites[None]) ** 2).sum(axis=2).min(axis=1)
+            assert np.array_equal(_distance_passes(mask)[-1].ravel(), expect)
+
+    @pytest.mark.parametrize("budget", ["few-entries", "default"])
+    @pytest.mark.parametrize("case", sorted(MASK_CASES))
+    def test_tie_shells_give_every_nearest_distance(self, monkeypatch, case, budget):
+        """Feasible points at the same integer distance can differ in the last
+        bits of their float distance; the tie shell keeps the smallest, the
+        one a comparison with every feasible point finds, at every point."""
+        if budget == "few-entries":
+            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", 3)
+        x, radius, res, mask, _ = MASK_CASES[case]
+        x = np.asarray(x) + 0.0123          # generic centre: uneven float spacing
+        pts = grid_points(x - radius, x + radius, res)
+        feasible = mask.ravel()
+        tested = np.arange(pts.shape[0])
+        diff = pts[:, None, :] - pts[feasible][None, :, :]
+        diff *= diff
+        assert np.array_equal(_tie_shell_min(pts, _distance_passes(mask), tested),
+                              diff.sum(axis=2).min(axis=1))
