@@ -148,15 +148,6 @@ def _intersect_halfspace_cones(a: Cone, b: Cone) -> Cone:
     return Cone.halfspaces(np.vstack(rows))
 
 
-def _dual_generator_matrix(cone: Cone) -> np.ndarray:
-    """Generators of the positive dual, as columns."""
-    if cone.kind == ORTHANT:
-        return np.eye(cone.dim)
-    if cone.kind == HALFSPACES:
-        return np.array(cone.rows.T)
-    raise RepresentationError("positive dual generators need orthant or halfspaces")
-
-
 # ===== order-Lipschitz estimation ========================================
 
 
@@ -171,8 +162,7 @@ def estimate_order_lipschitz(problem: Problem, x, radius: float = 0.5,
     """
     x = np.asarray(x, dtype=float).ravel()
     e = problem.direction
-    rows = np.eye(problem.ordering_cone.dim) if problem.ordering_cone.kind == ORTHANT \
-        else problem.ordering_cone.rows
+    rows = problem.ordering_cone.facets()
     row_e = rows @ e
     if np.min(row_e) <= 1e-12:
         raise PreconditionError("interior direction degenerate for the ordering cone")
@@ -230,14 +220,6 @@ def _direction_set(cone: Cone, count: int, seed: int):
     return _merge_directions(dirs, gens), True
 
 
-def _interior_depth(k_cone: Cone, z: np.ndarray) -> float:
-    """How deep -z sits inside the ordering cone; > 0 means z is in the
-    negative interior (an improving value direction)."""
-    if k_cone.kind == ORTHANT:
-        return float(np.min(-z))
-    return float(np.min(k_cone.rows @ (-z)))
-
-
 def _directional_certificate(kind, k_cone, dirs, value_of, margin_scale,
                              notes=(), trivial_is_exact=False):
     if dirs.shape[0] == 0:
@@ -247,9 +229,10 @@ def _directional_certificate(kind, k_cone, dirs, value_of, margin_scale,
                                               "the condition is vacuous",))
         return Certificate(kind=kind, status=INCONCLUSIVE,
                            notes=notes + ("no directions sampled; cone may be trivial",))
-    worst, witness = -np.inf, None
+    rows, worst, witness = k_cone.facets(), -np.inf, None
     for v in dirs:
-        depth = _interior_depth(k_cone, value_of(v))
+        # depth of -value_of(v) inside K; > 0 means v improves into -int K
+        depth = float(np.min(rows @ (-value_of(v))))
         if depth > worst:
             worst, witness = depth, v
     margin = margin_scale  # directions are unit vectors
@@ -325,7 +308,7 @@ def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray,
     """Find y in the positive dual of the ordering cone, normalized, with
     y . w >= -slack for every constraint vector w.  Returns (status, y)."""
     k_cone = problem.ordering_cone
-    dual_gens = _dual_generator_matrix(k_cone)        # columns generate K+
+    dual_gens = k_cone.facets().T                     # columns generate K+
     m, q = dual_gens.shape
     if k_cone.kind == ORTHANT:
         norm_row = np.ones(m) @ dual_gens
@@ -454,7 +437,7 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     jac = problem.objective.jacobian(x)
     n_dim = jac.shape[1]
 
-    dual_k = _dual_generator_matrix(problem.ordering_cone)          # (m, qk)
+    dual_k = problem.ordering_cone.facets().T                       # (m, qk)
     neg_dual_c = cone_generators(problem.constraint_cone.negative_dual())
     neg_dual_c = neg_dual_c.T                                       # (p_dim, qc)
     normal_gens = cone_generators(normal_cone(problem.region, x)).T  # (n, qn)
@@ -572,8 +555,7 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
             slater_applicable = False
             notes.append("reference point is not interior to the region")
     if slater_applicable:
-        c_rows = np.eye(c_cone.dim) if c_cone.kind == ORTHANT else c_cone.rows
-        stacked = np.vstack([c_rows @ mat for mat in fan.bundle])
+        stacked = np.vstack([c_cone.facets() @ mat for mat in fan.bundle])
         s_margin, s_witness = max_margin_point(stacked, x.size)
         slater_passed = s_margin > tol
     else:

@@ -16,7 +16,10 @@ group.  :func:`project_many` and :func:`distance_many` hand it whole
 batches; :meth:`Cone.project` is its one-row case.  A ray cone is
 projected by solving for its generator coefficients directly.  A halfspace
 cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
-K° = cone{-m_j} is a ray cone.
+K° = cone{-m_j} is a ray cone.  Least-distance programming
+(:func:`least_distance`) reduces every other Euclidean projection in the
+library to the same solver: onto a polyhedral region, and onto the
+convex hull of finitely many points.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.
 """
@@ -134,13 +137,17 @@ class Cone:
         z = self._check_dim(z)
         if margin < 0:
             raise ValueError("margin must be nonnegative")
+        return bool(np.min(self.facets() @ z, initial=np.inf) >= margin)
+
+    def facets(self) -> np.ndarray:
+        """Unit rows m_j with cone = {z : m_j . z >= 0}; they generate the
+        positive dual.  The identity for the orthant, the stored rows for
+        halfspaces."""
         if self.kind == ORTHANT:
-            return bool(np.min(z) >= margin)
+            return np.eye(self.dim)
         if self.kind == HALFSPACES:
-            if self.rows.shape[0] == 0:
-                return True
-            return bool(np.min(self.rows @ z) >= margin)
-        raise RepresentationError("interior_contains is undefined for ray-generated cones")
+            return self.rows
+        raise RepresentationError("facet rows need an orthant or halfspace cone")
 
     # ----- projection and distance ---------------------------------------
 
@@ -318,6 +325,19 @@ def _descend(gens, z, lam, free, enter) -> np.ndarray:
         lam[act[~step]] = trial[~step]
         act, trial = act[step], trial[step]
     return noise
+
+
+def least_distance(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-distance programming, min ||y|| s.t. g y >= h (Lawson & Hanson
+    1974, ch. 23), as one :func:`_nnls` call with generators [g | h] and
+    target e_{n+1}.  Returns u >= 0 and r = [g | h].T u - e_{n+1}.  Since
+    ||r||^2 = -r[n], y = -r[:n] / r[n] when r[n] < 0; r = 0 means g y >= h
+    is inconsistent."""
+    gens = np.column_stack([g, h])
+    target = np.zeros((1, gens.shape[1]))
+    target[0, -1] = 1.0
+    u = _nnls(gens, target)[0]
+    return u, gens.T @ u - target[0]
 
 
 def project_many(cone: Cone, points: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, _norms, project_many
+from .cones import PROJECTION_TOL, Cone, _norms, least_distance, project_many
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
@@ -95,31 +95,29 @@ class PolyhedralSet:
         return np.max(slack, axis=1) <= tol
 
     def project(self, x) -> np.ndarray:
-        """Euclidean projection; Dykstra sweeps for halfspace intersections."""
+        """Euclidean projection.  A box clips; a halfspace intersection
+        solves the least-distance program min ||y|| s.t. a (x + y) <= b
+        with the one NNLS kernel (:func:`cones.least_distance`).  Raises
+        PreconditionError when the region is empty."""
         x = np.asarray(x, dtype=float).ravel()
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi)
-        from .cones import PROJECTION_BUDGET, PROJECTION_TOL
-        from .errors import ConvergenceError
-        y = x.copy()
-        corrections = np.zeros_like(self.a)
-        for _ in range(PROJECTION_BUDGET):
-            y_prev = y.copy()
-            for j in range(self.a.shape[0]):
-                z = y + corrections[j]
-                viol = float(self.a[j] @ z - self.b[j])
-                proj = z if viol <= 0.0 else z - viol * self.a[j]
-                corrections[j] = z - proj
-                y = proj
-            if np.linalg.norm(y - y_prev) < PROJECTION_TOL:
-                return y
-        raise ConvergenceError("polyhedral projection did not converge",
-                               last_iterate=y,
-                               residual=float(np.max(self.a @ y - self.b)))
+        excess = self.a @ x - self.b
+        scale = float(np.max(excess))
+        if scale <= 0.0:
+            return x.copy()
+        # scaled by the largest violation, r[n] = u . h - 1 reflects the
+        # relative distance; it is zero up to rounding in u . |h| when S is empty
+        h = excess / scale
+        u, r = least_distance(-self.a, h)
+        if -r[-1] <= PROJECTION_TOL * float(u @ np.abs(h)):
+            raise PreconditionError("projection onto an empty region")
+        return x - scale * r[:-1] / r[-1]
 
     def project_many(self, points) -> np.ndarray:
-        """Row-wise ``project``: one clip for boxes, a Dykstra run per row
-        for halfspace intersections."""
+        """Row-wise ``project``: one clip for boxes, one least-distance
+        NNLS call per row for halfspace intersections (the program's
+        matrix depends on the row)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionError(f"expected rows of dim {self.dim}")
@@ -444,50 +442,17 @@ def upper_inverse_cone(fan: Fan, cone: Cone) -> Cone:
     return Cone.halfspaces(np.vstack(rows))
 
 
-def polytope_distance(point, vertices, tol: float = 1e-12,
-                      budget: int = 2000) -> float:
-    """Distance from a point to conv(vertices).
-
-    Projected-gradient over simplex weights, warm-checked at the vertices
-    so that exact vertex hits cost nothing.  Nesterov momentum (restarted
-    on oscillation) keeps the iteration fast when near-collinear vertices
-    make the Gram matrix singular; a second stop triggers once the hull
-    point itself no longer moves.
-    """
+def polytope_distance(point, vertices) -> float:
+    """Distance from a point to conv(vertices): least-distance programming
+    (:func:`cones.least_distance`) over (v_i - point) . y >= 1 gives u, and
+    the hull point weighted u / sum(u) lies ||r[:n]|| / sum(u) away.  Inside
+    the hull r is rounding noise, so nothing divides by r[n]; the nearest
+    vertex is taken too, so exact vertex hits give 0."""
     point = np.asarray(point, dtype=float).ravel()
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    best = float(np.min(np.linalg.norm(verts - point[None, :], axis=1)))
-    if best <= tol or verts.shape[0] == 1:
-        return best
-    gram = verts @ verts.T
-    rhs = verts @ point
-    step = 1.0 / max(float(np.linalg.norm(gram, 2)), 1e-12)
-    lam = np.full(verts.shape[0], 1.0 / verts.shape[0])
-    accel, t = lam, 1.0
-    for _ in range(budget):
-        lam_next = _simplex_project(accel - step * (gram @ accel - rhs))
-        if np.linalg.norm(lam_next - lam) < tol \
-                or np.linalg.norm((lam_next - lam) @ verts) < tol:
-            lam = lam_next
-            break
-        if float((accel - lam_next) @ (lam_next - lam)) > 0.0:
-            accel, t = lam_next, 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            accel = lam_next + ((t - 1.0) / t_next) * (lam_next - lam)
-            t = t_next
-        lam = lam_next
-    return min(best, float(np.linalg.norm(lam @ verts - point)))
-
-
-def _simplex_project(y: np.ndarray) -> np.ndarray:
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(y - theta, 0.0)
+    offsets = np.atleast_2d(np.asarray(vertices, dtype=float)) - point
+    best = float(np.min(np.linalg.norm(offsets, axis=1)))
+    u, r = least_distance(offsets, np.ones(offsets.shape[0]))
+    return min(best, float(np.linalg.norm(r[:-1])) / float(np.sum(u)))
 
 
 @dataclass(frozen=True)

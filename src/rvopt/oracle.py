@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ORTHANT, Cone
+from .cones import Cone
 from .errors import PreconditionError
 from .problem import Problem
 from .sampling import grid_points
@@ -32,17 +32,11 @@ _BLOCK_ENTRIES = 1 << 18   # entries per dominance-pass buffer: 2 MiB of float g
 _CSV_BLOCK_ROWS = 1 << 10  # scan-table rows formatted per write
 
 
-def _order_rows(cone: Cone) -> np.ndarray:
-    if cone.kind == ORTHANT:
-        return np.eye(cone.dim)
-    return np.array(cone.rows)
-
-
 def _interior_gaps(cone: Cone, fx, others) -> np.ndarray:
     """min over the order rows of rows @ (fx - fy), for each row fy of
     ``others``; the stacked products round each row as ``rows @ gap`` does."""
     gaps = np.asarray(fx, dtype=float) - np.atleast_2d(np.asarray(others, dtype=float))
-    return np.min(np.matmul(_order_rows(cone)[None], gaps[:, :, None])[..., 0], axis=1)
+    return np.min(np.matmul(cone.facets()[None], gaps[:, :, None])[..., 0], axis=1)
 
 
 def strictly_dominates(cone: Cone, fx, fy, margin: float = DOMINANCE_MARGIN) -> bool:
@@ -128,7 +122,7 @@ def grid_scan(problem: Problem, lo, hi, resolution,
     """
     lo, hi, res_tuple, pts, values, phi, _, feasible = _sample_lattice(
         problem, lo, hi, resolution, feas_tol)
-    proj = values @ _order_rows(problem.ordering_cone).T    # dual-pairing values
+    proj = values @ problem.ordering_cone.facets().T    # dual-pairing values
     weak, eff, dom_count = _dominance_pass(proj, values, feasible, margin)
     return GridScan(lo=lo, hi=hi, resolution=res_tuple, points=pts,
                     values=values, merit=phi, feasible=feasible,

@@ -10,7 +10,7 @@ interior direction used for penalization defaults to a normalized
 interior witness of the ordering cone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,6 +136,3 @@ class Problem:
     def fan(self) -> Fan:
         return self.fan_override if self.fan_override is not None \
             else fan_from_scenarios(self.scenarios)
-
-    def with_region(self, region: PolyhedralSet) -> "Problem":
-        return replace(self, region=region)

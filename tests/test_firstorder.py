@@ -101,6 +101,32 @@ class TestProjectMany:
             PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).project_many(np.zeros((4, 3)))
 
 
+class TestRegionProjection:
+    def test_kkt_conditions(self):
+        """p is in S and z - p lies in the normal cone at p: a nonnegative
+        combination of the rows active at p, found here by plain lstsq."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(n, 3 * n + 2))
+            region = PolyhedralSet.halfspaces(rng.standard_normal((m, n)), rng.random(m) + 0.1)
+            z = 3.0 * rng.standard_normal(n)
+            p = region.project(z)
+            slack = region.a @ p - region.b
+            assert np.max(slack) <= 1e-9
+            active = region.a[slack >= -1e-9]
+            mu = np.linalg.lstsq(active.T, z - p, rcond=None)[0]
+            assert np.linalg.norm(active.T @ mu - (z - p)) <= 1e-8
+            assert np.min(mu, initial=0.0) >= -1e-9
+
+    def test_empty_region_raises(self):
+        region = PolyhedralSet.halfspaces([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
+        with pytest.raises(PreconditionError):
+            region.project([3.0, 2.0])
+        with pytest.raises(PreconditionError):
+            region.project_many(np.array([[3.0, 2.0]]))
+
+
 class TestTangentAndNormalCones:
     box = PolyhedralSet.box([-1.0, -1.0], [0.0, 0.0])
 
@@ -357,6 +383,16 @@ class TestPolytopeDistance:
     def test_interior_point(self):
         verts = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 2.0]])
         assert polytope_distance([0.0, 0.0], verts) <= 1e-9
+
+    def test_inside_hull_is_zero(self):
+        """Inside the hull the least-distance residual is rounding noise;
+        the distance must not be read off it.  The exact kernel stays near
+        1e-14 here."""
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            verts = rng.standard_normal((8, 3))
+            z = rng.dirichlet(np.ones(8)) @ verts
+            assert polytope_distance(z, verts) <= 1e-12
 
     def test_segment_distance(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0]])
