@@ -350,10 +350,11 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
         gens = np.zeros((0, x.size))
     dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
-    base = problem.merit(x)
+    values = problem.merit_many(np.vstack([x, x + fd_step * dirs]))
+    base = float(values[0])
     vectors = []
-    for v in dirs:
-        slope = (problem.merit(x + fd_step * v) - base) / fd_step
+    for v, value in zip(dirs, values[1:]):
+        slope = (float(value) - base) / fd_step
         vectors.append(problem.objective.directional(x, v)
                        + beta * slope * problem.direction)
     vectors = np.array(vectors) if vectors else np.zeros((0, problem.ordering_cone.dim))

@@ -1,11 +1,11 @@
-"""First-order geometry: ambient sets, tangent and normal cones, slopes,
-upper subgradient candidates, and matrix-bundle fans.
+"""First-order geometry: ambient sets, tangent and normal cones, upper
+subgradient candidates, and matrix-bundle fans.
 
 Tangent cones of polyhedral sets are computed from active constraints at
 the reference point; normal cones are their negative duals, generated by
-the outward normals of the active constraints.  Descent strength of a
-scalar function is estimated by the strong slope, sampled on shrinking
-shells and therefore a lower estimate of the true slope.
+the outward normals of the active constraints.  Upper subgradient
+candidates of a scalar function come from central finite differences and
+are checked on a sampled ball; the function is passed row-batched.
 
 A fan is a positively homogeneous convex-valued map generated by a matrix
 bundle: H(u) = conv{L_1 u, ..., L_p u}.  For finite affine scenario
@@ -289,45 +289,17 @@ class QuadraticObjective:
 Objective = AffineObjective | QuadraticObjective
 
 
-# ===== slopes and upper subgradients =====================================
-
-
-def strong_slope(phi, region: PolyhedralSet, x, radius: float,
-                 dirs_per_shell: int | None = None, shells: int = 6,
-                 seed: int = 0) -> float:
-    """Sampled strong slope of ``phi`` relative to the region at ``x``.
-
-    Takes the best descent quotient (phi(x) - phi(y)) / |y - x| over
-    region-projected points on shells of radius r/2^k.  Clamped at zero,
-    so a local minimizer scores 0; sampling makes this a lower estimate
-    of the true slope, the safe side for certifying descent constants.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if dirs_per_shell is None:
-        dirs_per_shell = 64 * x.size
-    base = float(phi(x))
-    dirs = sphere_directions(x.size, dirs_per_shell, seed=seed)
-    best = 0.0
-    for k in range(shells):
-        rho = radius / 2.0 ** k
-        for d in dirs:
-            y = region.project(x + rho * d)
-            gap = float(np.linalg.norm(y - x))
-            if gap < 1e-12:
-                continue
-            best = max(best, (base - float(phi(y))) / gap)
-    return best
+# ===== upper subgradients ================================================
 
 
 def upper_subgradient_candidate(phi, x, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient candidate for phi at x."""
+    """Central finite-difference gradient candidate at x for the row-batched
+    function ``phi`` (rows in, one value per row out), from one call on the
+    2n points x + step e_i, then x - step e_i."""
     x = np.asarray(x, dtype=float).ravel()
-    out = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        out[i] = (float(phi(x + e)) - float(phi(x - e))) / (2.0 * step)
-    return out
+    e = step * np.eye(x.size)
+    values = phi(np.vstack([x + e, x - e]))
+    return (values[:x.size] - values[x.size:]) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -344,15 +316,18 @@ def check_upper_subgradient(phi, x, candidate, eps: float, radius: float,
 
         phi(y) <= phi(x) + <candidate, y - x> + eps |y - x|
 
-    over a ball around x.  Failure reports the worst violating point.
+    over a ball around x, for the row-batched function ``phi``, called once
+    on x and the ball points.  Failure reports the worst violating point.
     """
     x = np.asarray(x, dtype=float).ravel()
     candidate = np.asarray(candidate, dtype=float).ravel()
-    base = float(phi(x))
+    ys = ball_points(x, radius, samples, seed=seed)
+    values = phi(np.vstack([x, ys]))
+    base = float(values[0])
     worst, witness = 0.0, None
-    for y in ball_points(x, radius, samples, seed=seed):
+    for y, value in zip(ys, values[1:]):
         gap = y - x
-        slack = float(phi(y)) - base - float(candidate @ gap) \
+        slack = float(value) - base - float(candidate @ gap) \
             - eps * float(np.linalg.norm(gap))
         if slack > worst:
             worst, witness = slack, y

@@ -16,9 +16,12 @@ the enlarged images, the error bound on a lattice approximation of Solv.
 
 The increase samples (probes, radii, candidate steps and their scenario
 images) do not depend on alpha.  They are drawn once per check or per
-bisection, and each tested alpha costs only the boundary distances: one
-batched distance call for the first (probe, r) pair, where a failing rate
-almost always fails, then one per chunk of the remaining pairs.
+bisection, and each tested alpha costs only the boundary distances.  The
+first (probe, r) pair is tested with every candidate step; a failing rate
+almost always fails there.  Its first passing step, one direction of the
+shared step set, almost always passes the other pairs too, so only that
+step is tested on them, and every step only on the pairs it leaves open.
+Whether some step passes is still decided exactly for every pair.
 
 The error bound needs the distance from each tested lattice point to the
 feasible sublattice.  An exact separable distance transform gives every
@@ -139,25 +142,49 @@ def _first_failing_pair(samples, cone, alpha, tol):
     """Index of the first pair with no candidate whose enlarged images stay
     within r + tol of G(probe) + C on every sampled boundary point, or None.
 
-    Pair 0 is tested alone, since a failing rate almost always fails there;
-    the rest go in order, in chunks whose difference buffer holds at most
-    _CHUNK_ENTRIES entries (but at least one pair), one distance call each.
+    Pair 0 is tested with all of its candidates; a failing rate almost
+    always fails there.  Otherwise its first passing candidate c, one step
+    direction of the shared step set, almost always passes every other
+    pair too, so candidate c is tested on the remaining pairs, and all
+    candidates only on the pairs that c leaves open.  Each pair's "some
+    candidate passes" is still decided exactly, so the verdict and the
+    witness are those of testing every candidate of every pair in order.
     """
-    start, stop = 0, 1
-    while start < len(samples.pairs):
-        r = samples.radii[start:stop]
-        boundary = (samples.images[start:stop, :, :, None, :]
+    every = slice(None)
+    _, passes = next(_candidate_passes(samples, cone, alpha, tol, np.arange(1), every))
+    if not passes.any():
+        return 0
+    c = int(np.argmax(passes[0]))
+    rest = np.arange(1, len(samples.pairs))
+    open_pairs = np.concatenate(
+        [rest[:0]] + [chunk[~passes[:, 0]] for chunk, passes in
+                      _candidate_passes(samples, cone, alpha, tol, rest, slice(c, c + 1))])
+    for chunk, passes in _candidate_passes(samples, cone, alpha, tol, open_pairs, every):
+        failing = chunk[~passes.any(axis=1)]
+        if failing.size:
+            return int(failing[0])
+    return None
+
+
+def _candidate_passes(samples, cone, alpha, tol, pairs, candidates):
+    """Yield (chunk, passes) over the index array ``pairs`` in order, where
+    ``passes[i, j]`` tells whether candidate j of the slice ``candidates``
+    keeps the enlarged images of pair chunk[i] within r + tol of its
+    G(probe) + C on every sampled boundary point.  Chunks hold at most
+    _CHUNK_ENTRIES difference entries (but at least one pair), one
+    distance call each."""
+    images = samples.images[:, candidates]
+    per_pair = images[0].size * samples.sphere.shape[0] * samples.base.shape[1]
+    step = max(1, _CHUNK_ENTRIES // per_pair)
+    for start in range(0, pairs.size, step):
+        chunk = pairs[start:start + step]
+        r = samples.radii[chunk]
+        boundary = (images[chunk, :, :, None, :]
                     + (alpha * r)[:, None, None, None, None] * samples.sphere)
         # dist to G(x') + C = min over scenario anchors q of dist(. - q, C)
-        diffs = boundary[:, :, :, :, None, :] - samples.base[start:stop, None, None, None]
+        diffs = boundary[:, :, :, :, None, :] - samples.base[chunk, None, None, None]
         dist = distance_many(cone, diffs.reshape(-1, diffs.shape[-1])).reshape(diffs.shape[:-1])
-        worst = dist.min(axis=4).max(axis=(2, 3))
-        failing = np.flatnonzero(~np.any(worst <= (r + tol)[:, None], axis=1))
-        if failing.size:
-            return start + int(failing[0])
-        start, stop = stop, min(len(samples.pairs),
-                                stop + max(1, _CHUNK_ENTRIES // diffs[0].size))
-    return None
+        yield chunk, dist.min(axis=4).max(axis=(2, 3)) <= (r + tol)[:, None]
 
 
 def estimate_increase_bound(scenario_map: ScenarioMap, cone: Cone,

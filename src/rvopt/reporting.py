@@ -152,8 +152,8 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                   "order-Lipschitz estimate")
     else:
         def _penalization():
-            candidate = upper_subgradient_candidate(problem.merit, x)
-            check = check_upper_subgradient(problem.merit, x, candidate,
+            candidate = upper_subgradient_candidate(problem.merit_many, x)
+            check = check_upper_subgradient(problem.merit_many, x, candidate,
                                             eps=1e-6,
                                             radius=min(radius, 0.25),
                                             seed=seed)

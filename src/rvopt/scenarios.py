@@ -83,15 +83,18 @@ class ScenarioMap:
 
     def merit(self, cone: Cone, x) -> float:
         """Excess of the scenario image over the cone; 0 iff all scenarios fit."""
-        if cone.dim != self.image_dim:
-            raise DimensionError("cone dimension must match the image space")
-        return excess(self.evaluate(x), cone)
+        return float(self.merit_many(cone, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def merit_many(self, cone: Cone, points: np.ndarray) -> np.ndarray:
         """Merit values for the rows of ``points``: one distance call over
         all scenario images, then the max over scenarios.  The images are
-        stacked matrix-vector products, which round each row as ``merit``."""
+        stacked matrix-vector products, which round each row as
+        ``evaluate`` does."""
+        if cone.dim != self.image_dim:
+            raise DimensionError("cone dimension must match the image space")
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.domain_dim:
+            raise DimensionError(f"expected points of dim {self.domain_dim}")
         images = (np.matmul(self.mats[:, None], points[None, :, :, None])[..., 0]
                   + self.offsets[:, None, :])
         dist = distance_many(cone, images.reshape(-1, self.image_dim))

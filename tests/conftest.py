@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from rvopt.cones import Cone
+from rvopt.docio import load_problem
 from rvopt.firstorder import AffineObjective, PolyhedralSet
 from rvopt.problem import Problem
 from rvopt.scenarios import ScenarioMap
@@ -36,6 +37,23 @@ def shifted_pair_scenarios() -> ScenarioMap:
 def negated_scenario() -> ScenarioMap:
     return ScenarioMap(mats=np.array([-np.eye(2)]),
                        offsets=np.array([[0.0, 0.0]]))
+
+
+def merit_cases() -> list:
+    """(name, problem, point) triples for checks of the merit function:
+    the shipped problems at their documented points, then halfspace and ray
+    constraint cones, which reach the NNLS projection kernel."""
+    cases = [(f"{name}{tuple(x)}", load_problem(PROBLEMS_DIR / f"{name}.json"), x)
+             for name, x in (("e1", [0.5, 1.0]), ("e1", [0.25, 1.0]),
+                             ("e2", [-1.0, 0.0]), ("e3", [0.5, 0.0]))]
+    smap = ScenarioMap(mats=np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]),
+                       offsets=np.array([[0.0, 0.0], [0.1, -0.1]]))
+    for name, cone, x in (("halfspaces", Cone.halfspaces([[-1.0, 2.0], [1.0, 1.0]]), [1.0, -1.0]),
+                          ("rays", Cone.rays([[1.0, 0.2], [0.3, 1.0]]), [0.5, 1.0])):
+        cases.append((name, Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                                    ordering_cone=Cone.orthant(2), constraint_cone=cone,
+                                    region=PolyhedralSet.whole_space(2), scenarios=smap), x))
+    return cases
 
 
 @pytest.fixture

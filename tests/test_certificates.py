@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rvopt.certificates
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 _direction_set,
                                 check_penalization_condition,
@@ -18,10 +19,10 @@ from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, contingent_cone,
                               sampled_cone_directions)
 from rvopt.problem import Problem
-from rvopt.scenarios import ScenarioMap
+from rvopt.scenarios import ScenarioMap, excess
 from rvopt.simplex import INFEASIBLE, LinearProgram, feasibility
 
-from conftest import negated_scenario
+from conftest import merit_cases, negated_scenario
 
 ROOT2 = np.sqrt(2.0)
 
@@ -254,6 +255,36 @@ class TestConvexScalarized:
                 dirs.append(v)
         cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
         assert np.array_equal(cert.directions, np.array(dirs).reshape(-1, 2))
+
+
+    @pytest.mark.parametrize("name, problem, x", merit_cases(),
+                             ids=[case[0] for case in merit_cases()])
+    def test_batched_merit_matches_the_scalar_loop(self, monkeypatch, name, problem, x):
+        """One merit call over [x; x + fd_step * dirs] gives, bit for bit,
+        the LP vectors, y* and residual of one scalar merit call per point."""
+        seen = []
+        solve = rvopt.certificates._dual_vector_lp
+
+        def spy(prob, vectors, slack):
+            seen.append(vectors)
+            return solve(prob, vectors, slack)
+
+        monkeypatch.setattr(rvopt.certificates, "_dual_vector_lp", spy)
+        alpha, ell, fd_step = 1.5, ROOT2, 1e-6
+        cert = convex_scalarized_certificate(problem, x, alpha, ell)
+        phi = lambda z: excess(problem.scenarios.evaluate(z), problem.constraint_cone)
+        x = np.asarray(x, dtype=float)
+        base = phi(x)
+        vectors = np.array([problem.objective.directional(x, v)
+                            + ell / (alpha - 1.0) * ((phi(x + fd_step * v) - base) / fd_step)
+                            * problem.direction for v in cert.directions])
+        assert np.array_equal(seen[0], vectors)
+        status, y = solve(problem, vectors, rvopt.certificates.LP_SLACK)
+        if y is None:
+            assert cert.status == LP_INFEASIBLE and cert.y_star is None
+        else:
+            assert np.array_equal(cert.y_star, y)
+            assert cert.residual == float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
 
 
 class TestDirectionSet:

@@ -18,7 +18,7 @@ def lattice_projection(cone, z, span=3.0, resolution=121):
     """
     z = np.asarray(z, dtype=float)
     pts = grid_points(np.full(z.size, -span), np.full(z.size, span), resolution)
-    members = pts[[cone.contains(p, tol=1e-9) for p in pts]]
+    members = pts[distance_many(cone, pts) <= 1e-9]     # cone.contains(p, tol=1e-9), batched
     gaps = np.linalg.norm(members - z[None, :], axis=1)
     best = int(np.argmin(gaps))
     spacing = 2.0 * span / (resolution - 1)

@@ -1,4 +1,4 @@
-"""Tangent and normal cones, directional data, slopes, and fans."""
+"""Tangent and normal cones, directional data, upper subgradients, and fans."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,11 @@ from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, _merge_direct
                               check_upper_subgradient, contingent_cone,
                               fan_from_scenarios, normal_cone,
                               polytope_distance, sampled_cone_directions,
-                              strong_slope, upper_inverse_cone,
-                              upper_subgradient_candidate)
-from rvopt.sampling import sphere_directions
-from rvopt.scenarios import ScenarioMap, hausdorff
+                              upper_inverse_cone, upper_subgradient_candidate)
+from rvopt.sampling import ball_points, sphere_directions
+from rvopt.scenarios import ScenarioMap, excess, hausdorff
 
-from conftest import shifted_pair_scenarios
+from conftest import merit_cases, shifted_pair_scenarios
 
 
 def dense_hull_distance(point, vertices, steps=101):
@@ -228,54 +227,28 @@ class TestObjectives:
                                consts=[0.0])
 
 
-class TestStrongSlope:
-    cone = Cone.orthant(2)
-    smap = shifted_pair_scenarios()
-
-    def phi(self, x):
-        return self.smap.merit(self.cone, x)
-
-    def test_merit_slope_near_one_outside(self):
-        """Below the feasible set the merit falls at unit rate."""
-        slope = strong_slope(self.phi, PolyhedralSet.whole_space(2),
-                             [0.0, -1.0], radius=0.5)
-        assert 0.9 <= slope <= 1.0 + 1e-9
-
-    def test_minimizer_scores_zero(self):
-        slope = strong_slope(self.phi, PolyhedralSet.whole_space(2),
-                             [1.0, 1.0], radius=0.25)
-        assert slope == 0.0
-
-    def test_scaling(self):
-        doubled = strong_slope(lambda x: 2.0 * self.phi(x),
-                               PolyhedralSet.whole_space(2),
-                               [0.0, -1.0], radius=0.5)
-        single = strong_slope(self.phi, PolyhedralSet.whole_space(2),
-                              [0.0, -1.0], radius=0.5)
-        assert doubled == pytest.approx(2.0 * single, rel=1e-9)
-
-
 class TestUpperSubgradient:
     def test_candidate_matches_smooth_gradient(self):
         target = np.array([0.3, -0.7])
 
-        def phi(x):
-            return float(np.sum((np.asarray(x) - target) ** 2))
+        def phi(xs):
+            return np.sum((np.asarray(xs) - target) ** 2, axis=1)
 
         x = np.array([1.0, 1.0])
         assert_allclose(upper_subgradient_candidate(phi, x),
                         2.0 * (x - target), atol=1e-4)
 
     def test_zero_function(self):
-        cand = upper_subgradient_candidate(lambda x: 0.0, np.zeros(3))
+        zero = lambda xs: np.zeros(len(xs))
+        cand = upper_subgradient_candidate(zero, np.zeros(3))
         assert_allclose(cand, np.zeros(3))
-        check = check_upper_subgradient(lambda x: 0.0, np.zeros(3), cand,
+        check = check_upper_subgradient(zero, np.zeros(3), cand,
                                         eps=0.0, radius=1.0)
         assert check.passed and check.worst_violation == 0.0
 
     def test_norm_kink_fails_at_origin(self):
         """x* = 0 is not an upper subgradient of |.| at 0 for eps < 1."""
-        phi = lambda x: float(np.linalg.norm(x))
+        phi = lambda xs: np.linalg.norm(xs, axis=1)
         check = check_upper_subgradient(phi, np.zeros(2), np.zeros(2),
                                         eps=0.5, radius=1.0)
         assert not check.passed
@@ -283,11 +256,65 @@ class TestUpperSubgradient:
         assert check.witness is not None
 
     def test_concave_function_passes(self):
-        phi = lambda x: -float(np.sum(np.asarray(x) ** 2))
+        phi = lambda xs: -np.sum(np.asarray(xs) ** 2, axis=1)
         x = np.array([0.5, 0.5])
         cand = upper_subgradient_candidate(phi, x)
         check = check_upper_subgradient(phi, x, cand, eps=0.0, radius=0.5)
         assert check.passed
+
+
+def scalar_merit(problem):
+    """The merit one point at a time, through ``excess`` of the scenario
+    image over the constraint cone."""
+    return lambda x: excess(problem.scenarios.evaluate(x), problem.constraint_cone)
+
+
+def candidate_loop(phi, x, step=1e-5):
+    """Central differences with one scalar ``phi`` call per point."""
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.zeros(x.size)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = step
+        out[i] = (float(phi(x + e)) - float(phi(x - e))) / (2.0 * step)
+    return out
+
+
+def subgradient_loop(phi, x, candidate, eps, radius, samples=256, seed=0):
+    """The sampled upper-subgradient test with one scalar ``phi`` call per
+    point: returns (worst violation, witness)."""
+    x = np.asarray(x, dtype=float).ravel()
+    base = float(phi(x))
+    worst, witness = 0.0, None
+    for y in ball_points(x, radius, samples, seed=seed):
+        gap = y - x
+        slack = float(phi(y)) - base - float(candidate @ gap) \
+            - eps * float(np.linalg.norm(gap))
+        if slack > worst:
+            worst, witness = slack, y
+    return worst, witness
+
+
+class TestBatchedMeritCalls:
+    """One row-batched merit call gives, bit for bit, the candidates,
+    violations and witnesses of one scalar merit call per point."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name, problem, x", merit_cases(),
+                             ids=[case[0] for case in merit_cases()])
+    def test_penalization_stage_matches_the_scalar_loops(self, name, problem, x, seed):
+        phi = scalar_merit(problem)
+        cand = upper_subgradient_candidate(problem.merit_many, x)
+        assert np.array_equal(cand, candidate_loop(phi, x))
+        for candidate, eps in ((cand, 1e-6), (np.zeros(2), 0.0), (-cand, 0.0)):
+            check = check_upper_subgradient(problem.merit_many, x, candidate,
+                                            eps=eps, radius=0.25, seed=seed)
+            worst, witness = subgradient_loop(phi, x, candidate, eps, 0.25, seed=seed)
+            assert check.worst_violation == worst
+            if witness is None:
+                assert check.witness is None
+            else:
+                assert np.array_equal(check.witness, witness)
 
 
 class TestFans:

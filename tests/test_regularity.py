@@ -218,6 +218,74 @@ class TestSharedIncreaseSamples:
         assert increase_pair_loop(smap, cone, reg, self.x, 1.3, 0.5, **SAMPLES)[0] is False
 
 
+    @staticmethod
+    def spy_full_tests(monkeypatch):
+        """Record, call by call, the pairs tested with every candidate."""
+        calls = []
+        inner = rvopt.regularity._candidate_passes
+
+        def spy(samples, cone, alpha, tol, pairs, candidates):
+            for chunk, passes in inner(samples, cone, alpha, tol, pairs, candidates):
+                if candidates == slice(None):
+                    calls.append(chunk.tolist())
+                yield chunk, passes
+
+        monkeypatch.setattr(rvopt.regularity, "_candidate_passes", spy)
+        return calls
+
+    WIDE = dict(SAMPLES, point_samples=8)
+
+    @pytest.mark.parametrize("chunk_pairs", [0, 3, None], ids=["one", "three", "default"])
+    @pytest.mark.parametrize("samples, alpha, open_pairs, failed", [
+        (SAMPLES, 1.1, [6], None),
+        (SAMPLES, 1.15, [6, 7], None),
+        (SAMPLES, 1.3, [6], 6),
+        (SAMPLES, 1.6, [6, 7], 6),
+        (WIDE, 1.1, [6, 14, 15], 14),
+        (WIDE, 1.15, [6, 7, 10, 14, 15], 14),
+    ], ids=["one-open-passes", "two-open-pass", "open-fails", "first-open-fails",
+            "later-open-fails", "many-open-later-fails"])
+    def test_open_pairs_fall_back_to_every_candidate(self, monkeypatch, chunk_pairs,
+                                                     samples, alpha, open_pairs, failed):
+        """Pair 0's first passing candidate fails on the open pairs of the
+        single-scenario orthant case, which are then tested with every
+        candidate, in order, up to the first failing one."""
+        self.patch_chunks(monkeypatch, 1, chunk_pairs)
+        calls = self.spy_full_tests(monkeypatch)
+        smap, cone, reg = self.smap(1), self.cones["orthant"], self.regions["box"]
+        rep = check_metric_increase(smap, cone, reg, self.x, alpha, 0.5, **samples)
+        tested = sum(calls[1:], [])
+        assert calls[0] == [0]
+        if failed is None:
+            assert tested == open_pairs
+        else:
+            assert tested == open_pairs[:len(tested)] and failed in calls[-1]
+        passed, witness = increase_pair_loop(smap, cone, reg, self.x, alpha, 0.5, **samples)
+        assert rep.passed == passed == (failed is None)
+        if witness is None:
+            assert rep.witness is None
+        else:
+            pairs = rvopt.regularity._increase_samples(smap, reg, self.x, 0.5, 0,
+                                                       **samples).pairs
+            assert np.array_equal(rep.witness[0], witness[0])
+            assert np.array_equal(rep.witness[0], pairs[failed][0])
+            assert rep.witness[1] == witness[1] == pairs[failed][1]
+
+    @pytest.mark.parametrize("chunk_pairs", [0, 3, None], ids=["one", "three", "default"])
+    @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
+    def test_pair_zero_failure_stops_at_once(self, monkeypatch, kind, chunk_pairs):
+        """A rate that fails on pair 0 is decided by that one pair."""
+        self.patch_chunks(monkeypatch, 3, chunk_pairs)
+        calls = self.spy_full_tests(monkeypatch)
+        smap, cone, reg = self.smap(3), self.cones[kind], self.regions["box"]
+        rep = check_metric_increase(smap, cone, reg, self.x, 5.0, 0.5, **SAMPLES)
+        assert calls == [[0]]
+        passed, witness = increase_pair_loop(smap, cone, reg, self.x, 5.0, 0.5, **SAMPLES)
+        assert not rep.passed and not passed
+        assert np.array_equal(rep.witness[0], witness[0])
+        assert np.array_equal(rep.witness[0], self.x)
+        assert rep.witness[1] == witness[1] == 0.375
+
 class TestIncreaseEstimate:
     def test_shifted_pair_estimate_frozen(self):
         """Bisection lands just under the theoretical threshold."""

@@ -81,7 +81,8 @@ class TestMerit:
     @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
     def test_merit_many_rounds_like_merit(self, kind):
         """Bit for bit, not only close: the batched images must round each
-        row as ``A_w @ x + b_w`` does, for every dimension and scenario count."""
+        row as ``A_w @ x + b_w`` does, for every dimension and scenario count,
+        so the values equal the excess of the evaluated image over the cone."""
         rng = np.random.default_rng(23)
         for n in range(1, 6):
             for w in range(1, 5):
@@ -92,7 +93,9 @@ class TestMerit:
                                    rng.standard_normal((w, n)))
                 pts = 3.0 * rng.standard_normal((24, n))
                 assert np.array_equal(smap.merit_many(cone, pts),
-                                      [smap.merit(cone, p) for p in pts]), (n, w)
+                                      [excess(smap.evaluate(p), cone) for p in pts]), (n, w)
+                assert [smap.merit(cone, p) for p in pts] \
+                    == [excess(smap.evaluate(p), cone) for p in pts], (n, w)
 
     def test_nonnegative_and_zero_set_exact(self):
         """merit == 0 exactly on {x1 >= 0.5, x2 >= 0}."""
@@ -124,6 +127,15 @@ class TestMerit:
             x, y = rng.standard_normal((2, 2)) * 2.0
             gap = abs(smap.merit(cone, x) - smap.merit(cone, y))
             assert gap <= lip * np.linalg.norm(x - y) + 1e-8
+
+
+    def test_dimensions_checked(self):
+        with pytest.raises(DimensionError):
+            self.smap.merit(Cone.orthant(3), [1.0, 1.0])
+        with pytest.raises(DimensionError):
+            self.smap.merit(self.cone, [1.0, 1.0, 1.0])
+        with pytest.raises(DimensionError):
+            self.smap.merit_many(self.cone, np.ones((4, 3)))
 
 
 class TestSetDistances:
