@@ -21,11 +21,10 @@ accompanying qualification check passes.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .cones import HALFSPACES, ORTHANT, RAYS, Cone
+from .cones import ORTHANT, Cone, cone_generators, limited_generators
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (_merge_directions, contingent_cone, normal_cone,
                          sampled_cone_directions, upper_inverse_cone, Fan)
@@ -42,9 +41,6 @@ INCONCLUSIVE = "inconclusive"
 
 LP_SLACK = 1e-8
 INTERIOR_MARGIN = 1e-7
-GENERATOR_CAP = 64
-_DD_MAX_DIM = 4
-_DD_MAX_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -85,67 +81,9 @@ class QualificationReport:
     notes: tuple = field(default_factory=tuple)
 
 
-# ===== generator enumeration =============================================
-
-
-def cone_generators(cone: Cone, cap: int = GENERATOR_CAP) -> np.ndarray:
-    """A finite generating set of a polyhedral cone.
-
-    Ray cones return their stored generators; the orthant returns the
-    axes; halfspace cones are converted by double description: a basis
-    (both signs) of the lineality space plus the extreme rays of the
-    pointed part, found by enumerating row subsets.
-    """
-    if cone.kind == RAYS:
-        return np.array(cone.gens)
-    if cone.kind == ORTHANT:
-        return np.eye(cone.dim)
-    rows, dim = cone.rows, cone.dim
-    if rows.shape[0] == 0:
-        return np.vstack([np.eye(dim), -np.eye(dim)])
-
-    _, svals, vt = np.linalg.svd(rows)
-    rank = int(np.sum(svals > 1e-10))
-    gens = [sign * b for b in vt[rank:] for sign in (1.0, -1.0)]
-
-    comp = vt[:rank]
-    reduced = rows @ comp.T
-    if rank == 1:
-        for sign in (1.0, -1.0):
-            if np.min(reduced * sign) >= -1e-9:
-                gens.append(sign * comp[0])
-    elif rank > 1:
-        for subset in combinations(range(reduced.shape[0]), rank - 1):
-            sub = reduced[list(subset)]
-            _, s2, vt2 = np.linalg.svd(sub)
-            if int(np.sum(s2 > 1e-10)) != rank - 1:
-                continue
-            w = vt2[-1]
-            for sign in (1.0, -1.0):
-                cand = sign * w
-                if np.min(reduced @ cand) >= -1e-9:
-                    g = cand @ comp
-                    norm = float(np.linalg.norm(g))
-                    if norm < 1e-12:
-                        continue
-                    g = g / norm
-                    if not any(np.linalg.norm(g - h) < 1e-9 for h in gens):
-                        gens.append(g)
-    if len(gens) > cap:
-        raise RepresentationError(f"generator enumeration exceeded cap {cap}")
-    return np.array(gens) if gens else np.zeros((0, dim))
-
-
 def _intersect_halfspace_cones(a: Cone, b: Cone) -> Cone:
-    rows = []
-    for cone in (a, b):
-        if cone.kind != HALFSPACES:
-            raise RepresentationError("intersection needs halfspace cones")
-        if cone.rows.shape[0]:
-            rows.append(cone.rows)
-    if not rows:
-        return Cone.whole_space(a.dim)
-    return Cone.halfspaces(np.vstack(rows))
+    rows = np.vstack([a.rows, b.rows])
+    return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(a.dim)
 
 
 # ===== order-Lipschitz estimation ========================================
@@ -209,12 +147,8 @@ def _direction_set(cone: Cone, count: int, seed: int):
     (generators enumerated and none found) rather than merely unsampled.
     """
     dirs = sampled_cone_directions(cone, count, seed=seed)
-    exact = cone.kind != HALFSPACES or (cone.dim <= _DD_MAX_DIM
-                                        and cone.rows.shape[0] <= _DD_MAX_ROWS)
-    if not exact:
-        return dirs, False
     try:
-        gens = cone_generators(cone)
+        gens = limited_generators(cone)
     except RepresentationError:
         return dirs, False
     return _merge_directions(dirs, gens), True
@@ -303,18 +237,21 @@ def check_tangential_condition(problem: Problem, x, fan: Fan | None = None,
 # ===== scalarized certificates ===========================================
 
 
+def _normalization_row(problem: Problem, dual_gens: np.ndarray) -> np.ndarray:
+    """The row normalizing y = dual_gens @ coeffs, in generator coordinates:
+    sum(y) = 1 on the orthant, y . e = 1 otherwise."""
+    if problem.ordering_cone.kind == ORTHANT:
+        return np.ones(dual_gens.shape[0]) @ dual_gens
+    return problem.direction @ dual_gens
+
+
 def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray,
                     slack: float = LP_SLACK):
     """Find y in the positive dual of the ordering cone, normalized, with
     y . w >= -slack for every constraint vector w.  Returns (status, y)."""
-    k_cone = problem.ordering_cone
-    dual_gens = k_cone.facets().T                     # columns generate K+
-    m, q = dual_gens.shape
-    if k_cone.kind == ORTHANT:
-        norm_row = np.ones(m) @ dual_gens
-    else:
-        norm_row = problem.direction @ dual_gens
-    a_eq = norm_row[None, :]
+    dual_gens = problem.ordering_cone.facets().T      # columns generate K+
+    q = dual_gens.shape[1]
+    a_eq = _normalization_row(problem, dual_gens)[None, :]
     b_eq = np.array([1.0])
     if constraint_vectors.size:
         a_ub = -(constraint_vectors @ dual_gens)
@@ -389,14 +326,11 @@ def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
         upper_inverse_cone(fan, problem.constraint_cone),
         contingent_cone(problem.region, x))
 
-    proof_grade = keep.dim <= _DD_MAX_DIM and keep.rows.shape[0] <= _DD_MAX_ROWS
-    notes = ()
-    if proof_grade:
-        try:
-            dirs = cone_generators(keep)
-        except RepresentationError:
-            proof_grade = False
-    if not proof_grade:
+    proof_grade, notes = True, ()
+    try:
+        dirs = limited_generators(keep)
+    except RepresentationError:
+        proof_grade = False
         notes = ("sampled directions only; feasibility is not proof-grade",)
         dirs = sampled_cone_directions(keep, dir_count, seed=seed)
 
@@ -455,11 +389,8 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
         blocks.append(normal_gens)
     a_eq = np.hstack(blocks) if blocks else np.zeros((n_dim, 0))
 
-    if problem.ordering_cone.kind == ORTHANT:
-        norm_row = np.ones(dual_k.shape[0]) @ dual_k
-    else:
-        norm_row = problem.direction @ dual_k
-    norm_full = np.concatenate([norm_row, np.zeros(p * qc + qn)])
+    norm_full = np.concatenate([_normalization_row(problem, dual_k),
+                                np.zeros(p * qc + qn)])
     a_eq = np.vstack([a_eq, norm_full[None, :]])
     b_eq = np.concatenate([np.zeros(n_dim), [1.0]])
 
@@ -526,41 +457,24 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     fan = problem.fan() if fan is None else fan
     notes = []
 
-    rows = []
-    for mat in fan.bundle:
-        pre = problem.constraint_cone.linear_preimage(mat)
-        if pre.rows.shape[0]:
-            rows.append(pre.rows)
-    tangent = contingent_cone(problem.region, x)
-    if tangent.rows.shape[0]:
-        rows.append(tangent.rows)
-    rows = np.vstack(rows) if rows else np.zeros((0, x.size))
+    c_cone = problem.constraint_cone
+    rows = np.vstack([c_cone.linear_preimage(mat).rows for mat in fan.bundle]
+                     + [contingent_cone(problem.region, x).rows])
     margin, witness = max_margin_point(rows, x.size)
     if not rows.shape[0]:
         notes.append("no active rows; condition vacuous")
     passed = margin > tol
 
-    c_cone = problem.constraint_cone
-    slater_applicable = c_cone.kind in (ORTHANT, HALFSPACES)
-    if slater_applicable:
-        interior_ok = True
-        if c_cone.kind == HALFSPACES:
-            _, c_margin = interior_witness(c_cone)
-            interior_ok = c_margin > tol
-        if not interior_ok:
-            slater_applicable = False
-            notes.append("constraint cone has empty interior")
-    if slater_applicable:
-        strict = _strictly_inside(problem.region, x)
-        if not strict:
-            slater_applicable = False
-            notes.append("reference point is not interior to the region")
-    if slater_applicable:
+    slater_applicable, slater_passed, s_margin, s_witness = False, False, 0.0, None
+    if interior_witness(c_cone)[1] <= tol:
+        notes.append("constraint cone has empty interior")
+    elif not _strictly_inside(problem.region, x):
+        notes.append("reference point is not interior to the region")
+    else:
+        slater_applicable = True
         stacked = np.vstack([c_cone.facets() @ mat for mat in fan.bundle])
         s_margin, s_witness = max_margin_point(stacked, x.size)
         slater_passed = s_margin > tol
-    else:
-        s_margin, s_witness, slater_passed = 0.0, None, False
 
     return QualificationReport(passed=passed, margin=margin, witness=witness,
                                slater_applicable=slater_applicable,

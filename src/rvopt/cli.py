@@ -29,7 +29,7 @@ def _common_flags() -> argparse.ArgumentParser:
     parent.add_argument("--seed", type=int, default=0,
                         help="sampling seed (default 0)")
     parent.add_argument("--tol-scale", type=float, default=1.0,
-                        help="uniform scale on all tolerances (default 1)")
+                        help="scale on the feasibility tolerance (default 1)")
     return parent
 
 

@@ -21,11 +21,16 @@ K° = cone{-m_j} is a ray cone.  Least-distance programming
 library to the same solver: onto a polyhedral region, and onto the
 convex hull of finitely many points.
 Dual cones follow the polyhedral duality
-``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.
+``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
+facet rows (:meth:`Cone.facets`): by Minkowski-Weyl the facet normals of
+cone(G) generate its positive dual {y : G y >= 0}, which double
+description (:func:`cone_generators`) enumerates.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +42,9 @@ RAYS = "rays"
 
 PROJECTION_TOL = 1e-10
 PROJECTION_BUDGET = 10_000
+GENERATOR_CAP = 64
+_DD_MAX_DIM = 4
+_DD_MAX_ROWS = 12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -129,11 +137,8 @@ class Cone:
         return self.distance(z) <= tol
 
     def interior_contains(self, z, margin: float) -> bool:
-        """True when a ball of radius ``margin`` around z fits in the cone.
-
-        Defined for the orthant and halfspace representations, where unit
-        rows make the row values Euclidean margins.
-        """
+        """True when a ball of radius ``margin`` around z fits in the cone;
+        unit facet rows make the row values Euclidean margins."""
         z = self._check_dim(z)
         if margin < 0:
             raise ValueError("margin must be nonnegative")
@@ -141,13 +146,18 @@ class Cone:
 
     def facets(self) -> np.ndarray:
         """Unit rows m_j with cone = {z : m_j . z >= 0}; they generate the
-        positive dual.  The identity for the orthant, the stored rows for
-        halfspaces."""
+        positive dual.  Read-only and computed once per cone."""
+        return self._facets
+
+    @cached_property
+    def _facets(self) -> np.ndarray:
         if self.kind == ORTHANT:
-            return np.eye(self.dim)
+            return _readonly(np.eye(self.dim))
         if self.kind == HALFSPACES:
             return self.rows
-        raise RepresentationError("facet rows need an orthant or halfspace cone")
+        # the dual of {0} is the whole space
+        dual = Cone.halfspaces(self.gens) if self.gens.shape[0] else Cone.whole_space(self.dim)
+        return _readonly(limited_generators(dual))
 
     # ----- projection and distance ---------------------------------------
 
@@ -165,42 +175,20 @@ class Cone:
 
     def negative_dual(self) -> "Cone":
         """{y : <y, z> <= 0 for all z in the cone}."""
-        if self.kind == ORTHANT:
-            return Cone.rays(-np.eye(self.dim))
-        if self.kind == HALFSPACES:
-            if self.rows.shape[0] == 0:
-                return Cone.rays(np.zeros((0, self.dim)), dim=self.dim)
-            return Cone.rays(-self.rows)
+        if self.kind != RAYS:
+            return Cone.rays(-self.facets(), dim=self.dim)
         if self.gens.shape[0] == 0:
             return Cone.whole_space(self.dim)
         return Cone.halfspaces(-self.gens)
 
-    def positive_dual(self) -> "Cone":
-        """{y : <y, z> >= 0 for all z in the cone} = -(negative dual)."""
-        neg = self.negative_dual()
-        if neg.kind == RAYS:
-            if neg.gens.shape[0] == 0:
-                return neg
-            return Cone.rays(-neg.gens)
-        if neg.rows.shape[0] == 0:
-            return neg
-        return Cone.halfspaces(-neg.rows)
-
     # ----- preimages ------------------------------------------------------
 
     def linear_preimage(self, mat) -> "Cone":
-        """The cone {v : mat @ v in self} for orthant/halfspace representations."""
+        """The cone {v : mat @ v in self}, as a halfspace cone."""
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        if self.kind == ORTHANT:
-            rows = mat
-            if mat.shape[0] != self.dim:
-                raise DimensionError("matrix rows must match cone dim")
-        elif self.kind == HALFSPACES:
-            if mat.shape[0] != self.dim:
-                raise DimensionError("matrix rows must match cone dim")
-            rows = self.rows @ mat
-        else:
-            raise RepresentationError("preimage needs an orthant or halfspace cone")
+        if mat.shape[0] != self.dim:
+            raise DimensionError("matrix rows must match cone dim")
+        rows = mat if self.kind == ORTHANT else self.facets() @ mat
         norms = np.linalg.norm(rows, axis=1)
         keep = norms >= 1e-12
         if not np.all(keep):
@@ -220,6 +208,68 @@ class Cone:
             return {"kind": HALFSPACES, "dim": self.dim,
                     "rows": self.rows.tolist()}
         return {"kind": RAYS, "dim": self.dim, "gens": self.gens.tolist()}
+
+
+# ===== generator enumeration =============================================
+
+
+def cone_generators(cone: Cone, cap: int = GENERATOR_CAP) -> np.ndarray:
+    """A finite generating set of a polyhedral cone.
+
+    Ray cones return their stored generators; the orthant returns the
+    axes; halfspace cones are converted by double description: a basis
+    (both signs) of the lineality space plus the extreme rays of the
+    pointed part, found by enumerating row subsets.
+    """
+    if cone.kind == RAYS:
+        return np.array(cone.gens)
+    if cone.kind == ORTHANT:
+        return np.eye(cone.dim)
+    rows, dim = cone.rows, cone.dim
+    if rows.shape[0] == 0:
+        return np.vstack([np.eye(dim), -np.eye(dim)])
+
+    _, svals, vt = np.linalg.svd(rows)
+    rank = int(np.sum(svals > 1e-10))
+    gens = [sign * b for b in vt[rank:] for sign in (1.0, -1.0)]
+
+    comp = vt[:rank]
+    reduced = rows @ comp.T
+    if rank == 1:
+        for sign in (1.0, -1.0):
+            if np.min(reduced * sign) >= -1e-9:
+                gens.append(sign * comp[0])
+    elif rank > 1:
+        for subset in combinations(range(reduced.shape[0]), rank - 1):
+            sub = reduced[list(subset)]
+            _, s2, vt2 = np.linalg.svd(sub)
+            if int(np.sum(s2 > 1e-10)) != rank - 1:
+                continue
+            w = vt2[-1]
+            for sign in (1.0, -1.0):
+                cand = sign * w
+                if np.min(reduced @ cand) >= -1e-9:
+                    g = cand @ comp
+                    norm = float(np.linalg.norm(g))
+                    if norm < 1e-12:
+                        continue
+                    g = g / norm
+                    if not any(np.linalg.norm(g - h) < 1e-9 for h in gens):
+                        gens.append(g)
+    if len(gens) > cap:
+        raise RepresentationError(f"generator enumeration exceeded cap {cap}")
+    return np.array(gens) if gens else np.zeros((0, dim))
+
+
+def limited_generators(cone: Cone) -> np.ndarray:
+    """:func:`cone_generators` within the limits of its subset enumeration:
+    a halfspace cone in more than _DD_MAX_DIM dimensions or with more than
+    _DD_MAX_ROWS rows raises RepresentationError."""
+    if cone.kind == HALFSPACES and (cone.dim > _DD_MAX_DIM
+                                    or cone.rows.shape[0] > _DD_MAX_ROWS):
+        raise RepresentationError("double description needs at most "
+                                  f"{_DD_MAX_DIM} dimensions and {_DD_MAX_ROWS} rows")
+    return cone_generators(cone)
 
 
 def _gemv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ load is field-identical.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,11 @@ class Tolerances:
     command line's --tol-scale."""
 
     feasibility: float = 1e-9
-    lp: float = 1e-8
-    active: float = 1e-7
 
     def scaled(self, factor: float) -> "Tolerances":
         if factor <= 0.0:
             raise ValidationError("tolerances: scale factor must be positive")
-        return replace(self, feasibility=self.feasibility * factor,
-                       lp=self.lp * factor, active=self.active * factor)
+        return Tolerances(feasibility=self.feasibility * factor)
 
 
 def _require(doc: dict, field: str, path: str = ""):
@@ -225,9 +222,8 @@ def tolerances_from_document(doc: dict) -> Tolerances:
         return Tolerances()
     if not isinstance(section, dict):
         raise ValidationError("tolerances: expected an object")
-    known = {"feasibility", "lp", "active"}
     for key in section:
-        if key not in known:
+        if key != "feasibility":
             raise ValidationError(f"tolerances.{key}: unknown field")
         value = section[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -236,8 +232,7 @@ def tolerances_from_document(doc: dict) -> Tolerances:
     return Tolerances(**{k: float(v) for k, v in section.items()})
 
 
-def problem_to_document(problem: Problem,
-                        tolerances: Tolerances | None = None) -> dict:
+def problem_to_document(problem: Problem) -> dict:
     doc = {"version": FORMAT_VERSION,
            "n": problem.domain_dim,
            "m": problem.objective.image_dim,
@@ -250,9 +245,6 @@ def problem_to_document(problem: Problem,
            "e": problem.direction.tolist()}
     if problem.fan_override is not None:
         doc["fan"] = problem.fan_override.to_document()
-    if tolerances is not None:
-        doc["tolerances"] = {"feasibility": tolerances.feasibility,
-                             "lp": tolerances.lp, "active": tolerances.active}
     return doc
 
 
@@ -274,8 +266,7 @@ def load_problem(path) -> Problem:
     return problem_from_document(load_document(path))
 
 
-def save_problem(problem: Problem, path,
-                 tolerances: Tolerances | None = None) -> None:
+def save_problem(problem: Problem, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(problem_to_document(problem, tolerances), handle, indent=2)
+        json.dump(problem_to_document(problem), handle, indent=2)
         handle.write("\n")

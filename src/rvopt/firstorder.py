@@ -133,51 +133,33 @@ class PolyhedralSet:
         return {"kind": "halfspaces", "A": self.a.tolist(), "b": self.b.tolist()}
 
 
-def contingent_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
-    """Tangent cone of the region at a member point, as a halfspace cone."""
+def _active_normals(region: PolyhedralSet, x, tol: float, what: str) -> np.ndarray:
+    """Outward unit normals of the constraints active at a member point:
+    -e_i / +e_i for a box's lower / upper bounds, rows of A for halfspaces."""
     x = np.asarray(x, dtype=float).ravel()
     if not region.contains(x, tol=max(tol, 1e-9)):
-        raise PreconditionError("tangent cone requested at a non-member point")
-    rows = []
+        raise PreconditionError(f"{what} cone requested at a non-member point")
     if region.kind == "box":
-        for i in range(region.dim):
-            e = np.zeros(region.dim)
-            if np.isfinite(region.lo[i]) and x[i] <= region.lo[i] + tol:
-                e[i] = 1.0
-                rows.append(e.copy())
-            e[:] = 0.0
-            if np.isfinite(region.hi[i]) and x[i] >= region.hi[i] - tol:
-                e[i] = -1.0
-                rows.append(e.copy())
-    else:
-        active = region.a @ x - region.b >= -tol
-        rows = [-region.a[j] for j in range(region.a.shape[0]) if active[j]]
-    if not rows:
+        lower = np.isfinite(region.lo) & (x <= region.lo + tol)
+        upper = np.isfinite(region.hi) & (x >= region.hi - tol)
+        axes = np.arange(region.dim)
+        pairs = np.zeros((region.dim, 2, region.dim))    # -e_i, +e_i for each axis i
+        pairs[axes, 0, axes], pairs[axes, 1, axes] = -1.0, 1.0
+        return pairs[np.column_stack([lower, upper])]
+    return region.a[region.a @ x - region.b >= -tol]
+
+
+def contingent_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
+    """Tangent cone of the region at a member point, as a halfspace cone."""
+    normals = _active_normals(region, x, tol, "tangent")
+    if normals.shape[0] == 0:
         return Cone.whole_space(region.dim)
-    return Cone.halfspaces(np.array(rows))
+    return Cone.halfspaces(-normals)
 
 
 def normal_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
     """Normal cone at a member point: generated by active outward normals."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not region.contains(x, tol=max(tol, 1e-9)):
-        raise PreconditionError("normal cone requested at a non-member point")
-    gens = []
-    if region.kind == "box":
-        for i in range(region.dim):
-            e = np.zeros(region.dim)
-            if np.isfinite(region.lo[i]) and x[i] <= region.lo[i] + tol:
-                e[i] = -1.0
-                gens.append(e.copy())
-            e[:] = 0.0
-            if np.isfinite(region.hi[i]) and x[i] >= region.hi[i] - tol:
-                e[i] = 1.0
-                gens.append(e.copy())
-    else:
-        active = region.a @ x - region.b >= -tol
-        gens = [region.a[j] for j in range(region.a.shape[0]) if active[j]]
-    return Cone.rays(np.array(gens) if gens else np.zeros((0, region.dim)),
-                     dim=region.dim)
+    return Cone.rays(_active_normals(region, x, tol, "normal"), dim=region.dim)
 
 
 # ===== objectives ========================================================
@@ -369,31 +351,11 @@ class Fan:
         return PointCloud(self.bundle @ u)
 
     def lipschitz_bound(self) -> float:
-        """max_i ||bundle[i]||, by power iteration with Frobenius fallback."""
-        return float(max(_operator_norm(mat) for mat in self.bundle))
+        """max_i ||bundle[i]||, the largest spectral norm."""
+        return float(max(np.linalg.norm(mat, 2) for mat in self.bundle))
 
     def to_document(self) -> dict:
         return {"bundle": self.bundle.tolist()}
-
-
-def _operator_norm(mat: np.ndarray, tol: float = 1e-10, budget: int = 500) -> float:
-    gram = mat.T @ mat
-    n = gram.shape[0]
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(budget):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-15:
-            return 0.0
-        v = w / norm
-        val = float(v @ gram @ v)
-        if abs(val - prev) <= tol * max(1.0, abs(val)):
-            return float(np.sqrt(max(val, 0.0)))
-        prev = val
-    # certified upper bound when the iteration stalls
-    return float(np.linalg.norm(mat, "fro"))
 
 
 def fan_from_scenarios(scenario_map: ScenarioMap) -> Fan:
@@ -407,14 +369,8 @@ def fan_from_scenarios(scenario_map: ScenarioMap) -> Fan:
 
 def upper_inverse_cone(fan: Fan, cone: Cone) -> Cone:
     """{v : fan image of v lies inside the cone} = the joint preimage cone."""
-    rows = []
-    for mat in fan.bundle:
-        pre = cone.linear_preimage(mat)
-        if pre.kind == "halfspaces" and pre.rows.shape[0]:
-            rows.append(pre.rows)
-    if not rows:
-        return Cone.whole_space(fan.domain_dim)
-    return Cone.halfspaces(np.vstack(rows))
+    rows = np.vstack([cone.linear_preimage(mat).rows for mat in fan.bundle])
+    return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(fan.domain_dim)
 
 
 def polytope_distance(point, vertices) -> float:

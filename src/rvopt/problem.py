@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import HALFSPACES, ORTHANT, RAYS, Cone
+from .cones import ORTHANT, RAYS, Cone
 from .errors import ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
@@ -47,20 +47,20 @@ def max_margin_point(rows: np.ndarray, dim: int):
 
 
 def interior_witness(cone: Cone):
-    """A unit interior point of the cone and its interiority margin.
+    """A unit interior point of the cone and its interiority margin, by the
+    max-margin LP on its facet rows.
 
     Returns (witness, margin); margin <= 0 means the interior is empty.
     """
     if cone.kind == ORTHANT:
         e = np.ones(cone.dim) / np.sqrt(cone.dim)
         return e, float(np.min(e))
-    if cone.kind != HALFSPACES:
-        raise ValidationError("interior witness needs an orthant or halfspace cone")
-    if cone.rows.shape[0] == 0:
+    rows = cone.facets()
+    if rows.shape[0] == 0:
         e = np.zeros(cone.dim)
         e[0] = 1.0
         return e, 1.0
-    t, z = max_margin_point(cone.rows, cone.dim)
+    t, z = max_margin_point(rows, cone.dim)
     if z is None:
         return np.zeros(cone.dim), 0.0
     norm = float(np.linalg.norm(z))

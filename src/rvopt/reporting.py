@@ -290,9 +290,7 @@ def _finish(problem, x, pipe, audit, seed, radius, oracle_resolution,
                    "options": {"radius": radius,
                                "oracle_resolution": oracle_resolution,
                                "skip_cq": skip_cq,
-                               "tolerances": {"feasibility": tol.feasibility,
-                                              "lp": tol.lp,
-                                              "active": tol.active}},
+                               "tolerances": {"feasibility": tol.feasibility}},
                    "instance": problem_to_document(problem),
                    "stages": pipe.stages,
                    "audit": audit,

@@ -149,6 +149,71 @@ class TestRayCones:
             Cone.rays(np.zeros((0, 2)))
 
 
+RAY_CONES = {
+    "pointed": Cone.rays([[1.0, 0.2], [0.3, 1.0]]),
+    "pointed-3d": Cone.rays([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.4, 1.0],
+                             [0.5, 0.5, 0.5]]),
+    "half-line": Cone.rays([[1.0, 1.0]]),
+    "line": Cone.rays([[1.0, -2.0], [-1.0, 2.0]]),
+    "half-plane": Cone.rays([[1.0, 0.0], [-1.0, 0.0], [0.2, 1.0]]),
+    "wedge-in-3d": Cone.rays([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+    "trivial": Cone.rays(np.zeros((0, 2)), dim=2),
+    "whole-space": Cone.rays([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+}
+
+
+class TestRayFacets:
+    """Facet rows of ray cones (double description of the positive dual),
+    checked against projection distances on a lattice."""
+
+    @staticmethod
+    def lattice(dim):
+        resolution = 41 if dim == 2 else 21
+        pts = grid_points(np.full(dim, -3.0), np.full(dim, 3.0), resolution)
+        return pts, 6.0 / (resolution - 1)
+
+    @pytest.mark.parametrize("name", RAY_CONES)
+    def test_facets_match_lattice_membership(self, name):
+        cone = RAY_CONES[name]
+        pts, _ = self.lattice(cone.dim)
+        by_distance = distance_many(cone, pts) <= 1e-9
+        by_facets = np.min(pts @ cone.facets().T, axis=1, initial=np.inf) >= -1e-9
+        assert np.array_equal(by_distance, by_facets)
+        assert_allclose(np.linalg.norm(cone.facets(), axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", RAY_CONES)
+    def test_interior_contains_matches_lattice(self, name):
+        """A ball of radius ``margin`` fits around p iff no lattice point
+        within ``margin`` of p lies outside (up to the lattice spacing)."""
+        cone, margin = RAY_CONES[name], 0.5
+        pts, spacing = self.lattice(cone.dim)
+        outside = pts[distance_many(cone, pts) > 1e-9]
+        slack = spacing * np.sqrt(cone.dim)
+        probes = pts[np.max(np.abs(pts), axis=1) <= 3.0 - margin - slack][::5]
+        for p in probes:
+            gaps = np.linalg.norm(outside - p, axis=1)
+            nearest_out = float(np.min(gaps, initial=np.inf))
+            if cone.interior_contains(p, margin):
+                assert nearest_out >= margin - 1e-9
+            else:
+                assert nearest_out <= margin + slack
+
+    def test_facets_are_cached_and_read_only(self):
+        cone = Cone.rays([[1.0, 0.2], [0.3, 1.0]])
+        assert cone.facets() is cone.facets()
+        with pytest.raises(ValueError):
+            cone.facets()[0, 0] = 2.0
+
+    def test_over_limit_ray_cones_raise(self):
+        ring = [[np.cos(t), np.sin(t), 1.0]
+                for t in np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)]
+        for cone in (Cone.rays(np.eye(5)), Cone.rays(ring)):
+            with pytest.raises(RepresentationError, match="double description"):
+                cone.facets()
+            with pytest.raises(RepresentationError):
+                cone.linear_preimage(np.eye(cone.dim))
+
+
 class TestConstruction:
     def test_empty_halfspaces_rejected(self):
         with pytest.raises(DimensionError, match="whole_space"):
@@ -318,13 +383,6 @@ class TestDuality:
                 ys = exact_members(dual, 16, rng)
                 assert float(np.max(ys @ zs.T, initial=-np.inf)) <= 1e-9
 
-    def test_positive_dual_negates_negative_dual(self):
-        rng = np.random.default_rng(5)
-        for cone in random_cones(rng, 3):
-            pos, neg = cone.positive_dual(), cone.negative_dual()
-            for y in exact_members(neg, 12, rng):
-                assert pos.contains(-y, tol=1e-8)
-
     def test_bipolar_membership(self):
         """Bidual membership agrees with the cone on sampled points."""
         rng = np.random.default_rng(6)
@@ -354,7 +412,9 @@ class TestLinearPreimage:
     def test_membership_equivalence(self):
         """v in preimage iff M v in the cone, on random data."""
         rng = np.random.default_rng(8)
-        for cone in [Cone.orthant(3), Cone.halfspaces(rng.standard_normal((4, 3)))]:
+        for cone in [Cone.orthant(3), Cone.halfspaces(rng.standard_normal((4, 3))),
+                     Cone.rays(rng.standard_normal((3, 3))),
+                     Cone.rays(rng.standard_normal((2, 3)))]:
             mat = rng.standard_normal((3, 2))
             pre = cone.linear_preimage(mat)
             for v in rng.standard_normal((1000, 2)):
@@ -369,10 +429,6 @@ class TestLinearPreimage:
         with pytest.warns(UserWarning, match="dropped zero rows"):
             pre = Cone.orthant(2).linear_preimage(mat)
         assert pre.rows.shape[0] == 1
-
-    def test_rays_unsupported(self):
-        with pytest.raises(RepresentationError):
-            Cone.rays([[1.0, 0.0]]).linear_preimage(np.eye(2))
 
     def test_row_count_checked(self):
         with pytest.raises(DimensionError):

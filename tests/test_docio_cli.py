@@ -13,6 +13,11 @@ import numpy as np
 import pytest
 
 from rvopt import (
+    AffineObjective,
+    Cone,
+    PolyhedralSet,
+    Problem,
+    ScenarioMap,
     ValidationError,
     load_problem,
     problem_from_document,
@@ -107,14 +112,16 @@ class TestDocumentValidation:
 
     def test_tolerance_block(self):
         tol = tolerances_from_document({"tolerances": {"feasibility": 1e-6}})
-        assert tol == Tolerances(feasibility=1e-6, lp=1e-8, active=1e-7)
+        assert tol == Tolerances(feasibility=1e-6)
         assert tolerances_from_document({}) == Tolerances()
 
     def test_tolerance_block_rejects_junk(self):
         cases = [
             ({"tolerances": {"wobble": 2.0}}, "tolerances.wobble: unknown"),
-            ({"tolerances": {"lp": -1.0}}, "positive number"),
-            ({"tolerances": {"active": True}}, "positive number"),
+            ({"tolerances": {"feasibility": -1.0}}, "positive number"),
+            ({"tolerances": {"feasibility": True}}, "positive number"),
+            ({"tolerances": {"lp": 1e-8}}, "tolerances.lp: unknown"),
+            ({"tolerances": {"active": 1e-7}}, "tolerances.active: unknown"),
             ({"tolerances": 3}, "expected an object"),
         ]
         for doc, message in cases:
@@ -123,7 +130,7 @@ class TestDocumentValidation:
 
     def test_scaling_tolerances(self):
         scaled = Tolerances().scaled(2.0)
-        assert scaled == Tolerances(feasibility=2e-9, lp=2e-8, active=2e-7)
+        assert scaled == Tolerances(feasibility=2e-9)
         with pytest.raises(ValidationError, match="must be positive"):
             Tolerances().scaled(0.0)
 
@@ -252,6 +259,25 @@ class TestReportCommand:
             "penalization", "tangential", "scalarized_fan",
             "scalarized_convex", "multiplier", "qualification", "oracle",
         ]
+
+    def test_ray_cone_report_runs_every_stage(self, tmp_path):
+        """A ray constraint cone reaches every stage: its preimages, Slater
+        margin and fan directions come from the cone's facet rows."""
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2),
+                          constraint_cone=Cone.rays([[1.0, 0.1], [0.1, 1.0]]),
+                          region=PolyhedralSet.box([0.0, 0.0], [4.0, 4.0]),
+                          scenarios=ScenarioMap(mats=30.0 * np.eye(2)[None],
+                                                offsets=[[-58.6, -58.9]]))
+        path = tmp_path / "rays.json"
+        save_problem(problem, path)
+        code, out, err = run_cli(["report", str(path), "--at", "2", "2"])
+        assert err == ""
+        document = json.loads(out.rpartition("\nsummary:")[0])
+        assert document["exit_code"] == code
+        assert [s["name"] for s in document["stages"] if s["status"] == "error"] == []
+        stages = {s["name"]: s for s in document["stages"]}
+        assert stages["qualification"]["report"]["slater_applicable"]
 
     def test_refuted_instance(self, free_problem_file):
         code, out, _ = run_cli(["report", free_problem_file, "--at", "-1", "-1"])
