@@ -28,14 +28,13 @@ from .certificates import (Certificate, check_penalization_condition,
                            qualification_check, scalarized_fan_certificate)
 from .reporting import run_report, render_report, write_report
 from .scenarios import PointCloud, ScenarioMap, excess, hausdorff
-from .simplex import LinearProgram, LpResult, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineObjective", "Certificate", "Cone", "ConvergenceError",
-    "DimensionError", "Fan", "GridScan", "LinearProgram", "LpResult",
-    "PointCloud", "PolyhedralSet", "PreconditionError", "Problem",
+    "DimensionError", "Fan", "GridScan", "PointCloud", "PolyhedralSet",
+    "PreconditionError", "Problem",
     "QuadraticObjective", "RepresentationError", "SamplingError",
     "ScenarioMap", "Tolerances", "ValidationError",
     "check_metric_increase", "check_penalization_condition",
@@ -46,6 +45,6 @@ __all__ = [
     "load_problem", "multiplier_certificate", "normal_cone",
     "problem_from_document", "problem_to_document", "qualification_check",
     "refute_efficiency", "render_report", "run_report", "save_problem",
-    "scalarized_fan_certificate", "solve_lp", "verify_error_bound",
+    "scalarized_fan_certificate", "verify_error_bound",
     "write_report",
 ]

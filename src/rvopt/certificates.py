@@ -10,29 +10,33 @@ This module checks several necessary conditions of that kind:
 * a tangential condition along directions kept feasible by the fan of
   scenario matrices;
 * scalarized versions of both, searching for a dual vector in the
-  positive dual of the ordering cone by linear programming; and
+  positive dual of the ordering cone by least-distance programming; and
 * a multiplier rule combining objective multipliers, constraint-cone
-  duals per fan matrix, and a normal-cone element.
+  duals per fan matrix, and a normal-cone element, found by nonnegative
+  least squares.
 
-Certificates carry status, raw multipliers, and a residual, and can be
-re-validated from the stored data without re-solving.  An LP-infeasible
-scalarization or multiplier system refutes weak efficiency whenever the
-accompanying qualification check passes.
+Every program here, the qualification margins included, runs on the one
+Lawson-Hanson kernel of :mod:`rvopt.cones`.  Certificates carry status,
+raw multipliers, and a residual, and can be re-validated from the stored
+data without re-solving.  An infeasible scalarization or multiplier system
+refutes weak efficiency whenever the accompanying qualification check
+passes; the multiplier system keeps its Farkas vector as evidence.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ORTHANT, Cone, cone_generators, limited_generators
+from .cones import (ORTHANT, Cone, _nnls, cone_generators, least_distance_point,
+                    limited_generators)
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (_merge_directions, contingent_cone, normal_cone,
                          sampled_cone_directions, upper_inverse_cone, Fan)
 from .problem import Problem, interior_witness, max_margin_point
 from .sampling import ball_points
-# solve_lp is unused here but stays importable: bench/tracing.py wraps it at
-# this import site.
-from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, feasibility, solve_lp  # noqa: F401
+# unused; bench/tracing.py wraps rvopt.problem.solve_lp, rvopt.certificates.solve_lp
+# and rvopt.certificates.feasibility by name, so they stay until it drops those sites
+from .simplex import feasibility, solve_lp  # noqa: F401
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -57,6 +61,9 @@ class Certificate:
     witness: np.ndarray | None = None
     directions: np.ndarray | None = None
     notes: tuple = field(default_factory=tuple)
+    beta: float | None = None
+    slopes: np.ndarray | None = None
+    farkas: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -245,37 +252,53 @@ def _normalization_row(problem: Problem, dual_gens: np.ndarray) -> np.ndarray:
     return problem.direction @ dual_gens
 
 
-def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray,
-                    slack: float = LP_SLACK):
-    """Find y in the positive dual of the ordering cone, normalized, with
-    y . w >= -slack for every constraint vector w.  Returns (status, y)."""
+def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
+    """The least-norm y = G c with c >= 0, n . c = 1 and y . w >= 0 for
+    every constraint vector w, where the columns of G generate the positive
+    dual of the ordering cone and n is the normalization row: one
+    least-distance program over [V G; I; n; -n] c >= [0; 0; 1; -1].
+    Returns y, or None when the system is inconsistent."""
     dual_gens = problem.ordering_cone.facets().T      # columns generate K+
     q = dual_gens.shape[1]
-    a_eq = _normalization_row(problem, dual_gens)[None, :]
-    b_eq = np.array([1.0])
-    if constraint_vectors.size:
-        a_ub = -(constraint_vectors @ dual_gens)
-        b_ub = np.full(constraint_vectors.shape[0], slack)
-    else:
-        a_ub, b_ub = None, None
-    res = feasibility(LinearProgram(c=np.zeros(q), a_ub=a_ub, b_ub=b_ub,
-                                    a_eq=a_eq, b_eq=b_eq))
-    if res.status != OPTIMAL:
-        return res.status, None
-    return OPTIMAL, dual_gens @ res.x
+    norm = _normalization_row(problem, dual_gens)
+    g = np.vstack([constraint_vectors @ dual_gens, np.eye(q), norm, -norm])
+    h = np.concatenate([np.zeros(constraint_vectors.shape[0] + q), [1.0, -1.0]])
+    coeffs = least_distance_point(g, h)
+    return None if coeffs is None else dual_gens @ coeffs
+
+
+def _penalized_vectors(problem: Problem, x, dirs, beta: float, slopes) -> np.ndarray:
+    """f'(x; v) + beta slope_v e for every direction v."""
+    vectors = [problem.objective.directional(x, v) + beta * slope * problem.direction
+               for v, slope in zip(dirs, slopes)]
+    return np.array(vectors) if vectors else np.zeros((0, problem.ordering_cone.dim))
+
+
+def _scalarized_residual(vectors: np.ndarray, y: np.ndarray) -> float:
+    return float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
+
+
+def _fan_residual(dirs: np.ndarray, jac: np.ndarray, y: np.ndarray) -> float:
+    """Worst violation of y . (J v) >= 0 and of the inclusion datum -J^T y
+    paired against the directions."""
+    if not dirs.size:
+        return 0.0
+    pair_res = float(max(0.0, np.max(dirs @ (-jac.T @ y))))
+    return max(_scalarized_residual(dirs @ jac.T, y), pair_res)
 
 
 def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
                                   dir_count: int = 64, seed: int = 0,
-                                  fd_step: float = 1e-6,
-                                  slack: float = LP_SLACK) -> Certificate:
+                                  fd_step: float = 1e-6) -> Certificate:
     """Scalarized penalization condition for convex data: search for a dual
     vector y* in the positive dual of the ordering cone, normalized, with
 
         y* . [ f'(x; v) + (ell/(alpha-1)) Dphi(x; v) e ]  >=  0
 
     along tangent generators and sampled tangent directions; Dphi is a
-    one-sided finite difference of the merit function."""
+    one-sided finite difference of the merit function.  The certificate
+    keeps beta = ell/(alpha-1) and the slopes Dphi(x; v), from which
+    :func:`replay_certificate` rebuilds the system."""
     if alpha <= 1.0:
         raise PreconditionError("scalarization needs alpha > 1")
     x = np.asarray(x, dtype=float).ravel()
@@ -288,34 +311,27 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
     dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
     values = problem.merit_many(np.vstack([x, x + fd_step * dirs]))
-    base = float(values[0])
-    vectors = []
-    for v, value in zip(dirs, values[1:]):
-        slope = (float(value) - base) / fd_step
-        vectors.append(problem.objective.directional(x, v)
-                       + beta * slope * problem.direction)
-    vectors = np.array(vectors) if vectors else np.zeros((0, problem.ordering_cone.dim))
-
-    status, y = _dual_vector_lp(problem, vectors, slack)
-    if status != OPTIMAL:
+    slopes = (values[1:] - values[0]) / fd_step
+    vectors = _penalized_vectors(problem, x, dirs, beta, slopes)
+    y = _dual_vector_lp(problem, vectors)
+    if y is None:
         return Certificate(kind="scalarized-convex", status=LP_INFEASIBLE,
-                           directions=dirs)
-    residual = float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
+                           directions=dirs, beta=beta, slopes=slopes)
     return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y,
-                       residual=residual, directions=dirs)
+                       residual=_scalarized_residual(vectors, y), directions=dirs,
+                       beta=beta, slopes=slopes)
 
 
 def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
-                               dir_count: int = 64, seed: int = 0,
-                               slack: float = LP_SLACK) -> Certificate:
+                               dir_count: int = 64, seed: int = 0) -> Certificate:
     """Scalarized tangential condition: search for a normalized dual vector
     y* with  y* . (J v) >= 0  for every direction v in the intersection of
     the fan preimage cone with the tangent cone.
 
     On small cones the directions are a complete generator set and a
-    feasible LP is proof-grade; otherwise sampled directions are used and
-    a feasible answer is only inconclusive evidence.  Infeasibility is a
-    refutation either way, since the sampled system is a relaxation.
+    feasible program is proof-grade; otherwise sampled directions are used
+    and a feasible answer is only inconclusive evidence.  Infeasibility is
+    a refutation either way, since the sampled system is a relaxation.
     Also emits the inclusion datum -J^T y* paired against the directions.
     """
     if not problem.objective.is_affine:
@@ -336,13 +352,11 @@ def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
 
     jac = problem.objective.jacobian(x)
     vectors = dirs @ jac.T if dirs.size else np.zeros((0, jac.shape[0]))
-    status, y = _dual_vector_lp(problem, vectors, slack)
-    if status != OPTIMAL:
+    y = _dual_vector_lp(problem, vectors)
+    if y is None:
         return Certificate(kind="scalarized-fan", status=LP_INFEASIBLE,
                            directions=dirs, notes=notes)
-    inclusion = -jac.T @ y
-    pair_res = float(max(0.0, np.max(dirs @ inclusion, initial=0.0))) if dirs.size else 0.0
-    residual = float(max(0.0, np.max(-(vectors @ y), initial=0.0), pair_res))
+    residual = _fan_residual(dirs, jac, y)
     if not proof_grade:
         return Certificate(kind="scalarized-fan", status=INCONCLUSIVE, y_star=y,
                            residual=residual, directions=dirs, notes=notes)
@@ -363,9 +377,12 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
 
         J^T v + sum_i L_i^T c_i + n = 0.
 
-    All unknowns are expanded in generator coordinates, so the search is a
-    single LP feasibility run; infeasibility refutes weak efficiency when
-    the qualification condition holds.
+    All unknowns are expanded in generator coordinates c >= 0, so the
+    search is one nonnegative least-squares problem, min |A c - b| over
+    c >= 0.  A residual r = b - A c above the tolerance makes the system
+    infeasible, and r is kept as its Farkas vector: A^T r <= 0 < b . r
+    (Lawson & Hanson 1974, ch. 23).  Infeasibility refutes weak efficiency
+    when the qualification condition holds.
     """
     x = np.asarray(x, dtype=float).ravel()
     fan = problem.fan() if fan is None else fan
@@ -394,11 +411,17 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     a_eq = np.vstack([a_eq, norm_full[None, :]])
     b_eq = np.concatenate([np.zeros(n_dim), [1.0]])
 
-    res = feasibility(LinearProgram(c=np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq))
-    if res.status == INFEASIBLE:
-        return Certificate(kind="multiplier", status=LP_INFEASIBLE,
-                           notes=(f"phase-one optimum {res.phase_one:.3e}",))
-    coeffs = res.x
+    coeffs = _nnls(a_eq.T, b_eq[None])[0]
+    r = b_eq - a_eq @ coeffs
+    limit = max(tol, 1e-8)
+    if np.max(np.abs(r)) > limit:
+        return Certificate(kind="multiplier", status=LP_INFEASIBLE, farkas=r,
+                           notes=(f"NNLS residual {np.linalg.norm(r):.3e}",))
+    # one step of iterative refinement on the support removes the rounding
+    # the free-set solve leaves, so exact data gives exact multipliers
+    free = coeffs > 0.0
+    coeffs[free] = np.maximum(coeffs[free] + np.linalg.lstsq(a_eq[:, free], r,
+                                                             rcond=None)[0], 0.0)
     v = dual_k @ coeffs[:qk]
     duals = []
     offset = qk
@@ -407,7 +430,7 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
         offset += qc
     normal = normal_gens @ coeffs[offset:offset + qn] if qn else np.zeros(n_dim)
     residual = _multiplier_residual(problem, x, fan, v, duals, normal)
-    status = HOLDS if residual <= max(tol, 1e-8) else INCONCLUSIVE
+    status = HOLDS if residual <= limit else INCONCLUSIVE
     return Certificate(kind="multiplier", status=status, residual=residual,
                        v=v, duals=tuple(duals), normal=normal)
 
@@ -430,12 +453,13 @@ def replay_certificate(problem: Problem, x, cert: Certificate,
         fan = problem.fan() if fan is None else fan
         return _multiplier_residual(problem, x, fan, cert.v, list(cert.duals),
                                     cert.normal)
-    if cert.kind in ("scalarized-fan", "scalarized-convex"):
-        if cert.y_star is None or cert.directions is None or not cert.directions.size:
-            return cert.residual
-        jac = problem.objective.jacobian(x)
-        vectors = cert.directions @ jac.T
-        return float(max(0.0, np.max(-(vectors @ cert.y_star))))
+    if cert.y_star is None or cert.directions is None:
+        return cert.residual
+    if cert.kind == "scalarized-fan":
+        return _fan_residual(cert.directions, problem.objective.jacobian(x), cert.y_star)
+    if cert.kind == "scalarized-convex":
+        vectors = _penalized_vectors(problem, x, cert.directions, cert.beta, cert.slopes)
+        return _scalarized_residual(vectors, cert.y_star)
     return cert.residual
 
 
@@ -448,7 +472,8 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
 
     The main condition asks for a direction interior to every fan-matrix
     preimage of the constraint cone and to the tangent cone at once; it is
-    decided by maximizing the joint interiority margin over the unit box.
+    decided by maximizing the joint interiority margin over the unit ball,
+    which is the distance from 0 to the convex hull of the rows.
     The Slater variant asks instead for a direction mapped into the
     interior of the constraint cone by every fan matrix; it applies only
     when that interior is nonempty and the point is interior to the region.

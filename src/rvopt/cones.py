@@ -19,7 +19,9 @@ cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
 K° = cone{-m_j} is a ray cone.  Least-distance programming
 (:func:`least_distance`) reduces every other Euclidean projection in the
 library to the same solver: onto a polyhedral region, and onto the
-convex hull of finitely many points.
+convex hull of finitely many points.  The certificates' programs run on it
+too: max-margin and dual-vector searches through
+:func:`least_distance_point`, the multiplier rule as one NNLS problem.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
 facet rows (:meth:`Cone.facets`): by Minkowski-Weyl the facet normals of
@@ -388,6 +390,16 @@ def least_distance(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     target[0, -1] = 1.0
     u = _nnls(gens, target)[0]
     return u, gens.T @ u - target[0]
+
+
+def least_distance_point(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """The shortest y with g y >= h by :func:`least_distance`, or None when
+    the system is inconsistent: r = 0 up to rounding in u . |h|, the rule
+    :meth:`firstorder.PolyhedralSet.project` applies to its own program."""
+    u, r = least_distance(g, h)
+    if -r[-1] <= PROJECTION_TOL * float(u @ np.abs(h)):
+        return None
+    return -r[:-1] / r[-1]
 
 
 def project_many(cone: Cone, points: np.ndarray) -> np.ndarray:

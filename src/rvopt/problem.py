@@ -14,41 +14,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ORTHANT, RAYS, Cone
+from .cones import ORTHANT, RAYS, Cone, least_distance_point
 from .errors import ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
-from .simplex import LinearProgram, OPTIMAL, solve_lp
+# unused; bench/tracing.py wraps rvopt.problem.solve_lp by name (see certificates.py)
+from .simplex import solve_lp  # noqa: F401
 
 INTERIOR_WITNESS_TOL = 1e-8
 
 
 def max_margin_point(rows: np.ndarray, dim: int):
-    """max t s.t. rows z >= t, |z_i| <= 1; returns (t, z).
+    """max over |z| <= 1 of min_i rows_i . z; returns (margin, z).
 
-    With no rows the margin is unbounded: (inf, 0).  An LP that does not
-    solve to optimality gives (-inf, None).
+    Least-distance programming (:func:`cones.least_distance_point`) gives the
+    shortest y with rows y >= 1; the margin is 1 / |y| and z = y / |y|.
+    By Gordan's theorem the program is inconsistent exactly when 0 lies in
+    the convex hull of the rows, and then the margin is 0 and z = 0.  The
+    test reads margins up to about sqrt(PROJECTION_TOL) = 1e-5 as 0.  With
+    no rows the margin is unbounded: (inf, 0).
     """
     if rows.shape[0] == 0:
         return float("inf"), np.zeros(dim)
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    a_ub = np.vstack([
-        np.hstack([-rows, np.ones((rows.shape[0], 1))]),
-        np.hstack([np.eye(dim), np.zeros((dim, 1))]),
-        np.hstack([-np.eye(dim), np.zeros((dim, 1))]),
-    ])
-    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * dim)])
-    res = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub,
-                                 nonneg=np.zeros(dim + 1, dtype=bool)))
-    if res.status != OPTIMAL:
-        return float("-inf"), None
-    return float(res.x[dim]), res.x[:dim]
+    y = least_distance_point(rows, np.ones(rows.shape[0]))
+    if y is None:
+        return 0.0, np.zeros(dim)
+    norm = float(np.linalg.norm(y))
+    return 1.0 / norm, y / norm
 
 
 def interior_witness(cone: Cone):
     """A unit interior point of the cone and its interiority margin, by the
-    max-margin LP on its facet rows.
+    max-margin program on its facet rows.
 
     Returns (witness, margin); margin <= 0 means the interior is empty.
     """
@@ -60,13 +57,10 @@ def interior_witness(cone: Cone):
         e = np.zeros(cone.dim)
         e[0] = 1.0
         return e, 1.0
-    t, z = max_margin_point(rows, cone.dim)
-    if z is None:
+    margin, z = max_margin_point(rows, cone.dim)
+    if margin <= INTERIOR_WITNESS_TOL:
         return np.zeros(cone.dim), 0.0
-    norm = float(np.linalg.norm(z))
-    if t <= INTERIOR_WITNESS_TOL or norm < 1e-12:
-        return np.zeros(cone.dim), min(t, 0.0)
-    return z / norm, t / norm
+    return z, margin
 
 
 @dataclass(frozen=True)

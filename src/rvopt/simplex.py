@@ -1,4 +1,5 @@
-"""Dense two-phase primal simplex for small certificate programs.
+"""Dense two-phase primal simplex, the independent reference the tests hold
+the NNLS and least-distance programs of the certificates against.
 
 Problems are stated as  min c.x  subject to  a_ub x <= b_ub,  a_eq x = b_eq,
 with each variable either nonnegative or free.  Free variables are split,

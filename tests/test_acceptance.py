@@ -34,13 +34,13 @@ from rvopt import (
     problem_to_document,
     qualification_check,
     refute_efficiency,
-    solve_lp,
     verify_error_bound,
 )
 from rvopt.cli import main as cli_main
 from rvopt.docio import load_document
 from rvopt.firstorder import check_outer_prederivative, polytope_distance
-from rvopt.simplex import OPTIMAL, LinearProgram
+from rvopt.cones import _nnls
+from rvopt.simplex import OPTIMAL, LinearProgram, solve_lp
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -145,8 +145,14 @@ def test_criterion_01_cone_kernel(announce):
         assert time.perf_counter() - start < 10.0
 
 
+def nnls_system(a, b):
+    """The NNLS answer to A c = b, c >= 0: c and the residual r = b - A c."""
+    coeffs = _nnls(a.T, b[None])[0]
+    return coeffs, b - a @ coeffs
+
+
 def test_criterion_02_lp_kernel(announce):
-    with announce(2, "simplex kernel against constructed optima"):
+    with announce(2, "simplex and NNLS kernels against constructed optima"):
         start = time.perf_counter()
         hand = solve_lp(LinearProgram(c=[-1.0, -1.0],
                                       a_ub=[[1.0, 2.0], [3.0, 1.0]],
@@ -161,6 +167,21 @@ def test_criterion_02_lp_kernel(announce):
             res = solve_lp(lp)
             assert res.status == OPTIMAL
             assert res.value == pytest.approx(target, abs=1e-8)
+            # [a I] (x, s) = b_ub holds at the constructed optimum, so the
+            # NNLS residual vanishes; adding c.x + t = target - 1 with t >= 0
+            # asks for a value below the optimum, so NNLS must return a
+            # Farkas vector r with A^T r <= 0 < b . r.
+            m, n = lp.a_ub.shape
+            feasible = np.hstack([lp.a_ub, np.eye(m)])
+            _, r = nnls_system(feasible, lp.b_ub)
+            assert np.max(np.abs(r)) <= 1e-9
+            below = np.vstack([np.hstack([feasible, np.zeros((m, 1))]),
+                               np.concatenate([lp.c, np.zeros(m), [1.0]])])
+            rhs = np.concatenate([lp.b_ub, [target - 1.0]])
+            _, r = nnls_system(below, rhs)
+            assert np.max(np.abs(r)) > 1e-8
+            assert np.max(below.T @ r) <= 1e-9
+            assert rhs @ r > 0.0
         assert time.perf_counter() - start < 5.0
 
 

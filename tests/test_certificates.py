@@ -15,14 +15,15 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 qualification_check, replay_certificate,
                                 scalarized_fan_certificate)
 from rvopt.cones import Cone
+from rvopt.docio import load_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, contingent_cone,
-                              sampled_cone_directions)
-from rvopt.problem import Problem
+                              polytope_distance, sampled_cone_directions)
+from rvopt.problem import Problem, max_margin_point
 from rvopt.scenarios import ScenarioMap, excess
-from rvopt.simplex import INFEASIBLE, LinearProgram, feasibility
+from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
-from conftest import merit_cases, negated_scenario
+from conftest import PROBLEMS_DIR, merit_cases, negated_scenario
 
 ROOT2 = np.sqrt(2.0)
 
@@ -265,9 +266,9 @@ class TestConvexScalarized:
         seen = []
         solve = rvopt.certificates._dual_vector_lp
 
-        def spy(prob, vectors, slack):
+        def spy(prob, vectors):
             seen.append(vectors)
-            return solve(prob, vectors, slack)
+            return solve(prob, vectors)
 
         monkeypatch.setattr(rvopt.certificates, "_dual_vector_lp", spy)
         alpha, ell, fd_step = 1.5, ROOT2, 1e-6
@@ -279,7 +280,7 @@ class TestConvexScalarized:
                             + ell / (alpha - 1.0) * ((phi(x + fd_step * v) - base) / fd_step)
                             * problem.direction for v in cert.directions])
         assert np.array_equal(seen[0], vectors)
-        status, y = solve(problem, vectors, rvopt.certificates.LP_SLACK)
+        y = solve(problem, vectors)
         if y is None:
             assert cert.status == LP_INFEASIBLE and cert.y_star is None
         else:
@@ -314,9 +315,17 @@ class TestMultiplierRule:
         assert cert.residual <= 1e-9
 
     def test_interior_dominated_point_infeasible(self, free_negative):
+        """The stored Farkas vector r separates b from the generated cone.
+        Unknowns (v1, v2, c1, c2) >= 0 of J^T v - L^T c = 0 and v1 + v2 = 1,
+        with J = I, L = -I and the constraint duals -c."""
         cert = multiplier_certificate(free_negative, [-1.0, -1.0])
         assert cert.status == LP_INFEASIBLE
-        assert any("phase-one" in note for note in cert.notes)
+        a = np.array([[1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, 0.0, 1.0],
+                      [1.0, 1.0, 0.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        assert np.max(a.T @ cert.farkas) <= 1e-9
+        assert b @ cert.farkas > 0.0
 
     def test_scalar_objective_infeasible_matches_direct_lp(self):
         """min x1 over {x <= 0} at the origin: stationarity would need the
@@ -357,11 +366,67 @@ class TestMultiplierRule:
                 assert multiplier_certificate(scaled, x).status == base
 
 
+def box_margin(rows, dim):
+    """Reference LP: max t s.t. rows z >= t, |z_i| <= 1, on the simplex."""
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    a_ub = np.vstack([np.hstack([-rows, np.ones((rows.shape[0], 1))]),
+                      np.hstack([np.eye(dim), np.zeros((dim, 1))]),
+                      np.hstack([-np.eye(dim), np.zeros((dim, 1))])])
+    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * dim)])
+    res = solve_lp(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub,
+                                 nonneg=np.zeros(dim + 1, dtype=bool)))
+    assert res.status == OPTIMAL
+    return float(res.x[dim])
+
+
+class TestMaxMarginPoint:
+    def test_agrees_with_the_box_lp(self):
+        """Unit-ball margins on seeded row sets in R^2-R^4: the box LP gives
+        the same pass/fail, the witness is a unit vector attaining the
+        margin, and the margin is dist(0, conv rows).  Every fourth set has
+        0 in the hull of its rows by construction."""
+        rng = np.random.default_rng(17)
+        passed = failed = 0
+        for i in range(240):
+            dim = 2 + i % 3
+            rows = rng.standard_normal((int(rng.integers(1, 3 * dim)), dim))
+            if i % 4 == 0:
+                rows = np.vstack([rows, -(rng.random(rows.shape[0]) @ rows)])
+            elif i % 4 == 1:
+                shift = rng.standard_normal(dim)
+                rows = rows + 1.5 * shift / np.linalg.norm(shift)
+            margin, witness = max_margin_point(rows, dim)
+            assert (margin > 1e-8) == (box_margin(rows, dim) > 1e-8)
+            assert abs(float(np.min(rows @ witness)) - margin) <= 1e-12
+            assert abs(margin - polytope_distance(np.zeros(dim), rows)) <= 1e-9
+            if margin > 1e-8:
+                assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
+                passed += 1
+            else:
+                assert i % 4 != 0 or margin == 0.0
+                failed += 1
+        assert passed >= 40 and failed >= 60
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name, x", [("e1", [0.5, 1.0]), ("e3", [0.5, 0.0])])
+    def test_scalarized_convex_replay_keeps_the_slope_term(self, name, x):
+        """Replay rebuilds f'(x; v) + beta slope_v e from the stored beta
+        and merit slopes, so it reproduces the stored residual; dropping the
+        slope term would give 1 here."""
+        problem = load_problem(PROBLEMS_DIR / f"{name}.json")
+        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
+        assert cert.status == HOLDS
+        assert cert.beta == 6.0 and cert.slopes.shape == (cert.directions.shape[0],)
+        assert replay_certificate(problem, x, cert) == cert.residual
+
+
 class TestQualification:
     def test_identity_fan_passes_with_slater(self, free_negative):
         report = qualification_check(free_negative, [0.0, 0.0],
                                      fan=Fan(np.eye(2)))
-        assert report.passed and report.margin == pytest.approx(1.0, abs=1e-7)
+        assert report.passed and report.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
         assert report.slater_applicable and report.slater_passed
 
     def test_opposed_fan_fails(self, free_negative):
@@ -379,10 +444,10 @@ class TestQualification:
 
     def test_negated_scenario_passes_on_the_interior(self, free_negative):
         report = qualification_check(free_negative, [-1.0, -1.0])
-        assert report.passed and report.margin == pytest.approx(1.0, abs=1e-7)
-        assert_allclose(report.witness, [-1.0, -1.0], atol=1e-7)
+        assert report.passed and report.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
+        assert_allclose(report.witness, [-1.0, -1.0] / ROOT2, atol=1e-7)
         assert report.slater_passed
-        assert report.slater_margin == pytest.approx(1.0, abs=1e-7)
+        assert report.slater_margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
 
 
 class TestConeGenerators:

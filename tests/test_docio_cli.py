@@ -185,7 +185,7 @@ class TestCertifyCommand:
         assert out.splitlines() == [
             "qualification failed (margin 0)",
             "tangential holds (residual 0)",
-            "scalarized holds (residual 1e-08)",
+            "scalarized holds (residual 0)",
             "multiplier holds (residual 0)",
         ]
 
@@ -200,7 +200,7 @@ class TestCertifyCommand:
         code, out, _ = run_cli(["certify", free_problem_file, "--at", "-1", "-1"])
         assert code == 2
         assert out.splitlines() == [
-            "qualification passed (margin 1)",
+            "qualification passed (margin 0.707)",
             "tangential violated (residual 0.707) "
             "witness (-0.707107, -0.707107)",
             "scalarized lp-infeasible (residual 0)",
@@ -336,3 +336,50 @@ class TestCommandErrors:
         code, _, err = run_cli([])
         assert code == 1
         assert "usage:" in err
+
+
+class TestNoSimplexOnCertificatePaths:
+    """Every certify and report program runs on the NNLS kernel: with the
+    simplex made to raise, no call reaches it and no stage errors."""
+
+    @staticmethod
+    def synthetic_files(tmp_path):
+        smap = ScenarioMap(mats=np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]),
+                           offsets=np.array([[0.0, 0.0], [0.1, -0.1]]))
+        files = []
+        for name, k_cone, c_cone in (
+                ("halfspaces", Cone.halfspaces([[1.0, 0.2], [0.2, 1.0]]),
+                 Cone.halfspaces([[-1.0, 2.0], [1.0, 1.0]])),
+                ("rays", Cone.orthant(2), Cone.rays([[1.0, 0.2], [0.3, 1.0]]))):
+            problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                              ordering_cone=k_cone, constraint_cone=c_cone,
+                              region=PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]),
+                              scenarios=smap)
+            path = str(tmp_path / f"{name}.json")
+            save_problem(problem, path)
+            files.append((path, ["1", "1"]))
+        return files
+
+    def test_simplex_is_never_called(self, monkeypatch, tmp_path, problems_dir):
+        import rvopt.simplex
+        calls = []
+
+        def refuse(lp, phase_one_only):
+            calls.append(lp)
+            raise AssertionError("simplex reached")
+
+        monkeypatch.setattr(rvopt.simplex, "_solve", refuse)
+        runs = [(str(problems_dir / "e1.json"), ["0.5", "1"]),
+                (str(problems_dir / "e2.json"), ["-1", "0"]),
+                (str(problems_dir / "e3.json"), ["0.5", "0"])]
+        runs += self.synthetic_files(tmp_path)
+        for path, at in runs:
+            code, out, err = run_cli(["certify", path, "--at"] + at)
+            assert code in (0, 2, 3) and err == "", (path, out, err)
+            assert out.startswith("qualification "), (path, out)
+            code, out, err = run_cli(["report", path, "--at"] + at)
+            assert code in (0, 2, 3) and err == "", (path, err)
+            report = json.loads(out.rsplit("summary:", 1)[0])
+            for stage in report["stages"]:
+                assert stage["status"] != "error", (path, stage)
+        assert calls == []
