@@ -253,18 +253,24 @@ def _normalization_row(problem: Problem, dual_gens: np.ndarray) -> np.ndarray:
 
 
 def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
-    """The least-norm y = G c with c >= 0, n . c = 1 and y . w >= 0 for
-    every constraint vector w, where the columns of G generate the positive
-    dual of the ordering cone and n is the normalization row: one
-    least-distance program over [V G; I; n; -n] c >= [0; 0; 1; -1].
-    Returns y, or None when the system is inconsistent."""
+    """A dual vector y = G c with c >= 0, n . c = 1 and y . w >= 0 for every
+    constraint vector w, where the columns of G generate the positive dual
+    of the ordering cone and n is the normalization row.  K+ is pointed and
+    n . c = e . G c, so n . c > 0 for every nonzero c >= 0: the program
+    takes the least-norm c on the simplex, one least-distance program over
+    [V G; I; 1; -1] c >= [0; 0; 1; -1], and scales it by 1 / n . c.  The
+    simplex keeps |c| <= 1 whatever e is, where normalizing by n directly
+    makes |c| grow like 1 / |e|.  Returns y, or None when the system is
+    inconsistent."""
     dual_gens = problem.ordering_cone.facets().T      # columns generate K+
     q = dual_gens.shape[1]
-    norm = _normalization_row(problem, dual_gens)
-    g = np.vstack([constraint_vectors @ dual_gens, np.eye(q), norm, -norm])
+    ones = np.ones(q)
+    g = np.vstack([constraint_vectors @ dual_gens, np.eye(q), ones, -ones])
     h = np.concatenate([np.zeros(constraint_vectors.shape[0] + q), [1.0, -1.0]])
     coeffs = least_distance_point(g, h)
-    return None if coeffs is None else dual_gens @ coeffs
+    if coeffs is None:
+        return None
+    return dual_gens @ (coeffs / float(_normalization_row(problem, dual_gens) @ coeffs))
 
 
 def _penalized_vectors(problem: Problem, x, dirs, beta: float, slopes) -> np.ndarray:
@@ -379,7 +385,11 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
 
     All unknowns are expanded in generator coordinates c >= 0, so the
     search is one nonnegative least-squares problem, min |A c - b| over
-    c >= 0.  A residual r = b - A c above the tolerance makes the system
+    c >= 0.  Its normalization puts the coefficients of v on the simplex,
+    where they stay of order one whatever e is; K+ is pointed, so e . v > 0
+    for every nonzero v in it, and a solution is scaled to the
+    normalization row afterwards (on the orthant the two rows coincide).
+    A residual r = b - A c above the tolerance makes the system
     infeasible, and r is kept as its Farkas vector: A^T r <= 0 < b . r
     (Lawson & Hanson 1974, ch. 23).  Infeasibility refutes weak efficiency
     when the qualification condition holds.
@@ -406,9 +416,7 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
         blocks.append(normal_gens)
     a_eq = np.hstack(blocks) if blocks else np.zeros((n_dim, 0))
 
-    norm_full = np.concatenate([_normalization_row(problem, dual_k),
-                                np.zeros(p * qc + qn)])
-    a_eq = np.vstack([a_eq, norm_full[None, :]])
+    a_eq = np.vstack([a_eq, np.concatenate([np.ones(qk), np.zeros(p * qc + qn)])])
     b_eq = np.concatenate([np.zeros(n_dim), [1.0]])
 
     coeffs = _nnls(a_eq.T, b_eq[None])[0]
@@ -417,6 +425,11 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     if np.max(np.abs(r)) > limit:
         return Certificate(kind="multiplier", status=LP_INFEASIBLE, farkas=r,
                            notes=(f"NNLS residual {np.linalg.norm(r):.3e}",))
+    if problem.ordering_cone.kind != ORTHANT:
+        # scaled to the normalization row, the simplex row on the orthant
+        a_eq[-1, :qk] = _normalization_row(problem, dual_k)
+        coeffs /= float(a_eq[-1] @ coeffs)
+        r = b_eq - a_eq @ coeffs
     # one step of iterative refinement on the support removes the rounding
     # the free-set solve leaves, so exact data gives exact multipliers
     free = coeffs > 0.0

@@ -19,9 +19,11 @@ cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
 K° = cone{-m_j} is a ray cone.  Least-distance programming
 (:func:`least_distance`) reduces every other Euclidean projection in the
 library to the same solver: onto a polyhedral region, and onto the
-convex hull of finitely many points.  The certificates' programs run on it
-too: max-margin and dual-vector searches through
-:func:`least_distance_point`, the multiplier rule as one NNLS problem.
+convex hull of finitely many points (:func:`nearest_hull_point`).  The
+certificates' programs run on it too: the max-margin search through
+:func:`nearest_hull_point`, the dual-vector search through
+:func:`least_distance_point`, and the multiplier rule as one NNLS
+problem.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
 facet rows (:meth:`Cone.facets`): by Minkowski-Weyl the facet normals of
@@ -394,12 +396,24 @@ def least_distance(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def least_distance_point(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """The shortest y with g y >= h by :func:`least_distance`, or None when
-    the system is inconsistent: r = 0 up to rounding in u . |h|, the rule
-    :meth:`firstorder.PolyhedralSet.project` applies to its own program."""
+    the system is inconsistent: r = 0 up to rounding in u . |h|.  Since
+    -r[n] = 1 / (1 + |y|^2), the rule tells consistent systems apart only
+    while |y| stays well below PROJECTION_TOL^(-1/2) = 1e5; callers pose
+    their programs so the least-norm point is of order one."""
     u, r = least_distance(g, h)
     if -r[-1] <= PROJECTION_TOL * float(u @ np.abs(h)):
         return None
     return -r[:-1] / r[-1]
+
+
+def nearest_hull_point(points: np.ndarray) -> np.ndarray:
+    """The point of conv(points) nearest to 0.  Least-distance programming
+    over points . y >= 1 (:func:`least_distance`) gives u, and the hull
+    point weighted u / sum(u) is r[:n] / sum(u).  Nothing divides by r[n],
+    so the point stays accurate however close to 0 it lies; when 0 is in
+    the hull it is rounding noise."""
+    u, r = least_distance(points, np.ones(points.shape[0]))
+    return r[:-1] / float(np.sum(u))
 
 
 def project_many(cone: Cone, points: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import PROJECTION_TOL, Cone, _norms, least_distance, project_many
+from .cones import (Cone, _norms, least_distance_point, nearest_hull_point,
+                    project_many)
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
@@ -97,7 +98,7 @@ class PolyhedralSet:
     def project(self, x) -> np.ndarray:
         """Euclidean projection.  A box clips; a halfspace intersection
         solves the least-distance program min ||y|| s.t. a (x + y) <= b
-        with the one NNLS kernel (:func:`cones.least_distance`).  Raises
+        with the one NNLS kernel (:func:`cones.least_distance_point`).  Raises
         PreconditionError when the region is empty."""
         x = np.asarray(x, dtype=float).ravel()
         if self.kind == "box":
@@ -106,13 +107,12 @@ class PolyhedralSet:
         scale = float(np.max(excess))
         if scale <= 0.0:
             return x.copy()
-        # scaled by the largest violation, r[n] = u . h - 1 reflects the
-        # relative distance; it is zero up to rounding in u . |h| when S is empty
+        # scaled by the largest violation: y is the displacement relative to it
         h = excess / scale
-        u, r = least_distance(-self.a, h)
-        if -r[-1] <= PROJECTION_TOL * float(u @ np.abs(h)):
+        y = least_distance_point(-self.a, h)
+        if y is None:
             raise PreconditionError("projection onto an empty region")
-        return x - scale * r[:-1] / r[-1]
+        return x + scale * y
 
     def project_many(self, points) -> np.ndarray:
         """Row-wise ``project``: one clip for boxes, one least-distance
@@ -374,16 +374,14 @@ def upper_inverse_cone(fan: Fan, cone: Cone) -> Cone:
 
 
 def polytope_distance(point, vertices) -> float:
-    """Distance from a point to conv(vertices): least-distance programming
-    (:func:`cones.least_distance`) over (v_i - point) . y >= 1 gives u, and
-    the hull point weighted u / sum(u) lies ||r[:n]|| / sum(u) away.  Inside
-    the hull r is rounding noise, so nothing divides by r[n]; the nearest
-    vertex is taken too, so exact vertex hits give 0."""
+    """Distance from a point to conv(vertices): the length of the hull
+    point nearest to it (:func:`cones.nearest_hull_point` of the offsets
+    v_i - point).  The nearest vertex is taken too, so exact vertex hits
+    give 0."""
     point = np.asarray(point, dtype=float).ravel()
     offsets = np.atleast_2d(np.asarray(vertices, dtype=float)) - point
     best = float(np.min(np.linalg.norm(offsets, axis=1)))
-    u, r = least_distance(offsets, np.ones(offsets.shape[0]))
-    return min(best, float(np.linalg.norm(r[:-1])) / float(np.sum(u)))
+    return min(best, float(np.linalg.norm(nearest_hull_point(offsets))))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ORTHANT, RAYS, Cone, least_distance_point
+from .cones import ORTHANT, PROJECTION_TOL, RAYS, Cone, nearest_hull_point
 from .errors import ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
@@ -27,20 +27,23 @@ INTERIOR_WITNESS_TOL = 1e-8
 def max_margin_point(rows: np.ndarray, dim: int):
     """max over |z| <= 1 of min_i rows_i . z; returns (margin, z).
 
-    Least-distance programming (:func:`cones.least_distance_point`) gives the
-    shortest y with rows y >= 1; the margin is 1 / |y| and z = y / |y|.
-    By Gordan's theorem the program is inconsistent exactly when 0 lies in
-    the convex hull of the rows, and then the margin is 0 and z = 0.  The
-    test reads margins up to about sqrt(PROJECTION_TOL) = 1e-5 as 0.  With
-    no rows the margin is unbounded: (inf, 0).
+    The margin is the distance from 0 to the convex hull of the rows: with
+    p the nearest hull point (:func:`cones.nearest_hull_point`), z = p / |p|
+    and the margin is min_i rows_i . z, which no unit z exceeds.  By
+    Gordan's theorem it is positive exactly when 0 is outside the hull; a
+    margin at rounding level, at most PROJECTION_TOL times the longest row,
+    reads as 0 with z = 0.  With no rows the margin is unbounded: (inf, 0).
     """
     if rows.shape[0] == 0:
         return float("inf"), np.zeros(dim)
-    y = least_distance_point(rows, np.ones(rows.shape[0]))
-    if y is None:
-        return 0.0, np.zeros(dim)
-    norm = float(np.linalg.norm(y))
-    return 1.0 / norm, y / norm
+    p = nearest_hull_point(rows)
+    norm = float(np.linalg.norm(p))
+    if norm > 0.0:
+        z = p / norm
+        margin = float(np.min(rows @ z))
+        if margin > PROJECTION_TOL * float(np.max(np.linalg.norm(rows, axis=1))):
+            return margin, z
+    return 0.0, np.zeros(dim)
 
 
 def interior_witness(cone: Cone):

@@ -409,6 +409,67 @@ class TestMaxMarginPoint:
         assert passed >= 40 and failed >= 60
 
 
+    def test_resolves_a_small_margin(self):
+        """Rows (1, eps), (-1, eps), (0.3, 1) have margin eps, attained at
+        (0, 1); the nearest hull point (0, eps) keeps it, and the box LP
+        passes it too."""
+        eps = 1e-6
+        rows = np.array([[1.0, eps], [-1.0, eps], [0.3, 1.0]])
+        margin, witness = max_margin_point(rows, 2)
+        assert abs(margin - eps) <= 1e-9
+        assert_allclose(witness, [0.0, 1.0], atol=1e-9)
+        assert box_margin(rows, 2) > 1e-8
+
+    def test_thin_ordering_cone_is_accepted(self):
+        """A halfspace ordering cone of interior margin about 1e-6 has a
+        nonempty interior, and its default direction is its axis."""
+        prob = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                       ordering_cone=Cone.halfspaces([[1.0, 1e-6], [-1.0, 1e-6]]),
+                       constraint_cone=Cone.orthant(2),
+                       region=PolyhedralSet.whole_space(2),
+                       scenarios=negated_scenario())
+        assert_allclose(prob.direction, [0.0, 1.0], atol=1e-9)
+
+
+class TestShortDirection:
+    """A halfspace ordering cone with a short or near-boundary e.  The
+    normalization e . y = 1 then asks for a long dual vector; the programs
+    normalize on the simplex and scale afterwards, so they still find it."""
+
+    @staticmethod
+    def boxed(e):
+        return Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                       ordering_cone=Cone.halfspaces(np.eye(2)),
+                       constraint_cone=Cone.orthant(2),
+                       region=PolyhedralSet.box([-1.0, -1.0], [0.0, 0.0]),
+                       scenarios=negated_scenario(), direction=e)
+
+    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999]])
+    def test_dual_vector_without_constraints(self, e):
+        y = rvopt.certificates._dual_vector_lp(self.boxed(e), np.zeros((0, 2)))
+        assert y is not None
+        assert abs(np.dot(e, y) - 1.0) <= 1e-12
+        assert np.min(y) >= -1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [0.999, 1e-8]])
+    def test_scalarized_fan_holds_on_the_edge(self, e):
+        """At (-1, 0) the dual vector is (1, 0) / e1."""
+        cert = scalarized_fan_certificate(self.boxed(e), [-1.0, 0.0])
+        assert cert.status == HOLDS
+        assert cert.residual <= 1e-12
+        assert abs(np.dot(e, cert.y_star) - 1.0) <= 1e-12
+        assert_allclose(cert.y_star / np.linalg.norm(cert.y_star), [1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [1e-8, 1e-8]])
+    def test_multiplier_rule_holds_on_the_edge(self, e):
+        """At (-1, 0): v = (1, 0) / e1 and normal (-1, 0) / e1."""
+        cert = multiplier_certificate(self.boxed(e), [-1.0, 0.0])
+        assert cert.status == HOLDS
+        assert cert.residual <= 1e-9
+        assert_allclose(cert.v * e[0], [1.0, 0.0], atol=1e-9)
+        assert_allclose(cert.normal * e[0], [-1.0, 0.0], atol=1e-9)
+
+
 class TestReplay:
     @pytest.mark.parametrize("name, x", [("e1", [0.5, 1.0]), ("e3", [0.5, 0.0])])
     def test_scalarized_convex_replay_keeps_the_slope_term(self, name, x):
