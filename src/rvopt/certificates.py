@@ -6,7 +6,7 @@ This module checks several necessary conditions of that kind:
 
 * a penalization condition along tangent directions, using a descent
   constant for the merit function and an order-Lipschitz bound on the
-  objective;
+  objective, where the merit function is flat (:func:`merit_is_flat`);
 * a tangential condition along directions kept feasible by the fan of
   scenario matrices;
 * scalarized versions of both, searching for a dual vector in the
@@ -30,8 +30,8 @@ import numpy as np
 from .cones import (ORTHANT, Cone, _nnls, cone_generators, least_distance_point,
                     limited_generators)
 from .errors import PreconditionError, RepresentationError
-from .firstorder import (_merge_directions, contingent_cone, normal_cone,
-                         sampled_cone_directions, upper_inverse_cone, Fan)
+from .firstorder import (ACTIVE_TOL, Fan, _merge_directions, contingent_cone,
+                         normal_cone, sampled_cone_directions, upper_inverse_cone)
 from .problem import Problem, interior_witness, max_margin_point
 from .sampling import ball_points
 # unused; bench/tracing.py wraps rvopt.problem.solve_lp, rvopt.certificates.solve_lp
@@ -45,6 +45,7 @@ INCONCLUSIVE = "inconclusive"
 
 LP_SLACK = 1e-8
 INTERIOR_MARGIN = 1e-7
+FD_STEP = 1e-6              # forward-difference step of the scalarized-convex slopes
 
 
 @dataclass(frozen=True)
@@ -161,62 +162,69 @@ def _direction_set(cone: Cone, count: int, seed: int):
     return _merge_directions(dirs, gens), True
 
 
-def _directional_certificate(kind, k_cone, dirs, value_of, margin_scale,
-                             notes=(), trivial_is_exact=False):
+def _depths(problem: Problem, x, dirs) -> np.ndarray:
+    """Depth min_j R_K (-f'(x; v)) of -f'(x; v) in K for each direction v;
+    positive when v improves f into -int K."""
+    rows = problem.ordering_cone.facets()
+    return np.array([np.min(rows @ (-problem.objective.directional(x, v)))
+                     for v in dirs])
+
+
+def _directional_certificate(kind, problem, x, dirs, margin, trivial_is_exact):
     if dirs.shape[0] == 0:
         if trivial_is_exact:
-            return Certificate(kind=kind, status=HOLDS,
-                               notes=notes + ("direction cone is trivial; "
-                                              "the condition is vacuous",))
-        return Certificate(kind=kind, status=INCONCLUSIVE,
-                           notes=notes + ("no directions sampled; cone may be trivial",))
-    rows, worst, witness = k_cone.facets(), -np.inf, None
-    for v in dirs:
-        # depth of -value_of(v) inside K; > 0 means v improves into -int K
-        depth = float(np.min(rows @ (-value_of(v))))
-        if depth > worst:
-            worst, witness = depth, v
-    margin = margin_scale  # directions are unit vectors
-    if worst > margin:
+            return Certificate(kind=kind, status=HOLDS, directions=dirs,
+                               notes=("direction cone is trivial; "
+                                      "the condition is vacuous",))
+        return Certificate(kind=kind, status=INCONCLUSIVE, directions=dirs,
+                           notes=("no directions sampled; cone may be trivial",))
+    depths = _depths(problem, x, dirs)
+    best = int(np.argmax(depths))
+    worst, witness = float(depths[best]), dirs[best]
+    if worst > margin:  # directions are unit vectors
         return Certificate(kind=kind, status=VIOLATED, residual=worst,
-                           witness=witness, directions=dirs, notes=notes)
+                           witness=witness, directions=dirs)
     if worst > LP_SLACK:
         return Certificate(kind=kind, status=INCONCLUSIVE, residual=worst,
                            witness=witness, directions=dirs,
-                           notes=notes + ("within the margin zone",))
+                           notes=("within the margin zone",))
     return Certificate(kind=kind, status=HOLDS, residual=max(0.0, worst),
-                       directions=dirs, notes=notes)
+                       directions=dirs)
+
+
+def merit_is_flat(problem: Problem, x) -> bool:
+    """Whether merit(x + h) = o(|h|) at a feasible x: merit >= 0 = merit(x)
+    leaves 0 as the only possible upper gradient, and it is one exactly
+    then.  The slope along d is max_w dist(A_w d, T_C(A_w x + b_w))
+    (Rockafellar & Wets 1998), 0 for every d iff each facet row of C active
+    at A_w x + b_w (within ACTIVE_TOL) annihilates A_w; a rank-deficient
+    A_w can sit on the boundary of C with merit 0 nearby."""
+    x = np.asarray(x, dtype=float).ravel()
+    rows = problem.constraint_cone.facets()
+    smap = problem.scenarios
+    active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL          # (w, q)
+    slopes = np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL        # (w, q, n)
+    return not np.any(active[..., None] & slopes)
 
 
 def check_penalization_condition(problem: Problem, x, alpha: float, ell: float,
-                                 upper_gradient, dir_count: int = 64,
-                                 seed: int = 0,
+                                 dir_count: int = 64, seed: int = 0,
                                  margin: float = INTERIOR_MARGIN) -> Certificate:
     """Necessary condition via merit penalization: along no sampled tangent
-    direction v may
-
-        f'(x; v) + (ell / (alpha - 1)) <x*, v> e
-
-    fall in the negative interior of the ordering cone.  ``upper_gradient``
-    is the upper subgradient x* of the merit function used in the
-    penalization argument; alpha is a certified increase rate.
+    direction v may f'(x; v) + (ell / (alpha - 1)) <x*, v> e fall in the
+    negative interior of the ordering cone, x* an upper gradient of the
+    merit function.  One exists only where :func:`merit_is_flat` holds, and
+    it is 0 there, so the term drops; alpha > 1 (a certified increase rate)
+    and ell >= 0 (an order-Lipschitz bound) stay the checked hypotheses.
     """
     if alpha <= 1.0:
         raise PreconditionError("penalization needs alpha > 1")
     if ell < 0.0:
         raise PreconditionError("penalization needs ell >= 0")
     x = np.asarray(x, dtype=float).ravel()
-    grad = np.asarray(upper_gradient, dtype=float).ravel()
-    beta = ell / (alpha - 1.0)
     tangent = contingent_cone(problem.region, x)
     dirs, exact = _direction_set(tangent, dir_count, seed=seed)
-
-    def value_of(v):
-        return problem.objective.directional(x, v) \
-            + beta * float(grad @ v) * problem.direction
-
-    return _directional_certificate("penalization", problem.ordering_cone,
-                                    dirs, value_of, margin,
+    return _directional_certificate("penalization", problem, x, dirs, margin,
                                     trivial_is_exact=exact)
 
 
@@ -232,12 +240,7 @@ def check_tangential_condition(problem: Problem, x, fan: Fan | None = None,
         upper_inverse_cone(fan, problem.constraint_cone),
         contingent_cone(problem.region, x))
     dirs, exact = _direction_set(keep, dir_count, seed=seed)
-
-    def value_of(v):
-        return problem.objective.directional(x, v)
-
-    return _directional_certificate("tangential", problem.ordering_cone,
-                                    dirs, value_of, margin,
+    return _directional_certificate("tangential", problem, x, dirs, margin,
                                     trivial_is_exact=exact)
 
 
@@ -294,17 +297,16 @@ def _fan_residual(dirs: np.ndarray, jac: np.ndarray, y: np.ndarray) -> float:
 
 
 def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
-                                  dir_count: int = 64, seed: int = 0,
-                                  fd_step: float = 1e-6) -> Certificate:
+                                  dir_count: int = 64, seed: int = 0) -> Certificate:
     """Scalarized penalization condition for convex data: search for a dual
     vector y* in the positive dual of the ordering cone, normalized, with
 
         y* . [ f'(x; v) + (ell/(alpha-1)) Dphi(x; v) e ]  >=  0
 
     along tangent generators and sampled tangent directions; Dphi is a
-    one-sided finite difference of the merit function.  The certificate
-    keeps beta = ell/(alpha-1) and the slopes Dphi(x; v), from which
-    :func:`replay_certificate` rebuilds the system."""
+    one-sided finite difference of the merit function with step FD_STEP.
+    The certificate keeps beta = ell/(alpha-1) and the slopes Dphi(x; v),
+    from which :func:`replay_certificate` rebuilds the system."""
     if alpha <= 1.0:
         raise PreconditionError("scalarization needs alpha > 1")
     x = np.asarray(x, dtype=float).ravel()
@@ -316,8 +318,8 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
         gens = np.zeros((0, x.size))
     dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
-    values = problem.merit_many(np.vstack([x, x + fd_step * dirs]))
-    slopes = (values[1:] - values[0]) / fd_step
+    values = problem.merit_many(np.vstack([x, x + FD_STEP * dirs]))
+    slopes = (values[1:] - values[0]) / FD_STEP
     vectors = _penalized_vectors(problem, x, dirs, beta, slopes)
     y = _dual_vector_lp(problem, vectors)
     if y is None:
@@ -458,8 +460,11 @@ def _multiplier_residual(problem, x, fan, v, duals, normal) -> float:
 
 def replay_certificate(problem: Problem, x, cert: Certificate,
                        fan: Fan | None = None) -> float:
-    """Recompute a certificate's residual from its stored multipliers."""
+    """Recompute a certificate's residual from its stored multipliers, or,
+    for the directional kinds, from its stored directions."""
     x = np.asarray(x, dtype=float).ravel()
+    if cert.kind in ("tangential", "penalization"):
+        return float(np.max(_depths(problem, x, cert.directions), initial=0.0))
     if cert.kind == "multiplier":
         if cert.status != HOLDS:
             return cert.residual
@@ -470,10 +475,8 @@ def replay_certificate(problem: Problem, x, cert: Certificate,
         return cert.residual
     if cert.kind == "scalarized-fan":
         return _fan_residual(cert.directions, problem.objective.jacobian(x), cert.y_star)
-    if cert.kind == "scalarized-convex":
-        vectors = _penalized_vectors(problem, x, cert.directions, cert.beta, cert.slopes)
-        return _scalarized_residual(vectors, cert.y_star)
-    return cert.residual
+    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta, cert.slopes)
+    return _scalarized_residual(vectors, cert.y_star)
 
 
 # ===== qualification =====================================================

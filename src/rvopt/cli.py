@@ -21,7 +21,8 @@ from .oracle import descent_solve, grid_scan
 from .regularity import check_metric_increase, estimate_increase_bound, \
     verify_error_bound
 from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
-                        EXIT_REFUTED, render_report, run_report, write_report)
+                        EXIT_REFUTED, render_report, run_report, verdict,
+                        write_report)
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -136,8 +137,8 @@ def _cmd_merit(args) -> int:
 
 def _cmd_feasible(args) -> int:
     problem, tol = _load(args)
-    verdict = problem.feasible(args.at, tol=tol.feasibility)
-    print("feasible" if verdict else "infeasible")
+    inside = problem.feasible(args.at, tol=tol.feasibility)
+    print("feasible" if inside else "infeasible")
     return EXIT_CONSISTENT
 
 
@@ -200,14 +201,7 @@ def _cmd_certify(args) -> int:
         if cert.witness is not None:
             line += f" witness {_fmt(cert.witness)}"
         print(line)
-    statuses = [c.status for c in results.values()]
-    if results["tangential"].status == "violated":
-        return EXIT_REFUTED
-    if results["multiplier"].status == "lp-infeasible" and cq_passed is not False:
-        return EXIT_REFUTED
-    if all(s == "holds" for s in statuses):
-        return EXIT_CONSISTENT
-    return EXIT_INCONCLUSIVE
+    return verdict(results, cq_passed)[1]
 
 
 def _cmd_scan(args) -> int:

@@ -1,11 +1,11 @@
-"""First-order geometry: ambient sets, tangent and normal cones, upper
-subgradient candidates, and matrix-bundle fans.
+"""First-order geometry: ambient sets, tangent and normal cones, sampled
+upper subgradients, and matrix-bundle fans.
 
 Tangent cones of polyhedral sets are computed from active constraints at
 the reference point; normal cones are their negative duals, generated by
-the outward normals of the active constraints.  Upper subgradient
-candidates of a scalar function come from central finite differences and
-are checked on a sampled ball; the function is passed row-batched.
+the outward normals of the active constraints.  Central finite-difference
+upper subgradients, checked on a sampled ball, are kept as the sampled
+reference for the exact rule of :func:`certificates.merit_is_flat`.
 
 A fan is a positively homogeneous convex-valued map generated by a matrix
 bundle: H(u) = conv{L_1 u, ..., L_p u}.  For finite affine scenario

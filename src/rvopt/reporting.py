@@ -2,9 +2,11 @@
 every first-order certificate, composed into a machine-readable report.
 
 The stages run in a fixed order; a stage that cannot run (missing estimate
-upstream, or an upstream error) is recorded as skipped with its reason
-rather than aborting the run.  Reports contain the full instance echo, the
-seed, and all stage inputs, so a replay with the same seed is
+upstream, an upstream error, or a hypothesis that fails, such as a flat
+merit function for the penalization stage) is recorded as skipped with its
+reason rather than aborting the run.  :func:`verdict` is the one verdict
+rule of ``report`` and ``certify``.  Reports contain the full instance
+echo, the seed, and all stage inputs, so a replay with the same seed is
 byte-identical.
 """
 
@@ -12,13 +14,17 @@ import json
 
 import numpy as np
 
-from .certificates import (check_penalization_condition,
+from .certificates import (HOLDS, LP_INFEASIBLE, VIOLATED,
+                           check_penalization_condition,
                            check_tangential_condition,
                            convex_scalarized_certificate,
-                           estimate_order_lipschitz, multiplier_certificate,
-                           qualification_check, scalarized_fan_certificate)
+                           estimate_order_lipschitz, merit_is_flat,
+                           multiplier_certificate, qualification_check,
+                           scalarized_fan_certificate)
 from .docio import Tolerances, problem_to_document
-from .firstorder import check_upper_subgradient, upper_subgradient_candidate
+# unused; the two firstorder.subgradient sites of bench/tracing.py wrap these
+# names in rvopt.reporting, so they stay until it drops those sites
+from .firstorder import check_upper_subgradient, upper_subgradient_candidate  # noqa: F401
 from .oracle import refute_efficiency
 from .problem import Problem
 from .regularity import cq_sigma, estimate_increase_bound, verify_error_bound
@@ -31,6 +37,46 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 
 SUMMARY_CONSISTENT = "consistent with necessary conditions"
+DOWNGRADED = "downgraded: qualification check failed"
+
+# (certificate kind, failing status, evidence), in the order evidence is cited
+_EVIDENCE = (("multiplier", LP_INFEASIBLE, "multiplier LP infeasible"),
+             ("tangential", VIOLATED, "tangential condition violated"),
+             ("penalization", VIOLATED, "penalization condition violated"),
+             ("scalarized-fan", LP_INFEASIBLE, "scalarized LP infeasible"),
+             ("scalarized-convex", LP_INFEASIBLE, "scalarized LP infeasible"))
+
+
+def verdict(certs: dict, cq_passed, witness_found: bool = False, errored=()):
+    """(summary, exit code, downgraded names) for certificates by name.
+
+    A failed certificate refutes only when its hypotheses hold: a violated
+    directional condition always, an infeasible system unless the
+    qualification check failed (``cq_passed`` False), which downgrades it.
+    A dominating witness always refutes.  Otherwise the verdict is
+    consistent only when no stage errored and every certificate holds."""
+    evidence, downgraded = [], []
+    for kind, status, reason in _EVIDENCE:
+        for name in [n for n, c in certs.items() if (c.kind, c.status) == (kind, status)]:
+            if status == LP_INFEASIBLE and cq_passed is False:
+                downgraded.append(name)
+            elif not evidence:
+                evidence.append(reason)
+    if witness_found:
+        evidence.append("dominating witness found")
+    if evidence:
+        return "refuted: " + "; ".join(evidence), EXIT_REFUTED, downgraded
+    reasons = []
+    if errored:
+        reasons.append("stage errors in " + ", ".join(errored))
+    if downgraded:
+        reasons.append(", ".join(downgraded) + " " + DOWNGRADED)
+    if any(c.status != HOLDS and name not in downgraded
+           for name, c in certs.items()):
+        reasons.append("some certificates were inconclusive")
+    if reasons:
+        return "inconclusive: " + "; ".join(reasons), EXIT_INCONCLUSIVE, downgraded
+    return SUMMARY_CONSISTENT, EXIT_CONSISTENT, downgraded
 
 
 def _clean(value):
@@ -60,19 +106,24 @@ def _certificate_entry(cert) -> dict:
             "notes": list(cert.notes)}
 
 
+class _NotApplicable(Exception):
+    """Raised by a stage whose hypothesis fails; the stage is skipped."""
+
+
 class _Pipeline:
     def __init__(self):
         self.stages = []
-        self.failed = {}           # stage name -> error message
 
     def run(self, name: str, inputs: dict, fn):
         entry = {"name": name, "status": "ok", "inputs": inputs}
         try:
             detail = fn()
+        except _NotApplicable as exc:
+            self.skip(name, str(exc))
+            return None
         except Exception as exc:              # noqa: BLE001 - stage isolation
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
-            self.failed[name] = entry["error"]
             self.stages.append(entry)
             return None
         entry.update(detail)
@@ -89,6 +140,8 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
     """Full audit of a reference point; returns the report document."""
     x = np.asarray(x, dtype=float).ravel()
     tol = tolerances if tolerances is not None else Tolerances()
+    options = {"radius": radius, "oracle_resolution": oracle_resolution,
+               "skip_cq": skip_cq, "tolerances": {"feasibility": tol.feasibility}}
     pipe = _Pipeline()
     audit = []
 
@@ -102,13 +155,14 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
              "penalization", "tangential", "scalarized_fan",
              "scalarized_convex", "multiplier", "qualification", "oracle"]
     if not feasible:
-        reason = "reference point infeasible" if merit_detail \
-            else "merit stage failed"
+        reason = "reference point infeasible" if merit_detail else "merit stage failed"
         for name in later:
             pipe.skip(name, reason)
-        return _finish(problem, x, pipe, audit, seed, radius,
-                       oracle_resolution, skip_cq, tol,
-                       infeasible=merit_detail is not None)
+        if merit_detail is None:
+            return _finish(problem, x, seed, options, pipe, audit, {}, None)
+        return _document(problem, x, seed, options, pipe, audit,
+                         "not applicable: reference point is infeasible",
+                         EXIT_INCONCLUSIVE)
 
     smap, cone, region = problem.scenarios, problem.constraint_cone, problem.region
     inc = pipe.run("increase", {"radius": radius, "seed": seed}, lambda: {
@@ -147,29 +201,6 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                   else "not established"})
 
     certs = {}
-    if alpha_hat is None or ell is None:
-        pipe.skip("penalization", "needs both the increase bound and the "
-                  "order-Lipschitz estimate")
-    else:
-        def _penalization():
-            candidate = upper_subgradient_candidate(problem.merit_many, x)
-            check = check_upper_subgradient(problem.merit_many, x, candidate,
-                                            eps=1e-6,
-                                            radius=min(radius, 0.25),
-                                            seed=seed)
-            cert = check_penalization_condition(problem, x, alpha_hat, ell,
-                                                candidate, seed=seed)
-            certs["penalization"] = cert
-            entry = _certificate_entry(cert)
-            entry["upper_gradient"] = candidate
-            entry["upper_gradient_valid_on_samples"] = check.passed
-            return entry
-
-        pipe.run("penalization", {"alpha": alpha_hat, "ell": ell,
-                                  "seed": seed}, _penalization)
-        audit.append({"hypothesis": "finite-difference upper gradient of "
-                      "the merit function",
-                      "status": "certified-on-samples"})
 
     def _cert_stage(name, inputs, fn):
         def wrapped():
@@ -177,6 +208,23 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
             certs[name] = cert
             return _certificate_entry(cert)
         pipe.run(name, inputs, wrapped)
+
+    if alpha_hat is None or ell is None:
+        pipe.skip("penalization", "needs both the increase bound and the "
+                  "order-Lipschitz estimate")
+    else:
+        def _penalization():
+            flat = merit_is_flat(problem, x)
+            audit.append({"hypothesis": "upper gradient of the merit function",
+                          "status": "established" if flat else "not established"})
+            if not flat:
+                raise _NotApplicable("not applicable: the merit function has a "
+                                     "nonzero slope at the reference point")
+            return check_penalization_condition(problem, x, alpha_hat, ell,
+                                                seed=seed)
+
+        _cert_stage("penalization", {"alpha": alpha_hat, "ell": ell,
+                                     "seed": seed}, _penalization)
 
     _cert_stage("tangential", {"seed": seed},
                 lambda: check_tangential_condition(problem, x, seed=seed))
@@ -217,9 +265,7 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                                          oracle_resolution,
                                          feas_tol=tol.feasibility))})
 
-    return _finish(problem, x, pipe, audit, seed, radius, oracle_resolution,
-                   skip_cq, tol, infeasible=False, certs=certs,
-                   cq_passed=cq_passed)
+    return _finish(problem, x, seed, options, pipe, audit, certs, cq_passed)
 
 
 def _qualification_entry(report) -> dict:
@@ -232,65 +278,23 @@ def _qualification_entry(report) -> dict:
             "notes": list(report.notes)}
 
 
-def _finish(problem, x, pipe, audit, seed, radius, oracle_resolution,
-            skip_cq, tol, infeasible: bool, certs=None, cq_passed=None):
-    certs = certs or {}
-    stage_by_name = {s["name"]: s for s in pipe.stages}
+def _finish(problem, x, seed, options, pipe, audit, certs, cq_passed):
+    stages = {s["name"]: s for s in pipe.stages}
+    oracle = stages.get("oracle", {}).get("result")
+    errored = [name for name, s in stages.items() if s["status"] == "error"]
+    summary, exit_code, downgraded = verdict(
+        certs, cq_passed, oracle is not None and oracle["witness"] is not None, errored)
+    for name in downgraded:
+        stages[name]["notes"] = stages[name]["notes"] + [DOWNGRADED]
+    return _document(problem, x, seed, options, pipe, audit, summary, exit_code)
 
-    evidence = []
-    mult = certs.get("multiplier")
-    if mult is not None and mult.status == "lp-infeasible":
-        if cq_passed is False:
-            stage_by_name["multiplier"].setdefault("notes", [])
-            stage_by_name["multiplier"]["notes"] = list(
-                stage_by_name["multiplier"].get("notes", [])) + [
-                "downgraded: qualification check failed"]
-        else:
-            evidence.append("multiplier LP infeasible")
-    tang = certs.get("tangential")
-    if tang is not None and tang.status == "violated" and not evidence:
-        evidence.append("tangential condition violated")
-    pen = certs.get("penalization")
-    if pen is not None and pen.status == "violated" and not evidence:
-        evidence.append("penalization condition violated")
-    for name in ("scalarized_fan", "scalarized_convex"):
-        cert = certs.get(name)
-        if cert is not None and cert.status == "lp-infeasible" \
-                and not evidence and cq_passed is not False:
-            evidence.append("scalarized LP infeasible")
-    oracle_stage = stage_by_name.get("oracle")
-    witness_found = bool(oracle_stage and oracle_stage.get("status") == "ok"
-                         and oracle_stage["result"]["witness"] is not None)
-    if witness_found:
-        evidence.append("dominating witness found")
 
-    errored = [s["name"] for s in pipe.stages if s["status"] == "error"]
-    inconclusive = any(c.status == "inconclusive" for c in certs.values())
-
-    if infeasible:
-        summary = "not applicable: reference point is infeasible"
-        exit_code = EXIT_INCONCLUSIVE
-    elif evidence:
-        summary = "refuted: " + "; ".join(evidence)
-        exit_code = EXIT_REFUTED
-    elif errored:
-        summary = "inconclusive: stage errors in " + ", ".join(errored)
-        exit_code = EXIT_INCONCLUSIVE
-    elif inconclusive:
-        summary = "inconclusive: some certificates were inconclusive"
-        exit_code = EXIT_INCONCLUSIVE
-    else:
-        summary = SUMMARY_CONSISTENT
-        exit_code = EXIT_CONSISTENT
-
+def _document(problem, x, seed, options, pipe, audit, summary, exit_code):
     return _clean({"format": "robust-vopt-report",
                    "version": REPORT_VERSION,
                    "seed": seed,
                    "reference": x.tolist(),
-                   "options": {"radius": radius,
-                               "oracle_resolution": oracle_resolution,
-                               "skip_cq": skip_cq,
-                               "tolerances": {"feasibility": tol.feasibility}},
+                   "options": options,
                    "instance": problem_to_document(problem),
                    "stages": pipe.stages,
                    "audit": audit,

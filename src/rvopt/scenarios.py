@@ -100,10 +100,6 @@ class ScenarioMap:
         dist = distance_many(cone, images.reshape(-1, self.image_dim))
         return np.max(dist.reshape(self.scenario_count, -1), axis=0, initial=0.0)
 
-    def lipschitz_constant(self) -> float:
-        """max_w ||A_w||, a global Lipschitz constant of the merit function."""
-        return float(max(np.linalg.norm(m, 2) for m in self.mats))
-
     def to_document(self) -> list:
         return [{"A": self.mats[w].tolist(), "b": self.offsets[w].tolist()}
                 for w in range(self.scenario_count)]

@@ -56,6 +56,19 @@ def merit_cases() -> list:
     return cases
 
 
+def grid_cases() -> list:
+    """(label, problem, point) for the feasible points of the 7x7 grid on
+    [-1, 2]^2 (step 0.5) of each shipped problem: 49 points in all."""
+    cases = []
+    for name in ("e1", "e2", "e3"):
+        problem = load_problem(PROBLEMS_DIR / f"{name}.json")
+        for a in np.linspace(-1.0, 2.0, 7):
+            for b in np.linspace(-1.0, 2.0, 7):
+                if problem.feasible([a, b]):
+                    cases.append((f"{name}({a:g},{b:g})", problem, np.array([a, b])))
+    return cases
+
+
 @pytest.fixture
 def free_plane() -> Problem:
     return Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),

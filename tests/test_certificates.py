@@ -1,10 +1,13 @@
 """First-order certificates: directional, scalarized, multiplier, CQ."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.certificates
+import rvopt.reporting
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 _direction_set,
                                 check_penalization_condition,
@@ -20,10 +23,11 @@ from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, contingent_cone,
                               polytope_distance, sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
+from rvopt.reporting import run_report
 from rvopt.scenarios import ScenarioMap, excess
 from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
-from conftest import PROBLEMS_DIR, merit_cases, negated_scenario
+from conftest import PROBLEMS_DIR, grid_cases, merit_cases, negated_scenario
 
 ROOT2 = np.sqrt(2.0)
 
@@ -131,16 +135,14 @@ class TestPenalizationCondition:
     def test_unrestricted_descent_violates(self, free_negative):
         """With the whole plane tangent, v = -e drives f into -int K."""
         cert = check_penalization_condition(free_negative, [-1.0, -1.0],
-                                            alpha=1.5, ell=ROOT2,
-                                            upper_gradient=np.zeros(2))
+                                            alpha=1.5, ell=ROOT2)
         assert cert.status == VIOLATED
         assert_allclose(cert.witness, -np.ones(2) / ROOT2, atol=1e-9)
         assert cert.residual == pytest.approx(1.0 / ROOT2, abs=1e-9)
 
     def test_edge_point_holds(self, boxed_negative):
         cert = check_penalization_condition(boxed_negative, [-1.0, 0.0],
-                                            alpha=1.5, ell=ROOT2,
-                                            upper_gradient=np.zeros(2))
+                                            alpha=1.5, ell=ROOT2)
         assert cert.status == HOLDS
 
     def test_pinned_region_is_vacuous(self, free_negative):
@@ -154,17 +156,17 @@ class TestPenalizationCondition:
                        constraint_cone=free_negative.constraint_cone,
                        region=point, scenarios=free_negative.scenarios)
         cert = check_penalization_condition(prob, [0.0, 0.0], alpha=1.5,
-                                            ell=1.0, upper_gradient=np.zeros(2))
+                                            ell=1.0)
         assert cert.status == HOLDS
         assert "vacuous" in " ".join(cert.notes)
 
     def test_preconditions(self, free_negative):
         with pytest.raises(PreconditionError):
             check_penalization_condition(free_negative, [0.0, 0.0], alpha=1.0,
-                                         ell=1.0, upper_gradient=np.zeros(2))
+                                         ell=1.0)
         with pytest.raises(PreconditionError):
             check_penalization_condition(free_negative, [0.0, 0.0], alpha=1.5,
-                                         ell=-1.0, upper_gradient=np.zeros(2))
+                                         ell=-1.0)
 
 
 class TestTangentialCondition:
@@ -481,6 +483,41 @@ class TestReplay:
         assert cert.status == HOLDS
         assert cert.beta == 6.0 and cert.slopes.shape == (cert.directions.shape[0],)
         assert replay_certificate(problem, x, cert) == cert.residual
+
+    def test_report_certificates_replay_to_their_stored_residual(self, monkeypatch):
+        """Every certificate run_report stores on the e1-e3 grid, of every
+        kind, replays from its stored data to the residual in the report."""
+        seen = []
+        entry = rvopt.reporting._certificate_entry
+
+        def spy(cert):
+            seen.append(cert)
+            return entry(cert)
+
+        monkeypatch.setattr(rvopt.reporting, "_certificate_entry", spy)
+        kinds = set()
+        for label, problem, x in grid_cases():
+            seen.clear()
+            stages = {s["name"]: s for s in run_report(problem, x)["stages"]}
+            for cert in seen:
+                replayed = replay_certificate(problem, x, cert)
+                assert replayed == cert.residual, (label, cert.kind)
+                assert replayed == stages[cert.kind.replace("-", "_")]["residual"]
+                kinds.add(cert.kind)
+        assert kinds == {"penalization", "tangential", "scalarized-fan",
+                         "scalarized-convex", "multiplier"}
+
+    def test_tampered_directions_replay_differently(self, boxed_negative):
+        """At the dominated corner (0, 0) both directional conditions are
+        violated with residual 1/sqrt(2); the negated directions improve
+        nothing, so their replay gives 0."""
+        x = [0.0, 0.0]
+        for cert in (check_tangential_condition(boxed_negative, x),
+                     check_penalization_condition(boxed_negative, x, alpha=1.5, ell=ROOT2)):
+            assert cert.status == VIOLATED
+            assert replay_certificate(boxed_negative, x, cert) == cert.residual
+            tampered = dataclasses.replace(cert, directions=-cert.directions)
+            assert replay_certificate(boxed_negative, x, tampered) == 0.0
 
 
 class TestQualification:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from rvopt.cones import Cone
 from rvopt.errors import DimensionError
+from rvopt.firstorder import fan_from_scenarios
 from rvopt.scenarios import PointCloud, ScenarioMap, excess, hausdorff
 
 from conftest import shifted_pair_scenarios
@@ -119,7 +120,7 @@ class TestMerit:
         smap = ScenarioMap(mats=np.array([[[2.0, 0.0], [0.0, 1.0]],
                                           [[1.0, 1.0], [0.0, 1.0]]]),
                            offsets=np.array([[0.0, -1.0], [0.5, 0.0]]))
-        lip = smap.lipschitz_constant()
+        lip = fan_from_scenarios(smap).lipschitz_bound()
         assert lip == pytest.approx(2.0, abs=1e-9)
         rng = np.random.default_rng(24)
         cone = Cone.orthant(2)
