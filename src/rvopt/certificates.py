@@ -10,7 +10,8 @@ This module checks several necessary conditions of that kind:
 * a tangential condition along directions kept feasible by the fan of
   scenario matrices;
 * scalarized versions of both, searching for a dual vector in the
-  positive dual of the ordering cone by least-distance programming; and
+  positive dual of the ordering cone by least-distance programming, the
+  convex one with the merit slopes of :func:`merit_slopes`; and
 * a multiplier rule combining objective multipliers, constraint-cone
   duals per fan matrix, and a normal-cone element, found by nonnegative
   least squares.
@@ -18,17 +19,17 @@ This module checks several necessary conditions of that kind:
 Every program here, the qualification margins included, runs on the one
 Lawson-Hanson kernel of :mod:`rvopt.cones`.  Certificates carry status,
 raw multipliers, and a residual, and can be re-validated from the stored
-data without re-solving.  An infeasible scalarization or multiplier system
-refutes weak efficiency whenever the accompanying qualification check
-passes; the multiplier system keeps its Farkas vector as evidence.
+data without re-solving, slopes and Farkas vectors included.  An
+infeasible scalarization or multiplier system refutes weak efficiency
+whenever the accompanying qualification check passes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ORTHANT, Cone, _nnls, cone_generators, least_distance_point,
-                    limited_generators)
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, cone_generators,
+                    distance_many, least_distance_point, limited_generators)
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (ACTIVE_TOL, Fan, _merge_directions, contingent_cone,
                          normal_cone, sampled_cone_directions, upper_inverse_cone)
@@ -45,7 +46,6 @@ INCONCLUSIVE = "inconclusive"
 
 LP_SLACK = 1e-8
 INTERIOR_MARGIN = 1e-7
-FD_STEP = 1e-6              # forward-difference step of the scalarized-convex slopes
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class Certificate:
     directions: np.ndarray | None = None
     notes: tuple = field(default_factory=tuple)
     beta: float | None = None
-    slopes: np.ndarray | None = None
     farkas: np.ndarray | None = None
 
 
@@ -192,19 +191,39 @@ def _directional_certificate(kind, problem, x, dirs, margin, trivial_is_exact):
                        directions=dirs)
 
 
+def _slope_facets(problem: Problem, x) -> np.ndarray:
+    """(w, q) mask of the facet rows of C active at A_w x + b_w (within
+    ACTIVE_TOL), cleared where every active row annihilates A_w (within
+    ACTIVE_TOL): the one source of the merit function's flatness and slopes."""
+    rows = problem.constraint_cone.facets()
+    smap = problem.scenarios
+    active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL                     # (w, q)
+    moving = np.any(np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL, axis=2)   # (w, q)
+    return active & np.any(active & moving, axis=1)[:, None]
+
+
 def merit_is_flat(problem: Problem, x) -> bool:
     """Whether merit(x + h) = o(|h|) at a feasible x: merit >= 0 = merit(x)
     leaves 0 as the only possible upper gradient, and it is one exactly
-    then.  The slope along d is max_w dist(A_w d, T_C(A_w x + b_w))
-    (Rockafellar & Wets 1998), 0 for every d iff each facet row of C active
-    at A_w x + b_w (within ACTIVE_TOL) annihilates A_w; a rank-deficient
-    A_w can sit on the boundary of C with merit 0 nearby."""
-    x = np.asarray(x, dtype=float).ravel()
+    when every slope of :func:`merit_slopes` is 0, each facet row of C
+    active at A_w x + b_w annihilating A_w.  A rank-deficient A_w can sit
+    on the boundary of C with merit 0 nearby."""
+    return not np.any(_slope_facets(problem, x))
+
+
+def merit_slopes(problem: Problem, x, dirs) -> np.ndarray:
+    """The merit function's slope at a feasible x along each row d of
+    ``dirs``, max_w dist(A_w d, T_C(A_w x + b_w)) (Rockafellar & Wets 1998),
+    T_C the halfspace cone of the rows of :func:`_slope_facets`; all exactly
+    0 where :func:`merit_is_flat` holds."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     rows = problem.constraint_cone.facets()
-    smap = problem.scenarios
-    active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL          # (w, q)
-    slopes = np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL        # (w, q, n)
-    return not np.any(active[..., None] & slopes)
+    slopes = np.zeros(dirs.shape[0])
+    for mat, active in zip(problem.scenarios.mats, _slope_facets(problem, x)):
+        if active.any():
+            tangent = Cone.halfspaces(rows[active])
+            slopes = np.maximum(slopes, distance_many(tangent, dirs @ mat.T))
+    return slopes
 
 
 def check_penalization_condition(problem: Problem, x, alpha: float, ell: float,
@@ -276,10 +295,10 @@ def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
     return dual_gens @ (coeffs / float(_normalization_row(problem, dual_gens) @ coeffs))
 
 
-def _penalized_vectors(problem: Problem, x, dirs, beta: float, slopes) -> np.ndarray:
-    """f'(x; v) + beta slope_v e for every direction v."""
+def _penalized_vectors(problem: Problem, x, dirs, beta: float) -> np.ndarray:
+    """f'(x; v) + beta slope_v e for every direction v (:func:`merit_slopes`)."""
     vectors = [problem.objective.directional(x, v) + beta * slope * problem.direction
-               for v, slope in zip(dirs, slopes)]
+               for v, slope in zip(dirs, merit_slopes(problem, x, dirs))]
     return np.array(vectors) if vectors else np.zeros((0, problem.ordering_cone.dim))
 
 
@@ -303,10 +322,10 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
 
         y* . [ f'(x; v) + (ell/(alpha-1)) Dphi(x; v) e ]  >=  0
 
-    along tangent generators and sampled tangent directions; Dphi is a
-    one-sided finite difference of the merit function with step FD_STEP.
-    The certificate keeps beta = ell/(alpha-1) and the slopes Dphi(x; v),
-    from which :func:`replay_certificate` rebuilds the system."""
+    along tangent generators and sampled tangent directions, where
+    Dphi(x; v) is the merit function's exact slope (:func:`merit_slopes`).
+    The certificate keeps beta = ell/(alpha-1) and the directions, from
+    which :func:`replay_certificate` recomputes the slopes and the system."""
     if alpha <= 1.0:
         raise PreconditionError("scalarization needs alpha > 1")
     x = np.asarray(x, dtype=float).ravel()
@@ -318,16 +337,13 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
         gens = np.zeros((0, x.size))
     dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
-    values = problem.merit_many(np.vstack([x, x + FD_STEP * dirs]))
-    slopes = (values[1:] - values[0]) / FD_STEP
-    vectors = _penalized_vectors(problem, x, dirs, beta, slopes)
+    vectors = _penalized_vectors(problem, x, dirs, beta)
     y = _dual_vector_lp(problem, vectors)
     if y is None:
         return Certificate(kind="scalarized-convex", status=LP_INFEASIBLE,
-                           directions=dirs, beta=beta, slopes=slopes)
-    return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y,
-                       residual=_scalarized_residual(vectors, y), directions=dirs,
-                       beta=beta, slopes=slopes)
+                           directions=dirs, beta=beta)
+    return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y, directions=dirs,
+                       residual=_scalarized_residual(vectors, y), beta=beta)
 
 
 def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
@@ -376,6 +392,20 @@ def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
 # ===== multiplier rule ===================================================
 
 
+def _multiplier_system(problem: Problem, x, fan: Fan):
+    """The multiplier rule as A c = b over c >= 0, the coefficients of v on
+    the simplex; returns A, b and the generators (as columns) of K+, of the
+    negative dual of C and of the normal cone."""
+    dual_k = problem.ordering_cone.facets().T                                  # (m, qk)
+    neg_dual_c = cone_generators(problem.constraint_cone.negative_dual()).T    # (p_dim, qc)
+    normal_gens = cone_generators(normal_cone(problem.region, x)).T           # (n, qn)
+    blocks = ([problem.objective.jacobian(x).T @ dual_k]
+              + [mat.T @ neg_dual_c for mat in fan.bundle] + [normal_gens])
+    simplex = [np.ones(dual_k.shape[1])] + [np.zeros(b.shape[1]) for b in blocks[1:]]
+    a_eq = np.vstack([np.hstack(blocks), np.concatenate(simplex)])
+    return a_eq, np.eye(a_eq.shape[0])[-1], (dual_k, neg_dual_c, normal_gens)
+
+
 def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
                            tol: float = 1e-9) -> Certificate:
     """Finite-dimensional multiplier rule: find a nonzero normalized
@@ -398,28 +428,8 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     """
     x = np.asarray(x, dtype=float).ravel()
     fan = problem.fan() if fan is None else fan
-    jac = problem.objective.jacobian(x)
-    n_dim = jac.shape[1]
-
-    dual_k = problem.ordering_cone.facets().T                       # (m, qk)
-    neg_dual_c = cone_generators(problem.constraint_cone.negative_dual())
-    neg_dual_c = neg_dual_c.T                                       # (p_dim, qc)
-    normal_gens = cone_generators(normal_cone(problem.region, x)).T  # (n, qn)
-
-    qk = dual_k.shape[1]
-    qc = neg_dual_c.shape[1]
-    qn = normal_gens.shape[1]
-    p = fan.size
-
-    blocks = [jac.T @ dual_k]
-    for i in range(p):
-        blocks.append(fan.bundle[i].T @ neg_dual_c)
-    if qn:
-        blocks.append(normal_gens)
-    a_eq = np.hstack(blocks) if blocks else np.zeros((n_dim, 0))
-
-    a_eq = np.vstack([a_eq, np.concatenate([np.ones(qk), np.zeros(p * qc + qn)])])
-    b_eq = np.concatenate([np.zeros(n_dim), [1.0]])
+    a_eq, b_eq, (dual_k, neg_dual_c, normal_gens) = _multiplier_system(problem, x, fan)
+    qk, qc = dual_k.shape[1], neg_dual_c.shape[1]
 
     coeffs = _nnls(a_eq.T, b_eq[None])[0]
     r = b_eq - a_eq @ coeffs
@@ -438,12 +448,9 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     coeffs[free] = np.maximum(coeffs[free] + np.linalg.lstsq(a_eq[:, free], r,
                                                              rcond=None)[0], 0.0)
     v = dual_k @ coeffs[:qk]
-    duals = []
-    offset = qk
-    for i in range(p):
-        duals.append(neg_dual_c @ coeffs[offset:offset + qc])
-        offset += qc
-    normal = normal_gens @ coeffs[offset:offset + qn] if qn else np.zeros(n_dim)
+    end = qk + fan.size * qc
+    duals = [neg_dual_c @ c for c in coeffs[qk:end].reshape(fan.size, qc)]
+    normal = normal_gens @ coeffs[end:]
     residual = _multiplier_residual(problem, x, fan, v, duals, normal)
     status = HOLDS if residual <= limit else INCONCLUSIVE
     return Certificate(kind="multiplier", status=status, residual=residual,
@@ -451,31 +458,35 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
 
 
 def _multiplier_residual(problem, x, fan, v, duals, normal) -> float:
-    jac = problem.objective.jacobian(x)
-    total = jac.T @ v + normal
-    for i in range(fan.size):
-        total = total + fan.bundle[i].T @ duals[i]
+    total = problem.objective.jacobian(x).T @ v + normal
+    for mat, dual in zip(fan.bundle, duals):
+        total = total + mat.T @ dual
     return float(np.max(np.abs(total)))
 
 
 def replay_certificate(problem: Problem, x, cert: Certificate,
                        fan: Fan | None = None) -> float:
     """Recompute a certificate's residual from its stored multipliers, or,
-    for the directional kinds, from its stored directions."""
+    for the directional kinds, from its stored directions (and merit slopes).
+    An infeasible multiplier system replays to its stored residual while its
+    Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf."""
     x = np.asarray(x, dtype=float).ravel()
     if cert.kind in ("tangential", "penalization"):
         return float(np.max(_depths(problem, x, cert.directions), initial=0.0))
     if cert.kind == "multiplier":
-        if cert.status != HOLDS:
-            return cert.residual
         fan = problem.fan() if fan is None else fan
+        if cert.status == LP_INFEASIBLE:
+            a_eq, b_eq, _ = _multiplier_system(problem, x, fan)
+            separates = (np.max(a_eq.T @ cert.farkas) <= PROJECTION_TOL
+                         and b_eq @ cert.farkas > 0.0)
+            return cert.residual if separates else np.inf
         return _multiplier_residual(problem, x, fan, cert.v, list(cert.duals),
                                     cert.normal)
     if cert.y_star is None or cert.directions is None:
         return cert.residual
     if cert.kind == "scalarized-fan":
         return _fan_residual(cert.directions, problem.objective.jacobian(x), cert.y_star)
-    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta, cert.slopes)
+    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta)
     return _scalarized_residual(vectors, cert.y_star)
 
 
@@ -492,15 +503,17 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     which is the distance from 0 to the convex hull of the rows.
     The Slater variant asks instead for a direction mapped into the
     interior of the constraint cone by every fan matrix; it applies only
-    when that interior is nonempty and the point is interior to the region.
+    when that interior is nonempty and the point is interior to the region,
+    where the tangent cone has no rows.
     """
     x = np.asarray(x, dtype=float).ravel()
     fan = problem.fan() if fan is None else fan
     notes = []
 
     c_cone = problem.constraint_cone
+    tangent = contingent_cone(problem.region, x)
     rows = np.vstack([c_cone.linear_preimage(mat).rows for mat in fan.bundle]
-                     + [contingent_cone(problem.region, x).rows])
+                     + [tangent.rows])
     margin, witness = max_margin_point(rows, x.size)
     if not rows.shape[0]:
         notes.append("no active rows; condition vacuous")
@@ -509,7 +522,7 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
     slater_applicable, slater_passed, s_margin, s_witness = False, False, 0.0, None
     if interior_witness(c_cone)[1] <= tol:
         notes.append("constraint cone has empty interior")
-    elif not _strictly_inside(problem.region, x):
+    elif tangent.rows.shape[0]:
         notes.append("reference point is not interior to the region")
     else:
         slater_applicable = True
@@ -523,10 +536,3 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
                                slater_margin=s_margin,
                                slater_witness=s_witness, notes=tuple(notes))
 
-
-def _strictly_inside(region, x, margin: float = INTERIOR_MARGIN) -> bool:
-    if region.kind == "box":
-        above = np.all(~np.isfinite(region.lo) | (x >= region.lo + margin))
-        below = np.all(~np.isfinite(region.hi) | (x <= region.hi - margin))
-        return bool(above and below)
-    return bool(np.max(region.a @ x - region.b) <= -margin)

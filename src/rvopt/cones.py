@@ -74,7 +74,6 @@ class Cone:
     dim: int
     rows: np.ndarray | None = None
     gens: np.ndarray | None = None
-    proper: bool = True
 
     # ----- constructors ---------------------------------------------------
 
@@ -82,7 +81,7 @@ class Cone:
     def orthant(cls, dim: int) -> "Cone":
         if dim < 1:
             raise DimensionError("orthant needs dim >= 1")
-        return cls(kind=ORTHANT, dim=dim, proper=True)
+        return cls(kind=ORTHANT, dim=dim)
 
     @classmethod
     def halfspaces(cls, rows) -> "Cone":
@@ -91,16 +90,14 @@ class Cone:
             raise DimensionError("halfspaces: cannot infer dimension from no rows; "
                                  "use whole_space(dim)")
         rows = _unit_rows(rows, "halfspaces")
-        return cls(kind=HALFSPACES, dim=rows.shape[1], rows=_readonly(rows),
-                   proper=True)
+        return cls(kind=HALFSPACES, dim=rows.shape[1], rows=_readonly(rows))
 
     @classmethod
     def whole_space(cls, dim: int) -> "Cone":
         """The halfspace representation with no rows: all of R^dim."""
         if dim < 1:
             raise DimensionError("whole_space needs dim >= 1")
-        return cls(kind=HALFSPACES, dim=dim, rows=_readonly(np.zeros((0, dim))),
-                   proper=False)
+        return cls(kind=HALFSPACES, dim=dim, rows=_readonly(np.zeros((0, dim))))
 
     @classmethod
     def rays(cls, gens, dim: int | None = None) -> "Cone":
@@ -108,13 +105,9 @@ class Cone:
         if gens.size == 0:
             if dim is None:
                 raise DimensionError("rays: need dim for the trivial cone {0}")
-            return cls(kind=RAYS, dim=dim, gens=_readonly(np.zeros((0, dim))),
-                       proper=True)
+            return cls(kind=RAYS, dim=dim, gens=_readonly(np.zeros((0, dim))))
         gens = _unit_rows(gens, "rays")
-        cone = cls(kind=RAYS, dim=gens.shape[1], gens=_readonly(gens), proper=True)
-        if cone._positively_spans():
-            cone = cls(kind=RAYS, dim=gens.shape[1], gens=cone.gens, proper=False)
-        return cone
+        return cls(kind=RAYS, dim=gens.shape[1], gens=_readonly(gens))
 
     # ----- basic queries --------------------------------------------------
 
@@ -123,11 +116,6 @@ class Cone:
         if z.size != self.dim:
             raise DimensionError(f"expected dim {self.dim}, got {z.size}")
         return z
-
-    def _positively_spans(self) -> bool:
-        # cone(gens) = R^d iff it contains every +-axis vector
-        axes = np.eye(self.dim)
-        return bool(np.all(distance_many(self, np.vstack([axes, -axes])) <= 1e-9))
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         """Membership within an absolute tolerance on unit-normalized data."""

@@ -23,9 +23,12 @@ from rvopt.cones import Cone
 from rvopt.docio import load_problem
 from rvopt.firstorder import AffineObjective, PolyhedralSet
 from rvopt.problem import Problem
+from rvopt.sampling import sphere_directions
 from rvopt.scenarios import ScenarioMap
 
 PROBLEMS_DIR = Path(__file__).resolve().parents[1] / "problems"
+KINDS = ("orthant", "halfspaces", "rays")
+SCENARIO_COUNTS = (1, 2, 4)
 
 
 def shifted_pair_scenarios() -> ScenarioMap:
@@ -67,6 +70,43 @@ def grid_cases() -> list:
                 if problem.feasible([a, b]):
                     cases.append((f"{name}({a:g},{b:g})", problem, np.array([a, b])))
     return cases
+
+
+def synthetic_problem(kind, w, seed=0):
+    """A random objective over the box [-2, 2]^2, ordered by the orthant,
+    with w random scenarios placing the origin inside C."""
+    rng = np.random.default_rng([seed, w, KINDS.index(kind)])
+    cone = {"orthant": Cone.orthant(2),
+            "halfspaces": Cone.halfspaces([[1.0, 0.3], [-0.2, 1.0]]),
+            "rays": Cone.rays([[1.0, 0.4], [0.3, 1.0]])}[kind]
+    inner = np.array([0.6, 0.7]) if kind == "rays" else np.ones(2)
+    mats = np.eye(2) + 0.5 * rng.standard_normal((w, 2, 2))
+    offsets = 0.5 * inner + 0.1 * np.abs(rng.standard_normal((w, 2)))
+    jac = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    return Problem(objective=AffineObjective(jac, np.zeros(2)),
+                   ordering_cone=Cone.orthant(2), constraint_cone=cone,
+                   region=PolyhedralSet.box([-2.0, -2.0], [2.0, 2.0]),
+                   scenarios=ScenarioMap(mats, offsets))
+
+
+def line_search_boundary(problem, d, steps=60):
+    """The last feasible point of the ray from the origin along d, by
+    bisection on [0, 4] (the far end leaves the box)."""
+    lo, hi = 0.0, 4.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if problem.feasible(mid * d, tol=0.0):
+            lo = mid
+        else:
+            hi = mid
+    return lo * d
+
+
+def boundary_points(problem, w) -> list:
+    """Line-search boundary points of ``synthetic_problem(kind, w)`` along
+    the Halton part of an 8-direction sphere sample (seed w), past the axes
+    and diagonals.  Their scenario images miss C by about 3e-10."""
+    return [line_search_boundary(problem, d) for d in sphere_directions(2, 8, seed=w)[6:]]
 
 
 @pytest.fixture

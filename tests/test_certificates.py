@@ -13,21 +13,23 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 check_penalization_condition,
                                 check_tangential_condition, cone_generators,
                                 convex_scalarized_certificate,
-                                estimate_order_lipschitz,
+                                estimate_order_lipschitz, merit_slopes,
                                 multiplier_certificate, order_lipschitz_holds,
                                 qualification_check, replay_certificate,
                                 scalarized_fan_certificate)
 from rvopt.cones import Cone
 from rvopt.docio import load_problem
 from rvopt.errors import PreconditionError, RepresentationError
-from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, contingent_cone,
-                              polytope_distance, sampled_cone_directions)
+from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
+                              contingent_cone, polytope_distance,
+                              sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
 from rvopt.reporting import run_report
-from rvopt.scenarios import ScenarioMap, excess
+from rvopt.scenarios import ScenarioMap
 from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
-from conftest import PROBLEMS_DIR, grid_cases, merit_cases, negated_scenario
+from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
+                      merit_cases, negated_scenario, synthetic_problem)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -39,6 +41,36 @@ def scalar_first_coordinate_problem():
                    constraint_cone=Cone.orthant(2),
                    region=PolyhedralSet.whole_space(2),
                    scenarios=negated_scenario())
+
+
+def reference_slopes(problem, x, dirs):
+    """max_w dist(A_w d, T_w) with T_w = {u : m_j . u >= 0 for the facet
+    rows m_j of C active at A_w x + b_w}, in closed form.  On the orthant
+    it is |min((A_w d)_active, 0)|.  Otherwise, in R^2, the projection onto
+    T_w is A_w d itself, its projection onto one of the active facet lines,
+    or 0, and the distance is the least over those that lie in T_w."""
+    rows = problem.constraint_cone.facets()
+    slopes = np.zeros(len(dirs))
+    for mat, image in zip(problem.scenarios.mats, problem.scenarios.evaluate(x).points):
+        active = rows[rows @ image <= ACTIVE_TOL]
+        for i, d in enumerate(dirs):
+            u = mat @ d
+            if problem.constraint_cone.kind == "orthant":
+                dist = np.linalg.norm(np.minimum(active @ u, 0.0))
+            else:
+                candidates = [u] + [u - (m @ u) * m for m in active] + [np.zeros(2)]
+                dist = min(np.linalg.norm(u - c) for c in candidates
+                           if np.all(active @ c >= -1e-12))
+            slopes[i] = max(slopes[i], dist)
+    return slopes
+
+
+# merit_cases() and the halfspace-C boundary points, whose scenario images
+# miss C by up to 3e-10
+SLOPE_CASES = merit_cases() + [
+    (f"halfspaces-w{w}-boundary{i}", problem, x)
+    for w in SCENARIO_COUNTS for problem in [synthetic_problem("halfspaces", w)]
+    for i, x in enumerate(boundary_points(problem, w))]
 
 
 def loop_order_lipschitz(problem, x, radius=0.5, samples=48, seed=0):
@@ -260,11 +292,13 @@ class TestConvexScalarized:
         assert np.array_equal(cert.directions, np.array(dirs).reshape(-1, 2))
 
 
-    @pytest.mark.parametrize("name, problem, x", merit_cases(),
-                             ids=[case[0] for case in merit_cases()])
-    def test_batched_merit_matches_the_scalar_loop(self, monkeypatch, name, problem, x):
-        """One merit call over [x; x + fd_step * dirs] gives, bit for bit,
-        the LP vectors, y* and residual of one scalar merit call per point."""
+    @pytest.mark.parametrize("name, problem, x", SLOPE_CASES,
+                             ids=[case[0] for case in SLOPE_CASES])
+    def test_dual_vector_program_gets_the_exact_slopes(self, monkeypatch, name,
+                                                      problem, x):
+        """The program receives f'(x; v) + beta slope_v e with the slopes of
+        reference_slopes, to 1e-12; its y* and residual are the
+        certificate's."""
         seen = []
         solve = rvopt.certificates._dual_vector_lp
 
@@ -273,21 +307,52 @@ class TestConvexScalarized:
             return solve(prob, vectors)
 
         monkeypatch.setattr(rvopt.certificates, "_dual_vector_lp", spy)
-        alpha, ell, fd_step = 1.5, ROOT2, 1e-6
+        alpha, ell = 1.5, ROOT2
         cert = convex_scalarized_certificate(problem, x, alpha, ell)
-        phi = lambda z: excess(problem.scenarios.evaluate(z), problem.constraint_cone)
         x = np.asarray(x, dtype=float)
-        base = phi(x)
+        slopes = reference_slopes(problem, x, cert.directions)
         vectors = np.array([problem.objective.directional(x, v)
-                            + ell / (alpha - 1.0) * ((phi(x + fd_step * v) - base) / fd_step)
-                            * problem.direction for v in cert.directions])
-        assert np.array_equal(seen[0], vectors)
-        y = solve(problem, vectors)
+                            + ell / (alpha - 1.0) * slope * problem.direction
+                            for v, slope in zip(cert.directions, slopes)])
+        assert_allclose(seen[0], vectors, rtol=0.0, atol=1e-12)
+        y = solve(problem, seen[0])
         if y is None:
             assert cert.status == LP_INFEASIBLE and cert.y_star is None
         else:
             assert np.array_equal(cert.y_star, y)
-            assert cert.residual == float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
+            assert cert.residual == float(max(0.0, np.max(-(seen[0] @ y), initial=0.0)))
+
+    def test_makes_no_merit_call(self, monkeypatch):
+        """The slopes come from the active facet rows, not from merit values."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("merit function evaluated")
+
+        monkeypatch.setattr(Problem, "merit_many", refuse)
+        monkeypatch.setattr(ScenarioMap, "merit_many", refuse)
+        for name, problem, x in SLOPE_CASES:
+            convex_scalarized_certificate(problem, x, alpha=1.5, ell=ROOT2)
+
+    def test_ray_cone_beyond_double_description_is_a_stage_error(self):
+        """A ray C in R^5 has no facet rows within the double-description
+        limits, so the slopes cannot be formed: the certificate raises
+        RepresentationError, and the report records a stage error, as it
+        does for the other stages that need those rows."""
+        gens = np.vstack([np.eye(5), np.ones(5)])
+        mats = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2), constraint_cone=Cone.rays(gens),
+                          region=PolyhedralSet.box([-2.0, -2.0], [2.0, 2.0]),
+                          scenarios=ScenarioMap(mats, np.ones((1, 5))))
+        x = np.zeros(2)
+        with pytest.raises(RepresentationError):
+            convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+        stages = {s["name"]: s for s in run_report(problem, x)["stages"]}
+        assert stages["increase"]["status"] == "ok"
+        assert stages["order_lipschitz"]["status"] == "ok"
+        for name in ("penalization", "tangential", "scalarized_fan",
+                     "scalarized_convex", "qualification"):
+            assert stages[name]["status"] == "error", name
+            assert stages[name]["error"].startswith("RepresentationError"), name
 
 
 class TestDirectionSet:
@@ -476,13 +541,15 @@ class TestReplay:
     @pytest.mark.parametrize("name, x", [("e1", [0.5, 1.0]), ("e3", [0.5, 0.0])])
     def test_scalarized_convex_replay_keeps_the_slope_term(self, name, x):
         """Replay rebuilds f'(x; v) + beta slope_v e from the stored beta
-        and merit slopes, so it reproduces the stored residual; dropping the
-        slope term would give 1 here."""
+        and directions, recomputing the merit slopes, so it reproduces the
+        stored residual; dropping the slope term leaves a violation here."""
         problem = load_problem(PROBLEMS_DIR / f"{name}.json")
         cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
-        assert cert.status == HOLDS
-        assert cert.beta == 6.0 and cert.slopes.shape == (cert.directions.shape[0],)
+        assert cert.status == HOLDS and cert.beta == 6.0
+        assert np.max(merit_slopes(problem, x, cert.directions)) > 0.0
         assert replay_certificate(problem, x, cert) == cert.residual
+        unweighted = dataclasses.replace(cert, beta=0.0)
+        assert replay_certificate(problem, x, unweighted) > 0.0
 
     def test_report_certificates_replay_to_their_stored_residual(self, monkeypatch):
         """Every certificate run_report stores on the e1-e3 grid, of every
@@ -506,6 +573,18 @@ class TestReplay:
                 kinds.add(cert.kind)
         assert kinds == {"penalization", "tangential", "scalarized-fan",
                          "scalarized-convex", "multiplier"}
+
+    def test_tampered_farkas_vector_replays_differently(self, free_negative):
+        """The infeasible multiplier system at (-1, -1) replays to its stored
+        residual 0 because its Farkas vector r separates, A^T r <= 0 < b . r;
+        the negated or zeroed vector does not, and replays to inf."""
+        x = [-1.0, -1.0]
+        cert = multiplier_certificate(free_negative, x)
+        assert cert.status == LP_INFEASIBLE
+        assert replay_certificate(free_negative, x, cert) == cert.residual == 0.0
+        for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
+            tampered = dataclasses.replace(cert, farkas=farkas)
+            assert replay_certificate(free_negative, x, tampered) == np.inf
 
     def test_tampered_directions_replay_differently(self, boxed_negative):
         """At the dominated corner (0, 0) both directional conditions are

@@ -140,10 +140,6 @@ class TestRayCones:
         assert_allclose(cone.project([3.0, -4.0]), [0.0, 0.0])
         assert cone.distance([3.0, -4.0]) == pytest.approx(5.0)
 
-    def test_spanning_generators_flagged_improper(self):
-        cone = Cone.rays([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        assert not cone.proper
-
     def test_trivial_cone_needs_dim(self):
         with pytest.raises(DimensionError):
             Cone.rays(np.zeros((0, 2)))
@@ -221,7 +217,6 @@ class TestConstruction:
 
     def test_whole_space(self):
         cone = Cone.whole_space(3)
-        assert not cone.proper
         assert cone.contains([-5.0, 2.0, 0.0])
         assert_allclose(cone.project([-5.0, 2.0, 0.0]), [-5.0, 2.0, 0.0])
 

@@ -11,27 +11,28 @@ instances of every constraint-cone kind.
 """
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import rvopt.firstorder
 import rvopt.reporting
 from rvopt import (AffineObjective, Cone, PolyhedralSet, Problem, ScenarioMap,
                    run_report, save_problem)
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
-                                Certificate, merit_is_flat)
+                                Certificate, merit_is_flat, merit_slopes)
 from rvopt.cli import main
 from rvopt.firstorder import check_upper_subgradient, upper_subgradient_candidate
 from rvopt.reporting import verdict
 from rvopt.sampling import sphere_directions
 from rvopt.simplex import OPTIMAL, LinearProgram, solve_lp
 
-from conftest import grid_cases, merit_cases
+from conftest import (KINDS, SCENARIO_COUNTS, boundary_points, grid_cases,
+                      merit_cases, synthetic_problem)
 
-KINDS = ("orthant", "halfspaces", "rays")
-SCENARIO_COUNTS = (1, 2, 4)
 
 
 # ----- the exact oracle ----------------------------------------------------
@@ -82,36 +83,6 @@ def exact_weakly_efficient(problem, x) -> bool:
 
 # ----- the sample ----------------------------------------------------------
 
-def synthetic_problem(kind, w, seed=0):
-    """A random objective over the box [-2, 2]^2, ordered by the orthant,
-    with w random scenarios placing the origin inside C."""
-    rng = np.random.default_rng([seed, w, KINDS.index(kind)])
-    cone = {"orthant": Cone.orthant(2),
-            "halfspaces": Cone.halfspaces([[1.0, 0.3], [-0.2, 1.0]]),
-            "rays": Cone.rays([[1.0, 0.4], [0.3, 1.0]])}[kind]
-    inner = np.array([0.6, 0.7]) if kind == "rays" else np.ones(2)
-    mats = np.eye(2) + 0.5 * rng.standard_normal((w, 2, 2))
-    offsets = 0.5 * inner + 0.1 * np.abs(rng.standard_normal((w, 2)))
-    jac = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-    return Problem(objective=AffineObjective(jac, np.zeros(2)),
-                   ordering_cone=Cone.orthant(2), constraint_cone=cone,
-                   region=PolyhedralSet.box([-2.0, -2.0], [2.0, 2.0]),
-                   scenarios=ScenarioMap(mats, offsets))
-
-
-def line_search_boundary(problem, d, steps=60):
-    """The last feasible point of the ray from the origin along d, by
-    bisection on [0, 4] (the far end leaves the box)."""
-    lo, hi = 0.0, 4.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if problem.feasible(mid * d, tol=0.0):
-            lo = mid
-        else:
-            hi = mid
-    return lo * d
-
-
 def weighted_minimizer(problem, y):
     """A vertex of Solv minimizing y . J z: weakly efficient for y >= 0."""
     g, h = solv_rows(problem)
@@ -129,9 +100,7 @@ def synthetic_cases(per_instance=None):
             points = [z for z in rng.uniform(-1.0, 1.0, (20, 2))
                       if problem.feasible(z)][:1]
             points.append(weighted_minimizer(problem, rng.uniform(0.1, 1.0, 2)))
-            # the Halton part of the sample, past the axes and diagonals
-            points += [line_search_boundary(problem, d)
-                       for d in sphere_directions(2, 8, seed=w)[6:]]
+            points += boundary_points(problem, w)
             for i, x in enumerate(points[:per_instance]):
                 assert problem.feasible(x)
                 cases.append((f"{kind}-w{w}-{i}", problem, x))
@@ -240,6 +209,46 @@ class TestMeritIsFlat:
             assert merit_is_flat(problem, x) == (slope <= 1e-6), (label, slope)
             flat.append(slope <= 1e-6)
         assert 0 < sum(flat) < len(flat)
+
+
+class TestMeritSlopes:
+    def test_zero_exactly_where_flat(self):
+        """Flatness and slopes are one decision: over 64 unit directions
+        every slope is exactly 0 where merit_is_flat holds, and some slope
+        is positive everywhere else."""
+        dirs = sphere_directions(2, 64, seed=0)
+        flat = 0
+        for label, problem, x in grid_cases() + synthetic_cases():
+            slopes = merit_slopes(problem, x, dirs)
+            if merit_is_flat(problem, x):
+                assert np.all(slopes == 0.0), label
+                flat += 1
+            else:
+                assert np.max(slopes) > 0.0, label
+        assert 0 < flat < 139
+
+    def test_difference_quotients_on_exact_data(self):
+        """At the halfspace-C boundary points the scenario images miss C by
+        up to 3e-10, within the projection tolerance, and a forward
+        difference at step 1e-6 reads that miss as a slope error of up to
+        3e-4.  Moving each image onto the facets it violates makes the data
+        exact, and the merit function's difference quotient at step 1e-4
+        then gives the slopes of the point as it is."""
+        dirs = sphere_directions(2, 64, seed=0)
+        rows = Cone.halfspaces([[1.0, 0.3], [-0.2, 1.0]]).facets()
+        sloped = 0
+        for w in SCENARIO_COUNTS:
+            problem = synthetic_problem("halfspaces", w)
+            smap = problem.scenarios
+            for x in boundary_points(problem, w):
+                moved = -np.minimum(smap.evaluate(x).points @ rows.T, 0.0) @ rows
+                exact = dataclasses.replace(
+                    problem, scenarios=ScenarioMap(smap.mats, smap.offsets + moved))
+                quotient = (exact.merit_many(x + 1e-4 * dirs) - exact.merit(x)) / 1e-4
+                slopes = merit_slopes(problem, x, dirs)
+                assert_allclose(quotient, slopes, rtol=0.0, atol=1e-10)
+                sloped += np.max(slopes) > 0.0
+        assert sloped >= 15
 
 
 class TestSoundness:
