@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, cone_generators,
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, _readonly, cone_generators,
                     distance_many, least_distance_point, limited_generators)
 from .errors import PreconditionError, RepresentationError
-from .firstorder import (ACTIVE_TOL, Fan, _merge_directions, contingent_cone,
-                         normal_cone, sampled_cone_directions, upper_inverse_cone)
+from .firstorder import (ACTIVE_TOL, _merge_directions, contingent_cone, normal_cone,
+                         sampled_cone_directions)
 from .problem import Problem, interior_witness, max_margin_point
 from .sampling import ball_points
 # unused; bench/tracing.py wraps rvopt.problem.solve_lp, rvopt.certificates.solve_lp
@@ -86,11 +86,6 @@ class QualificationReport:
     slater_margin: float
     slater_witness: np.ndarray | None
     notes: tuple = field(default_factory=tuple)
-
-
-def _intersect_halfspace_cones(a: Cone, b: Cone) -> Cone:
-    rows = np.vstack([a.rows, b.rows])
-    return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(a.dim)
 
 
 # ===== order-Lipschitz estimation ========================================
@@ -247,20 +242,38 @@ def check_penalization_condition(problem: Problem, x, alpha: float, ell: float,
                                     trivial_is_exact=exact)
 
 
-def check_tangential_condition(problem: Problem, x, fan: Fan | None = None,
-                               dir_count: int = 64, seed: int = 0,
+def _fan_cone_directions(problem: Problem, x: np.ndarray, dir_count: int, seed: int):
+    """Sampled directions (:func:`sampled_cone_directions`) and generators,
+    None beyond the double-description limits, of the fan cone at x: the
+    fan preimage cone of C intersected with the tangent cone.  Read-only;
+    ``problem.fan_cones`` keeps the latest call's for the next certificate."""
+    key = (x.tobytes(), dir_count, seed)
+    if key not in problem.fan_cones:
+        rows = problem.preimage_rows    # unit rows of the preimage cone, then T_S(x)'s
+        rows = np.vstack([Cone.halfspaces(rows).rows if rows.shape[0] else rows,
+                          contingent_cone(problem.region, x).rows])
+        keep = Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size)
+        dirs = _readonly(sampled_cone_directions(keep, dir_count, seed=seed))
+        try:
+            gens = _readonly(limited_generators(keep))
+        except RepresentationError:
+            gens = None
+        problem.fan_cones.clear()
+        problem.fan_cones[key] = dirs, gens
+    return problem.fan_cones[key]
+
+
+def check_tangential_condition(problem: Problem, x, dir_count: int = 64, seed: int = 0,
                                margin: float = INTERIOR_MARGIN) -> Certificate:
-    """Necessary condition via the fan: along no sampled direction of
-    (fan preimage of the constraint cone) intersected with the tangent cone
-    may the derivative fall in the negative interior of the ordering cone."""
+    """Necessary condition via the problem's fan: along no direction of
+    :func:`_fan_cone_directions` (samples and generators of the fan
+    preimage of C intersected with the tangent cone) may the derivative
+    fall in the negative interior of the ordering cone."""
     x = np.asarray(x, dtype=float).ravel()
-    fan = problem.fan() if fan is None else fan
-    keep = _intersect_halfspace_cones(
-        upper_inverse_cone(fan, problem.constraint_cone),
-        contingent_cone(problem.region, x))
-    dirs, exact = _direction_set(keep, dir_count, seed=seed)
+    dirs, gens = _fan_cone_directions(problem, x, dir_count, seed)
+    dirs = dirs if gens is None else _merge_directions(dirs, gens)
     return _directional_certificate("tangential", problem, x, dirs, margin,
-                                    trivial_is_exact=exact)
+                                    trivial_is_exact=gens is not None)
 
 
 # ===== scalarized certificates ===========================================
@@ -346,33 +359,26 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
                        residual=_scalarized_residual(vectors, y), beta=beta)
 
 
-def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
-                               dir_count: int = 64, seed: int = 0) -> Certificate:
+def scalarized_fan_certificate(problem: Problem, x, dir_count: int = 64,
+                               seed: int = 0) -> Certificate:
     """Scalarized tangential condition: search for a normalized dual vector
     y* with  y* . (J v) >= 0  for every direction v in the intersection of
-    the fan preimage cone with the tangent cone.
+    the preimage cone of the problem's fan with the tangent cone.
 
     On small cones the directions are a complete generator set and a
     feasible program is proof-grade; otherwise sampled directions are used
-    and a feasible answer is only inconclusive evidence.  Infeasibility is
-    a refutation either way, since the sampled system is a relaxation.
-    Also emits the inclusion datum -J^T y* paired against the directions.
+    and a feasible answer is only inconclusive evidence.  Both come from
+    :func:`_fan_cone_directions`.  Infeasibility is a refutation either
+    way, since the sampled system is a relaxation.  Also emits the
+    inclusion datum -J^T y* paired against the directions.
     """
     if not problem.objective.is_affine:
         raise PreconditionError("fan scalarization requires an affine objective")
     x = np.asarray(x, dtype=float).ravel()
-    fan = problem.fan() if fan is None else fan
-    keep = _intersect_halfspace_cones(
-        upper_inverse_cone(fan, problem.constraint_cone),
-        contingent_cone(problem.region, x))
-
-    proof_grade, notes = True, ()
-    try:
-        dirs = limited_generators(keep)
-    except RepresentationError:
-        proof_grade = False
-        notes = ("sampled directions only; feasibility is not proof-grade",)
-        dirs = sampled_cone_directions(keep, dir_count, seed=seed)
+    samples, gens = _fan_cone_directions(problem, x, dir_count, seed)
+    proof_grade = gens is not None
+    dirs = gens if proof_grade else samples
+    notes = () if proof_grade else ("sampled directions only; feasibility is not proof-grade",)
 
     jac = problem.objective.jacobian(x)
     vectors = dirs @ jac.T if dirs.size else np.zeros((0, jac.shape[0]))
@@ -392,7 +398,7 @@ def scalarized_fan_certificate(problem: Problem, x, fan: Fan | None = None,
 # ===== multiplier rule ===================================================
 
 
-def _multiplier_system(problem: Problem, x, fan: Fan):
+def _multiplier_system(problem: Problem, x):
     """The multiplier rule as A c = b over c >= 0, the coefficients of v on
     the simplex; returns A, b and the generators (as columns) of K+, of the
     negative dual of C and of the normal cone."""
@@ -400,18 +406,17 @@ def _multiplier_system(problem: Problem, x, fan: Fan):
     neg_dual_c = cone_generators(problem.constraint_cone.negative_dual()).T    # (p_dim, qc)
     normal_gens = cone_generators(normal_cone(problem.region, x)).T           # (n, qn)
     blocks = ([problem.objective.jacobian(x).T @ dual_k]
-              + [mat.T @ neg_dual_c for mat in fan.bundle] + [normal_gens])
+              + [mat.T @ neg_dual_c for mat in problem.fan().bundle] + [normal_gens])
     simplex = [np.ones(dual_k.shape[1])] + [np.zeros(b.shape[1]) for b in blocks[1:]]
     a_eq = np.vstack([np.hstack(blocks), np.concatenate(simplex)])
     return a_eq, np.eye(a_eq.shape[0])[-1], (dual_k, neg_dual_c, normal_gens)
 
 
-def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
-                           tol: float = 1e-9) -> Certificate:
+def multiplier_certificate(problem: Problem, x, tol: float = 1e-9) -> Certificate:
     """Finite-dimensional multiplier rule: find a nonzero normalized
     objective multiplier v in the positive dual of the ordering cone,
     constraint duals c_i in the negative dual of the constraint cone (one
-    per fan matrix), and a normal-cone element n with
+    per matrix of the problem's fan), and a normal-cone element n with
 
         J^T v + sum_i L_i^T c_i + n = 0.
 
@@ -427,8 +432,7 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     when the qualification condition holds.
     """
     x = np.asarray(x, dtype=float).ravel()
-    fan = problem.fan() if fan is None else fan
-    a_eq, b_eq, (dual_k, neg_dual_c, normal_gens) = _multiplier_system(problem, x, fan)
+    a_eq, b_eq, (dual_k, neg_dual_c, normal_gens) = _multiplier_system(problem, x)
     qk, qc = dual_k.shape[1], neg_dual_c.shape[1]
 
     coeffs = _nnls(a_eq.T, b_eq[None])[0]
@@ -448,40 +452,38 @@ def multiplier_certificate(problem: Problem, x, fan: Fan | None = None,
     coeffs[free] = np.maximum(coeffs[free] + np.linalg.lstsq(a_eq[:, free], r,
                                                              rcond=None)[0], 0.0)
     v = dual_k @ coeffs[:qk]
-    end = qk + fan.size * qc
-    duals = [neg_dual_c @ c for c in coeffs[qk:end].reshape(fan.size, qc)]
+    end = qk + problem.fan().size * qc
+    duals = [neg_dual_c @ c for c in coeffs[qk:end].reshape(-1, qc)]
     normal = normal_gens @ coeffs[end:]
-    residual = _multiplier_residual(problem, x, fan, v, duals, normal)
+    residual = _multiplier_residual(problem, x, v, duals, normal)
     status = HOLDS if residual <= limit else INCONCLUSIVE
     return Certificate(kind="multiplier", status=status, residual=residual,
                        v=v, duals=tuple(duals), normal=normal)
 
 
-def _multiplier_residual(problem, x, fan, v, duals, normal) -> float:
+def _multiplier_residual(problem, x, v, duals, normal) -> float:
     total = problem.objective.jacobian(x).T @ v + normal
-    for mat, dual in zip(fan.bundle, duals):
+    for mat, dual in zip(problem.fan().bundle, duals):
         total = total + mat.T @ dual
     return float(np.max(np.abs(total)))
 
 
-def replay_certificate(problem: Problem, x, cert: Certificate,
-                       fan: Fan | None = None) -> float:
-    """Recompute a certificate's residual from its stored multipliers, or,
-    for the directional kinds, from its stored directions (and merit slopes).
+def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
+    """Recompute a certificate's residual from its stored multipliers, against
+    the problem's fan, or, for the directional kinds, from its stored
+    directions (and merit slopes).
     An infeasible multiplier system replays to its stored residual while its
     Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf."""
     x = np.asarray(x, dtype=float).ravel()
     if cert.kind in ("tangential", "penalization"):
         return float(np.max(_depths(problem, x, cert.directions), initial=0.0))
     if cert.kind == "multiplier":
-        fan = problem.fan() if fan is None else fan
         if cert.status == LP_INFEASIBLE:
-            a_eq, b_eq, _ = _multiplier_system(problem, x, fan)
+            a_eq, b_eq, _ = _multiplier_system(problem, x)
             separates = (np.max(a_eq.T @ cert.farkas) <= PROJECTION_TOL
                          and b_eq @ cert.farkas > 0.0)
             return cert.residual if separates else np.inf
-        return _multiplier_residual(problem, x, fan, cert.v, list(cert.duals),
-                                    cert.normal)
+        return _multiplier_residual(problem, x, cert.v, list(cert.duals), cert.normal)
     if cert.y_star is None or cert.directions is None:
         return cert.residual
     if cert.kind == "scalarized-fan":
@@ -493,27 +495,26 @@ def replay_certificate(problem: Problem, x, cert: Certificate,
 # ===== qualification =====================================================
 
 
-def qualification_check(problem: Problem, x, fan: Fan | None = None,
-                        tol: float = LP_SLACK) -> QualificationReport:
+def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> QualificationReport:
     """Interior-compatibility of the fan preimages with the tangent cone.
 
     The main condition asks for a direction interior to every fan-matrix
     preimage of the constraint cone and to the tangent cone at once; it is
     decided by maximizing the joint interiority margin over the unit ball,
-    which is the distance from 0 to the convex hull of the rows.
+    which is the distance from 0 to the convex hull of the rows, the
+    problem's raw :attr:`~rvopt.problem.Problem.preimage_rows` and the
+    tangent cone's.
     The Slater variant asks instead for a direction mapped into the
     interior of the constraint cone by every fan matrix; it applies only
     when that interior is nonempty and the point is interior to the region,
     where the tangent cone has no rows.
     """
     x = np.asarray(x, dtype=float).ravel()
-    fan = problem.fan() if fan is None else fan
     notes = []
 
     c_cone = problem.constraint_cone
     tangent = contingent_cone(problem.region, x)
-    rows = np.vstack([c_cone.linear_preimage(mat).rows for mat in fan.bundle]
-                     + [tangent.rows])
+    rows = np.vstack([problem.preimage_rows, tangent.rows])
     margin, witness = max_margin_point(rows, x.size)
     if not rows.shape[0]:
         notes.append("no active rows; condition vacuous")
@@ -526,7 +527,7 @@ def qualification_check(problem: Problem, x, fan: Fan | None = None,
         notes.append("reference point is not interior to the region")
     else:
         slater_applicable = True
-        stacked = np.vstack([c_cone.facets() @ mat for mat in fan.bundle])
+        stacked = np.vstack([c_cone.facets() @ mat for mat in problem.fan().bundle])
         s_margin, s_witness = max_margin_point(stacked, x.size)
         slater_passed = s_margin > tol
 

@@ -359,18 +359,12 @@ class Fan:
 
 
 def fan_from_scenarios(scenario_map: ScenarioMap) -> Fan:
-    """Bundle of distinct scenario matrices; exact for affine families."""
-    mats = []
-    for mat in scenario_map.mats:
-        if not any(np.array_equal(mat, kept) for kept in mats):
-            mats.append(mat)
-    return Fan(np.array(mats))
-
-
-def upper_inverse_cone(fan: Fan, cone: Cone) -> Cone:
-    """{v : fan image of v lies inside the cone} = the joint preimage cone."""
-    rows = np.vstack([cone.linear_preimage(mat).rows for mat in fan.bundle])
-    return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(fan.domain_dim)
+    """Bundle of distinct scenario matrices, exact for affine families: equal
+    as ``np.array_equal`` (-0.0 == 0.0), in first-seen order.  One stable
+    lexicographic sort finds them; adding 0.0 turns -0.0 into 0.0."""
+    mats = scenario_map.mats
+    flat = mats.reshape(mats.shape[0], -1) + 0.0
+    return Fan(mats[np.sort(np.unique(flat, axis=0, return_index=True)[1])])
 
 
 def polytope_distance(point, vertices) -> float:

@@ -11,10 +11,11 @@ interior witness of the ordering cone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cones import ORTHANT, PROJECTION_TOL, RAYS, Cone, nearest_hull_point
+from .cones import ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point
 from .errors import ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
@@ -131,5 +132,23 @@ class Problem:
         return self.region.contains(x, tol=tol) and self.merit(x) <= tol
 
     def fan(self) -> Fan:
+        """The fan of distinct scenario matrices, or ``fan_override``; derived
+        once per problem, like :attr:`preimage_rows` and :attr:`fan_cones`."""
+        return self._fan
+
+    @cached_property
+    def _fan(self) -> Fan:
         return self.fan_override if self.fan_override is not None \
             else fan_from_scenarios(self.scenarios)
+
+    @cached_property
+    def preimage_rows(self) -> np.ndarray:
+        """Raw rows of the fan preimage {v : A v in C for every fan matrix A}:
+        each matrix's :meth:`Cone.linear_preimage` rows, stacked (read-only)."""
+        return _readonly(np.vstack([self.constraint_cone.linear_preimage(mat).rows
+                                    for mat in self._fan.bundle]))
+
+    @cached_property
+    def fan_cones(self) -> dict:
+        """``certificates._fan_cone_directions`` of the latest point, dir_count and seed."""
+        return {}

@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.certificates
+import rvopt.problem
 import rvopt.reporting
+from rvopt.cli import main as cli_main
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 _direction_set,
                                 check_penalization_condition,
@@ -18,10 +20,10 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 qualification_check, replay_certificate,
                                 scalarized_fan_certificate)
 from rvopt.cones import Cone
-from rvopt.docio import load_problem
+from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
-                              contingent_cone, polytope_distance,
+                              contingent_cone, fan_from_scenarios, polytope_distance,
                               sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
 from rvopt.reporting import run_report
@@ -601,14 +603,15 @@ class TestReplay:
 
 class TestQualification:
     def test_identity_fan_passes_with_slater(self, free_negative):
-        report = qualification_check(free_negative, [0.0, 0.0],
-                                     fan=Fan(np.eye(2)))
+        problem = dataclasses.replace(free_negative, fan_override=Fan(np.eye(2)))
+        report = qualification_check(problem, [0.0, 0.0])
         assert report.passed and report.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
         assert report.slater_applicable and report.slater_passed
 
     def test_opposed_fan_fails(self, free_negative):
-        report = qualification_check(free_negative, [0.0, 0.0],
-                                     fan=Fan(np.array([np.eye(2), -np.eye(2)])))
+        fan = Fan(np.array([np.eye(2), -np.eye(2)]))
+        report = qualification_check(dataclasses.replace(free_negative, fan_override=fan),
+                                     [0.0, 0.0])
         assert not report.passed
         assert report.margin <= 1e-7
 
@@ -665,3 +668,89 @@ class TestConeGenerators:
             for z in rng.standard_normal((50, cone.dim)):
                 if cone.contains(z, tol=0.0):
                     assert gen_cone.distance(z) <= 1e-7
+
+
+class TestFanDataDerivedOnce:
+    """One certify or report derives the fan, each fan matrix's preimage
+    and the fan cone's direction sample once, and nothing outlives the
+    problem: every CLI invocation loads a fresh one and redoes the work."""
+
+    @staticmethod
+    def fan_cone_rows(problem, x):
+        """Rows of (fan preimage cone of C) intersected with the tangent cone."""
+        rows = Cone.halfspaces(problem.preimage_rows).rows
+        tangent = contingent_cone(problem.region, x).rows
+        return Cone.halfspaces(np.vstack([rows, tangent])).rows
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"fan": 0, "preimage": [], "sampled": []}
+        build_fan = rvopt.problem.fan_from_scenarios
+        preimage = Cone.linear_preimage
+        sample = rvopt.certificates.sampled_cone_directions
+
+        def count_fan(smap):
+            calls["fan"] += 1
+            return build_fan(smap)
+
+        def count_preimage(cone, mat):
+            calls["preimage"].append(np.array(mat))
+            return preimage(cone, mat)
+
+        def count_sample(cone, *args, **kwargs):
+            calls["sampled"].append(cone)
+            return sample(cone, *args, **kwargs)
+
+        monkeypatch.setattr(rvopt.problem, "fan_from_scenarios", count_fan)
+        monkeypatch.setattr(Cone, "linear_preimage", count_preimage)
+        monkeypatch.setattr(rvopt.certificates, "sampled_cone_directions", count_sample)
+        return calls
+
+    @staticmethod
+    def assert_derived_once(calls, bundle, cone_rows):
+        assert calls["fan"] == 1
+        assert np.array_equal(np.array(calls["preimage"]), bundle)
+        fan_cone = [cone for cone in calls["sampled"]
+                    if cone.rows is not None and np.array_equal(cone.rows, cone_rows)]
+        assert len(fan_cone) == 1
+
+    def test_certify_derives_once_per_invocation(self, monkeypatch, tmp_path, capsys):
+        path, x = str(tmp_path / "wide.json"), np.zeros(2)
+        save_problem(synthetic_problem("halfspaces", 16), path)
+        problem = load_problem(path)
+        bundle = fan_from_scenarios(problem.scenarios).bundle
+        cone_rows = self.fan_cone_rows(problem, x)
+        assert bundle.shape[0] == 16 and cone_rows.shape[0] == 32
+        calls = self.spy(monkeypatch)
+        outputs = []
+        for _ in range(2):
+            code = cli_main(["certify", path, "--at", "0", "0"])
+            outputs.append((code, capsys.readouterr().out))
+            self.assert_derived_once(calls, bundle, cone_rows)
+            assert len(calls["sampled"]) == 1
+            calls.update(fan=0, preimage=[], sampled=[])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].startswith("qualification passed")
+
+    def test_report_derives_once(self, monkeypatch):
+        problem, x = load_problem(PROBLEMS_DIR / "e1.json"), np.array([0.5, 1.0])
+        bundle = fan_from_scenarios(problem.scenarios).bundle
+        cone_rows = self.fan_cone_rows(problem, x)
+        problem = load_problem(PROBLEMS_DIR / "e1.json")
+        calls = self.spy(monkeypatch)
+        report = run_report(problem, x)
+        self.assert_derived_once(calls, bundle, cone_rows)
+        stages = {stage["name"]: stage["status"] for stage in report["stages"]}
+        assert stages["tangential"] == stages["scalarized_fan"] == "holds"
+
+    def test_memo_keeps_one_point(self, monkeypatch):
+        """The fan cone's directions are memoized for the latest point only,
+        so sweeping one problem over many points holds one entry."""
+        problem = synthetic_problem("orthant", 4)
+        calls = self.spy(monkeypatch)
+        for x in ([0.0, 0.0], [0.1, 0.0], [0.0, 0.0]):
+            check_tangential_condition(problem, x)
+            scalarized_fan_certificate(problem, x)
+            assert len(problem.fan_cones) == 1
+        assert calls["fan"] == 1 and len(calls["preimage"]) == 4
+        assert len(calls["sampled"]) == 3

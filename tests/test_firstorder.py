@@ -11,11 +11,34 @@ from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, _merge_direct
                               check_upper_subgradient, contingent_cone,
                               fan_from_scenarios, normal_cone,
                               polytope_distance, sampled_cone_directions,
-                              upper_inverse_cone, upper_subgradient_candidate)
+                              upper_subgradient_candidate)
+from rvopt.problem import Problem
 from rvopt.sampling import ball_points, sphere_directions
 from rvopt.scenarios import ScenarioMap, excess, hausdorff
 
 from conftest import merit_cases, shifted_pair_scenarios
+
+
+def fan_preimage_cone(fan, cone):
+    """{v : fan image of v in the cone}, from ``Problem.preimage_rows`` of a
+    problem carrying the fan as its ``fan_override``."""
+    n = fan.domain_dim
+    problem = Problem(objective=AffineObjective(np.eye(n), np.zeros(n)),
+                      ordering_cone=Cone.orthant(n), constraint_cone=cone,
+                      region=PolyhedralSet.whole_space(n),
+                      scenarios=ScenarioMap(fan.bundle, np.zeros((fan.size, fan.image_dim))),
+                      fan_override=fan)
+    return Cone.halfspaces(problem.preimage_rows)
+
+
+def dedupe_loop(mats):
+    """The reference dedupe: keep each matrix unequal (``np.array_equal``)
+    to every matrix kept before it."""
+    kept = []
+    for mat in mats:
+        if not any(np.array_equal(mat, other) for other in kept):
+            kept.append(mat)
+    return np.array(kept)
 
 
 def dense_hull_distance(point, vertices, steps=101):
@@ -323,6 +346,37 @@ class TestFans:
         assert fan.size == 1
         assert_allclose(fan.bundle[0], np.eye(2))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dedupe_matches_the_reference_loop(self, seed):
+        """Exact duplicates merge and -0.0 equals 0.0, while matrices 1 ulp
+        apart stay distinct; first-seen order and the first copy's bits
+        (signed zeros included) survive."""
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 4, 2)
+        base = rng.integers(-1, 2, (6, m, n)) * rng.random((6, m, n))
+        mats = base[rng.integers(0, 6, 30)]                          # exact duplicates
+        mats[(rng.random(mats.shape) < 0.5) & (mats == 0.0)] = -0.0   # signed zeros
+        bump = rng.random(30) < 0.2
+        mats[bump, 0, 0] = np.nextafter(mats[bump, 0, 0], np.inf)      # 1-ulp neighbours
+        fan = fan_from_scenarios(ScenarioMap(mats, np.zeros((30, m))))
+        expected = dedupe_loop(mats)
+        assert fan.size < 30
+        assert fan.bundle.shape == expected.shape
+        assert np.array_equal(fan.bundle, expected)
+        assert np.array_equal(np.signbit(fan.bundle), np.signbit(expected))
+
+    def test_dedupe_keeps_ulp_neighbours_and_merges_signed_zeros(self):
+        one = np.eye(2)
+        ulp = one.copy()
+        ulp[0, 1] = np.nextafter(0.0, 1.0)
+        signed = one.copy()
+        signed[1, 0] = -0.0
+        fan = fan_from_scenarios(ScenarioMap(np.array([signed, ulp, one, ulp]),
+                                             np.zeros((4, 2))))
+        assert fan.size == 2
+        assert np.array_equal(fan.bundle, [signed, ulp])
+        assert np.signbit(fan.bundle[0, 1, 0])
+
     def test_image_vertices(self):
         fan = Fan(np.array([np.eye(2), 2.0 * np.eye(2)]))
         cloud = fan.image_vertices([1.0, 0.0])
@@ -366,14 +420,14 @@ class TestFans:
 class TestUpperInverse:
     def test_identity_fan_recovers_cone(self):
         fan = Fan(np.eye(2))
-        pre = upper_inverse_cone(fan, Cone.orthant(2))
+        pre = fan_preimage_cone(fan, Cone.orthant(2))
         rng = np.random.default_rng(35)
         for v in rng.standard_normal((200, 2)):
             assert pre.contains(v, tol=1e-9) == Cone.orthant(2).contains(v, tol=1e-9)
 
     def test_opposed_pair_gives_trivial_cone(self):
         fan = Fan(np.array([np.eye(2), -np.eye(2)]))
-        pre = upper_inverse_cone(fan, Cone.orthant(2))
+        pre = fan_preimage_cone(fan, Cone.orthant(2))
         assert pre.contains([0.0, 0.0])
         rng = np.random.default_rng(36)
         for v in rng.standard_normal((100, 2)):
@@ -385,7 +439,7 @@ class TestUpperInverse:
         rng = np.random.default_rng(37)
         fan = Fan(rng.standard_normal((3, 2, 2)))
         cone = Cone.orthant(2)
-        pre = upper_inverse_cone(fan, cone)
+        pre = fan_preimage_cone(fan, cone)
         for v in rng.standard_normal((1000, 2)):
             direct = all(cone.contains(mat @ v, tol=1e-8) for mat in fan.bundle)
             if direct != pre.contains(v, tol=1e-8):
