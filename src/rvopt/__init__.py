@@ -16,8 +16,8 @@ from .errors import (ConvergenceError, DimensionError, PreconditionError,
 from .firstorder import (AffineObjective, Fan, PolyhedralSet,
                          QuadraticObjective, contingent_cone,
                          fan_from_scenarios, normal_cone)
-from .oracle import (GridScan, check_penalization_transfer, descent_solve,
-                     grid_scan, refute_efficiency)
+from .oracle import (GridScan, check_penalization_transfer, grid_scan,
+                     refute_efficiency)
 from .problem import Problem
 from .regularity import (check_metric_increase, cq_sigma,
                          estimate_increase_bound, verify_error_bound)
@@ -40,7 +40,7 @@ __all__ = [
     "check_metric_increase", "check_penalization_condition",
     "check_penalization_transfer", "check_tangential_condition",
     "contingent_cone", "convex_scalarized_certificate", "cq_sigma",
-    "descent_solve", "estimate_increase_bound", "estimate_order_lipschitz",
+    "estimate_increase_bound", "estimate_order_lipschitz",
     "excess", "fan_from_scenarios", "grid_scan", "hausdorff",
     "load_problem", "multiplier_certificate", "normal_cone",
     "problem_from_document", "problem_to_document", "qualification_check",

@@ -249,9 +249,8 @@ def _fan_cone_directions(problem: Problem, x: np.ndarray, dir_count: int, seed: 
     ``problem.fan_cones`` keeps the latest call's for the next certificate."""
     key = (x.tobytes(), dir_count, seed)
     if key not in problem.fan_cones:
-        rows = problem.preimage_rows    # unit rows of the preimage cone, then T_S(x)'s
-        rows = np.vstack([Cone.halfspaces(rows).rows if rows.shape[0] else rows,
-                          contingent_cone(problem.region, x).rows])
+        # unit rows of the preimage cone, then T_S(x)'s
+        rows = np.vstack([problem.preimage_rows, contingent_cone(problem.region, x).rows])
         keep = Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size)
         dirs = _readonly(sampled_cone_directions(keep, dir_count, seed=seed))
         try:
@@ -287,25 +286,33 @@ def _normalization_row(problem: Problem, dual_gens: np.ndarray) -> np.ndarray:
     return problem.direction @ dual_gens
 
 
-def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
-    """A dual vector y = G c with c >= 0, n . c = 1 and y . w >= 0 for every
-    constraint vector w, where the columns of G generate the positive dual
-    of the ordering cone and n is the normalization row.  K+ is pointed and
-    n . c = e . G c, so n . c > 0 for every nonzero c >= 0: the program
-    takes the least-norm c on the simplex, one least-distance program over
-    [V G; I; 1; -1] c >= [0; 0; 1; -1], and scales it by 1 / n . c.  The
-    simplex keeps |c| <= 1 whatever e is, where normalizing by n directly
-    makes |c| grow like 1 / |e|.  Returns y, or None when the system is
-    inconsistent."""
+def _dual_vector_system(problem: Problem, constraint_vectors: np.ndarray):
+    """The dual-vector search as g c >= h: [V G; I; 1; -1] c >= [0; 0; 1; -1],
+    with the rows of V the constraint vectors and the columns of G
+    generators of the positive dual of the ordering cone; returns g, h, G."""
     dual_gens = problem.ordering_cone.facets().T      # columns generate K+
     q = dual_gens.shape[1]
     ones = np.ones(q)
     g = np.vstack([constraint_vectors @ dual_gens, np.eye(q), ones, -ones])
     h = np.concatenate([np.zeros(constraint_vectors.shape[0] + q), [1.0, -1.0]])
-    coeffs = least_distance_point(g, h)
+    return g, h, dual_gens
+
+
+def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
+    """A dual vector y = G c with c >= 0, n . c = 1 and y . w >= 0 for every
+    constraint vector w, where n is the normalization row.  K+ is pointed
+    and n . c = e . G c, so n . c > 0 for every nonzero c >= 0: the program
+    takes the least-norm c on the simplex, one least-distance program over
+    :func:`_dual_vector_system`, and scales it by 1 / n . c.  The simplex
+    keeps |c| <= 1 whatever e is, where normalizing by n directly makes |c|
+    grow like 1 / |e|.  Returns y and the least-distance multipliers u;
+    y is None when the system is inconsistent, and u is then its Farkas
+    vector (:func:`replay_certificate`)."""
+    g, h, dual_gens = _dual_vector_system(problem, constraint_vectors)
+    coeffs, u = least_distance_point(g, h)
     if coeffs is None:
-        return None
-    return dual_gens @ (coeffs / float(_normalization_row(problem, dual_gens) @ coeffs))
+        return None, u
+    return dual_gens @ (coeffs / float(_normalization_row(problem, dual_gens) @ coeffs)), u
 
 
 def _penalized_vectors(problem: Problem, x, dirs, beta: float) -> np.ndarray:
@@ -319,13 +326,18 @@ def _scalarized_residual(vectors: np.ndarray, y: np.ndarray) -> float:
     return float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
 
 
+def _fan_vectors(dirs: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """J v for every direction v."""
+    return dirs @ jac.T if dirs.size else np.zeros((0, jac.shape[0]))
+
+
 def _fan_residual(dirs: np.ndarray, jac: np.ndarray, y: np.ndarray) -> float:
     """Worst violation of y . (J v) >= 0 and of the inclusion datum -J^T y
     paired against the directions."""
     if not dirs.size:
         return 0.0
     pair_res = float(max(0.0, np.max(dirs @ (-jac.T @ y))))
-    return max(_scalarized_residual(dirs @ jac.T, y), pair_res)
+    return max(_scalarized_residual(_fan_vectors(dirs, jac), y), pair_res)
 
 
 def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
@@ -351,10 +363,10 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
     dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
 
     vectors = _penalized_vectors(problem, x, dirs, beta)
-    y = _dual_vector_lp(problem, vectors)
+    y, farkas = _dual_vector_lp(problem, vectors)
     if y is None:
         return Certificate(kind="scalarized-convex", status=LP_INFEASIBLE,
-                           directions=dirs, beta=beta)
+                           directions=dirs, beta=beta, farkas=farkas)
     return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y, directions=dirs,
                        residual=_scalarized_residual(vectors, y), beta=beta)
 
@@ -381,11 +393,10 @@ def scalarized_fan_certificate(problem: Problem, x, dir_count: int = 64,
     notes = () if proof_grade else ("sampled directions only; feasibility is not proof-grade",)
 
     jac = problem.objective.jacobian(x)
-    vectors = dirs @ jac.T if dirs.size else np.zeros((0, jac.shape[0]))
-    y = _dual_vector_lp(problem, vectors)
+    y, farkas = _dual_vector_lp(problem, _fan_vectors(dirs, jac))
     if y is None:
         return Certificate(kind="scalarized-fan", status=LP_INFEASIBLE,
-                           directions=dirs, notes=notes)
+                           directions=dirs, notes=notes, farkas=farkas)
     residual = _fan_residual(dirs, jac, y)
     if not proof_grade:
         return Certificate(kind="scalarized-fan", status=INCONCLUSIVE, y_star=y,
@@ -473,7 +484,10 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
     the problem's fan, or, for the directional kinds, from its stored
     directions (and merit slopes).
     An infeasible multiplier system replays to its stored residual while its
-    Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf."""
+    Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf.
+    An infeasible scalarized system g c >= h (:func:`_dual_vector_system`)
+    does so while its Farkas vector u >= 0 has |g^T u| < h . u: every c with
+    g c >= h lies on the simplex, so |c| <= 1 and h . u <= u . g c <= |g^T u|."""
     x = np.asarray(x, dtype=float).ravel()
     if cert.kind in ("tangential", "penalization"):
         return float(np.max(_depths(problem, x, cert.directions), initial=0.0))
@@ -484,11 +498,21 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
                          and b_eq @ cert.farkas > 0.0)
             return cert.residual if separates else np.inf
         return _multiplier_residual(problem, x, cert.v, list(cert.duals), cert.normal)
-    if cert.y_star is None or cert.directions is None:
+    if cert.directions is None:
+        return cert.residual
+    jac = problem.objective.jacobian(x)
+    vectors = (_fan_vectors(cert.directions, jac) if cert.kind == "scalarized-fan"
+               else _penalized_vectors(problem, x, cert.directions, cert.beta))
+    if cert.status == LP_INFEASIBLE:
+        g, h, _ = _dual_vector_system(problem, vectors)
+        u = cert.farkas
+        separates = (u is not None and np.min(u) >= 0.0
+                     and np.linalg.norm(g.T @ u) < h @ u)
+        return cert.residual if separates else np.inf
+    if cert.y_star is None:
         return cert.residual
     if cert.kind == "scalarized-fan":
-        return _fan_residual(cert.directions, problem.objective.jacobian(x), cert.y_star)
-    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta)
+        return _fan_residual(cert.directions, jac, cert.y_star)
     return _scalarized_residual(vectors, cert.y_star)
 
 

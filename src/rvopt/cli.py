@@ -11,13 +11,12 @@ import sys
 
 import numpy as np
 
-from .certificates import (check_tangential_condition, estimate_order_lipschitz,
-                           multiplier_certificate, qualification_check,
-                           scalarized_fan_certificate)
+from .certificates import (check_tangential_condition, multiplier_certificate,
+                           qualification_check, scalarized_fan_certificate)
 from .docio import load_document, problem_from_document, tolerances_from_document
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
                      RepresentationError, SamplingError, ValidationError)
-from .oracle import descent_solve, grid_scan
+from .oracle import grid_scan
 from .regularity import check_metric_increase, estimate_increase_bound, \
     verify_error_bound
 from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
@@ -95,21 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, nargs="+", default=[41],
                    help="grid resolution (one value or one per axis)")
     p.add_argument("--out", default=None, help="write the scan table here")
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="projected pattern search on a weighted "
-                            "penalized objective")
-    p.add_argument("file")
-    p.add_argument("--weights", type=float, nargs="+", required=True,
-                   metavar="W")
-    p.add_argument("--start", type=float, nargs="+", required=True,
-                   metavar="X")
-    p.add_argument("--ell", type=float, default=None,
-                   help="penalty weight (default: twice the sampled "
-                        "order-Lipschitz estimate)")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="descent constant (default: estimated)")
-    p.add_argument("--budget", type=int, default=4000)
 
     p = sub.add_parser("report", parents=[common],
                        help="full staged audit of a point")
@@ -222,36 +206,6 @@ def _cmd_scan(args) -> int:
     return EXIT_CONSISTENT
 
 
-def _cmd_solve(args) -> int:
-    problem, _ = _load(args)
-    ell, sigma = args.ell, args.sigma
-    if ell is None:
-        ell = 2.0 * estimate_order_lipschitz(problem, args.start,
-                                             seed=args.seed).ell
-    if sigma is None:
-        probes = [np.asarray(args.start, dtype=float),
-                  _region_center(problem.region)]
-        alpha = None
-        for probe in probes:
-            alpha = estimate_increase_bound(problem.scenarios,
-                                            problem.constraint_cone,
-                                            problem.region, probe, 0.5,
-                                            seed=args.seed)
-            if alpha is not None:
-                break
-        if alpha is None:
-            print("no increase bound near the start or the region center; "
-                  "pass --sigma explicitly")
-            return EXIT_INCONCLUSIVE
-        sigma = alpha - 1.0
-    result = descent_solve(problem, args.start, args.weights, ell, sigma,
-                           budget=args.budget)
-    print(f"solve x {_fmt(result.x)} value {result.value:.12g} "
-          f"evaluations {result.evaluations}"
-          + (" (stalled)" if result.stalled else ""))
-    return EXIT_INCONCLUSIVE if result.stalled else EXIT_CONSISTENT
-
-
 def _cmd_report(args) -> int:
     problem, tolerances = _load(args)
     report = run_report(problem, args.at, seed=args.seed, radius=args.radius,
@@ -268,15 +222,7 @@ def _cmd_report(args) -> int:
 _HANDLERS = {"merit": _cmd_merit, "feasible": _cmd_feasible,
              "increase": _cmd_increase, "errorbound": _cmd_errorbound,
              "certify": _cmd_certify, "scan": _cmd_scan,
-             "solve": _cmd_solve, "report": _cmd_report}
-
-
-def _region_center(region) -> np.ndarray:
-    if region.kind == "box":
-        lo = np.where(np.isfinite(region.lo), region.lo, 0.0)
-        hi = np.where(np.isfinite(region.hi), region.hi, 0.0)
-        return region.project(0.5 * (lo + hi))
-    return region.project(np.zeros(region.dim))
+             "report": _cmd_report}
 
 
 def _fmt(vec) -> str:

@@ -57,12 +57,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rows(rows: np.ndarray, label: str) -> np.ndarray:
+def _unit_rows(rows: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows scaled to unit length, and the divisors used.  A row whose
+    norm is within 4 eps of 1 is divided by 1, so that a second
+    normalization (a saved and reloaded problem) changes no bit."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError(f"{label}: zero row")
-    return rows / norms[:, None]
+    norms = np.where(np.abs(norms - 1.0) <= 4.0 * np.finfo(float).eps, 1.0, norms)
+    return rows / norms[:, None], norms
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class Cone:
         if rows.size == 0:
             raise DimensionError("halfspaces: cannot infer dimension from no rows; "
                                  "use whole_space(dim)")
-        rows = _unit_rows(rows, "halfspaces")
+        rows, _ = _unit_rows(rows, "halfspaces")
         return cls(kind=HALFSPACES, dim=rows.shape[1], rows=_readonly(rows))
 
     @classmethod
@@ -106,7 +110,7 @@ class Cone:
             if dim is None:
                 raise DimensionError("rays: need dim for the trivial cone {0}")
             return cls(kind=RAYS, dim=dim, gens=_readonly(np.zeros((0, dim))))
-        gens = _unit_rows(gens, "rays")
+        gens, _ = _unit_rows(gens, "rays")
         return cls(kind=RAYS, dim=gens.shape[1], gens=_readonly(gens))
 
     # ----- basic queries --------------------------------------------------
@@ -382,16 +386,18 @@ def least_distance(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return u, gens.T @ u - target[0]
 
 
-def least_distance_point(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+def least_distance_point(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | None,
+                                                                  np.ndarray]:
     """The shortest y with g y >= h by :func:`least_distance`, or None when
-    the system is inconsistent: r = 0 up to rounding in u . |h|.  Since
+    the system is inconsistent: r = 0 up to rounding in u . |h|; returned
+    with the multipliers u, which then make g^T u ~ 0 < h . u.  Since
     -r[n] = 1 / (1 + |y|^2), the rule tells consistent systems apart only
     while |y| stays well below PROJECTION_TOL^(-1/2) = 1e5; callers pose
     their programs so the least-norm point is of order one."""
     u, r = least_distance(g, h)
     if -r[-1] <= PROJECTION_TOL * float(u @ np.abs(h)):
-        return None
-    return -r[:-1] / r[-1]
+        return None, u
+    return -r[:-1] / r[-1], u
 
 
 def nearest_hull_point(points: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (Cone, _norms, least_distance_point, nearest_hull_point,
-                    project_many)
+from .cones import (Cone, _norms, _unit_rows, least_distance_point,
+                    nearest_hull_point, project_many)
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
@@ -62,11 +62,8 @@ class PolyhedralSet:
         b = np.asarray(b, dtype=float).ravel()
         if a.shape[0] != b.size:
             raise DimensionError("halfspace matrix and rhs disagree on rows")
-        norms = np.linalg.norm(a, axis=1)
-        if np.any(norms < 1e-12):
-            raise ValueError("halfspace row is zero")
-        return cls(kind="halfspaces", a=_readonly(a / norms[:, None]),
-                   b=_readonly(b / norms))
+        a, norms = _unit_rows(a, "halfspaces")
+        return cls(kind="halfspaces", a=_readonly(a), b=_readonly(b / norms))
 
     @classmethod
     def whole_space(cls, dim: int) -> "PolyhedralSet":
@@ -77,15 +74,11 @@ class PolyhedralSet:
         return self.lo.size if self.kind == "box" else self.a.shape[1]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise DimensionError(f"expected dim {self.dim}")
-        if self.kind == "box":
-            return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-        return bool(np.max(self.a @ x - self.b) <= tol)
+        """Membership of one point: the one-row case of ``contains_many``."""
+        return bool(self.contains_many(np.asarray(x, dtype=float).reshape(1, -1), tol=tol)[0])
 
     def contains_many(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Row-wise ``contains``: one boolean per row of ``points``."""
+        """Membership of each row of ``points``, within ``tol``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionError(f"expected rows of dim {self.dim}")
@@ -109,7 +102,7 @@ class PolyhedralSet:
             return x.copy()
         # scaled by the largest violation: y is the displacement relative to it
         h = excess / scale
-        y = least_distance_point(-self.a, h)
+        y, _ = least_distance_point(-self.a, h)
         if y is None:
             raise PreconditionError("projection onto an empty region")
         return x + scale * y

@@ -1,5 +1,5 @@
-"""Brute-force lattice oracles: Pareto scans, penalization transfer, and a
-derivative-free descent solver.
+"""Brute-force lattice oracles: Pareto scans, penalization transfer and
+refutation search.
 
 These are the ground-truth side of the package: dominance is decided by
 exhaustive pairwise comparison on a lattice, so the first-order
@@ -18,7 +18,7 @@ subtraction is monotone, so skipping the rest changes no mask or count
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,44 +193,6 @@ def _dominance_pass(proj, values, feasible, margin):
 
 
 @dataclass(frozen=True)
-class PenalizedObjective:
-    """f(x) + (ell / sigma) merit(x) e  over the bare region."""
-
-    problem: Problem
-    ell: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise PreconditionError("penalization needs sigma > 0")
-        if self.ell < 0.0:
-            raise PreconditionError("penalty weight must be nonnegative")
-        if self.ell == 0.0:
-            warnings.warn("penalization with ell = 0 is degenerate", stacklevel=3)
-
-    def value(self, x) -> np.ndarray:
-        prob = self.problem
-        return prob.objective.value(x) \
-            + (self.ell / self.sigma) * prob.merit(x) * prob.direction
-
-    def value_many(self, points) -> np.ndarray:
-        prob = self.problem
-        base = prob.objective.value_many(points)
-        phi = prob.merit_many(points)
-        return base + (self.ell / self.sigma) * phi[:, None] * prob.direction[None, :]
-
-
-def build_penalized(problem: Problem, ell: float, sigma: float,
-                    lipschitz_floor: float | None = None) -> PenalizedObjective:
-    """Penalized objective; warns when ell is below a known order-Lipschitz
-    floor, since the transfer argument then has no backing."""
-    if lipschitz_floor is not None and ell < lipschitz_floor:
-        warnings.warn("ell is below the order-Lipschitz estimate; "
-                      "penalization transfer is not guaranteed", stacklevel=2)
-    return PenalizedObjective(problem=problem, ell=ell, sigma=sigma)
-
-
-@dataclass(frozen=True)
 class TransferReport:
     passed: bool
     dominator: np.ndarray | None
@@ -247,8 +209,8 @@ def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
 
     Precondition: the point is weakly efficient for the constrained lattice
     scan.  The check then drops the constraint, keeps the region, and looks
-    for a lattice point whose penalized value improves on the reference
-    into the interior of the ordering cone.
+    for a lattice point whose penalized value f + (ell / sigma) merit e
+    improves on the reference into the interior of the ordering cone.
     """
     x = np.asarray(x, dtype=float).ravel()
     _, _, _, pts, values, _, in_region, feasible = _sample_lattice(
@@ -259,83 +221,24 @@ def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
     if np.any(_interior_gaps(problem.ordering_cone, fx, values[feasible]) >= margin):
         raise PreconditionError("reference point is not weakly efficient "
                                 "on the constrained lattice")
+    if sigma <= 0.0:
+        raise PreconditionError("penalization needs sigma > 0")
+    if ell < 0.0:
+        raise PreconditionError("penalty weight must be nonnegative")
+    if ell == 0.0:
+        warnings.warn("penalization with ell = 0 is degenerate", stacklevel=2)
 
-    pen = build_penalized(problem, ell, sigma)
+    def penalized(points):
+        return problem.objective.value_many(points) \
+            + (ell / sigma) * problem.merit_many(points)[:, None] * problem.direction
+
     region_pts = pts[in_region]
-    beats = _interior_gaps(problem.ordering_cone, pen.value(x),
-                           pen.value_many(region_pts)) >= margin
+    beats = _interior_gaps(problem.ordering_cone, penalized(x[None])[0],
+                           penalized(region_pts)) >= margin
     if beats.any():
         return TransferReport(passed=False, dominator=region_pts[np.argmax(beats)],
                               ell=ell, sigma=sigma)
     return TransferReport(passed=True, dominator=None, ell=ell, sigma=sigma)
-
-
-# ===== descent solver ====================================================
-
-
-@dataclass(frozen=True)
-class DescentResult:
-    x: np.ndarray
-    value: float
-    trace: tuple
-    evaluations: int
-    stalled: bool
-
-
-def descent_solve(problem: Problem, start, weights, ell: float, sigma: float,
-                  budget: int = 4000, initial_step: float = 0.5,
-                  step_tol: float = 1e-9) -> DescentResult:
-    """Projected coordinate pattern search on the weighted penalized scalar
-    w . [f(x) + (ell/sigma) merit(x) e]  over the region.
-
-    Coordinate steps with a halving schedule; the trace of accepted values
-    is monotone nonincreasing.  Runs until the step drops below tolerance
-    or the budget is spent; the stall flag is set when the budget ran out
-    with no decrease over the last three step levels.
-    """
-    weights = np.asarray(weights, dtype=float).ravel()
-    if float(weights @ problem.direction) <= 0.0:
-        raise PreconditionError("weights must pair positively with the "
-                                "interior direction")
-    pen = build_penalized(problem, ell, sigma)
-
-    def scalar(p):
-        return float(weights @ pen.value(p))
-
-    x = problem.region.project(np.asarray(start, dtype=float).ravel())
-    if budget <= 0:
-        return DescentResult(x=x, value=scalar(x), trace=((x.copy(),
-                             scalar(x)),), evaluations=0, stalled=True)
-    evals = 1
-    best = scalar(x)
-    trace = [(x.copy(), best)]
-    step = initial_step
-    idle_levels = 0
-    while step >= step_tol and evals < budget:
-        best_cand, best_val = None, best
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                cand = x.copy()
-                cand[i] += sign * step
-                cand = problem.region.project(cand)
-                val = scalar(cand)
-                evals += 1
-                if val < best_val - 1e-15:
-                    best_cand, best_val = cand, val
-            if evals >= budget:
-                break
-        if best_cand is not None:
-            x, best = best_cand, best_val
-            trace.append((x.copy(), best))
-            idle_levels = 0
-        else:
-            step *= 0.5
-            idle_levels += 1
-    stalled = evals >= budget and step >= step_tol and idle_levels >= 3
-    return DescentResult(x=x, value=best, trace=tuple(trace),
-                         evaluations=evals, stalled=stalled)
 
 
 @dataclass(frozen=True)

@@ -317,7 +317,7 @@ class TestConvexScalarized:
                             + ell / (alpha - 1.0) * slope * problem.direction
                             for v, slope in zip(cert.directions, slopes)])
         assert_allclose(seen[0], vectors, rtol=0.0, atol=1e-12)
-        y = solve(problem, seen[0])
+        y, _ = solve(problem, seen[0])
         if y is None:
             assert cert.status == LP_INFEASIBLE and cert.y_star is None
         else:
@@ -515,7 +515,7 @@ class TestShortDirection:
 
     @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999]])
     def test_dual_vector_without_constraints(self, e):
-        y = rvopt.certificates._dual_vector_lp(self.boxed(e), np.zeros((0, 2)))
+        y, _ = rvopt.certificates._dual_vector_lp(self.boxed(e), np.zeros((0, 2)))
         assert y is not None
         assert abs(np.dot(e, y) - 1.0) <= 1e-12
         assert np.min(y) >= -1e-12 * np.linalg.norm(y)
@@ -576,17 +576,43 @@ class TestReplay:
         assert kinds == {"penalization", "tangential", "scalarized-fan",
                          "scalarized-convex", "multiplier"}
 
+    @pytest.mark.parametrize("kind", ["scalarized-fan", "scalarized-convex"])
+    @pytest.mark.parametrize("x", [[-0.5, -0.5], [-0.5, 0.0], [0.0, -0.5], [0.0, 0.0]])
+    def test_infeasible_scalarized_systems_store_a_separating_vector(self, kind, x):
+        """The four e2 grid points with an inconsistent dual-vector system
+        g c >= h store multipliers u >= 0 with |g^T u| < h . u, which no c
+        on the simplex can meet, and replay to their stored residual."""
+        problem = load_problem(PROBLEMS_DIR / "e2.json")
+        if kind == "scalarized-fan":
+            cert = scalarized_fan_certificate(problem, x)
+            vectors = rvopt.certificates._fan_vectors(
+                cert.directions, problem.objective.jacobian(x))
+        else:
+            cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
+            vectors = rvopt.certificates._penalized_vectors(
+                problem, x, cert.directions, cert.beta)
+        assert cert.kind == kind and cert.status == LP_INFEASIBLE
+        g, h, _ = rvopt.certificates._dual_vector_system(problem, vectors)
+        u = cert.farkas
+        assert u.shape == h.shape and np.min(u) >= 0.0
+        assert np.linalg.norm(g.T @ u) < 1e-9 < h @ u
+        assert replay_certificate(problem, x, cert) == cert.residual
+
     def test_tampered_farkas_vector_replays_differently(self, free_negative):
         """The infeasible multiplier system at (-1, -1) replays to its stored
-        residual 0 because its Farkas vector r separates, A^T r <= 0 < b . r;
-        the negated or zeroed vector does not, and replays to inf."""
-        x = [-1.0, -1.0]
-        cert = multiplier_certificate(free_negative, x)
-        assert cert.status == LP_INFEASIBLE
-        assert replay_certificate(free_negative, x, cert) == cert.residual == 0.0
-        for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
-            tampered = dataclasses.replace(cert, farkas=farkas)
-            assert replay_certificate(free_negative, x, tampered) == np.inf
+        residual 0 because its Farkas vector r separates, A^T r <= 0 < b . r,
+        and so does the infeasible scalarized-fan system of e2 at (0, 0),
+        whose vector u >= 0 has |g^T u| < h . u; the negated or zeroed
+        vectors do not, and replay to inf."""
+        e2 = load_problem(PROBLEMS_DIR / "e2.json")
+        for problem, x, certify in ((free_negative, [-1.0, -1.0], multiplier_certificate),
+                                    (e2, [0.0, 0.0], scalarized_fan_certificate)):
+            cert = certify(problem, x)
+            assert cert.status == LP_INFEASIBLE
+            assert replay_certificate(problem, x, cert) == cert.residual == 0.0
+            for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
+                tampered = dataclasses.replace(cert, farkas=farkas)
+                assert replay_certificate(problem, x, tampered) == np.inf
 
     def test_tampered_directions_replay_differently(self, boxed_negative):
         """At the dominated corner (0, 0) both directional conditions are

@@ -228,6 +228,17 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             Cone.orthant(2).contains([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_normalized_rows_are_bit_stable(self, dim):
+        """Rebuilding a cone from its own unit rows, as a saved and reloaded
+        problem does, changes no bit of the rows or generators."""
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            rows = rng.standard_normal((3, dim))
+            for build, field in ((Cone.halfspaces, "rows"), (Cone.rays, "gens")):
+                once = getattr(build(rows), field)
+                assert np.array_equal(getattr(build(once), field), once)
+
 
 class TestProjectionInvariants:
     """Sampled optimality, idempotence, Lipschitz and homogeneity laws."""

@@ -97,9 +97,15 @@ class TestContainsMany:
     @pytest.mark.parametrize("index", range(len(regions)))
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
     def test_matches_contains(self, index, tol):
+        """Against a per-row rule written here: lo - tol <= x <= hi + tol for
+        boxes, max(a @ x - b) <= tol for halfspaces."""
         region = self.regions[index]
         pts = near_boundary_points(region, np.random.default_rng(index), tol)
-        rows = [region.contains(p, tol=tol) for p in pts]
+        if region.kind == "box":
+            rows = [bool(np.all(region.lo - tol <= p) and np.all(p <= region.hi + tol))
+                    for p in pts]
+        else:
+            rows = [bool(np.max(region.a @ p - region.b) <= tol) for p in pts]
         assert np.array_equal(region.contains_many(pts, tol=tol), rows)
         assert 0 < sum(rows) < len(rows)
 
@@ -121,6 +127,18 @@ class TestProjectMany:
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
             PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).project_many(np.zeros((4, 3)))
+
+
+class TestHalfspaceRegion:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_halfspace_region_rows_are_bit_stable(self, dim):
+        """Rebuilding a region from its own unit rows and scaled right-hand
+        side, as a saved and reloaded problem does, changes no bit."""
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            once = PolyhedralSet.halfspaces(rng.standard_normal((3, dim)), rng.random(3) + 0.5)
+            again = PolyhedralSet.halfspaces(once.a, once.b)
+            assert np.array_equal(again.a, once.a) and np.array_equal(again.b, once.b)
 
 
 class TestRegionProjection:

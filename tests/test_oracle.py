@@ -1,4 +1,4 @@
-"""Lattice Pareto oracle, merit penalization, descent, refutation."""
+"""Lattice Pareto oracle, penalization transfer, refutation."""
 
 import csv
 
@@ -11,9 +11,8 @@ from rvopt.docio import load_problem
 from rvopt.errors import PreconditionError
 from rvopt import oracle
 from rvopt.firstorder import AffineObjective, PolyhedralSet, QuadraticObjective
-from rvopt.oracle import (PenalizedObjective, build_penalized,
-                          check_penalization_transfer, descent_solve,
-                          grid_scan, refute_efficiency, strictly_dominates)
+from rvopt.oracle import (check_penalization_transfer, grid_scan,
+                          refute_efficiency, strictly_dominates)
 from rvopt.problem import Problem
 from rvopt.sampling import grid_points
 from rvopt.scenarios import ScenarioMap
@@ -102,12 +101,16 @@ def loop_witness(problem, x, lo, hi, resolution, margin=1e-9):
 
 def loop_dominator(problem, x, ell, sigma, lo, hi, resolution, margin=1e-9):
     """First region point, in lattice order, whose penalized value improves
-    on the reference's into the interior of the ordering cone."""
-    pen = PenalizedObjective(problem, ell=ell, sigma=sigma)
-    ref = pen.value(x)
+    on the reference's into the interior of the ordering cone; the
+    penalized value f + (ell/sigma) merit e is computed here, point by point."""
+    def penalized(p):
+        return problem.objective.value(p) \
+            + (ell / sigma) * problem.merit(p) * problem.direction
+
+    ref = penalized(x)
     for p in grid_points(lo, hi, resolution):
         if problem.region.contains(p) \
-                and np.min(order_rows(problem) @ (ref - pen.value(p))) >= margin:
+                and np.min(order_rows(problem) @ (ref - penalized(p))) >= margin:
             return p
     return None
 
@@ -344,37 +347,6 @@ class TestBatchedWitnesses:
             assert np.array_equal(rep.dominator, expected)
 
 
-class TestPenalizedObjective:
-    def test_value_formula(self, quarter_box):
-        """f + (ell/sigma) merit e, frozen at the probe (0.25, 1)."""
-        pen = PenalizedObjective(quarter_box, ell=2.0, sigma=1.0)
-        expected = np.array([0.25, 1.0]) + 0.5 * np.ones(2) / ROOT2
-        assert_allclose(pen.value([0.25, 1.0]), expected, atol=1e-12)
-
-    def test_exact_on_feasible_points(self, quarter_box):
-        pen = PenalizedObjective(quarter_box, ell=5.0, sigma=0.3)
-        for x in ([1.0, 1.0], [0.5, 0.0], [2.0, 2.0]):
-            assert_allclose(pen.value(x), quarter_box.objective.value(x))
-
-    def test_value_many_matches_scalar(self, quarter_box):
-        pen = PenalizedObjective(quarter_box, ell=2.0, sigma=0.5)
-        pts = np.array([[0.0, 0.0], [0.25, 1.0], [1.5, 0.5]])
-        assert_allclose(pen.value_many(pts), [pen.value(p) for p in pts])
-
-    def test_parameter_validation(self, quarter_box):
-        with pytest.raises(PreconditionError, match="sigma > 0"):
-            PenalizedObjective(quarter_box, ell=1.0, sigma=0.0)
-        with pytest.raises(PreconditionError, match="nonnegative"):
-            PenalizedObjective(quarter_box, ell=-1.0, sigma=1.0)
-        with pytest.warns(UserWarning, match="degenerate"):
-            PenalizedObjective(quarter_box, ell=0.0, sigma=1.0)
-
-    def test_build_warns_below_the_lipschitz_floor(self, quarter_box):
-        with pytest.warns(UserWarning, match="below"):
-            build_penalized(quarter_box, ell=0.1, sigma=1.0,
-                            lipschitz_floor=ROOT2)
-
-
 class TestPenalizationTransfer:
     def test_certified_weights_pass(self, quarter_box):
         rep = check_penalization_transfer(quarter_box, [0.5, 1.0],
@@ -404,37 +376,18 @@ class TestPenalizationTransfer:
                                         sigma=1.0, lo=[0.0, 0.0],
                                         hi=[2.0, 2.0], resolution=21)
 
+    def test_parameter_validation(self, quarter_box):
+        def transfer(ell, sigma):
+            return check_penalization_transfer(quarter_box, [0.5, 1.0], ell=ell,
+                                               sigma=sigma, lo=[0.0, 0.0],
+                                               hi=[2.0, 2.0], resolution=21)
 
-class TestDescent:
-    def test_reaches_the_efficient_corner(self, quarter_box):
-        res = descent_solve(quarter_box, [2.0, 2.0], [1.0, 1.0],
-                            ell=2.0 * ROOT2, sigma=SIGMA)
-        assert_allclose(res.x, [0.5, 0.0], atol=1e-6)
-        assert res.value == pytest.approx(0.5, abs=1e-6)
-        assert not res.stalled
-
-    def test_trace_is_monotone(self, quarter_box):
-        res = descent_solve(quarter_box, [2.0, 2.0], [1.0, 1.0],
-                            ell=2.0 * ROOT2, sigma=SIGMA)
-        vals = [v for _, v in res.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        assert res.evaluations > 0
-
-    def test_zero_budget_returns_start(self, quarter_box):
-        res = descent_solve(quarter_box, [2.0, 2.0], [1.0, 1.0],
-                            ell=1.0, sigma=1.0, budget=0)
-        assert_allclose(res.x, [2.0, 2.0])
-        assert res.stalled and res.evaluations == 0
-
-    def test_optimal_start_stays_put(self, quarter_box):
-        res = descent_solve(quarter_box, [0.5, 0.0], [1.0, 1.0],
-                            ell=2.0 * ROOT2, sigma=SIGMA)
-        assert_allclose(res.x, [0.5, 0.0], atol=1e-9)
-
-    def test_weights_must_pair_with_the_direction(self, quarter_box):
-        with pytest.raises(PreconditionError, match="pair positively"):
-            descent_solve(quarter_box, [2.0, 2.0], [-1.0, -1.0],
-                          ell=1.0, sigma=1.0)
+        with pytest.raises(PreconditionError, match="sigma > 0"):
+            transfer(ell=1.0, sigma=0.0)
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            transfer(ell=-1.0, sigma=1.0)
+        with pytest.warns(UserWarning, match="degenerate"):
+            transfer(ell=0.0, sigma=1.0)
 
 
 class TestRefutation:
