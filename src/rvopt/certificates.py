@@ -8,10 +8,13 @@ This module checks several necessary conditions of that kind:
   constant for the merit function and an order-Lipschitz bound on the
   objective, where the merit function is flat (:func:`merit_is_flat`);
 * a tangential condition along directions kept feasible by the fan of
-  scenario matrices;
-* scalarized versions of both, searching for a dual vector in the
-  positive dual of the ordering cone by least-distance programming, the
-  convex one with the merit slopes of :func:`merit_slopes`; and
+  scenario matrices, and its scalarized form, a dual vector in the
+  positive dual of the ordering cone: one conic least-distance program
+  decides these three exactly, its nearest point giving a violating
+  direction and its weights the multipliers;
+* a scalarized penalization condition for convex data, searching for a
+  dual vector by least-distance programming over sampled directions
+  weighted by the merit slopes of :func:`merit_slopes`; and
 * a multiplier rule combining objective multipliers, constraint-cone
   duals per fan matrix, and a normal-cone element, found by nonnegative
   least squares.
@@ -19,7 +22,7 @@ This module checks several necessary conditions of that kind:
 Every program here, the qualification margins included, runs on the one
 Lawson-Hanson kernel of :mod:`rvopt.cones`.  Certificates carry status,
 raw multipliers, and a residual, and can be re-validated from the stored
-data without re-solving, slopes and Farkas vectors included.  An
+data without re-solving, witnesses, slopes and Farkas vectors included.  An
 infeasible scalarization or multiplier system refutes weak efficiency
 whenever the accompanying qualification check passes.
 """
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, _readonly, cone_generators,
-                    distance_many, least_distance_point, limited_generators)
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, cone_generators, distance_many,
+                    least_distance_point)
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (ACTIVE_TOL, _merge_directions, contingent_cone, normal_cone,
                          sampled_cone_directions)
@@ -50,7 +53,9 @@ INTERIOR_MARGIN = 1e-7
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of one first-order check; raw multipliers included."""
+    """Outcome of one first-order check; raw multipliers included: ``duals``
+    holds the multiplier rule's constraint duals, or the weights (lam, mu)
+    of a fan-cone program (:func:`_cone_certificate`)."""
 
     kind: str
     status: str
@@ -138,54 +143,6 @@ def order_lipschitz_holds(problem: Problem, x1, x2, ell: float,
                                           tol=tol)
 
 
-# ===== directional interior tests ========================================
-
-
-def _direction_set(cone: Cone, count: int, seed: int):
-    """Sampled unit directions in the cone, merged with its exact
-    generators when enumeration is tractable.
-
-    The flag reports whether an empty result proves the cone trivial
-    (generators enumerated and none found) rather than merely unsampled.
-    """
-    dirs = sampled_cone_directions(cone, count, seed=seed)
-    try:
-        gens = limited_generators(cone)
-    except RepresentationError:
-        return dirs, False
-    return _merge_directions(dirs, gens), True
-
-
-def _depths(problem: Problem, x, dirs) -> np.ndarray:
-    """Depth min_j R_K (-f'(x; v)) of -f'(x; v) in K for each direction v;
-    positive when v improves f into -int K."""
-    rows = problem.ordering_cone.facets()
-    return np.array([np.min(rows @ (-problem.objective.directional(x, v)))
-                     for v in dirs])
-
-
-def _directional_certificate(kind, problem, x, dirs, margin, trivial_is_exact):
-    if dirs.shape[0] == 0:
-        if trivial_is_exact:
-            return Certificate(kind=kind, status=HOLDS, directions=dirs,
-                               notes=("direction cone is trivial; "
-                                      "the condition is vacuous",))
-        return Certificate(kind=kind, status=INCONCLUSIVE, directions=dirs,
-                           notes=("no directions sampled; cone may be trivial",))
-    depths = _depths(problem, x, dirs)
-    best = int(np.argmax(depths))
-    worst, witness = float(depths[best]), dirs[best]
-    if worst > margin:  # directions are unit vectors
-        return Certificate(kind=kind, status=VIOLATED, residual=worst,
-                           witness=witness, directions=dirs)
-    if worst > LP_SLACK:
-        return Certificate(kind=kind, status=INCONCLUSIVE, residual=worst,
-                           witness=witness, directions=dirs,
-                           notes=("within the margin zone",))
-    return Certificate(kind=kind, status=HOLDS, residual=max(0.0, worst),
-                       directions=dirs)
-
-
 def _slope_facets(problem: Problem, x) -> np.ndarray:
     """(w, q) mask of the facet rows of C active at A_w x + b_w (within
     ACTIVE_TOL), cleared where every active row annihilates A_w (within
@@ -221,58 +178,79 @@ def merit_slopes(problem: Problem, x, dirs) -> np.ndarray:
     return slopes
 
 
-def check_penalization_condition(problem: Problem, x, alpha: float, ell: float,
-                                 dir_count: int = 64, seed: int = 0,
-                                 margin: float = INTERIOR_MARGIN) -> Certificate:
-    """Necessary condition via merit penalization: along no sampled tangent
+def _direction_cone_rows(problem: Problem, x: np.ndarray, kind: str) -> np.ndarray:
+    """Unit rows P of the direction cone T = {v : P v >= 0} of a
+    certificate: T_S(x) for penalization, else the fan preimage cone of C
+    intersected with T_S(x)."""
+    tangent = contingent_cone(problem.region, x).rows
+    return tangent if kind == "penalization" else np.vstack([problem.preimage_rows, tangent])
+
+
+def _depth_rows(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """A = -R_K J(x): min_j a_j . v is the depth of -f'(x; v) in K, positive
+    when v improves f into -int K."""
+    return -(problem.ordering_cone.facets() @ problem.objective.jacobian(x))
+
+
+def _fan_dual(problem: Problem, lam: np.ndarray) -> np.ndarray:
+    """y = R_K^T lam in K+, scaled to the normalization row."""
+    dual_gens = problem.ordering_cone.facets().T
+    return dual_gens @ (lam / float(_normalization_row(problem, dual_gens) @ lam))
+
+
+def _cone_certificate(kind: str, problem: Problem, x) -> Certificate:
+    """One :func:`max_margin_point` program decides the kind exactly: m, the
+    max over unit v in T of min_j a_j . v (:func:`_direction_cone_rows`,
+    :func:`_depth_rows`), is the distance from 0 to conv(A) + cone(P).
+    m > INTERIOR_MARGIN: the witness v = p / |p| lies in T and improves f
+    into -int K by m, which violates the condition (no dual vector exists
+    for scalarized-fan); LP_SLACK < m <= INTERIOR_MARGIN is inconclusive,
+    and so is a v that rounding leaves outside T, which is no evidence;
+    otherwise the condition holds, and the weights (lam, mu) of the nearest
+    point, kept in ``duals``, give y = R_K^T lam in K+ with
+    J^T y = P^T mu / (n . lam) in the dual of T, n the normalization row."""
+    x = np.asarray(x, dtype=float).ravel()
+    failed = LP_INFEASIBLE if kind == "scalarized-fan" else VIOLATED
+    rows = _direction_cone_rows(problem, x, kind)
+    m, v, lam, mu = max_margin_point(_depth_rows(problem, x), x.size, rows)
+    if m > LP_SLACK and np.min(rows @ v, initial=0.0) < -PROJECTION_TOL:
+        return Certificate(kind=kind, status=INCONCLUSIVE, residual=m, duals=(lam, mu),
+                           notes=("the nearest point's direction leaves the cone",))
+    if m > LP_SLACK:
+        status, notes = (failed, ()) if m > INTERIOR_MARGIN else (
+            INCONCLUSIVE, ("within the margin zone",))
+        return Certificate(kind=kind, status=status, residual=m, witness=v,
+                           duals=(lam, mu), notes=notes)
+    if kind != "scalarized-fan":
+        return Certificate(kind=kind, status=HOLDS, residual=m, duals=(lam, mu))
+    return Certificate(kind=kind, status=HOLDS, residual=m, y_star=_fan_dual(problem, lam),
+                       duals=(lam, mu),
+                       notes=("inclusion datum J^T y* = P^T mu / (n . lam) in the dual of T",))
+
+
+def check_penalization_condition(problem: Problem, x, alpha: float,
+                                 ell: float) -> Certificate:
+    """Necessary condition via merit penalization: along no tangent
     direction v may f'(x; v) + (ell / (alpha - 1)) <x*, v> e fall in the
     negative interior of the ordering cone, x* an upper gradient of the
     merit function.  One exists only where :func:`merit_is_flat` holds, and
-    it is 0 there, so the term drops; alpha > 1 (a certified increase rate)
-    and ell >= 0 (an order-Lipschitz bound) stay the checked hypotheses.
+    it is 0 there, so the term drops and :func:`_cone_certificate` decides
+    the condition over T_S(x); alpha > 1 (a certified increase rate) and
+    ell >= 0 (an order-Lipschitz bound) stay the checked hypotheses.
     """
     if alpha <= 1.0:
         raise PreconditionError("penalization needs alpha > 1")
     if ell < 0.0:
         raise PreconditionError("penalization needs ell >= 0")
-    x = np.asarray(x, dtype=float).ravel()
-    tangent = contingent_cone(problem.region, x)
-    dirs, exact = _direction_set(tangent, dir_count, seed=seed)
-    return _directional_certificate("penalization", problem, x, dirs, margin,
-                                    trivial_is_exact=exact)
+    return _cone_certificate("penalization", problem, x)
 
 
-def _fan_cone_directions(problem: Problem, x: np.ndarray, dir_count: int, seed: int):
-    """Sampled directions (:func:`sampled_cone_directions`) and generators,
-    None beyond the double-description limits, of the fan cone at x: the
-    fan preimage cone of C intersected with the tangent cone.  Read-only;
-    ``problem.fan_cones`` keeps the latest call's for the next certificate."""
-    key = (x.tobytes(), dir_count, seed)
-    if key not in problem.fan_cones:
-        # unit rows of the preimage cone, then T_S(x)'s
-        rows = np.vstack([problem.preimage_rows, contingent_cone(problem.region, x).rows])
-        keep = Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size)
-        dirs = _readonly(sampled_cone_directions(keep, dir_count, seed=seed))
-        try:
-            gens = _readonly(limited_generators(keep))
-        except RepresentationError:
-            gens = None
-        problem.fan_cones.clear()
-        problem.fan_cones[key] = dirs, gens
-    return problem.fan_cones[key]
-
-
-def check_tangential_condition(problem: Problem, x, dir_count: int = 64, seed: int = 0,
-                               margin: float = INTERIOR_MARGIN) -> Certificate:
-    """Necessary condition via the problem's fan: along no direction of
-    :func:`_fan_cone_directions` (samples and generators of the fan
-    preimage of C intersected with the tangent cone) may the derivative
-    fall in the negative interior of the ordering cone."""
-    x = np.asarray(x, dtype=float).ravel()
-    dirs, gens = _fan_cone_directions(problem, x, dir_count, seed)
-    dirs = dirs if gens is None else _merge_directions(dirs, gens)
-    return _directional_certificate("tangential", problem, x, dirs, margin,
-                                    trivial_is_exact=gens is not None)
+def check_tangential_condition(problem: Problem, x) -> Certificate:
+    """Necessary condition via the problem's fan: along no direction of the
+    fan preimage cone of C intersected with the tangent cone may the
+    derivative fall in the negative interior of the ordering cone, decided
+    by :func:`_cone_certificate`."""
+    return _cone_certificate("tangential", problem, x)
 
 
 # ===== scalarized certificates ===========================================
@@ -326,20 +304,6 @@ def _scalarized_residual(vectors: np.ndarray, y: np.ndarray) -> float:
     return float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
 
 
-def _fan_vectors(dirs: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """J v for every direction v."""
-    return dirs @ jac.T if dirs.size else np.zeros((0, jac.shape[0]))
-
-
-def _fan_residual(dirs: np.ndarray, jac: np.ndarray, y: np.ndarray) -> float:
-    """Worst violation of y . (J v) >= 0 and of the inclusion datum -J^T y
-    paired against the directions."""
-    if not dirs.size:
-        return 0.0
-    pair_res = float(max(0.0, np.max(dirs @ (-jac.T @ y))))
-    return max(_scalarized_residual(_fan_vectors(dirs, jac), y), pair_res)
-
-
 def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
                                   dir_count: int = 64, seed: int = 0) -> Certificate:
     """Scalarized penalization condition for convex data: search for a dual
@@ -368,42 +332,23 @@ def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
         return Certificate(kind="scalarized-convex", status=LP_INFEASIBLE,
                            directions=dirs, beta=beta, farkas=farkas)
     return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y, directions=dirs,
-                       residual=_scalarized_residual(vectors, y), beta=beta)
+                       residual=_scalarized_residual(vectors, y), beta=beta,
+                       notes=("sampled directions; holds is not proof-grade between generators",))
 
 
-def scalarized_fan_certificate(problem: Problem, x, dir_count: int = 64,
-                               seed: int = 0) -> Certificate:
-    """Scalarized tangential condition: search for a normalized dual vector
-    y* with  y* . (J v) >= 0  for every direction v in the intersection of
-    the preimage cone of the problem's fan with the tangent cone.
-
-    On small cones the directions are a complete generator set and a
-    feasible program is proof-grade; otherwise sampled directions are used
-    and a feasible answer is only inconclusive evidence.  Both come from
-    :func:`_fan_cone_directions`.  Infeasibility is a refutation either
-    way, since the sampled system is a relaxation.  Also emits the
-    inclusion datum -J^T y* paired against the directions.
+def scalarized_fan_certificate(problem: Problem, x) -> Certificate:
+    """Scalarized tangential condition: a normalized dual vector y* in the
+    positive dual of the ordering cone with  y* . (J v) >= 0  for every
+    direction v in the intersection of the preimage cone of the problem's
+    fan with the tangent cone.  It is the dual report of the tangential
+    condition's program (:func:`_cone_certificate`): it exists exactly when
+    m = 0, and m > 0 gives a direction v that every candidate y* fails.
+    Also emits the inclusion datum J^T y* = P^T mu / (n . lam), a member of
+    the dual of that cone.
     """
     if not problem.objective.is_affine:
         raise PreconditionError("fan scalarization requires an affine objective")
-    x = np.asarray(x, dtype=float).ravel()
-    samples, gens = _fan_cone_directions(problem, x, dir_count, seed)
-    proof_grade = gens is not None
-    dirs = gens if proof_grade else samples
-    notes = () if proof_grade else ("sampled directions only; feasibility is not proof-grade",)
-
-    jac = problem.objective.jacobian(x)
-    y, farkas = _dual_vector_lp(problem, _fan_vectors(dirs, jac))
-    if y is None:
-        return Certificate(kind="scalarized-fan", status=LP_INFEASIBLE,
-                           directions=dirs, notes=notes, farkas=farkas)
-    residual = _fan_residual(dirs, jac, y)
-    if not proof_grade:
-        return Certificate(kind="scalarized-fan", status=INCONCLUSIVE, y_star=y,
-                           residual=residual, directions=dirs, notes=notes)
-    return Certificate(kind="scalarized-fan", status=HOLDS, y_star=y,
-                       residual=residual, directions=dirs,
-                       notes=("inclusion datum verified against generators",))
+    return _cone_certificate("scalarized-fan", problem, x)
 
 
 # ===== multiplier rule ===================================================
@@ -479,18 +424,40 @@ def _multiplier_residual(problem, x, v, duals, normal) -> float:
     return float(np.max(np.abs(total)))
 
 
+def _replay_cone_certificate(problem: Problem, x: np.ndarray, cert: Certificate) -> float:
+    """Replay of :func:`_cone_certificate`: inf unless lam >= 0 lies on the
+    simplex, mu >= 0, |A^T lam + P^T mu|_inf is at most the residual plus
+    LP_SLACK, a witness v keeps P v >= -PROJECTION_TOL, and a y* is the
+    scaled R_K^T lam; then the witness's depth min_j a_j . v, or the stored
+    residual when there is none."""
+    a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, cert.kind)
+    lam, mu = cert.duals
+    gap = float(np.max(np.abs(a.T @ lam + rows.T @ mu)))
+    valid = (np.min(lam) >= 0.0 and abs(np.sum(lam) - 1.0) <= PROJECTION_TOL
+             and np.min(mu, initial=0.0) >= 0.0 and gap <= cert.residual + LP_SLACK)
+    if cert.witness is not None:
+        valid = valid and np.min(rows @ cert.witness, initial=0.0) >= -PROJECTION_TOL
+    if cert.y_star is not None:
+        y = _fan_dual(problem, lam)
+        valid = valid and np.max(np.abs(cert.y_star - y)) <= PROJECTION_TOL * np.max(np.abs(y))
+    if not valid:
+        return np.inf
+    return cert.residual if cert.witness is None else float(np.min(a @ cert.witness))
+
+
 def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
     """Recompute a certificate's residual from its stored multipliers, against
-    the problem's fan, or, for the directional kinds, from its stored
-    directions (and merit slopes).
+    the problem's fan, or from its stored witness
+    (:func:`_replay_cone_certificate`), or, for scalarized-convex, from its
+    stored directions and merit slopes.
     An infeasible multiplier system replays to its stored residual while its
     Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf.
     An infeasible scalarized system g c >= h (:func:`_dual_vector_system`)
     does so while its Farkas vector u >= 0 has |g^T u| < h . u: every c with
     g c >= h lies on the simplex, so |c| <= 1 and h . u <= u . g c <= |g^T u|."""
     x = np.asarray(x, dtype=float).ravel()
-    if cert.kind in ("tangential", "penalization"):
-        return float(np.max(_depths(problem, x, cert.directions), initial=0.0))
+    if cert.kind in ("tangential", "penalization", "scalarized-fan"):
+        return _replay_cone_certificate(problem, x, cert)
     if cert.kind == "multiplier":
         if cert.status == LP_INFEASIBLE:
             a_eq, b_eq, _ = _multiplier_system(problem, x)
@@ -500,9 +467,7 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
         return _multiplier_residual(problem, x, cert.v, list(cert.duals), cert.normal)
     if cert.directions is None:
         return cert.residual
-    jac = problem.objective.jacobian(x)
-    vectors = (_fan_vectors(cert.directions, jac) if cert.kind == "scalarized-fan"
-               else _penalized_vectors(problem, x, cert.directions, cert.beta))
+    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta)
     if cert.status == LP_INFEASIBLE:
         g, h, _ = _dual_vector_system(problem, vectors)
         u = cert.farkas
@@ -511,8 +476,6 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
         return cert.residual if separates else np.inf
     if cert.y_star is None:
         return cert.residual
-    if cert.kind == "scalarized-fan":
-        return _fan_residual(cert.directions, jac, cert.y_star)
     return _scalarized_residual(vectors, cert.y_star)
 
 
@@ -539,7 +502,7 @@ def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> Qualifica
     c_cone = problem.constraint_cone
     tangent = contingent_cone(problem.region, x)
     rows = np.vstack([problem.preimage_rows, tangent.rows])
-    margin, witness = max_margin_point(rows, x.size)
+    margin, witness, _, _ = max_margin_point(rows, x.size)
     if not rows.shape[0]:
         notes.append("no active rows; condition vacuous")
     passed = margin > tol
@@ -552,7 +515,7 @@ def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> Qualifica
     else:
         slater_applicable = True
         stacked = np.vstack([c_cone.facets() @ mat for mat in problem.fan().bundle])
-        s_margin, s_witness = max_margin_point(stacked, x.size)
+        s_margin, s_witness, _, _ = max_margin_point(stacked, x.size)
         slater_passed = s_margin > tol
 
     return QualificationReport(passed=passed, margin=margin, witness=witness,

@@ -7,6 +7,7 @@ human-readable result, and exits with the shared code convention:
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rvopt`` parser, built once per process."""
     parser = _Parser(
         prog="rvopt",
         description="Robust vector optimization: merit functions, error "
@@ -170,8 +173,8 @@ def _cmd_certify(args) -> int:
         print("reference point infeasible; no certificates computed")
         return EXIT_INCONCLUSIVE
     results = {
-        "tangential": check_tangential_condition(problem, x, seed=args.seed),
-        "scalarized": scalarized_fan_certificate(problem, x, seed=args.seed),
+        "tangential": check_tangential_condition(problem, x),
+        "scalarized": scalarized_fan_certificate(problem, x),
         "multiplier": multiplier_certificate(problem, x, tol=tol.feasibility),
     }
     cq_passed = None

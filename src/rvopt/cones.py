@@ -19,9 +19,10 @@ cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
 K° = cone{-m_j} is a ray cone.  Least-distance programming
 (:func:`least_distance`) reduces every other Euclidean projection in the
 library to the same solver: onto a polyhedral region, and onto the
-convex hull of finitely many points (:func:`nearest_hull_point`).  The
-certificates' programs run on it too: the max-margin search through
-:func:`nearest_hull_point`, the dual-vector search through
+convex hull of finitely many points plus the cone of others
+(:func:`nearest_hull_point`).  The certificates' programs run on it too:
+the max-margin and fan-cone programs through :func:`nearest_hull_point`,
+the dual-vector search through
 :func:`least_distance_point`, and the multiplier rule as one NNLS
 problem.
 Dual cones follow the polyhedral duality
@@ -184,16 +185,8 @@ class Cone:
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
         if mat.shape[0] != self.dim:
             raise DimensionError("matrix rows must match cone dim")
-        rows = mat if self.kind == ORTHANT else self.facets() @ mat
-        norms = np.linalg.norm(rows, axis=1)
-        keep = norms >= 1e-12
-        if not np.all(keep):
-            warnings.warn("preimage dropped zero rows; result may not be proper",
-                          stacklevel=2)
-        rows = rows[keep]
-        if rows.shape[0] == 0:
-            return Cone.whole_space(mat.shape[1])
-        return Cone.halfspaces(rows)
+        rows = preimage_rows(self, mat[None])
+        return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(mat.shape[1])
 
     # ----- serialization hooks (see docio) --------------------------------
 
@@ -204,6 +197,19 @@ class Cone:
             return {"kind": HALFSPACES, "dim": self.dim,
                     "rows": self.rows.tolist()}
         return {"kind": RAYS, "dim": self.dim, "gens": self.gens.tolist()}
+
+
+def preimage_rows(cone: Cone, mats: np.ndarray) -> np.ndarray:
+    """Unit rows of {v : A v in cone for every matrix A of the (w, dim, n)
+    stack ``mats``}: the facet rows times every matrix in one stacked
+    product (the matrices themselves for the orthant), zero rows dropped
+    with one warning."""
+    rows = mats if cone.kind == ORTHANT else np.matmul(cone.facets(), mats)
+    rows = rows.reshape(-1, mats.shape[2])
+    keep = np.linalg.norm(rows, axis=1) >= 1e-12
+    if not np.all(keep):
+        warnings.warn("preimage dropped zero rows; result may not be proper", stacklevel=2)
+    return _unit_rows(rows[keep], "preimage")[0]
 
 
 # ===== generator enumeration =============================================
@@ -400,14 +406,20 @@ def least_distance_point(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | Non
     return -r[:-1] / r[-1], u
 
 
-def nearest_hull_point(points: np.ndarray) -> np.ndarray:
-    """The point of conv(points) nearest to 0.  Least-distance programming
-    over points . y >= 1 (:func:`least_distance`) gives u, and the hull
-    point weighted u / sum(u) is r[:n] / sum(u).  Nothing divides by r[n],
-    so the point stays accurate however close to 0 it lies; when 0 is in
-    the hull it is rounding noise."""
-    u, r = least_distance(points, np.ones(points.shape[0]))
-    return r[:-1] / float(np.sum(u))
+def nearest_hull_point(points: np.ndarray, rays: np.ndarray | None = None):
+    """The point p of conv(points) + cone(rays) nearest to 0, with its
+    weights: p = points.T lam + rays.T mu, lam on the simplex and mu >= 0.
+    Least-distance programming over [points; rays] y >= [1; 0]
+    (:func:`least_distance`) gives u, and dividing u by the sum of its
+    points part gives lam and mu, so p is r[:n] / that sum (Lawson & Hanson
+    1974, ch. 23).  Nothing divides by r[n], so p stays accurate however
+    close to 0 it lies; when 0 is in the set it is rounding noise."""
+    count = points.shape[0]
+    rays = np.zeros((0, points.shape[1])) if rays is None else rays
+    u, r = least_distance(np.vstack([points, rays]),
+                          np.concatenate([np.ones(count), np.zeros(rays.shape[0])]))
+    total = float(np.sum(u[:count]))
+    return r[:-1] / total, u[:count] / total, u[count:] / total
 
 
 def project_many(cone: Cone, points: np.ndarray) -> np.ndarray:

@@ -368,7 +368,7 @@ def polytope_distance(point, vertices) -> float:
     point = np.asarray(point, dtype=float).ravel()
     offsets = np.atleast_2d(np.asarray(vertices, dtype=float)) - point
     best = float(np.min(np.linalg.norm(offsets, axis=1)))
-    return min(best, float(np.linalg.norm(nearest_hull_point(offsets))))
+    return min(best, float(np.linalg.norm(nearest_hull_point(offsets)[0])))
 
 
 @dataclass(frozen=True)

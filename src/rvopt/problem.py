@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point
+from .cones import (ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point,
+                    preimage_rows)
 from .errors import ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
@@ -25,26 +26,31 @@ from .simplex import solve_lp  # noqa: F401
 INTERIOR_WITNESS_TOL = 1e-8
 
 
-def max_margin_point(rows: np.ndarray, dim: int):
-    """max over |z| <= 1 of min_i rows_i . z; returns (margin, z).
+def max_margin_point(rows: np.ndarray, dim: int, cone_rows: np.ndarray | None = None):
+    """max over |z| <= 1 with cone_rows z >= 0 of min_i rows_i . z; returns
+    (margin, z, lam, mu).
 
-    The margin is the distance from 0 to the convex hull of the rows: with
-    p the nearest hull point (:func:`cones.nearest_hull_point`), z = p / |p|
-    and the margin is min_i rows_i . z, which no unit z exceeds.  By
-    Gordan's theorem it is positive exactly when 0 is outside the hull; a
-    margin at rounding level, at most PROJECTION_TOL times the longest row,
-    reads as 0 with z = 0.  With no rows the margin is unbounded: (inf, 0).
+    The margin is the distance from 0 to conv(rows) + cone(cone_rows): with
+    p = rows.T lam + cone_rows.T mu the nearest point
+    (:func:`cones.nearest_hull_point`), z = p / |p| lies in the cone and the
+    margin is min_i rows_i . z, which no admissible unit z exceeds.  By
+    Gordan's and Farkas' theorems it is positive exactly when 0 is outside
+    that set; a margin or |p| at rounding level, at most PROJECTION_TOL
+    times the longest row, reads as 0 with z = 0 (a p of rounding noise
+    points anywhere, in the cone or not).  With no rows the
+    margin is unbounded: (inf, 0, no weights, no weights).
     """
     if rows.shape[0] == 0:
-        return float("inf"), np.zeros(dim)
-    p = nearest_hull_point(rows)
+        return float("inf"), np.zeros(dim), np.zeros(0), np.zeros(0)
+    p, lam, mu = nearest_hull_point(rows, cone_rows)
     norm = float(np.linalg.norm(p))
-    if norm > 0.0:
+    tol = PROJECTION_TOL * float(np.max(np.linalg.norm(rows, axis=1)))
+    if norm > tol:
         z = p / norm
         margin = float(np.min(rows @ z))
-        if margin > PROJECTION_TOL * float(np.max(np.linalg.norm(rows, axis=1))):
-            return margin, z
-    return 0.0, np.zeros(dim)
+        if margin > tol:
+            return margin, z, lam, mu
+    return 0.0, np.zeros(dim), lam, mu
 
 
 def interior_witness(cone: Cone):
@@ -61,7 +67,7 @@ def interior_witness(cone: Cone):
         e = np.zeros(cone.dim)
         e[0] = 1.0
         return e, 1.0
-    margin, z = max_margin_point(rows, cone.dim)
+    margin, z, _, _ = max_margin_point(rows, cone.dim)
     if margin <= INTERIOR_WITNESS_TOL:
         return np.zeros(cone.dim), 0.0
     return z, margin
@@ -133,7 +139,7 @@ class Problem:
 
     def fan(self) -> Fan:
         """The fan of distinct scenario matrices, or ``fan_override``; derived
-        once per problem, like :attr:`preimage_rows` and :attr:`fan_cones`."""
+        once per problem, like :attr:`preimage_rows`."""
         return self._fan
 
     @cached_property
@@ -143,12 +149,6 @@ class Problem:
 
     @cached_property
     def preimage_rows(self) -> np.ndarray:
-        """Raw rows of the fan preimage {v : A v in C for every fan matrix A}:
-        each matrix's :meth:`Cone.linear_preimage` rows, stacked (read-only)."""
-        return _readonly(np.vstack([self.constraint_cone.linear_preimage(mat).rows
-                                    for mat in self._fan.bundle]))
-
-    @cached_property
-    def fan_cones(self) -> dict:
-        """``certificates._fan_cone_directions`` of the latest point, dir_count and seed."""
-        return {}
+        """Unit rows of the fan preimage {v : A v in C for every fan matrix A}
+        (:func:`cones.preimage_rows`, read-only)."""
+        return _readonly(preimage_rows(self.constraint_cone, self._fan.bundle))

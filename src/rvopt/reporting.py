@@ -220,16 +220,12 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
             if not flat:
                 raise _NotApplicable("not applicable: the merit function has a "
                                      "nonzero slope at the reference point")
-            return check_penalization_condition(problem, x, alpha_hat, ell,
-                                                seed=seed)
+            return check_penalization_condition(problem, x, alpha_hat, ell)
 
-        _cert_stage("penalization", {"alpha": alpha_hat, "ell": ell,
-                                     "seed": seed}, _penalization)
+        _cert_stage("penalization", {"alpha": alpha_hat, "ell": ell}, _penalization)
 
-    _cert_stage("tangential", {"seed": seed},
-                lambda: check_tangential_condition(problem, x, seed=seed))
-    _cert_stage("scalarized_fan", {"seed": seed},
-                lambda: scalarized_fan_certificate(problem, x, seed=seed))
+    _cert_stage("tangential", {}, lambda: check_tangential_condition(problem, x))
+    _cert_stage("scalarized_fan", {}, lambda: scalarized_fan_certificate(problem, x))
     if not problem.objective.is_affine:
         pipe.skip("scalarized_convex", "objective is not affine")
     elif alpha_hat is None or ell is None:

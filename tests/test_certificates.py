@@ -1,6 +1,8 @@
 """First-order certificates: directional, scalarized, multiplier, CQ."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,21 +12,20 @@ import rvopt.certificates
 import rvopt.problem
 import rvopt.reporting
 from rvopt.cli import main as cli_main
-from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
-                                _direction_set,
-                                check_penalization_condition,
+from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASIBLE,
+                                LP_SLACK, VIOLATED, check_penalization_condition,
                                 check_tangential_condition, cone_generators,
                                 convex_scalarized_certificate,
                                 estimate_order_lipschitz, merit_slopes,
                                 multiplier_certificate, order_lipschitz_holds,
                                 qualification_check, replay_certificate,
                                 scalarized_fan_certificate)
-from rvopt.cones import Cone
+from rvopt.cones import Cone, limited_generators
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
-                              contingent_cone, fan_from_scenarios, polytope_distance,
-                              sampled_cone_directions)
+                              _merge_directions, contingent_cone, fan_from_scenarios,
+                              polytope_distance, sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
 from rvopt.reporting import run_report
 from rvopt.scenarios import ScenarioMap
@@ -32,6 +33,9 @@ from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve
 
 from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
                       merit_cases, negated_scenario, synthetic_problem)
+from test_verdict import synthetic_cases
+
+BENCH_CASES = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
 
 ROOT2 = np.sqrt(2.0)
 
@@ -65,6 +69,29 @@ def reference_slopes(problem, x, dirs):
                            if np.all(active @ c >= -1e-12))
             slopes[i] = max(slopes[i], dist)
     return slopes
+
+
+def cone_program_rows(problem, x, kind):
+    """A = -R_K J(x) and the rows P of a certificate's direction cone
+    {v : P v >= 0}: T_S(x) for penalization, else each fan matrix's
+    Cone.linear_preimage rows and then T_S(x)'s."""
+    x = np.asarray(x, dtype=float)
+    a = -(problem.ordering_cone.facets() @ problem.objective.jacobian(x))
+    rows = [contingent_cone(problem.region, x).rows]
+    if kind != "penalization":
+        rows = [problem.constraint_cone.linear_preimage(m).rows
+                for m in problem.fan().bundle] + rows
+    return a, np.vstack(rows)
+
+
+def multiplier_gap(problem, x, cert):
+    """|A^T lam + P^T mu| for the stored weights, after checking that lam
+    lies on the simplex and mu >= 0."""
+    a, rows = cone_program_rows(problem, x, cert.kind)
+    lam, mu = cert.duals
+    assert np.min(lam) >= 0.0 and abs(np.sum(lam) - 1.0) <= 1e-12
+    assert np.min(mu, initial=0.0) >= 0.0 and mu.shape == (rows.shape[0],)
+    return float(np.linalg.norm(a.T @ lam + rows.T @ mu))
 
 
 # merit_cases() and the halfspace-C boundary points, whose scenario images
@@ -180,8 +207,9 @@ class TestPenalizationCondition:
         assert cert.status == HOLDS
 
     def test_pinned_region_is_vacuous(self, free_negative):
-        """A singleton region has the trivial tangent cone, which the
-        generator enumeration certifies, so the check holds vacuously."""
+        """A singleton region has the trivial tangent cone, whose rows span
+        the plane, so the check holds with multipliers that cancel A
+        exactly."""
         point = PolyhedralSet.halfspaces(
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             [0.0, 0.0, 0.0, 0.0])
@@ -191,8 +219,8 @@ class TestPenalizationCondition:
                        region=point, scenarios=free_negative.scenarios)
         cert = check_penalization_condition(prob, [0.0, 0.0], alpha=1.5,
                                             ell=1.0)
-        assert cert.status == HOLDS
-        assert "vacuous" in " ".join(cert.notes)
+        assert cert.status == HOLDS and cert.residual == 0.0
+        assert multiplier_gap(prob, [0.0, 0.0], cert) <= 1e-12
 
     def test_preconditions(self, free_negative):
         with pytest.raises(PreconditionError):
@@ -215,10 +243,27 @@ class TestTangentialCondition:
         assert cert.residual <= 1e-9
 
     def test_box_corner_is_vacuous(self, boxed_negative):
-        """At (-1,-1) the admissible directions reduce to {0} exactly."""
+        """At (-1,-1) the admissible directions reduce to {0} exactly, and
+        the multipliers cancel A exactly."""
         cert = check_tangential_condition(boxed_negative, [-1.0, -1.0])
-        assert cert.status == HOLDS
-        assert "vacuous" in " ".join(cert.notes)
+        assert cert.status == HOLDS and cert.residual == 0.0
+        assert multiplier_gap(boxed_negative, [-1.0, -1.0], cert) <= 1e-12
+
+
+    def test_witness_outside_the_cone_refutes_nothing(self, monkeypatch, free_negative):
+        """A program whose direction leaves T (here, a forged one) gives no
+        evidence: the certificate is inconclusive and stores no witness."""
+        solve = rvopt.certificates.max_margin_point
+
+        def forged(rows, dim, cone_rows):
+            m, v, lam, mu = solve(rows, dim, cone_rows)
+            return m, -v, lam, mu
+
+        monkeypatch.setattr(rvopt.certificates, "max_margin_point", forged)
+        for certify in (check_tangential_condition, scalarized_fan_certificate):
+            cert = certify(free_negative, [-1.0, -1.0])
+            assert cert.status == INCONCLUSIVE and cert.witness is None
+            assert cert.residual == pytest.approx(1.0 / ROOT2, abs=1e-12)
 
 
 class TestScalarizedFan:
@@ -227,7 +272,7 @@ class TestScalarizedFan:
         assert cert.status == HOLDS
         assert_allclose(cert.y_star, [1.0, 0.0], atol=1e-6)
         assert cert.residual <= 1e-7
-        assert "generators" in " ".join(cert.notes)
+        assert "inclusion datum" in " ".join(cert.notes)
 
     def test_interior_dominated_point_infeasible(self, free_negative):
         cert = scalarized_fan_certificate(free_negative, [-1.0, -1.0])
@@ -357,22 +402,6 @@ class TestConvexScalarized:
             assert stages[name]["error"].startswith("RepresentationError"), name
 
 
-class TestDirectionSet:
-    @pytest.mark.parametrize("cone", [
-        Cone.orthant(2), Cone.halfspaces([[1.0, 1.0], [-1.0, 1.0]]),
-        Cone.halfspaces([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-        Cone.rays([[1.0, 0.2], [0.3, 1.0]]), Cone.whole_space(2)])
-    def test_matches_the_merge_loop(self, cone):
-        """Sampled directions first, then each new exact generator."""
-        merged = list(sampled_cone_directions(cone, 32, seed=1))
-        for g in cone_generators(cone):
-            if not any(np.linalg.norm(g - w) < 1e-9 for w in merged):
-                merged.append(g)
-        dirs, exact = _direction_set(cone, 32, seed=1)
-        assert exact
-        assert np.array_equal(dirs, np.array(merged).reshape(-1, cone.dim))
-
-
 class TestMultiplierRule:
     def test_edge_point_exact_multipliers(self, boxed_negative):
         """At (-1, 0): v = (1,0), no constraint dual, normal (-1,0)."""
@@ -465,7 +494,7 @@ class TestMaxMarginPoint:
             elif i % 4 == 1:
                 shift = rng.standard_normal(dim)
                 rows = rows + 1.5 * shift / np.linalg.norm(shift)
-            margin, witness = max_margin_point(rows, dim)
+            margin, witness, _, _ = max_margin_point(rows, dim)
             assert (margin > 1e-8) == (box_margin(rows, dim) > 1e-8)
             assert abs(float(np.min(rows @ witness)) - margin) <= 1e-12
             assert abs(margin - polytope_distance(np.zeros(dim), rows)) <= 1e-9
@@ -484,7 +513,7 @@ class TestMaxMarginPoint:
         passes it too."""
         eps = 1e-6
         rows = np.array([[1.0, eps], [-1.0, eps], [0.3, 1.0]])
-        margin, witness = max_margin_point(rows, 2)
+        margin, witness, _, _ = max_margin_point(rows, 2)
         assert abs(margin - eps) <= 1e-9
         assert_allclose(witness, [0.0, 1.0], atol=1e-9)
         assert box_margin(rows, 2) > 1e-8
@@ -579,34 +608,40 @@ class TestReplay:
     @pytest.mark.parametrize("kind", ["scalarized-fan", "scalarized-convex"])
     @pytest.mark.parametrize("x", [[-0.5, -0.5], [-0.5, 0.0], [0.0, -0.5], [0.0, 0.0]])
     def test_infeasible_scalarized_systems_store_a_separating_vector(self, kind, x):
-        """The four e2 grid points with an inconsistent dual-vector system
-        g c >= h store multipliers u >= 0 with |g^T u| < h . u, which no c
-        on the simplex can meet, and replay to their stored residual."""
+        """The four e2 grid points with no dual vector.  Scalarized-convex
+        stores multipliers u >= 0 of its inconsistent system g c >= h with
+        |g^T u| < h . u, which no c on the simplex can meet; scalarized-fan
+        stores a unit witness v in its direction cone with R_K J v < 0, on
+        which y* . J v < 0 for every nonzero y* in K+.  Both replay to their
+        stored residual."""
         problem = load_problem(PROBLEMS_DIR / "e2.json")
         if kind == "scalarized-fan":
             cert = scalarized_fan_certificate(problem, x)
-            vectors = rvopt.certificates._fan_vectors(
-                cert.directions, problem.objective.jacobian(x))
+            a, rows = cone_program_rows(problem, x, kind)
+            assert np.min(rows @ cert.witness) >= -1e-12
+            assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-12
+            assert np.min(a @ cert.witness) == cert.residual > INTERIOR_MARGIN
         else:
             cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
             vectors = rvopt.certificates._penalized_vectors(
                 problem, x, cert.directions, cert.beta)
+            g, h, _ = rvopt.certificates._dual_vector_system(problem, vectors)
+            u = cert.farkas
+            assert u.shape == h.shape and np.min(u) >= 0.0
+            assert np.linalg.norm(g.T @ u) < 1e-9 < h @ u
         assert cert.kind == kind and cert.status == LP_INFEASIBLE
-        g, h, _ = rvopt.certificates._dual_vector_system(problem, vectors)
-        u = cert.farkas
-        assert u.shape == h.shape and np.min(u) >= 0.0
-        assert np.linalg.norm(g.T @ u) < 1e-9 < h @ u
         assert replay_certificate(problem, x, cert) == cert.residual
 
     def test_tampered_farkas_vector_replays_differently(self, free_negative):
         """The infeasible multiplier system at (-1, -1) replays to its stored
         residual 0 because its Farkas vector r separates, A^T r <= 0 < b . r,
-        and so does the infeasible scalarized-fan system of e2 at (0, 0),
+        and so does the infeasible scalarized-convex system of e2 at (0, 0),
         whose vector u >= 0 has |g^T u| < h . u; the negated or zeroed
         vectors do not, and replay to inf."""
         e2 = load_problem(PROBLEMS_DIR / "e2.json")
-        for problem, x, certify in ((free_negative, [-1.0, -1.0], multiplier_certificate),
-                                    (e2, [0.0, 0.0], scalarized_fan_certificate)):
+        for problem, x, certify in (
+                (free_negative, [-1.0, -1.0], multiplier_certificate),
+                (e2, [0.0, 0.0], lambda p, x: convex_scalarized_certificate(p, x, 1.5, 3.0))):
             cert = certify(problem, x)
             assert cert.status == LP_INFEASIBLE
             assert replay_certificate(problem, x, cert) == cert.residual == 0.0
@@ -615,16 +650,40 @@ class TestReplay:
                 assert replay_certificate(problem, x, tampered) == np.inf
 
     def test_tampered_directions_replay_differently(self, boxed_negative):
-        """At the dominated corner (0, 0) both directional conditions are
-        violated with residual 1/sqrt(2); the negated directions improve
-        nothing, so their replay gives 0."""
+        """At the dominated corner (0, 0) all three fan-cone certificates
+        fail with residual 1/sqrt(2), the depth of the witness (-1, -1)/sqrt(2).
+        The negated witness leaves the direction cone, and negated or
+        zeroed weights leave the simplex, so all replay to inf."""
         x = [0.0, 0.0]
         for cert in (check_tangential_condition(boxed_negative, x),
-                     check_penalization_condition(boxed_negative, x, alpha=1.5, ell=ROOT2)):
-            assert cert.status == VIOLATED
+                     check_penalization_condition(boxed_negative, x, alpha=1.5, ell=ROOT2),
+                     scalarized_fan_certificate(boxed_negative, x)):
+            assert cert.status in (VIOLATED, LP_INFEASIBLE)
+            assert cert.residual == pytest.approx(1.0 / ROOT2, abs=1e-12)
+            assert_allclose(cert.witness, -np.ones(2) / ROOT2, atol=1e-12)
             assert replay_certificate(boxed_negative, x, cert) == cert.residual
-            tampered = dataclasses.replace(cert, directions=-cert.directions)
-            assert replay_certificate(boxed_negative, x, tampered) == 0.0
+            lam, mu = cert.duals
+            for tampered in (dataclasses.replace(cert, witness=-cert.witness),
+                             dataclasses.replace(cert, duals=(-lam, mu)),
+                             dataclasses.replace(cert, duals=(np.zeros_like(lam), mu))):
+                assert replay_certificate(boxed_negative, x, tampered) == np.inf
+
+    def test_tampered_multipliers_replay_differently(self, boxed_negative):
+        """On the Pareto edge (-1, 0) the fan-cone certificates hold with
+        weights that cancel A; dropping mu, moving lam off the simplex or
+        rescaling y* replays to inf."""
+        x = [-1.0, 0.0]
+        for cert in (check_tangential_condition(boxed_negative, x),
+                     scalarized_fan_certificate(boxed_negative, x)):
+            assert cert.status == HOLDS and cert.witness is None
+            assert replay_certificate(boxed_negative, x, cert) == cert.residual == 0.0
+            lam, mu = cert.duals
+            tampered = [dataclasses.replace(cert, duals=(lam, np.zeros_like(mu))),
+                        dataclasses.replace(cert, duals=(2.0 * lam, 2.0 * mu))]
+            if cert.y_star is not None:
+                tampered.append(dataclasses.replace(cert, y_star=2.0 * cert.y_star))
+            for bad in tampered:
+                assert replay_certificate(boxed_negative, x, bad) == np.inf
 
 
 class TestQualification:
@@ -697,86 +756,252 @@ class TestConeGenerators:
 
 
 class TestFanDataDerivedOnce:
-    """One certify or report derives the fan, each fan matrix's preimage
-    and the fan cone's direction sample once, and nothing outlives the
-    problem: every CLI invocation loads a fresh one and redoes the work."""
-
-    @staticmethod
-    def fan_cone_rows(problem, x):
-        """Rows of (fan preimage cone of C) intersected with the tangent cone."""
-        rows = Cone.halfspaces(problem.preimage_rows).rows
-        tangent = contingent_cone(problem.region, x).rows
-        return Cone.halfspaces(np.vstack([rows, tangent])).rows
+    """One certify or report derives the fan and its preimage of C once,
+    with one batched preimage call, and samples no fan-cone directions;
+    nothing outlives the problem: every CLI invocation loads a fresh one
+    and redoes the work."""
 
     @staticmethod
     def spy(monkeypatch):
         calls = {"fan": 0, "preimage": [], "sampled": []}
         build_fan = rvopt.problem.fan_from_scenarios
-        preimage = Cone.linear_preimage
+        preimage = rvopt.problem.preimage_rows
         sample = rvopt.certificates.sampled_cone_directions
 
         def count_fan(smap):
             calls["fan"] += 1
             return build_fan(smap)
 
-        def count_preimage(cone, mat):
-            calls["preimage"].append(np.array(mat))
-            return preimage(cone, mat)
+        def count_preimage(cone, mats):
+            calls["preimage"].append(np.array(mats))
+            return preimage(cone, mats)
 
         def count_sample(cone, *args, **kwargs):
             calls["sampled"].append(cone)
             return sample(cone, *args, **kwargs)
 
         monkeypatch.setattr(rvopt.problem, "fan_from_scenarios", count_fan)
-        monkeypatch.setattr(Cone, "linear_preimage", count_preimage)
+        monkeypatch.setattr(rvopt.problem, "preimage_rows", count_preimage)
         monkeypatch.setattr(rvopt.certificates, "sampled_cone_directions", count_sample)
         return calls
 
     @staticmethod
-    def assert_derived_once(calls, bundle, cone_rows):
+    def assert_derived_once(calls, bundle):
         assert calls["fan"] == 1
-        assert np.array_equal(np.array(calls["preimage"]), bundle)
-        fan_cone = [cone for cone in calls["sampled"]
-                    if cone.rows is not None and np.array_equal(cone.rows, cone_rows)]
-        assert len(fan_cone) == 1
+        assert len(calls["preimage"]) == 1
+        assert np.array_equal(calls["preimage"][0], bundle)
 
     def test_certify_derives_once_per_invocation(self, monkeypatch, tmp_path, capsys):
-        path, x = str(tmp_path / "wide.json"), np.zeros(2)
+        path = str(tmp_path / "wide.json")
         save_problem(synthetic_problem("halfspaces", 16), path)
-        problem = load_problem(path)
-        bundle = fan_from_scenarios(problem.scenarios).bundle
-        cone_rows = self.fan_cone_rows(problem, x)
-        assert bundle.shape[0] == 16 and cone_rows.shape[0] == 32
+        bundle = fan_from_scenarios(load_problem(path).scenarios).bundle
+        assert bundle.shape[0] == 16
         calls = self.spy(monkeypatch)
         outputs = []
         for _ in range(2):
             code = cli_main(["certify", path, "--at", "0", "0"])
             outputs.append((code, capsys.readouterr().out))
-            self.assert_derived_once(calls, bundle, cone_rows)
-            assert len(calls["sampled"]) == 1
+            self.assert_derived_once(calls, bundle)
+            assert calls["sampled"] == []
             calls.update(fan=0, preimage=[], sampled=[])
         assert outputs[0] == outputs[1]
         assert outputs[0][1].startswith("qualification passed")
 
     def test_report_derives_once(self, monkeypatch):
+        """Only scalarized-convex samples directions, in T_S(x)."""
         problem, x = load_problem(PROBLEMS_DIR / "e1.json"), np.array([0.5, 1.0])
         bundle = fan_from_scenarios(problem.scenarios).bundle
-        cone_rows = self.fan_cone_rows(problem, x)
-        problem = load_problem(PROBLEMS_DIR / "e1.json")
+        tangent = contingent_cone(problem.region, x).rows
         calls = self.spy(monkeypatch)
         report = run_report(problem, x)
-        self.assert_derived_once(calls, bundle, cone_rows)
+        self.assert_derived_once(calls, bundle)
+        assert len(calls["sampled"]) == 1
+        assert np.array_equal(calls["sampled"][0].rows, tangent)
         stages = {stage["name"]: stage["status"] for stage in report["stages"]}
         assert stages["tangential"] == stages["scalarized_fan"] == "holds"
 
-    def test_memo_keeps_one_point(self, monkeypatch):
-        """The fan cone's directions are memoized for the latest point only,
-        so sweeping one problem over many points holds one entry."""
+    def test_point_sweep_derives_once(self, monkeypatch):
+        """Sweeping one problem over many points reuses its preimage rows
+        and samples nothing."""
         problem = synthetic_problem("orthant", 4)
         calls = self.spy(monkeypatch)
         for x in ([0.0, 0.0], [0.1, 0.0], [0.0, 0.0]):
             check_tangential_condition(problem, x)
             scalarized_fan_certificate(problem, x)
-            assert len(problem.fan_cones) == 1
-        assert calls["fan"] == 1 and len(calls["preimage"]) == 4
-        assert len(calls["sampled"]) == 3
+        assert calls["fan"] == 1 and len(calls["preimage"]) == 1
+        assert calls["sampled"] == []
+
+    def test_batched_preimage_rows_match_the_per_matrix_stack(self, recwarn):
+        """Problem.preimage_rows equals, bit for bit, the stack of each fan
+        matrix's rows from the per-matrix rule it replaced, on the shipped
+        problems, the synthetic instances and the certify-wide bench cases;
+        a zero row warns once per problem."""
+        def per_matrix(cone, mats):
+            stacked = []
+            for mat in mats:
+                rows = mat if cone.kind == "orthant" else cone.facets() @ mat
+                rows = rows[np.linalg.norm(rows, axis=1) >= 1e-12]
+                if rows.shape[0]:
+                    stacked.append(Cone.halfspaces(rows).rows)
+            return np.vstack(stacked) if stacked else np.zeros((0, mats.shape[2]))
+
+        problems = [load_problem(PROBLEMS_DIR / f"{name}.json") for name in ("e1", "e2", "e3")]
+        problems += [synthetic_problem(kind, w) for kind in ("orthant", "halfspaces", "rays")
+                     for w in SCENARIO_COUNTS + (16, 32)]
+        problems += [problem for label, problem, _ in bench_cases() if "certify" in label]
+        for problem in problems:
+            reference = per_matrix(problem.constraint_cone, problem.fan().bundle)
+            assert problem.preimage_rows.tobytes() == reference.tobytes()
+        assert len(recwarn) == 0
+        zero = ScenarioMap([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], np.ones((2, 2)))
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2), constraint_cone=Cone.orthant(2),
+                          region=PolyhedralSet.whole_space(2), scenarios=zero)
+        with pytest.warns(UserWarning, match="dropped zero rows") as caught:
+            assert np.array_equal(problem.preimage_rows, np.eye(2))
+        assert len(caught) == 1
+
+
+# ----- the exact fan-cone programs against the sampled certificates they replaced
+
+def bench_cases():
+    """(label, problem, x) for every benchmark case run at a point, with the
+    synthetic instances at workload seed 7."""
+    spec = importlib.util.spec_from_file_location("bench_cases", BENCH_CASES)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    out = []
+    for workload in cases.WORKLOADS.values():
+        for label, source, argv in workload:
+            if "--at" not in argv:
+                continue
+            problem = (cases.synthetic(source, 7) if isinstance(source, cases.Family)
+                       else load_problem(PROBLEMS_DIR.parent / source))
+            at = argv[argv.index("--at") + 1:]
+            at = at[:next((i for i, a in enumerate(at) if a.startswith("--")), len(at))]
+            out.append((label, problem, np.array([float(a) for a in at])))
+    return out
+
+
+def sampled_directions(cone):
+    """The former direction set of a cone: 64 sampled directions (seed 0)
+    and its generators, None beyond the double-description limits."""
+    dirs = sampled_cone_directions(cone, 64, seed=0)
+    try:
+        return dirs, limited_generators(cone)
+    except RepresentationError:
+        return dirs, None
+
+
+def sampled_directional(problem, x, dirs, gens):
+    """The former tangential and penalization rule: (status, worst depth)
+    over the samples merged with the generators."""
+    if gens is not None:
+        dirs = _merge_directions(dirs, gens)
+    if dirs.shape[0] == 0:
+        return (HOLDS if gens is not None else INCONCLUSIVE), 0.0
+    rows = problem.ordering_cone.facets()
+    worst = max(float(np.min(rows @ (-problem.objective.directional(x, v)))) for v in dirs)
+    if worst > INTERIOR_MARGIN:
+        return VIOLATED, worst
+    return (INCONCLUSIVE if worst > LP_SLACK else HOLDS), worst
+
+
+def sampled_certificates(problem, x):
+    """Statuses of the former sampled certificates, with the flags telling
+    where their directions included a complete generator set."""
+    tangent = contingent_cone(problem.region, x)
+    rows = np.vstack([problem.preimage_rows, tangent.rows])
+    fan_dirs, fan_gens = sampled_directions(
+        Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size))
+    pen_dirs, pen_gens = sampled_directions(tangent)
+    vectors = (fan_dirs if fan_gens is None else fan_gens) @ problem.objective.jacobian(x).T
+    y, _ = rvopt.certificates._dual_vector_lp(problem, vectors)
+    fan = LP_INFEASIBLE if y is None else (HOLDS if fan_gens is not None else INCONCLUSIVE)
+    return {"tangential": sampled_directional(problem, x, fan_dirs, fan_gens) + (fan_gens is not None,),
+            "penalization": sampled_directional(problem, x, pen_dirs, pen_gens) + (pen_gens is not None,),
+            "scalarized-fan": (fan, None, fan_gens is not None)}
+
+
+@pytest.fixture(scope="module")
+def exact_and_sampled():
+    """(label, problem, x, exact certificates by kind, sampled results by
+    kind) on the 139 grid and synthetic points and every bench case."""
+    rows = []
+    for label, problem, x in grid_cases() + synthetic_cases() + bench_cases():
+        assert problem.feasible(x), label
+        exact = {"tangential": check_tangential_condition(problem, x),
+                 "penalization": check_penalization_condition(problem, x, alpha=1.5, ell=1.0),
+                 "scalarized-fan": scalarized_fan_certificate(problem, x)}
+        rows.append((label, problem, x, exact, sampled_certificates(problem, x)))
+    return rows
+
+
+class TestExactAgainstSampled:
+    def test_statuses_match_where_generators_exist(self, exact_and_sampled):
+        compared = 0
+        for label, _, _, exact, sampled in exact_and_sampled:
+            for kind, cert in exact.items():
+                status, _, complete = sampled[kind]
+                if complete:
+                    assert cert.status == status, (label, kind)
+                    compared += 1
+        assert len(exact_and_sampled) == 148 and compared == 438
+
+    def test_margin_is_at_least_the_sampled_depth(self, exact_and_sampled):
+        """Every sampled direction lies in the cone, so none beats m."""
+        for label, _, _, exact, sampled in exact_and_sampled:
+            for kind in ("tangential", "penalization"):
+                assert exact[kind].residual >= sampled[kind][1] - 1e-12, (label, kind)
+
+    def test_witnesses_lie_in_the_cone_and_attain_the_margin(self, exact_and_sampled):
+        """A unit witness in T of depth m, and weights whose point has norm
+        m: primal and dual values agree, so both are optimal."""
+        witnessed = 0
+        for label, problem, x, exact, _ in exact_and_sampled:
+            for kind, cert in exact.items():
+                if cert.witness is None:
+                    continue
+                a, rows = cone_program_rows(problem, x, kind)
+                v = cert.witness
+                assert np.min(rows @ v, initial=0.0) >= -1e-9, (label, kind)
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-9, (label, kind)
+                assert abs(np.min(a @ v) - cert.residual) <= 1e-9, (label, kind)
+                assert abs(multiplier_gap(problem, x, cert) - cert.residual) <= 1e-9
+                assert replay_certificate(problem, x, cert) == cert.residual
+                witnessed += 1
+        assert witnessed == 144
+
+    def test_multipliers_cancel_where_the_margin_is_zero(self, exact_and_sampled):
+        """At m = 0, |A^T lam + P^T mu| <= 1e-9; scalarized-fan's y* is
+        R_K^T lam scaled to the normalization row, in K+, and J^T y* lies
+        in the dual of T."""
+        held = 0
+        for label, problem, x, exact, _ in exact_and_sampled:
+            for kind, cert in exact.items():
+                if cert.residual != 0.0:
+                    continue
+                assert cert.status == HOLDS and cert.witness is None, (label, kind)
+                assert multiplier_gap(problem, x, cert) <= 1e-9, (label, kind)
+                assert replay_certificate(problem, x, cert) == 0.0
+                if kind == "scalarized-fan":
+                    y = cert.y_star
+                    assert np.min(problem.ordering_cone.facets() @ y) >= -1e-12
+                    assert abs(np.sum(y) - 1.0) <= 1e-12   # every case orders by the orthant
+                    _, rows = cone_program_rows(problem, x, kind)
+                    dirs, gens = sampled_directions(Cone.halfspaces(rows) if rows.shape[0]
+                                                    else Cone.whole_space(x.size))
+                    assert np.min(dirs @ problem.objective.jacobian(x).T @ y,
+                                  initial=0.0) >= -1e-9, label
+                held += 1
+        assert held == 300
+
+    def test_certify_wide_cases_hold(self, exact_and_sampled):
+        """The fan cones of the certify-wide cases have 32-64 rows, past the
+        double-description limit, where scalarized-fan was inconclusive; the
+        exact program proves both fan-cone conditions there."""
+        wide = [row for row in exact_and_sampled if row[0].endswith("-certify")]
+        assert len(wide) == 3
+        for label, _, _, exact, sampled in wide:
+            assert sampled["scalarized-fan"][0] == INCONCLUSIVE, label
+            assert exact["tangential"].status == exact["scalarized-fan"].status == HOLDS

@@ -220,7 +220,8 @@ class TestCertifyCommand:
             "qualification passed (margin 0.707)",
             "tangential violated (residual 0.707) "
             "witness (-0.707107, -0.707107)",
-            "scalarized lp-infeasible (residual 0)",
+            "scalarized lp-infeasible (residual 0.707) "
+            "witness (-0.707107, -0.707107)",
             "multiplier lp-infeasible (residual 0)",
         ]
 
@@ -349,6 +350,25 @@ class TestCommandErrors:
         code, _, err = run_cli([])
         assert code == 1
         assert "usage:" in err
+
+
+class TestParserBuiltOnce:
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, problems_dir):
+        """One process builds the parser once; reusing it across commands,
+        with an option given and then left at its default and a usage error
+        in between, prints and returns what a fresh parser does."""
+        import rvopt.cli
+        e1, e2 = str(problems_dir / "e1.json"), str(problems_dir / "e2.json")
+        box = ["--box", "-1", "2", "-1", "2"]
+        runs = [["scan", e1] + box + ["--res", "11"], ["scan", e1] + box,
+                ["certify", e2, "--at", "-1", "0", "--skip-cq"], ["certify", e2, "--at", "-1", "0"],
+                ["merit", e1, "--at", "0.25", "1", "--tol-scale", "2"], ["certify", e2],
+                ["feasible", e1, "--at", "0.25", "1"], ["report", e2, "--at", "-1", "0"]]
+        assert rvopt.cli.build_parser() is rvopt.cli.build_parser()
+        reused = [run_cli(argv) for argv in runs]
+        monkeypatch.setattr(rvopt.cli, "build_parser", rvopt.cli.build_parser.__wrapped__)
+        assert reused == [run_cli(argv) for argv in runs]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 1, 0, 0]
 
 
 class TestNoSimplexOnCertificatePaths:
