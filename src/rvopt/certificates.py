@@ -8,30 +8,28 @@ This module checks several necessary conditions of that kind:
   constant for the merit function and an order-Lipschitz bound on the
   objective, where the merit function is flat (:func:`merit_is_flat`);
 * a tangential condition along directions kept feasible by the fan of
-  scenario matrices, and its scalarized form, a dual vector in the
-  positive dual of the ordering cone: one conic least-distance program
-  decides these three exactly, its nearest point giving a violating
-  direction and its weights the multipliers;
+  scenario matrices, its scalarized form, a dual vector in the positive
+  dual of the ordering cone, and the multiplier rule, which adds
+  constraint-cone duals per fan matrix and a normal-cone element: one
+  conic least-distance program decides these four exactly, its nearest
+  point giving a violating direction and its weights the multipliers; and
 * a scalarized penalization condition for convex data, searching for a
   dual vector by least-distance programming over sampled directions
-  weighted by the merit slopes of :func:`merit_slopes`; and
-* a multiplier rule combining objective multipliers, constraint-cone
-  duals per fan matrix, and a normal-cone element, found by nonnegative
-  least squares.
+  weighted by the merit slopes of :func:`merit_slopes`.
 
 Every program here, the qualification margins included, runs on the one
 Lawson-Hanson kernel of :mod:`rvopt.cones`.  Certificates carry status,
 raw multipliers, and a residual, and can be re-validated from the stored
-data without re-solving, witnesses, slopes and Farkas vectors included.  An
-infeasible scalarization or multiplier system refutes weak efficiency
-whenever the accompanying qualification check passes.
+data without re-solving, memberships, witnesses, slopes and Farkas vectors
+included.  An infeasible scalarization or multiplier rule refutes weak
+efficiency whenever the accompanying qualification check passes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, Cone, _nnls, cone_generators, distance_many,
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, cone_generators, distance_many,
                     least_distance_point)
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (ACTIVE_TOL, _merge_directions, contingent_cone, normal_cone,
@@ -54,8 +52,8 @@ INTERIOR_MARGIN = 1e-7
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of one first-order check; raw multipliers included: ``duals``
-    holds the multiplier rule's constraint duals, or the weights (lam, mu)
-    of a fan-cone program (:func:`_cone_certificate`)."""
+    holds the multiplier rule's constraint duals when ``v`` is set, else the
+    weights (lam, mu) of a fan-cone program (:func:`_cone_certificate`)."""
 
     kind: str
     status: str
@@ -192,39 +190,67 @@ def _depth_rows(problem: Problem, x: np.ndarray) -> np.ndarray:
     return -(problem.ordering_cone.facets() @ problem.objective.jacobian(x))
 
 
-def _fan_dual(problem: Problem, lam: np.ndarray) -> np.ndarray:
-    """y = R_K^T lam in K+, scaled to the normalization row."""
-    dual_gens = problem.ordering_cone.facets().T
-    return dual_gens @ (lam / float(_normalization_row(problem, dual_gens) @ lam))
+def _exact_weights(problem: Problem, a, rows, lam, mu):
+    """Weights of a zero-margin program scaled to n . y = 1, y = R_K^T lam
+    and n the normalization row: those at rounding level (at most
+    PROJECTION_TOL times the largest) leave the support, and one
+    least-squares refinement step of A^T lam + P^T mu = 0, n . y = 1 on the
+    rest makes exact data give exact weights, whatever the length of e."""
+    weights = np.concatenate([lam, mu])
+    weights[weights <= PROJECTION_TOL * np.max(weights)] = 0.0
+    norm_row = _normalization_row(problem) @ problem.ordering_cone.facets().T
+    system = np.vstack([np.hstack([a.T, rows.T]), np.append(norm_row, np.zeros(mu.size))])
+    weights /= float(system[-1] @ weights)
+    free = weights > 0.0
+    step = np.linalg.lstsq(system[:, free], np.eye(len(system))[-1] - system @ weights,
+                           rcond=None)[0]
+    weights[free] = np.maximum(weights[free] + step, 0.0)
+    return weights[:lam.size], weights[lam.size:]
 
 
-def _cone_certificate(kind: str, problem: Problem, x) -> Certificate:
+def _cone_certificate(kind: str, problem: Problem, x, limit: float = LP_SLACK) -> Certificate:
     """One :func:`max_margin_point` program decides the kind exactly: m, the
     max over unit v in T of min_j a_j . v (:func:`_direction_cone_rows`,
     :func:`_depth_rows`), is the distance from 0 to conv(A) + cone(P).
     m > INTERIOR_MARGIN: the witness v = p / |p| lies in T and improves f
-    into -int K by m, which violates the condition (no dual vector exists
-    for scalarized-fan); LP_SLACK < m <= INTERIOR_MARGIN is inconclusive,
-    and so is a v that rounding leaves outside T, which is no evidence;
-    otherwise the condition holds, and the weights (lam, mu) of the nearest
-    point, kept in ``duals``, give y = R_K^T lam in K+ with
-    J^T y = P^T mu / (n . lam) in the dual of T, n the normalization row."""
+    into -int K by m, which violates the condition (no dual vector or
+    multipliers exist); LP_SLACK < m <= INTERIOR_MARGIN is inconclusive,
+    and so is a v that rounding leaves outside T, which is no evidence.
+    Otherwise the condition holds, and the weights (lam, mu) of the nearest
+    point, on the simplex in ``duals`` (exact where read, :func:`_exact_weights`),
+    give y = R_K^T lam in K+ with J^T y = P^T mu / (n . lam) in the dual of
+    T, n the normalization row.  With P the preimage rows m_j L_w / |m_j L_w|
+    on the tangent rows t_k, y, c_w = -sum_j mu_wj m_j / |m_j L_w| in -C*
+    and n = -sum_k mu_k t_k in N_S(x) are multipliers, which hold when
+    |J^T y + sum_w L_w^T c_w + n| is at most ``limit``."""
     x = np.asarray(x, dtype=float).ravel()
-    failed = LP_INFEASIBLE if kind == "scalarized-fan" else VIOLATED
-    rows = _direction_cone_rows(problem, x, kind)
-    m, v, lam, mu = max_margin_point(_depth_rows(problem, x), x.size, rows)
-    if m > LP_SLACK and np.min(rows @ v, initial=0.0) < -PROJECTION_TOL:
+    failed = VIOLATED if kind in ("tangential", "penalization") else LP_INFEASIBLE
+    a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, kind)
+    m, witness, lam, mu = max_margin_point(a, x.size, rows)
+    if m > LP_SLACK and np.min(rows @ witness, initial=0.0) < -PROJECTION_TOL:
         return Certificate(kind=kind, status=INCONCLUSIVE, residual=m, duals=(lam, mu),
                            notes=("the nearest point's direction leaves the cone",))
     if m > LP_SLACK:
         status, notes = (failed, ()) if m > INTERIOR_MARGIN else (
             INCONCLUSIVE, ("within the margin zone",))
-        return Certificate(kind=kind, status=status, residual=m, witness=v,
+        return Certificate(kind=kind, status=status, residual=m, witness=witness,
                            duals=(lam, mu), notes=notes)
-    if kind != "scalarized-fan":
+    if kind in ("tangential", "penalization"):
         return Certificate(kind=kind, status=HOLDS, residual=m, duals=(lam, mu))
-    return Certificate(kind=kind, status=HOLDS, residual=m, y_star=_fan_dual(problem, lam),
-                       duals=(lam, mu),
+    lam, mu = _exact_weights(problem, a, rows, lam, mu)
+    # adding 0.0 turns a -0.0 from a zero weight into 0.0
+    y = problem.ordering_cone.facets().T @ lam + 0.0
+    if kind == "multiplier":
+        _, norms, keep = problem.preimage
+        coeffs = np.zeros(keep.shape)
+        coeffs[keep] = mu[:norms.size] / norms
+        duals = tuple(0.0 - coeffs @ problem.constraint_cone.facets())
+        normal = 0.0 - rows[norms.size:].T @ mu[norms.size:]
+        residual = _multiplier_residual(problem, x, y, duals, normal)
+        return Certificate(kind=kind, status=HOLDS if residual <= limit else INCONCLUSIVE,
+                           residual=residual, v=y, duals=duals, normal=normal)
+    return Certificate(kind=kind, status=HOLDS, residual=m, y_star=y,
+                       duals=(lam / np.sum(lam), mu / np.sum(lam)),
                        notes=("inclusion datum J^T y* = P^T mu / (n . lam) in the dual of T",))
 
 
@@ -256,12 +282,12 @@ def check_tangential_condition(problem: Problem, x) -> Certificate:
 # ===== scalarized certificates ===========================================
 
 
-def _normalization_row(problem: Problem, dual_gens: np.ndarray) -> np.ndarray:
-    """The row normalizing y = dual_gens @ coeffs, in generator coordinates:
-    sum(y) = 1 on the orthant, y . e = 1 otherwise."""
+def _normalization_row(problem: Problem) -> np.ndarray:
+    """The row n normalizing a dual vector y, n . y = 1: sum(y) = 1 on the
+    orthant, y . e = 1 otherwise."""
     if problem.ordering_cone.kind == ORTHANT:
-        return np.ones(dual_gens.shape[0]) @ dual_gens
-    return problem.direction @ dual_gens
+        return np.ones(problem.ordering_cone.dim)
+    return problem.direction
 
 
 def _dual_vector_system(problem: Problem, constraint_vectors: np.ndarray):
@@ -290,7 +316,7 @@ def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
     coeffs, u = least_distance_point(g, h)
     if coeffs is None:
         return None, u
-    return dual_gens @ (coeffs / float(_normalization_row(problem, dual_gens) @ coeffs)), u
+    return dual_gens @ (coeffs / float(_normalization_row(problem) @ dual_gens @ coeffs)), u
 
 
 def _penalized_vectors(problem: Problem, x, dirs, beta: float) -> np.ndarray:
@@ -351,23 +377,6 @@ def scalarized_fan_certificate(problem: Problem, x) -> Certificate:
     return _cone_certificate("scalarized-fan", problem, x)
 
 
-# ===== multiplier rule ===================================================
-
-
-def _multiplier_system(problem: Problem, x):
-    """The multiplier rule as A c = b over c >= 0, the coefficients of v on
-    the simplex; returns A, b and the generators (as columns) of K+, of the
-    negative dual of C and of the normal cone."""
-    dual_k = problem.ordering_cone.facets().T                                  # (m, qk)
-    neg_dual_c = cone_generators(problem.constraint_cone.negative_dual()).T    # (p_dim, qc)
-    normal_gens = cone_generators(normal_cone(problem.region, x)).T           # (n, qn)
-    blocks = ([problem.objective.jacobian(x).T @ dual_k]
-              + [mat.T @ neg_dual_c for mat in problem.fan().bundle] + [normal_gens])
-    simplex = [np.ones(dual_k.shape[1])] + [np.zeros(b.shape[1]) for b in blocks[1:]]
-    a_eq = np.vstack([np.hstack(blocks), np.concatenate(simplex)])
-    return a_eq, np.eye(a_eq.shape[0])[-1], (dual_k, neg_dual_c, normal_gens)
-
-
 def multiplier_certificate(problem: Problem, x, tol: float = 1e-9) -> Certificate:
     """Finite-dimensional multiplier rule: find a nonzero normalized
     objective multiplier v in the positive dual of the ordering cone,
@@ -376,45 +385,13 @@ def multiplier_certificate(problem: Problem, x, tol: float = 1e-9) -> Certificat
 
         J^T v + sum_i L_i^T c_i + n = 0.
 
-    All unknowns are expanded in generator coordinates c >= 0, so the
-    search is one nonnegative least-squares problem, min |A c - b| over
-    c >= 0.  Its normalization puts the coefficients of v on the simplex,
-    where they stay of order one whatever e is; K+ is pointed, so e . v > 0
-    for every nonzero v in it, and a solution is scaled to the
-    normalization row afterwards (on the orthant the two rows coincide).
-    A residual r = b - A c above the tolerance makes the system
-    infeasible, and r is kept as its Farkas vector: A^T r <= 0 < b . r
-    (Lawson & Hanson 1974, ch. 23).  Infeasibility refutes weak efficiency
-    when the qualification condition holds.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    a_eq, b_eq, (dual_k, neg_dual_c, normal_gens) = _multiplier_system(problem, x)
-    qk, qc = dual_k.shape[1], neg_dual_c.shape[1]
-
-    coeffs = _nnls(a_eq.T, b_eq[None])[0]
-    r = b_eq - a_eq @ coeffs
-    limit = max(tol, 1e-8)
-    if np.max(np.abs(r)) > limit:
-        return Certificate(kind="multiplier", status=LP_INFEASIBLE, farkas=r,
-                           notes=(f"NNLS residual {np.linalg.norm(r):.3e}",))
-    if problem.ordering_cone.kind != ORTHANT:
-        # scaled to the normalization row, the simplex row on the orthant
-        a_eq[-1, :qk] = _normalization_row(problem, dual_k)
-        coeffs /= float(a_eq[-1] @ coeffs)
-        r = b_eq - a_eq @ coeffs
-    # one step of iterative refinement on the support removes the rounding
-    # the free-set solve leaves, so exact data gives exact multipliers
-    free = coeffs > 0.0
-    coeffs[free] = np.maximum(coeffs[free] + np.linalg.lstsq(a_eq[:, free], r,
-                                                             rcond=None)[0], 0.0)
-    v = dual_k @ coeffs[:qk]
-    end = qk + problem.fan().size * qc
-    duals = [neg_dual_c @ c for c in coeffs[qk:end].reshape(-1, qc)]
-    normal = normal_gens @ coeffs[end:]
-    residual = _multiplier_residual(problem, x, v, duals, normal)
-    status = HOLDS if residual <= limit else INCONCLUSIVE
-    return Certificate(kind="multiplier", status=status, residual=residual,
-                       v=v, duals=tuple(duals), normal=normal)
+    By Motzkin's theorem they exist exactly when 0 is in conv(-R_K J) +
+    cone(P), so this is the third reading of the tangential condition's
+    program (:func:`_cone_certificate`), with the residual limit
+    max(tol, 1e-8).  When m > INTERIOR_MARGIN, r = (witness, m) is the
+    Farkas vector of the system in generator coordinates.  Infeasibility
+    refutes weak efficiency when the qualification condition holds."""
+    return _cone_certificate("multiplier", problem, x, limit=max(tol, 1e-8))
 
 
 def _multiplier_residual(problem, x, v, duals, normal) -> float:
@@ -427,18 +404,21 @@ def _multiplier_residual(problem, x, v, duals, normal) -> float:
 def _replay_cone_certificate(problem: Problem, x: np.ndarray, cert: Certificate) -> float:
     """Replay of :func:`_cone_certificate`: inf unless lam >= 0 lies on the
     simplex, mu >= 0, |A^T lam + P^T mu|_inf is at most the residual plus
-    LP_SLACK, a witness v keeps P v >= -PROJECTION_TOL, and a y* is the
-    scaled R_K^T lam; then the witness's depth min_j a_j . v, or the stored
-    residual when there is none."""
+    LP_SLACK, a witness v is a unit vector, to PROJECTION_TOL, with
+    P v >= -PROJECTION_TOL, and a y* is the scaled R_K^T lam; then the
+    witness's depth min_j a_j . v, or the stored residual when there is
+    none."""
     a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, cert.kind)
     lam, mu = cert.duals
     gap = float(np.max(np.abs(a.T @ lam + rows.T @ mu)))
     valid = (np.min(lam) >= 0.0 and abs(np.sum(lam) - 1.0) <= PROJECTION_TOL
              and np.min(mu, initial=0.0) >= 0.0 and gap <= cert.residual + LP_SLACK)
     if cert.witness is not None:
-        valid = valid and np.min(rows @ cert.witness, initial=0.0) >= -PROJECTION_TOL
+        valid = (valid and abs(np.linalg.norm(cert.witness) - 1.0) <= PROJECTION_TOL
+                 and np.min(rows @ cert.witness, initial=0.0) >= -PROJECTION_TOL)
     if cert.y_star is not None:
-        y = _fan_dual(problem, lam)
+        y = problem.ordering_cone.facets().T @ lam
+        y = y / float(_normalization_row(problem) @ y)
         valid = valid and np.max(np.abs(cert.y_star - y)) <= PROJECTION_TOL * np.max(np.abs(y))
     if not valid:
         return np.inf
@@ -447,24 +427,28 @@ def _replay_cone_certificate(problem: Problem, x: np.ndarray, cert: Certificate)
 
 def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
     """Recompute a certificate's residual from its stored multipliers, against
-    the problem's fan, or from its stored witness
-    (:func:`_replay_cone_certificate`), or, for scalarized-convex, from its
-    stored directions and merit slopes.
-    An infeasible multiplier system replays to its stored residual while its
-    Farkas vector r separates, A^T r <= PROJECTION_TOL and b . r > 0, else inf.
+    the problem's fan, or from its stored weights and witness
+    (:func:`_replay_cone_certificate`; an infeasible multiplier rule
+    included), or, for scalarized-convex, from its stored directions and
+    merit slopes.  Multipliers replay to inf unless v lies in K+ on its
+    normalization row, each c_i in -C* and n in N_S(x), each membership to
+    PROJECTION_TOL relative to the vector's length.
     An infeasible scalarized system g c >= h (:func:`_dual_vector_system`)
     does so while its Farkas vector u >= 0 has |g^T u| < h . u: every c with
     g c >= h lies on the simplex, so |c| <= 1 and h . u <= u . g c <= |g^T u|."""
     x = np.asarray(x, dtype=float).ravel()
-    if cert.kind in ("tangential", "penalization", "scalarized-fan"):
+    if cert.kind == "multiplier" and cert.v is not None:
+        cones = [problem.ordering_cone.negative_dual(), normal_cone(problem.region, x)]
+        members = zip(cones + [problem.constraint_cone.negative_dual()] * len(cert.duals),
+                      [-cert.v, cert.normal, *cert.duals])
+        valid = (abs(float(_normalization_row(problem) @ cert.v) - 1.0) <= PROJECTION_TOL
+                 and len(cert.duals) == problem.fan().size
+                 and all(cone.contains(z, tol=PROJECTION_TOL * (1.0 + np.linalg.norm(z)))
+                         for cone, z in members))
+        return _multiplier_residual(problem, x, cert.v, cert.duals, cert.normal) \
+            if valid else np.inf
+    if cert.kind in ("tangential", "penalization", "scalarized-fan", "multiplier"):
         return _replay_cone_certificate(problem, x, cert)
-    if cert.kind == "multiplier":
-        if cert.status == LP_INFEASIBLE:
-            a_eq, b_eq, _ = _multiplier_system(problem, x)
-            separates = (np.max(a_eq.T @ cert.farkas) <= PROJECTION_TOL
-                         and b_eq @ cert.farkas > 0.0)
-            return cert.residual if separates else np.inf
-        return _multiplier_residual(problem, x, cert.v, list(cert.duals), cert.normal)
     if cert.directions is None:
         return cert.residual
     vectors = _penalized_vectors(problem, x, cert.directions, cert.beta)

@@ -22,14 +22,13 @@ library to the same solver: onto a polyhedral region, and onto the
 convex hull of finitely many points plus the cone of others
 (:func:`nearest_hull_point`).  The certificates' programs run on it too:
 the max-margin and fan-cone programs through :func:`nearest_hull_point`,
-the dual-vector search through
-:func:`least_distance_point`, and the multiplier rule as one NNLS
-problem.
+the dual-vector search through :func:`least_distance_point`.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
 facet rows (:meth:`Cone.facets`): by Minkowski-Weyl the facet normals of
 cone(G) generate its positive dual {y : G y >= 0}, which double
-description (:func:`cone_generators`) enumerates.
+description (:func:`cone_generators`) enumerates once per cone, within
+its generator cap.
 """
 
 import warnings
@@ -48,8 +47,6 @@ RAYS = "rays"
 PROJECTION_TOL = 1e-10
 PROJECTION_BUDGET = 10_000
 GENERATOR_CAP = 64
-_DD_MAX_DIM = 4
-_DD_MAX_ROWS = 12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -154,7 +151,7 @@ class Cone:
             return self.rows
         # the dual of {0} is the whole space
         dual = Cone.halfspaces(self.gens) if self.gens.shape[0] else Cone.whole_space(self.dim)
-        return _readonly(limited_generators(dual))
+        return _readonly(cone_generators(dual))
 
     # ----- projection and distance ---------------------------------------
 
@@ -185,7 +182,7 @@ class Cone:
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
         if mat.shape[0] != self.dim:
             raise DimensionError("matrix rows must match cone dim")
-        rows = preimage_rows(self, mat[None])
+        rows = preimage_rows(self, mat[None])[0]
         return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(mat.shape[1])
 
     # ----- serialization hooks (see docio) --------------------------------
@@ -199,17 +196,18 @@ class Cone:
         return {"kind": RAYS, "dim": self.dim, "gens": self.gens.tolist()}
 
 
-def preimage_rows(cone: Cone, mats: np.ndarray) -> np.ndarray:
+def preimage_rows(cone: Cone, mats: np.ndarray):
     """Unit rows of {v : A v in cone for every matrix A of the (w, dim, n)
     stack ``mats``}: the facet rows times every matrix in one stacked
     product (the matrices themselves for the orthant), zero rows dropped
-    with one warning."""
+    with one warning.  Returns the rows, their divisors and the (w, facet
+    count) mask of the products kept: row i is m_j A_w / norms[i] for the
+    i-th kept (w, j)."""
     rows = mats if cone.kind == ORTHANT else np.matmul(cone.facets(), mats)
-    rows = rows.reshape(-1, mats.shape[2])
-    keep = np.linalg.norm(rows, axis=1) >= 1e-12
+    keep = np.linalg.norm(rows, axis=2) >= 1e-12
     if not np.all(keep):
         warnings.warn("preimage dropped zero rows; result may not be proper", stacklevel=2)
-    return _unit_rows(rows[keep], "preimage")[0]
+    return (*_unit_rows(rows[keep], "preimage"), keep)
 
 
 # ===== generator enumeration =============================================
@@ -261,17 +259,6 @@ def cone_generators(cone: Cone, cap: int = GENERATOR_CAP) -> np.ndarray:
     if len(gens) > cap:
         raise RepresentationError(f"generator enumeration exceeded cap {cap}")
     return np.array(gens) if gens else np.zeros((0, dim))
-
-
-def limited_generators(cone: Cone) -> np.ndarray:
-    """:func:`cone_generators` within the limits of its subset enumeration:
-    a halfspace cone in more than _DD_MAX_DIM dimensions or with more than
-    _DD_MAX_ROWS rows raises RepresentationError."""
-    if cone.kind == HALFSPACES and (cone.dim > _DD_MAX_DIM
-                                    or cone.rows.shape[0] > _DD_MAX_ROWS):
-        raise RepresentationError("double description needs at most "
-                                  f"{_DD_MAX_DIM} dimensions and {_DD_MAX_ROWS} rows")
-    return cone_generators(cone)
 
 
 def _gemv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:

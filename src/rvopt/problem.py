@@ -147,8 +147,15 @@ class Problem:
         return self.fan_override if self.fan_override is not None \
             else fan_from_scenarios(self.scenarios)
 
-    @cached_property
+    @property
     def preimage_rows(self) -> np.ndarray:
-        """Unit rows of the fan preimage {v : A v in C for every fan matrix A}
-        (:func:`cones.preimage_rows`, read-only)."""
-        return _readonly(preimage_rows(self.constraint_cone, self._fan.bundle))
+        """Unit rows of the fan preimage {v : A v in C for every fan matrix A}."""
+        return self.preimage[0]
+
+    @cached_property
+    def preimage(self) -> tuple:
+        """(rows, divisors, mask) of :func:`cones.preimage_rows` for the fan,
+        which map a weight on each row to its fan matrix and facet row of C."""
+        rows, norms, keep = preimage_rows(self.constraint_cone, self._fan.bundle)
+        keep.setflags(write=False)
+        return _readonly(rows), _readonly(norms), keep

@@ -89,6 +89,18 @@ def synthetic_problem(kind, w, seed=0):
                    scenarios=ScenarioMap(mats, offsets))
 
 
+def ray_cone_r5_problem() -> Problem:
+    """Identity objective on the box [-2, 2]^2 with a ray C in R^5, the
+    axes plus their sum: past the 4 dimensions the double description of
+    C's facets was once limited to.  The origin is feasible."""
+    mats = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    return Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                   ordering_cone=Cone.orthant(2),
+                   constraint_cone=Cone.rays(np.vstack([np.eye(5), np.ones(5)])),
+                   region=PolyhedralSet.box([-2.0, -2.0], [2.0, 2.0]),
+                   scenarios=ScenarioMap(mats, np.ones((1, 5))))
+
+
 def line_search_boundary(problem, d, steps=60):
     """The last feasible point of the ray from the origin along d, by
     bisection on [0, 4] (the far end leaves the box)."""

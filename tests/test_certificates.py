@@ -20,7 +20,7 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASI
                                 multiplier_certificate, order_lipschitz_holds,
                                 qualification_check, replay_certificate,
                                 scalarized_fan_certificate)
-from rvopt.cones import Cone, limited_generators
+from rvopt.cones import Cone
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
@@ -32,8 +32,8 @@ from rvopt.scenarios import ScenarioMap
 from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
 from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
-                      merit_cases, negated_scenario, synthetic_problem)
-from test_verdict import synthetic_cases
+                      merit_cases, negated_scenario, ray_cone_r5_problem, synthetic_problem)
+from test_verdict import certify_code, exact_weakly_efficient, synthetic_cases
 
 BENCH_CASES = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
 
@@ -379,27 +379,14 @@ class TestConvexScalarized:
         for name, problem, x in SLOPE_CASES:
             convex_scalarized_certificate(problem, x, alpha=1.5, ell=ROOT2)
 
-    def test_ray_cone_beyond_double_description_is_a_stage_error(self):
-        """A ray C in R^5 has no facet rows within the double-description
-        limits, so the slopes cannot be formed: the certificate raises
-        RepresentationError, and the report records a stage error, as it
-        does for the other stages that need those rows."""
-        gens = np.vstack([np.eye(5), np.ones(5)])
-        mats = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
-        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
-                          ordering_cone=Cone.orthant(2), constraint_cone=Cone.rays(gens),
-                          region=PolyhedralSet.box([-2.0, -2.0], [2.0, 2.0]),
-                          scenarios=ScenarioMap(mats, np.ones((1, 5))))
-        x = np.zeros(2)
-        with pytest.raises(RepresentationError):
-            convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
-        stages = {s["name"]: s for s in run_report(problem, x)["stages"]}
-        assert stages["increase"]["status"] == "ok"
-        assert stages["order_lipschitz"]["status"] == "ok"
-        for name in ("penalization", "tangential", "scalarized_fan",
-                     "scalarized_convex", "qualification"):
-            assert stages[name]["status"] == "error", name
-            assert stages[name]["error"].startswith("RepresentationError"), name
+    def test_ray_cone_in_r5_runs_every_stage(self):
+        """A ray C in R^5 gets its facet rows from the one double-description
+        path, so the slopes are formed and every report stage runs."""
+        problem, x = ray_cone_r5_problem(), np.zeros(2)
+        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+        assert replay_certificate(problem, x, cert) == cert.residual
+        stages = run_report(problem, x)["stages"]
+        assert [s["name"] for s in stages if s["status"] == "error"] == []
 
 
 class TestMultiplierRule:
@@ -413,17 +400,18 @@ class TestMultiplierRule:
         assert cert.residual <= 1e-9
 
     def test_interior_dominated_point_infeasible(self, free_negative):
-        """The stored Farkas vector r separates b from the generated cone.
-        Unknowns (v1, v2, c1, c2) >= 0 of J^T v - L^T c = 0 and v1 + v2 = 1,
-        with J = I, L = -I and the constraint duals -c."""
+        """The witness and margin r = (v, m) separate b from the generated
+        cone.  Unknowns (v1, v2, c1, c2) >= 0 of J^T v - L^T c = 0 and
+        v1 + v2 = 1, with J = I, L = -I and the constraint duals -c."""
         cert = multiplier_certificate(free_negative, [-1.0, -1.0])
         assert cert.status == LP_INFEASIBLE
         a = np.array([[1.0, 0.0, 1.0, 0.0],
                       [0.0, 1.0, 0.0, 1.0],
                       [1.0, 1.0, 0.0, 0.0]])
         b = np.array([0.0, 0.0, 1.0])
-        assert np.max(a.T @ cert.farkas) <= 1e-9
-        assert b @ cert.farkas > 0.0
+        r = np.append(cert.witness, cert.residual)
+        assert np.max(a.T @ r) <= 1e-9
+        assert b @ r > 0.0
 
     def test_scalar_objective_infeasible_matches_direct_lp(self):
         """min x1 over {x <= 0} at the origin: stationarity would need the
@@ -441,6 +429,44 @@ class TestMultiplierRule:
         b_eq = np.array([0.0, 0.0, 1.0])
         res = feasibility(LinearProgram(c=np.zeros(3), a_eq=a_eq, b_eq=b_eq))
         assert res.status == INFEASIBLE
+
+    def test_quadratic_objective_reads_its_jacobian(self, boxed_negative):
+        """The rule needs no affine objective: f = x + 0.1 |x|^2 (1, 1) at the
+        edge (-1, 0) has J = [[0.8, 0], [-0.2, 1]], which v = (1, 0) and the
+        normal (-0.8, 0) cancel."""
+        from rvopt.firstorder import QuadraticObjective
+        problem = dataclasses.replace(boxed_negative, objective=QuadraticObjective(
+            quads=0.1 * np.array([np.eye(2), np.eye(2)]), lins=np.eye(2), consts=np.zeros(2)))
+        cert = multiplier_certificate(problem, [-1.0, 0.0])
+        assert cert.status == HOLDS and cert.residual <= 1e-12
+        assert_allclose(cert.v, [1.0, 0.0], atol=1e-12)
+        assert_allclose(cert.normal, [-0.8, 0.0], atol=1e-12)
+        assert replay_certificate(problem, [-1.0, 0.0], cert) == cert.residual
+
+    def test_exact_data_gives_exact_multipliers(self):
+        """Weights at rounding level leave the support and one refinement
+        step solves the rest, so e1 at (0.5, 1) gets y* and v exactly
+        (0, 1), where the solver alone leaves 1.1e-16 in the first entry."""
+        problem, x = load_problem(PROBLEMS_DIR / "e1.json"), [0.5, 1.0]
+        fan = scalarized_fan_certificate(problem, x)
+        cert = multiplier_certificate(problem, x)
+        assert fan.y_star.tolist() == cert.v.tolist() == [0.0, 1.0]
+        assert cert.status == HOLDS and cert.residual == 0.0
+
+    def test_report_point_multipliers_replay(self):
+        """At the 144 report points, the grid and synthetic points and the
+        bench report cases, every multiplier certificate replays to its
+        residual and stores no -0.0."""
+        cases = grid_cases() + synthetic_cases() + [
+            case for case in bench_cases() if case[0].endswith("-report")]
+        assert len(cases) == 144
+        for label, problem, x in cases:
+            cert = multiplier_certificate(problem, x)
+            assert replay_certificate(problem, x, cert) == cert.residual, label
+            stored = np.concatenate([np.ravel(part) for part in
+                                     (cert.v, cert.normal, cert.witness) + cert.duals
+                                     if part is not None])
+            assert not np.any(np.signbit(stored) & (stored == 0.0)), label
 
     def test_replay_reproduces_residual(self, boxed_negative):
         cert = multiplier_certificate(boxed_negative, [-1.0, 0.0])
@@ -549,7 +575,7 @@ class TestShortDirection:
         assert abs(np.dot(e, y) - 1.0) <= 1e-12
         assert np.min(y) >= -1e-12 * np.linalg.norm(y)
 
-    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [0.999, 1e-8]])
+    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [0.999, 1e-8], [1e-8, 1e-8]])
     def test_scalarized_fan_holds_on_the_edge(self, e):
         """At (-1, 0) the dual vector is (1, 0) / e1."""
         cert = scalarized_fan_certificate(self.boxed(e), [-1.0, 0.0])
@@ -633,37 +659,66 @@ class TestReplay:
         assert replay_certificate(problem, x, cert) == cert.residual
 
     def test_tampered_farkas_vector_replays_differently(self, free_negative):
-        """The infeasible multiplier system at (-1, -1) replays to its stored
-        residual 0 because its Farkas vector r separates, A^T r <= 0 < b . r,
-        and so does the infeasible scalarized-convex system of e2 at (0, 0),
-        whose vector u >= 0 has |g^T u| < h . u; the negated or zeroed
-        vectors do not, and replay to inf."""
+        """The infeasible scalarized-convex system of e2 at (0, 0) replays to
+        its stored residual 0 because its vector u >= 0 has |g^T u| < h . u,
+        and the infeasible multiplier rule at (-1, -1) replays to its margin
+        because its witness is a unit vector in the direction cone; the
+        negated or zeroed vector, and the negated, zeroed or tripled
+        witness, replay to inf."""
         e2 = load_problem(PROBLEMS_DIR / "e2.json")
-        for problem, x, certify in (
-                (free_negative, [-1.0, -1.0], multiplier_certificate),
-                (e2, [0.0, 0.0], lambda p, x: convex_scalarized_certificate(p, x, 1.5, 3.0))):
-            cert = certify(problem, x)
-            assert cert.status == LP_INFEASIBLE
-            assert replay_certificate(problem, x, cert) == cert.residual == 0.0
-            for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
-                tampered = dataclasses.replace(cert, farkas=farkas)
-                assert replay_certificate(problem, x, tampered) == np.inf
+        cert = convex_scalarized_certificate(e2, [0.0, 0.0], 1.5, 3.0)
+        assert cert.status == LP_INFEASIBLE
+        assert replay_certificate(e2, [0.0, 0.0], cert) == cert.residual == 0.0
+        for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
+            tampered = dataclasses.replace(cert, farkas=farkas)
+            assert replay_certificate(e2, [0.0, 0.0], tampered) == np.inf
+        cert = multiplier_certificate(free_negative, [-1.0, -1.0])
+        assert cert.status == LP_INFEASIBLE and cert.residual > INTERIOR_MARGIN
+        assert replay_certificate(free_negative, [-1.0, -1.0], cert) == cert.residual
+        for scale in (-1.0, 0.0, 3.0):
+            tampered = dataclasses.replace(cert, witness=scale * cert.witness)
+            assert replay_certificate(free_negative, [-1.0, -1.0], tampered) == np.inf
+
+    def test_tampered_multiplier_rule_replays_to_inf(self):
+        """On e2 at (-1, 0) the negated multipliers and the all-zero ones
+        still cancel, |J^T v + L^T c + n| = 0, but leave K+ on its
+        normalization row, -C* or the normal cone, so replay rejects them;
+        so do a negated v or a negated n alone, and a constraint dual
+        outside -C*."""
+        problem, x = load_problem(PROBLEMS_DIR / "e2.json"), [-1.0, 0.0]
+        cert = multiplier_certificate(problem, x)
+        assert cert.status == HOLDS
+        assert replay_certificate(problem, x, cert) == cert.residual == 0.0
+        for scale in (-1.0, 0.0):
+            tampered = dataclasses.replace(cert, v=scale * cert.v, normal=scale * cert.normal,
+                                           duals=tuple(scale * c for c in cert.duals))
+            assert rvopt.certificates._multiplier_residual(
+                problem, x, tampered.v, tampered.duals, tampered.normal) == 0.0
+            assert replay_certificate(problem, x, tampered) == np.inf
+        for tampered in (dataclasses.replace(cert, v=-cert.v),
+                         dataclasses.replace(cert, normal=-cert.normal),
+                         dataclasses.replace(cert, duals=(np.ones(2),))):
+            assert replay_certificate(problem, x, tampered) == np.inf
 
     def test_tampered_directions_replay_differently(self, boxed_negative):
-        """At the dominated corner (0, 0) all three fan-cone certificates
+        """At the dominated corner (0, 0) all four fan-cone certificates
         fail with residual 1/sqrt(2), the depth of the witness (-1, -1)/sqrt(2).
-        The negated witness leaves the direction cone, and negated or
-        zeroed weights leave the simplex, so all replay to inf."""
+        The negated witness leaves the direction cone, a zeroed or tripled
+        one is no unit vector, and negated or zeroed weights leave the
+        simplex, so all replay to inf."""
         x = [0.0, 0.0]
         for cert in (check_tangential_condition(boxed_negative, x),
                      check_penalization_condition(boxed_negative, x, alpha=1.5, ell=ROOT2),
-                     scalarized_fan_certificate(boxed_negative, x)):
+                     scalarized_fan_certificate(boxed_negative, x),
+                     multiplier_certificate(boxed_negative, x)):
             assert cert.status in (VIOLATED, LP_INFEASIBLE)
             assert cert.residual == pytest.approx(1.0 / ROOT2, abs=1e-12)
             assert_allclose(cert.witness, -np.ones(2) / ROOT2, atol=1e-12)
             assert replay_certificate(boxed_negative, x, cert) == cert.residual
             lam, mu = cert.duals
             for tampered in (dataclasses.replace(cert, witness=-cert.witness),
+                             dataclasses.replace(cert, witness=0.0 * cert.witness),
+                             dataclasses.replace(cert, witness=3.0 * cert.witness),
                              dataclasses.replace(cert, duals=(-lam, mu)),
                              dataclasses.replace(cert, duals=(np.zeros_like(lam), mu))):
                 assert replay_certificate(boxed_negative, x, tampered) == np.inf
@@ -864,12 +919,18 @@ class TestFanDataDerivedOnce:
 
 # ----- the exact fan-cone programs against the sampled certificates they replaced
 
-def bench_cases():
-    """(label, problem, x) for every benchmark case run at a point, with the
-    synthetic instances at workload seed 7."""
+def bench_module():
+    """The benchmark's case module, with its synthetic instance family."""
     spec = importlib.util.spec_from_file_location("bench_cases", BENCH_CASES)
     cases = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cases)
+    return cases
+
+
+def bench_cases():
+    """(label, problem, x) for every benchmark case run at a point, with the
+    synthetic instances at workload seed 7."""
+    cases = bench_module()
     out = []
     for workload in cases.WORKLOADS.values():
         for label, source, argv in workload:
@@ -885,10 +946,13 @@ def bench_cases():
 
 def sampled_directions(cone):
     """The former direction set of a cone: 64 sampled directions (seed 0)
-    and its generators, None beyond the double-description limits."""
+    and its generators, None beyond the double-description limits the
+    sampled certificates had, 4 dimensions and 12 rows."""
     dirs = sampled_cone_directions(cone, 64, seed=0)
+    if cone.kind == "halfspaces" and (cone.dim > 4 or cone.rows.shape[0] > 12):
+        return dirs, None
     try:
-        return dirs, limited_generators(cone)
+        return dirs, cone_generators(cone)
     except RepresentationError:
         return dirs, None
 
@@ -935,6 +999,55 @@ def exact_and_sampled():
                  "scalarized-fan": scalarized_fan_certificate(problem, x)}
         rows.append((label, problem, x, exact, sampled_certificates(problem, x)))
     return rows
+
+
+def past_limit_cases():
+    """(label, problem, x) with a ray C past the former double-description
+    limits of 4 dimensions and 12 rows: the ray C in R^5 at four points,
+    and with its scenario matrix negated at the origin, where every
+    direction v <= 0 keeps the images in C and improves f; and the bench
+    family's ray C at n = 5 and 6 (workload seed 7), at x0 = 2 * 1 and at
+    the last feasible point toward 0."""
+    r5 = ray_cone_r5_problem()
+    cases = [(f"rays-r5{tuple(x)}", r5, np.array(x))
+             for x in ([0.0, 0.0], [-0.5, -0.5], [-1.0, 0.0], [-1.0, 1.0])]
+    negated = ScenarioMap(-r5.scenarios.mats, r5.scenarios.offsets)
+    cases.append(("rays-r5-negated", dataclasses.replace(r5, scenarios=negated), np.zeros(2)))
+    bench = bench_module()
+    for n in (5, 6):
+        problem = bench.synthetic(bench.Family(n, 4, "rays", 0.3, 2.0, 1.0, 40 + n), 7)
+        lo, hi = 0.0, 2.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if problem.feasible(np.full(n, 2.0 - mid)) else (lo, mid)
+        cases += [(f"rays-n{n}-x0", problem, np.full(n, 2.0)),
+                  (f"rays-n{n}-boundary", problem, np.full(n, 2.0 - lo))]
+    return cases
+
+
+class TestPastTheFormerLimits:
+    def test_every_certificate_runs_and_agrees_with_the_lp(self, tmp_path):
+        """Every certificate stage runs on ray C past the former limits; the
+        three readings of the fan-cone program agree, and neither they nor
+        certify refute a point the max-t LP calls weakly efficient."""
+        refuted = 0
+        for label, problem, x in past_limit_cases():
+            assert problem.feasible(x), label
+            convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+            check_penalization_condition(problem, x, alpha=1.5, ell=1.0)
+            qualification_check(problem, x)
+            tangential = check_tangential_condition(problem, x).status
+            fan = scalarized_fan_certificate(problem, x).status
+            cert = multiplier_certificate(problem, x)
+            assert cert.status == fan == (LP_INFEASIBLE if tangential == VIOLATED
+                                          else tangential), label
+            assert replay_certificate(problem, x, cert) == cert.residual, label
+            code = certify_code(tmp_path, problem, x)
+            assert code in (0, 2, 3), label
+            if exact_weakly_efficient(problem, x):
+                assert code != 2 and tangential != VIOLATED, label
+            refuted += code == 2
+        assert refuted > 0
 
 
 class TestExactAgainstSampled:
@@ -995,6 +1108,18 @@ class TestExactAgainstSampled:
                                   initial=0.0) >= -1e-9, label
                 held += 1
         assert held == 300
+
+    def test_multiplier_rule_is_the_third_reading(self, exact_and_sampled):
+        """The multiplier rule reads the same program: its status equals
+        tangential's (violated as lp-infeasible) and scalarized-fan's at
+        every point, and a holding multiplier cancels to 1e-8."""
+        for label, problem, x, exact, _ in exact_and_sampled:
+            cert = multiplier_certificate(problem, x)
+            tangential = exact["tangential"].status
+            assert cert.status == exact["scalarized-fan"].status, label
+            assert cert.status == (LP_INFEASIBLE if tangential == VIOLATED else tangential)
+            if cert.status == HOLDS:
+                assert cert.residual <= 1e-8, label
 
     def test_certify_wide_cases_hold(self, exact_and_sampled):
         """The fan cones of the certify-wide cases have 32-64 rows, past the

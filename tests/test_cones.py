@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import rvopt.cones as cones_mod
 from rvopt.cones import Cone, distance_many, project_many
-from rvopt.errors import ConvergenceError, DimensionError, RepresentationError
+from rvopt.errors import ConvergenceError, DimensionError
 from rvopt.sampling import grid_points, sphere_directions
 
 
@@ -200,14 +200,22 @@ class TestRayFacets:
         with pytest.raises(ValueError):
             cone.facets()[0, 0] = 2.0
 
-    def test_over_limit_ray_cones_raise(self):
-        ring = [[np.cos(t), np.sin(t), 1.0]
-                for t in np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)]
-        for cone in (Cone.rays(np.eye(5)), Cone.rays(ring)):
-            with pytest.raises(RepresentationError, match="double description"):
-                cone.facets()
-            with pytest.raises(RepresentationError):
-                cone.linear_preimage(np.eye(cone.dim))
+    def test_large_ray_cones_have_facets(self):
+        """Past 4 dimensions or 12 generators double description still
+        enumerates the facets, within its cap of 64: the orthant of R^5 as
+        a ray cone has the axes as facets, and a ring of 13 generators has
+        13 facets, each tight at 2 neighbouring generators."""
+        orthant = Cone.rays(np.eye(5))
+        facets = orthant.facets()
+        assert_allclose(facets[np.argsort(np.argmax(facets, axis=1))], np.eye(5), atol=1e-12)
+        assert_allclose(orthant.linear_preimage(np.eye(5)).rows @ np.ones(5),
+                        np.ones(5), atol=1e-12)
+        ring = Cone.rays([[np.cos(t), np.sin(t), 1.0]
+                          for t in np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)])
+        values = ring.facets() @ ring.gens.T
+        assert values.shape == (13, 13) and np.min(values) >= -1e-12
+        assert np.all(np.sum(np.abs(values) <= 1e-12, axis=1) == 2)
+        assert ring.linear_preimage(np.eye(3)).rows.shape == (13, 3)
 
 
 class TestConstruction:

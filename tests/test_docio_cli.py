@@ -33,7 +33,7 @@ from rvopt.docio import (
 )
 from rvopt.reporting import REPORT_VERSION
 
-from conftest import synthetic_problem
+from conftest import ray_cone_r5_problem, synthetic_problem
 
 
 def run_cli(argv):
@@ -222,8 +222,16 @@ class TestCertifyCommand:
             "witness (-0.707107, -0.707107)",
             "scalarized lp-infeasible (residual 0.707) "
             "witness (-0.707107, -0.707107)",
-            "multiplier lp-infeasible (residual 0)",
+            "multiplier lp-infeasible (residual 0.707) "
+            "witness (-0.707107, -0.707107)",
         ]
+
+    def test_exact_data_gives_exact_multipliers(self, problems_dir):
+        code, out, _ = run_cli(["certify", str(problems_dir / "e1.json"), "--at", "0.5", "1"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["tangential holds (residual 0)",
+                                        "scalarized holds (residual 0)",
+                                        "multiplier holds (residual 0)"]
 
 
 class TestScanCommands:
@@ -373,7 +381,8 @@ class TestParserBuiltOnce:
 
 class TestNoSimplexOnCertificatePaths:
     """Every certify and report program runs on the NNLS kernel: with the
-    simplex made to raise, no call reaches it and no stage errors."""
+    simplex made to raise, no call reaches it and no stage errors, a ray C
+    in R^5 included."""
 
     @staticmethod
     def synthetic_files(tmp_path):
@@ -391,6 +400,9 @@ class TestNoSimplexOnCertificatePaths:
             path = str(tmp_path / f"{name}.json")
             save_problem(problem, path)
             files.append((path, ["1", "1"]))
+        path = str(tmp_path / "rays-r5.json")
+        save_problem(ray_cone_r5_problem(), path)
+        files.append((path, ["0", "0"]))
         return files
 
     def test_simplex_is_never_called(self, monkeypatch, tmp_path, problems_dir):
