@@ -25,12 +25,12 @@ included.  An infeasible scalarization or multiplier rule refutes weak
 efficiency whenever the accompanying qualification check passes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, Cone, cone_generators, distance_many,
-                    least_distance_point)
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, _readonly, cone_generators,
+                    distance_many, least_distance_point)
 from .errors import PreconditionError, RepresentationError
 from .firstorder import (ACTIVE_TOL, _merge_directions, contingent_cone, normal_cone,
                          sampled_cone_directions)
@@ -84,11 +84,8 @@ class QualificationReport:
     passed: bool
     margin: float
     witness: np.ndarray | None
-    slater_applicable: bool
-    slater_passed: bool
-    slater_margin: float
-    slater_witness: np.ndarray | None
     notes: tuple = field(default_factory=tuple)
+    applicable: bool = True     # False where the Slater variant does not apply
 
 
 # ===== order-Lipschitz estimation ========================================
@@ -190,12 +187,34 @@ def _depth_rows(problem: Problem, x: np.ndarray) -> np.ndarray:
     return -(problem.ordering_cone.facets() @ problem.objective.jacobian(x))
 
 
-def _exact_weights(problem: Problem, a, rows, lam, mu):
-    """Weights of a zero-margin program scaled to n . y = 1, y = R_K^T lam
-    and n the normalization row: those at rounding level (at most
-    PROJECTION_TOL times the largest) leave the support, and one
-    least-squares refinement step of A^T lam + P^T mu = 0, n . y = 1 on the
-    rest makes exact data give exact weights, whatever the length of e."""
+def _cone_program(problem: Problem, x, kind: str) -> dict:
+    """The program of :func:`_cone_certificate`, solved once per point and
+    direction cone (penalization's T_S(x) or the fan cone): the problem
+    keeps the latest solve, whose witness and weights every certificate
+    read from it shares, so they are read-only."""
+    x = np.asarray(x, dtype=float).ravel()
+    key = (x.tobytes(), kind == "penalization")
+    program = problem._latest_program
+    if program.get("key") != key:
+        a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, kind)
+        m, witness, lam, mu = max_margin_point(a, x.size, rows)
+        program.clear()
+        program.update(key=key, a=a, rows=rows, m=m, witness=_readonly(witness),
+                       duals=(_readonly(lam), _readonly(mu)))
+    return program
+
+
+def _exact_weights(problem: Problem, x):
+    """(y, lam, mu) of the fan-cone program at a zero margin, y = R_K^T lam
+    scaled to n . y = 1 with n the normalization row: weights at rounding
+    level (at most PROJECTION_TOL times the largest) leave the support, and
+    one least-squares refinement step of A^T lam + P^T mu = 0, n . y = 1 on
+    the rest makes exact data give exact weights, whatever the length of e.
+    Computed once per solve, read-only like it."""
+    program = _cone_program(problem, x, "scalarized-fan")
+    if "exact" in program:
+        return program["exact"]
+    a, rows, (lam, mu) = program["a"], program["rows"], program["duals"]
     weights = np.concatenate([lam, mu])
     weights[weights <= PROJECTION_TOL * np.max(weights)] = 0.0
     norm_row = _normalization_row(problem) @ problem.ordering_cone.facets().T
@@ -205,53 +224,36 @@ def _exact_weights(problem: Problem, a, rows, lam, mu):
     step = np.linalg.lstsq(system[:, free], np.eye(len(system))[-1] - system @ weights,
                            rcond=None)[0]
     weights[free] = np.maximum(weights[free] + step, 0.0)
-    return weights[:lam.size], weights[lam.size:]
+    # adding 0.0 turns a -0.0 from a zero weight into 0.0
+    y = problem.ordering_cone.facets().T @ weights[:lam.size] + 0.0
+    program["exact"] = tuple(map(_readonly, (y, weights[:lam.size], weights[lam.size:])))
+    return program["exact"]
 
 
-def _cone_certificate(kind: str, problem: Problem, x, limit: float = LP_SLACK) -> Certificate:
-    """One :func:`max_margin_point` program decides the kind exactly: m, the
-    max over unit v in T of min_j a_j . v (:func:`_direction_cone_rows`,
-    :func:`_depth_rows`), is the distance from 0 to conv(A) + cone(P).
-    m > INTERIOR_MARGIN: the witness v = p / |p| lies in T and improves f
-    into -int K by m, which violates the condition (no dual vector or
-    multipliers exist); LP_SLACK < m <= INTERIOR_MARGIN is inconclusive,
-    and so is a v that rounding leaves outside T, which is no evidence.
-    Otherwise the condition holds, and the weights (lam, mu) of the nearest
-    point, on the simplex in ``duals`` (exact where read, :func:`_exact_weights`),
+def _cone_certificate(kind: str, problem: Problem, x) -> Certificate:
+    """One :func:`max_margin_point` program (:func:`_cone_program`) decides
+    the kind exactly: m, the max over unit v in T of min_j a_j . v
+    (:func:`_direction_cone_rows`, :func:`_depth_rows`), is the distance
+    from 0 to conv(A) + cone(P).  m > INTERIOR_MARGIN: the witness v =
+    p / |p| lies in T and improves f into -int K by m, which violates the
+    condition (no dual vector or multipliers exist); LP_SLACK < m <=
+    INTERIOR_MARGIN is inconclusive, and so is a v that rounding leaves
+    outside T, which is no evidence.  Otherwise the condition holds, and
+    the weights (lam, mu) of the nearest point, on the simplex in ``duals``,
     give y = R_K^T lam in K+ with J^T y = P^T mu / (n . lam) in the dual of
-    T, n the normalization row.  With P the preimage rows m_j L_w / |m_j L_w|
-    on the tangent rows t_k, y, c_w = -sum_j mu_wj m_j / |m_j L_w| in -C*
-    and n = -sum_k mu_k t_k in N_S(x) are multipliers, which hold when
-    |J^T y + sum_w L_w^T c_w + n| is at most ``limit``."""
-    x = np.asarray(x, dtype=float).ravel()
-    failed = VIOLATED if kind in ("tangential", "penalization") else LP_INFEASIBLE
-    a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, kind)
-    m, witness, lam, mu = max_margin_point(a, x.size, rows)
-    if m > LP_SLACK and np.min(rows @ witness, initial=0.0) < -PROJECTION_TOL:
-        return Certificate(kind=kind, status=INCONCLUSIVE, residual=m, duals=(lam, mu),
+    T, n the normalization row (exact where read, :func:`_exact_weights`)."""
+    program = _cone_program(problem, x, kind)
+    m, witness, duals = program["m"], program["witness"], program["duals"]
+    if m > LP_SLACK and np.min(program["rows"] @ witness, initial=0.0) < -PROJECTION_TOL:
+        return Certificate(kind=kind, status=INCONCLUSIVE, residual=m, duals=duals,
                            notes=("the nearest point's direction leaves the cone",))
     if m > LP_SLACK:
+        failed = VIOLATED if kind in ("tangential", "penalization") else LP_INFEASIBLE
         status, notes = (failed, ()) if m > INTERIOR_MARGIN else (
             INCONCLUSIVE, ("within the margin zone",))
         return Certificate(kind=kind, status=status, residual=m, witness=witness,
-                           duals=(lam, mu), notes=notes)
-    if kind in ("tangential", "penalization"):
-        return Certificate(kind=kind, status=HOLDS, residual=m, duals=(lam, mu))
-    lam, mu = _exact_weights(problem, a, rows, lam, mu)
-    # adding 0.0 turns a -0.0 from a zero weight into 0.0
-    y = problem.ordering_cone.facets().T @ lam + 0.0
-    if kind == "multiplier":
-        _, norms, keep = problem.preimage
-        coeffs = np.zeros(keep.shape)
-        coeffs[keep] = mu[:norms.size] / norms
-        duals = tuple(0.0 - coeffs @ problem.constraint_cone.facets())
-        normal = 0.0 - rows[norms.size:].T @ mu[norms.size:]
-        residual = _multiplier_residual(problem, x, y, duals, normal)
-        return Certificate(kind=kind, status=HOLDS if residual <= limit else INCONCLUSIVE,
-                           residual=residual, v=y, duals=duals, normal=normal)
-    return Certificate(kind=kind, status=HOLDS, residual=m, y_star=y,
-                       duals=(lam / np.sum(lam), mu / np.sum(lam)),
-                       notes=("inclusion datum J^T y* = P^T mu / (n . lam) in the dual of T",))
+                           duals=duals, notes=notes)
+    return Certificate(kind=kind, status=HOLDS, residual=m, duals=duals)
 
 
 def check_penalization_condition(problem: Problem, x, alpha: float,
@@ -374,7 +376,12 @@ def scalarized_fan_certificate(problem: Problem, x) -> Certificate:
     """
     if not problem.objective.is_affine:
         raise PreconditionError("fan scalarization requires an affine objective")
-    return _cone_certificate("scalarized-fan", problem, x)
+    cert = _cone_certificate("scalarized-fan", problem, x)
+    if cert.status != HOLDS:
+        return cert
+    y, lam, mu = _exact_weights(problem, x)
+    return replace(cert, y_star=y, duals=(lam / np.sum(lam), mu / np.sum(lam)),
+                   notes=("inclusion datum J^T y* = P^T mu / (n . lam) in the dual of T",))
 
 
 def multiplier_certificate(problem: Problem, x, tol: float = 1e-9) -> Certificate:
@@ -387,11 +394,26 @@ def multiplier_certificate(problem: Problem, x, tol: float = 1e-9) -> Certificat
 
     By Motzkin's theorem they exist exactly when 0 is in conv(-R_K J) +
     cone(P), so this is the third reading of the tangential condition's
-    program (:func:`_cone_certificate`), with the residual limit
+    program (:func:`_cone_certificate`): with P the preimage rows
+    m_j L_w / |m_j L_w| on the tangent rows t_k, the exact weights give v =
+    y, c_w = -sum_j mu_wj m_j / |m_j L_w| in -C* and n = -sum_k mu_k t_k in
+    N_S(x), which hold when |J^T v + sum_w L_w^T c_w + n| is at most
     max(tol, 1e-8).  When m > INTERIOR_MARGIN, r = (witness, m) is the
     Farkas vector of the system in generator coordinates.  Infeasibility
     refutes weak efficiency when the qualification condition holds."""
-    return _cone_certificate("multiplier", problem, x, limit=max(tol, 1e-8))
+    cert = _cone_certificate("multiplier", problem, x)
+    if cert.status != HOLDS:
+        return cert
+    y, _, mu = _exact_weights(problem, x)
+    _, norms, keep = problem.preimage
+    coeffs = np.zeros(keep.shape)
+    coeffs[keep] = mu[:norms.size] / norms
+    duals = tuple(0.0 - coeffs @ problem.constraint_cone.facets())
+    tangent = _cone_program(problem, x, "multiplier")["rows"][norms.size:]
+    normal = 0.0 - tangent.T @ mu[norms.size:]
+    residual = _multiplier_residual(problem, x, y, duals, normal)
+    return replace(cert, status=HOLDS if residual <= max(tol, 1e-8) else INCONCLUSIVE,
+                   residual=residual, v=y, duals=duals, normal=normal)
 
 
 def _multiplier_residual(problem, x, v, duals, normal) -> float:
@@ -469,42 +491,33 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
 def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> QualificationReport:
     """Interior-compatibility of the fan preimages with the tangent cone.
 
-    The main condition asks for a direction interior to every fan-matrix
+    The condition asks for a direction interior to every fan-matrix
     preimage of the constraint cone and to the tangent cone at once; it is
     decided by maximizing the joint interiority margin over the unit ball,
     which is the distance from 0 to the convex hull of the rows, the
     problem's raw :attr:`~rvopt.problem.Problem.preimage_rows` and the
-    tangent cone's.
-    The Slater variant asks instead for a direction mapped into the
-    interior of the constraint cone by every fan matrix; it applies only
-    when that interior is nonempty and the point is interior to the region,
-    where the tangent cone has no rows.
+    tangent cone's.  The report also runs :func:`slater_check`.
     """
     x = np.asarray(x, dtype=float).ravel()
-    notes = []
-
-    c_cone = problem.constraint_cone
-    tangent = contingent_cone(problem.region, x)
-    rows = np.vstack([problem.preimage_rows, tangent.rows])
+    rows = np.vstack([problem.preimage_rows, contingent_cone(problem.region, x).rows])
     margin, witness, _, _ = max_margin_point(rows, x.size)
-    if not rows.shape[0]:
-        notes.append("no active rows; condition vacuous")
-    passed = margin > tol
+    notes = () if rows.shape[0] else ("no active rows; condition vacuous",)
+    return QualificationReport(passed=margin > tol, margin=margin, witness=witness, notes=notes)
 
-    slater_applicable, slater_passed, s_margin, s_witness = False, False, 0.0, None
-    if interior_witness(c_cone)[1] <= tol:
-        notes.append("constraint cone has empty interior")
-    elif tangent.rows.shape[0]:
-        notes.append("reference point is not interior to the region")
+
+def slater_check(problem: Problem, x, tol: float = LP_SLACK) -> QualificationReport:
+    """The Slater variant of :func:`qualification_check`: a direction mapped
+    into the interior of the constraint cone by every fan matrix.  It
+    applies only when that interior is nonempty and the point is interior
+    to the region, where the tangent cone has no rows."""
+    x = np.asarray(x, dtype=float).ravel()
+    if interior_witness(problem.constraint_cone)[1] <= tol:
+        reason = "constraint cone has empty interior"
+    elif contingent_cone(problem.region, x).rows.shape[0]:
+        reason = "reference point is not interior to the region"
     else:
-        slater_applicable = True
-        stacked = np.vstack([c_cone.facets() @ mat for mat in problem.fan().bundle])
-        s_margin, s_witness, _, _ = max_margin_point(stacked, x.size)
-        slater_passed = s_margin > tol
-
-    return QualificationReport(passed=passed, margin=margin, witness=witness,
-                               slater_applicable=slater_applicable,
-                               slater_passed=slater_passed,
-                               slater_margin=s_margin,
-                               slater_witness=s_witness, notes=tuple(notes))
-
+        stacked = np.vstack([problem.constraint_cone.facets() @ mat
+                             for mat in problem.fan().bundle])
+        margin, witness, _, _ = max_margin_point(stacked, x.size)
+        return QualificationReport(passed=margin > tol, margin=margin, witness=witness)
+    return QualificationReport(False, 0.0, None, notes=(reason,), applicable=False)

@@ -159,3 +159,8 @@ class Problem:
         rows, norms, keep = preimage_rows(self.constraint_cone, self._fan.bundle)
         keep.setflags(write=False)
         return _readonly(rows), _readonly(norms), keep
+
+    @cached_property
+    def _latest_program(self) -> dict:
+        """Single-entry memo of the latest point's certificate program."""
+        return {}

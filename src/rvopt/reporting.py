@@ -20,7 +20,7 @@ from .certificates import (HOLDS, LP_INFEASIBLE, VIOLATED,
                            convex_scalarized_certificate,
                            estimate_order_lipschitz, merit_is_flat,
                            multiplier_certificate, qualification_check,
-                           scalarized_fan_certificate)
+                           scalarized_fan_certificate, slater_check)
 from .docio import Tolerances, problem_to_document
 # unused; the two firstorder.subgradient sites of bench/tracing.py wrap these
 # names in rvopt.reporting, so they stay until it drops those sites
@@ -247,7 +247,8 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                       "status": "assumed-by-user"})
     else:
         cq = pipe.run("qualification", {}, lambda: {
-            "report": _qualification_entry(qualification_check(problem, x))})
+            "report": _qualification_entry(qualification_check(problem, x),
+                                           slater_check(problem, x))})
         cq_passed = cq["report"]["passed"] if cq else None
         audit.append({"hypothesis": "constraint qualification",
                       "status": "verified" if cq_passed
@@ -264,14 +265,11 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
     return _finish(problem, x, seed, options, pipe, audit, certs, cq_passed)
 
 
-def _qualification_entry(report) -> dict:
-    return {"passed": report.passed, "margin": report.margin,
-            "witness": report.witness,
-            "slater_applicable": report.slater_applicable,
-            "slater_passed": report.slater_passed,
-            "slater_margin": report.slater_margin,
-            "slater_witness": report.slater_witness,
-            "notes": list(report.notes)}
+def _qualification_entry(main, slater) -> dict:
+    return {"passed": main.passed, "margin": main.margin, "witness": main.witness,
+            "slater_applicable": slater.applicable, "slater_passed": slater.passed,
+            "slater_margin": slater.margin, "slater_witness": slater.witness,
+            "notes": list(main.notes + slater.notes)}
 
 
 def _finish(problem, x, seed, options, pipe, audit, certs, cq_passed):

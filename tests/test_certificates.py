@@ -19,7 +19,7 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASI
                                 estimate_order_lipschitz, merit_slopes,
                                 multiplier_certificate, order_lipschitz_holds,
                                 qualification_check, replay_certificate,
-                                scalarized_fan_certificate)
+                                scalarized_fan_certificate, slater_check)
 from rvopt.cones import Cone
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
@@ -746,7 +746,8 @@ class TestQualification:
         problem = dataclasses.replace(free_negative, fan_override=Fan(np.eye(2)))
         report = qualification_check(problem, [0.0, 0.0])
         assert report.passed and report.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
-        assert report.slater_applicable and report.slater_passed
+        slater = slater_check(problem, [0.0, 0.0])
+        assert slater.applicable and slater.passed
 
     def test_opposed_fan_fails(self, free_negative):
         fan = Fan(np.array([np.eye(2), -np.eye(2)]))
@@ -759,15 +760,23 @@ class TestQualification:
         report = qualification_check(boxed_negative, [-1.0, 0.0])
         assert not report.passed
         assert report.margin == pytest.approx(0.0, abs=1e-9)
-        assert not report.slater_applicable
-        assert any("not interior" in note for note in report.notes)
+        slater = slater_check(boxed_negative, [-1.0, 0.0])
+        assert not slater.applicable
+        assert any("not interior" in note for note in slater.notes)
+        stages = run_report(boxed_negative, [-1.0, 0.0])["stages"]
+        entry = next(s for s in stages if s["name"] == "qualification")["report"]
+        assert (entry["passed"], entry["slater_applicable"], entry["slater_passed"],
+                entry["slater_margin"], entry["slater_witness"]) == (
+                    False, False, False, 0.0, None)
+        assert entry["notes"] == list(report.notes + slater.notes)
 
     def test_negated_scenario_passes_on_the_interior(self, free_negative):
         report = qualification_check(free_negative, [-1.0, -1.0])
         assert report.passed and report.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
         assert_allclose(report.witness, [-1.0, -1.0] / ROOT2, atol=1e-7)
-        assert report.slater_passed
-        assert report.slater_margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
+        slater = slater_check(free_negative, [-1.0, -1.0])
+        assert slater.passed
+        assert slater.margin == pytest.approx(1.0 / ROOT2, abs=1e-7)
 
 
 class TestConeGenerators:
@@ -812,16 +821,26 @@ class TestConeGenerators:
 
 class TestFanDataDerivedOnce:
     """One certify or report derives the fan and its preimage of C once,
-    with one batched preimage call, and samples no fan-cone directions;
-    nothing outlives the problem: every CLI invocation loads a fresh one
-    and redoes the work."""
+    with one batched preimage call, solves the fan-cone program once, and
+    samples no fan-cone directions; nothing outlives the problem: every
+    CLI invocation loads a fresh one and redoes the work."""
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"fan": 0, "preimage": [], "sampled": []}
+        calls = {"fan": 0, "preimage": [], "sampled": [], "margin": [], "interior": 0}
         build_fan = rvopt.problem.fan_from_scenarios
         preimage = rvopt.problem.preimage_rows
         sample = rvopt.certificates.sampled_cone_directions
+        solve = rvopt.certificates.max_margin_point
+        interior = rvopt.certificates.interior_witness
+
+        def count_solve(rows, dim, cone_rows=None):
+            calls["margin"].append(cone_rows)
+            return solve(rows, dim, cone_rows)
+
+        def count_interior(cone):
+            calls["interior"] += 1
+            return interior(cone)
 
         def count_fan(smap):
             calls["fan"] += 1
@@ -838,6 +857,8 @@ class TestFanDataDerivedOnce:
         monkeypatch.setattr(rvopt.problem, "fan_from_scenarios", count_fan)
         monkeypatch.setattr(rvopt.problem, "preimage_rows", count_preimage)
         monkeypatch.setattr(rvopt.certificates, "sampled_cone_directions", count_sample)
+        monkeypatch.setattr(rvopt.certificates, "max_margin_point", count_solve)
+        monkeypatch.setattr(rvopt.certificates, "interior_witness", count_interior)
         return calls
 
     @staticmethod
@@ -858,7 +879,10 @@ class TestFanDataDerivedOnce:
             outputs.append((code, capsys.readouterr().out))
             self.assert_derived_once(calls, bundle)
             assert calls["sampled"] == []
-            calls.update(fan=0, preimage=[], sampled=[])
+            # the fan-cone program, then qualification's margin; no Slater program
+            assert [rows is None for rows in calls["margin"]] == [False, True]
+            assert calls["interior"] == 0
+            calls.update(fan=0, preimage=[], sampled=[], margin=[])
         assert outputs[0] == outputs[1]
         assert outputs[0][1].startswith("qualification passed")
 
@@ -874,6 +898,9 @@ class TestFanDataDerivedOnce:
         assert np.array_equal(calls["sampled"][0].rows, tangent)
         stages = {stage["name"]: stage["status"] for stage in report["stages"]}
         assert stages["tangential"] == stages["scalarized_fan"] == "holds"
+        fan_rows = np.vstack([problem.preimage_rows, tangent])
+        assert sum(rows is not None and np.array_equal(rows, fan_rows)
+                   for rows in calls["margin"]) == 1
 
     def test_point_sweep_derives_once(self, monkeypatch):
         """Sweeping one problem over many points reuses its preimage rows
@@ -915,6 +942,94 @@ class TestFanDataDerivedOnce:
         with pytest.warns(UserWarning, match="dropped zero rows") as caught:
             assert np.array_equal(problem.preimage_rows, np.eye(2))
         assert len(caught) == 1
+
+
+def same_field(a, b):
+    """Equal values and shapes, signs of zero included, through tuples."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+                and all(map(same_field, a, b)))
+    if a is None or b is None or isinstance(a, str):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestSharedConeProgram:
+    """The problem keeps the latest fan-cone solve, which the tangential,
+    scalarized-fan and multiplier certificates read; penalization's T_S(x)
+    program replaces it.  No order of calls may change an answer."""
+
+    READERS = {"penalization": lambda p, x: check_penalization_condition(p, x, 1.5, 1.0),
+               "tangential": check_tangential_condition,
+               "scalarized-fan": scalarized_fan_certificate,
+               "multiplier": multiplier_certificate}
+    # the second order keeps the fan-cone kinds from point to point, the
+    # third begins and ends each point with penalization
+    ORDERS = (("penalization", "tangential", "scalarized-fan", "multiplier"),
+              ("multiplier", "scalarized-fan", "tangential"),
+              ("penalization", "multiplier", "penalization", "scalarized-fan", "tangential",
+               "penalization"))
+
+    @staticmethod
+    def assert_same(cert, fresh, label):
+        for item in dataclasses.fields(cert):
+            got, want = getattr(cert, item.name), getattr(fresh, item.name)
+            assert same_field(got, want), (label, cert.kind, item.name)
+
+    def test_any_order_matches_a_fresh_problem(self):
+        """Each of the 139 points is swept on its instance's one problem in
+        three orders, forward and backward over the points; every field
+        equals the one from a fresh problem."""
+        sweeps, fresh = {}, {}
+        for label, problem, x in grid_cases() + synthetic_cases():
+            sweeps.setdefault(id(problem), (problem, []))[1].append((label, x))
+            new = dataclasses.replace(problem)
+            fresh[label] = {kind: read(new, x) for kind, read in self.READERS.items()}
+        assert len(fresh) == 139
+        for problem, points in sweeps.values():
+            for turn, order in enumerate(self.ORDERS):
+                for label, x in points[::-1] if turn % 2 else points:
+                    for kind in order:
+                        self.assert_same(self.READERS[kind](problem, x), fresh[label][kind],
+                                         label)
+
+    def test_replaced_problem_solves_afresh(self, free_negative):
+        """A problem made by dataclasses.replace, here with another fan,
+        does not see the solve of the problem it came from."""
+        x = [-1.0, -1.0]
+        before = check_tangential_condition(free_negative, x)
+        opposed = dataclasses.replace(
+            free_negative, fan_override=Fan(np.array([np.eye(2), -np.eye(2)])))
+        after = check_tangential_condition(opposed, x)
+        assert (before.status, after.status) == (VIOLATED, HOLDS)
+        assert (before.duals[1].size, after.duals[1].size) == (2, 4)
+        for kind, read in self.READERS.items():
+            self.assert_same(read(opposed, x), read(dataclasses.replace(opposed), x), kind)
+
+    @pytest.mark.parametrize("fixture, x", [("boxed_negative", [-1.0, 0.0]),
+                                            ("free_negative", [-1.0, -1.0])])
+    def test_shared_arrays_are_read_only(self, request, fixture, x):
+        """The weights, witness and exact weights shared through the solve
+        cannot be written, so editing one certificate's arrays cannot
+        corrupt a later reading."""
+        problem = request.getfixturevalue(fixture)
+        tangential = check_tangential_condition(problem, x)
+        fan = scalarized_fan_certificate(problem, x)
+        multiplier = multiplier_certificate(problem, x)
+        shared = [*tangential.duals]
+        if tangential.status == HOLDS:
+            shared += [fan.y_star, multiplier.v]
+        else:
+            shared += [tangential.witness, fan.witness, multiplier.witness]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        fresh = dataclasses.replace(problem)
+        for cert, read in ((fan, scalarized_fan_certificate),
+                           (multiplier, multiplier_certificate)):
+            self.assert_same(cert, read(fresh, x), fixture)
 
 
 # ----- the exact fan-cone programs against the sampled certificates they replaced
