@@ -14,7 +14,8 @@ feasible points are sorted by their first order-row value, and each block
 of lattice points is compared, one order row at a time, only with the
 sorted prefix that can still improve on some point of the block.  Float
 subtraction is monotone, so skipping the rest changes no mask or count
-(see ``grid_scan``).
+(see ``grid_scan``).  Weak-hit masks cover the block's feasible points
+only.  The scan table formats each distinct value once per block of rows.
 """
 
 import warnings
@@ -29,7 +30,7 @@ from .sampling import grid_points
 
 DOMINANCE_MARGIN = 1e-9
 _BLOCK_ENTRIES = 1 << 18   # entries per dominance-pass buffer: 2 MiB of float gaps
-_CSV_BLOCK_ROWS = 1 << 10  # scan-table rows formatted per write
+_CSV_BLOCK_ROWS = 1 << 9   # scan-table rows formatted per write
 
 
 def _interior_gaps(cone: Cone, fx, others) -> np.ndarray:
@@ -73,11 +74,19 @@ class GridScan:
             handle.write(",".join(header) + "\r\n")
             for start in range(0, self.points.shape[0], _CSV_BLOCK_ROWS):
                 rows = slice(start, start + _CSV_BLOCK_ROWS)
-                columns = ([map(repr, col) for col in self.points[rows].T.tolist()]
-                           + [map(repr, self.merit[rows].tolist())]
-                           + [map(str, col[rows].astype(int).tolist()) for col in counts]
-                           + [map(repr, col) for col in self.values[rows].T.tolist()])
-                handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+                columns = ([*self.points[rows].T, self.merit[rows]]
+                           + [col[rows].astype(np.int64) for col in counts]
+                           + [*self.values[rows].T])
+                lines = map(",".join, zip(*map(_formatted, columns)))
+                handle.write("\r\n".join(lines) + "\r\n")
+
+
+def _formatted(column) -> list:
+    """``repr`` of each entry of a float64 or int64 column, called once per
+    distinct bit pattern in the block (so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(column.dtype).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
@@ -136,19 +145,20 @@ def _dominance_pass(proj, values, feasible, margin):
     Feasible j improves on point i strictly when every order-row gap
     proj[i] - proj[j] is >= margin, and weakly when every gap is >= -margin.
     A block holds as many points as keep its (block, feasible) buffers
-    within _BLOCK_ENTRIES entries; the strict and weak masks are built one
-    order row at a time into those 2-D buffers.  A feasible point is
-    efficient when none of its weak hits lies farther than margin from it:
-    each row's first hit (smallest fp0) is tested, and only rows whose first
-    hit lies within margin test all their hits.
+    within _BLOCK_ENTRIES entries; its points are taken feasible first (no
+    result depends on the order within a block).  The strict mask is built
+    for every point and the weak-hit mask for the feasible ones only, one
+    order row at a time.  A feasible point is weakly efficient when its
+    count is 0, and efficient when none of its weak hits lies farther than
+    margin from it: each row's first hit (smallest fp0) is tested, and only
+    rows whose first hit lies within margin test all their hits.
     """
     n_pts = proj.shape[0]
-    weak = np.zeros(n_pts, dtype=bool)
     eff = np.zeros(n_pts, dtype=bool)
     dom_count = np.zeros(n_pts, dtype=int)
     feas_idx = np.flatnonzero(feasible)
     if not feas_idx.size:
-        return weak, eff, dom_count
+        return np.zeros(n_pts, dtype=bool), eff, dom_count
     feas_idx = feas_idx[np.argsort(proj[feas_idx, 0], kind="stable")]
     feas_proj = np.ascontiguousarray(proj[feas_idx].T)      # one row per order row
     feas_vals = values[feas_idx]
@@ -159,34 +169,34 @@ def _dominance_pass(proj, values, feasible, margin):
     order = np.argsort(proj[:, 0], kind="stable")
     for start in range(0, n_pts, block_rows):
         idx = order[start:start + block_rows]
+        idx = idx[np.argsort(~feasible[idx], kind="stable")]
+        n_feas = int(np.count_nonzero(feasible[idx]))
         block = proj[idx]
         # fmax skips NaN rows, whose gaps all compare false; one column at
         # least, so that every row has a first column below
         width = max(1, int(np.count_nonzero(
             np.fmax.reduce(block[:, 0]) - feas_proj[0] >= -margin)))
-        shape = (idx.size, width)
-        gap, strict, weak_gap = (buf[:idx.size * width].reshape(shape)
-                                 for buf in (gap_buf, strict_buf, weak_buf))
+        gap, strict = (buf[:idx.size * width].reshape(idx.size, width)
+                       for buf in (gap_buf, strict_buf))
+        weak_gap = weak_buf[:n_feas * width].reshape(n_feas, width)
         strict[...] = True
         weak_gap[...] = True
         for k in range(proj.shape[1]):
             np.subtract(block[:, k, None], feas_proj[k, :width], out=gap)
             strict &= gap >= margin
-            weak_gap &= gap >= -margin
+            weak_gap &= gap[:n_feas] >= -margin
         dom_count[idx] = np.count_nonzero(strict, axis=1)
-        rows = np.flatnonzero(feasible[idx])
-        weak[idx[rows]] = ~strict.any(axis=1)[rows]
-        first = np.argmax(weak_gap[rows], axis=1)
-        far_first = weak_gap[rows, first] & (np.linalg.norm(
-            values[idx[rows]] - feas_vals[first], axis=1) > margin)
-        rows = rows[~far_first]
+        first = np.argmax(weak_gap, axis=1)
+        far_first = weak_gap[np.arange(n_feas), first] & (np.linalg.norm(
+            values[idx[:n_feas]] - feas_vals[first], axis=1) > margin)
+        rows = np.flatnonzero(~far_first)
         pair_row, pair_col = np.nonzero(weak_gap[rows])
         far = np.linalg.norm(values[idx[rows[pair_row]]] - feas_vals[pair_col],
                              axis=1) > margin
         dominated = np.zeros(rows.size, dtype=bool)
         dominated[pair_row[far]] = True
         eff[idx[rows]] = ~dominated
-    return weak, eff, dom_count
+    return feasible & (dom_count == 0), eff, dom_count
 
 
 # ===== penalization ======================================================

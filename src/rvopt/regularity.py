@@ -35,6 +35,7 @@ minimum over every feasible point.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -323,10 +324,12 @@ def _tie_shell_min(pts, stages, tested) -> np.ndarray:
     D.  Along axis k (last first) it branches into every position j of its
     line where D_k(j) + (i - j)^2 equals the remaining distance, which
     drops by (i - j)^2.  The paths that reach axis 0 end exactly on the
-    shell, and every shell point ends one path.  Line gathers go in blocks
-    of at most _CHUNK_ENTRIES entries, but at least one line.  The
-    differences are squared in place and summed along the last axis, as in
-    a comparison with every feasible point.
+    shell, and every shell point ends one path.  Every D_k is >= 0, so a
+    block of paths gathers only |i - j| <= isqrt(its largest remaining
+    distance), clipped to the line: at most 2 R - 1 positions per path and
+    _CHUNK_ENTRIES per block, but at least one path.  The differences are
+    squared in place and summed along the last axis, as in a comparison
+    with every feasible point.
     """
     shape = stages[0].shape
     owner = np.arange(tested.size)
@@ -334,17 +337,19 @@ def _tie_shell_min(pts, stages, tested) -> np.ndarray:
     remaining = stages[-1].ravel()[tested]
     for axis in reversed(range(len(shape))):
         lines = np.moveaxis(stages[axis], axis, -1)
-        positions = np.arange(shape[axis])
-        step = max(1, _CHUNK_ENTRIES // shape[axis])
+        step = max(1, _CHUNK_ENTRIES // (2 * shape[axis] - 1))
         paths = []
         for start in range(0, owner.size, step):
             at = index[start:start + step]
-            rest = remaining[start:start + step, None] - (at[:, axis, None] - positions) ** 2
-            line = lines[tuple(np.delete(at, axis, axis=1).T)]
-            row, j = np.nonzero(line == rest)
+            reach = min(isqrt(int(remaining[start:start + step].max())), shape[axis] - 1)
+            offsets = np.arange(-reach, reach + 1)
+            j = np.clip(at[:, axis, None] + offsets, 0, shape[axis] - 1)
+            rest = remaining[start:start + step, None] - offsets ** 2
+            line = lines[(*np.delete(at, axis, axis=1).T[:, :, None], j)]
+            row, col = np.nonzero((j - at[:, axis, None] == offsets) & (line == rest))
             moved = at[row]
-            moved[:, axis] = j
-            paths.append((owner[start + row], moved, rest[row, j]))
+            moved[:, axis] = j[row, col]
+            paths.append((owner[start + row], moved, rest[row, col]))
         owner, index, remaining = (np.concatenate(part) for part in zip(*paths))
     diff = pts[tested[owner]] - pts[np.ravel_multi_index(index.T, shape)]
     diff *= diff

@@ -1,6 +1,7 @@
 """Lattice Pareto oracle, penalization transfer, refutation."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -113,6 +114,30 @@ def loop_dominator(problem, x, ell, sigma, lo, hi, resolution, margin=1e-9):
                 and np.min(order_rows(problem) @ (ref - penalized(p))) >= margin:
             return p
     return None
+
+
+def csv_module_bytes(scan, path):
+    """The scan table as csv.writer writes it, row by row."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x1", "x2", "merit", "feasible", "weak_efficient",
+                         "efficient", "dominance_count", "f1", "f2"])
+        for i in range(scan.points.shape[0]):
+            writer.writerow([*map(float, scan.points[i]), float(scan.merit[i]),
+                             int(scan.feasible[i]), int(scan.weak_efficient[i]),
+                             int(scan.efficient[i]), int(scan.dominance_count[i]),
+                             *map(float, scan.values[i])])
+    return path.read_bytes()
+
+
+class CheckerboardProblem(Problem):
+    """Feasible exactly where the lattice index sum of [-1, 1]^2 at 21 points
+    per axis is even, so feasible and infeasible points alternate in every
+    block of the dominance pass."""
+
+    def merit_many(self, points):
+        index = np.rint((np.asarray(points) + 1.0) * 10.0).astype(int)
+        return np.where(index.sum(axis=1) % 2 == 0, 0.0, 1.0)
 
 
 def everywhere_feasible(objective, ordering_cone, region):
@@ -238,7 +263,7 @@ class TestGridScan:
                             "efficient,dominance_count,f1,f2")
         assert len(lines) == 26
 
-    @pytest.mark.parametrize("block_rows", [7, 1 << 10])
+    @pytest.mark.parametrize("block_rows", [7, oracle._CSV_BLOCK_ROWS])
     def test_csv_bytes_match_the_csv_module(self, tmp_path, monkeypatch, block_rows):
         """Byte for byte what csv.writer writes row by row, with negative
         coordinates and values and dominance counts above 9."""
@@ -246,18 +271,35 @@ class TestGridScan:
         scan = grid_scan(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0], [2.0, 2.0], 23)
         assert scan.points.min() < 0.0 and scan.values.min() < 0.0
         assert scan.dominance_count.max() > 9
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x1", "x2", "merit", "feasible", "weak_efficient",
-                             "efficient", "dominance_count", "f1", "f2"])
-            for i in range(scan.points.shape[0]):
-                writer.writerow([*map(float, scan.points[i]), float(scan.merit[i]),
-                                 int(scan.feasible[i]), int(scan.weak_efficient[i]),
-                                 int(scan.efficient[i]), int(scan.dominance_count[i]),
-                                 *map(float, scan.values[i])])
         scan.to_csv(tmp_path / "scan.csv")
-        assert (tmp_path / "scan.csv").read_bytes() == ref.read_bytes()
+        assert (tmp_path / "scan.csv").read_bytes() == csv_module_bytes(scan, tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("block_rows", [7, oracle._CSV_BLOCK_ROWS])
+    def test_csv_edge_values_match_the_csv_module(self, quarter_box, tmp_path, monkeypatch,
+                                                  block_rows):
+        """Signed zeros, NaNs (two payloads), infinities, a subnormal and
+        huge values, repeated in every block and across block boundaries,
+        keep the bytes csv.writer writes; so do counts of two digits."""
+        monkeypatch.setattr(oracle, "_CSV_BLOCK_ROWS", block_rows)
+        scan = grid_scan(quarter_box, [0.0, 0.0], [2.0, 2.0], 25)
+        assert scan.points.shape[0] > oracle._CSV_BLOCK_ROWS
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                            -1e300, 0.1, 1.0 / 3.0, -0.0])
+        special[-1] = np.array([0x7ff8000000000001]).view(float)[0]   # another NaN
+        column = np.resize(special, scan.points.shape[0])
+        rng = np.random.default_rng(20)
+        edge = dataclasses.replace(
+            scan, points=np.stack([column, column[::-1]], axis=1), merit=np.roll(column, 3),
+            values=np.stack([np.roll(column, 5), -column], axis=1),
+            dominance_count=np.arange(column.size) % 13 * 7,
+            efficient=rng.random(column.size) < 0.5)
+        assert np.signbit(edge.points[0, 0]) and not np.signbit(edge.points[1, 0])
+        edge.to_csv(tmp_path / "scan.csv")
+        table = (tmp_path / "scan.csv").read_bytes()
+        assert table == csv_module_bytes(edge, tmp_path / "ref.csv")
+        lines = table.split(b"\r\n")
+        assert lines[1].startswith(b"-0.0,") and lines[2].startswith(b"0.0,")
+        assert b",5e-324," in table and b",-1e+300," in table and b",77," in table
 
 
 class TestBlockedScanMatchesLoop:
@@ -277,6 +319,7 @@ class TestBlockedScanMatchesLoop:
         assert np.array_equal(scan.weak_efficient, weak)
         assert np.array_equal(scan.efficient, eff)
         assert np.array_equal(scan.dominance_count, count)
+        assert np.array_equal(scan.weak_efficient, scan.feasible & (scan.dominance_count == 0))
         return scan
 
     @pytest.mark.parametrize("resolution", [21, 41])
@@ -309,6 +352,16 @@ class TestBlockedScanMatchesLoop:
         self.assert_same(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0],
                          [2.0, 2.0], 21)
         self.assert_same(three_objective_problem(), np.zeros(3), np.full(3, 2.0), 7)
+
+    @pytest.mark.parametrize("entries", [1, 500, oracle._BLOCK_ENTRIES])
+    def test_feasibility_alternating_within_blocks(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+        e1 = load_problem(PROBLEMS_DIR / "e1.json")
+        problem = CheckerboardProblem(**{f.name: getattr(e1, f.name)
+                                         for f in dataclasses.fields(e1)})
+        scan = self.assert_same(problem, [-1.0, -1.0], [1.0, 1.0], 21)
+        assert 0 < scan.weak_efficient.sum() < scan.feasible.sum() < scan.points.shape[0]
+        assert scan.dominance_count[~scan.feasible].max() > 0
 
     def test_no_feasible_point(self, free_negative):
         scan = self.assert_same(free_negative, [1.0, 1.0], [2.0, 2.0], 11)

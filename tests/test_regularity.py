@@ -436,6 +436,11 @@ def mask_cases():
     cases["n2-disconnected"] = ([0.1, -0.3], 0.5, 31, two_discs,
                                 rng.uniform(0.01, 0.2, (31, 31)))
     cases["n2-single-point"] = ([0.0, 0.0], 1.0, 31, (i == 20) & (j == 3), 0.1)
+    # the nearest feasible points of the centre are both ends of its row:
+    # the tie-shell window spans the whole line
+    cases["n2-line-ends"] = ([0.0, 0.0], 0.5, 31, (j == 0) | (j == 30), 0.05)
+    # a hole in a feasible plane: most tested points are at distance 0
+    cases["n2-hole"] = ([0.0, 0.0], 0.5, 31, (i - 15) ** 2 + (j - 15) ** 2 > 16, 0.01)
     cases["n2-random"] = ([0.3, 0.3], 0.5, 31, rng.random((31, 31)) < 0.04,
                           rng.uniform(0.0, 0.3, (31, 31)) + 1e-6)
     i, j = lattice_index(41, 2)
