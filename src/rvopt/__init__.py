@@ -19,8 +19,8 @@ from .firstorder import (AffineObjective, Fan, PolyhedralSet,
 from .oracle import (GridScan, check_penalization_transfer, grid_scan,
                      refute_efficiency)
 from .problem import Problem
-from .regularity import (check_metric_increase, cq_sigma,
-                         estimate_increase_bound, verify_error_bound)
+from .regularity import (check_metric_increase, estimate_increase_bound,
+                         verify_error_bound)
 from .certificates import (Certificate, check_penalization_condition,
                            check_tangential_condition,
                            convex_scalarized_certificate,
@@ -39,7 +39,7 @@ __all__ = [
     "ScenarioMap", "Tolerances", "ValidationError",
     "check_metric_increase", "check_penalization_condition",
     "check_penalization_transfer", "check_tangential_condition",
-    "contingent_cone", "convex_scalarized_certificate", "cq_sigma",
+    "contingent_cone", "convex_scalarized_certificate",
     "estimate_increase_bound", "estimate_order_lipschitz",
     "excess", "fan_from_scenarios", "grid_scan", "hausdorff",
     "load_problem", "multiplier_certificate", "normal_cone",

@@ -4,9 +4,9 @@ A locally weakly efficient point admits no feasible direction along which
 the objective improves into the negative interior of the ordering cone.
 This module checks several necessary conditions of that kind:
 
-* a penalization condition along tangent directions, using a descent
-  constant for the merit function and an order-Lipschitz bound on the
-  objective, where the merit function is flat (:func:`merit_is_flat`);
+* a penalization condition along tangent directions, using an
+  error-bound constant for the merit function and an order-Lipschitz bound
+  on the objective (:func:`order_lipschitz_bound`), where the merit function is flat (:func:`merit_is_flat`);
 * a tangential condition along directions kept feasible by the fan of
   scenario matrices, its scalarized form, a dual vector in the positive
   dual of the ordering cone, and the multiplier rule, which adds
@@ -127,6 +127,22 @@ def estimate_order_lipschitz(problem: Problem, x, radius: float = 0.5,
     ell = float(ratios.max(initial=0.0))
     count = int(np.count_nonzero(kept))
     return KLipschitzEstimate(ell=ell, radius=radius, pair_count=count)
+
+
+def order_lipschitz_bound(problem: Problem, x, radius: float) -> float:
+    """Closed-form order-Lipschitz constant of f on the ball B(x, radius):
+    max_j (|r_j J(x)| + radius |M_j|_2) / (r_j . e) over the facet rows r_j
+    of K, with M_j = sum_k r_jk (Q_k + Q_k^T) the Hessian of r_j . f (0 for
+    affine f).  By the mean value theorem |r_j . (f(x1) - f(x2))| is at most
+    sup over the ball of |grad (r_j . f)| = |r_j J(x) + M_j (y - x)| times
+    |x1 - x2|, so f(x1) - f(x2) + ell |x1 - x2| e lies in K."""
+    rows = problem.ordering_cone.facets()
+    grads = np.linalg.norm(rows @ problem.objective.jacobian(x), axis=1)
+    if not problem.objective.is_affine:
+        quads = problem.objective.quads
+        hessians = np.einsum("jk,kab->jab", rows, quads + quads.transpose(0, 2, 1))
+        grads = grads + radius * np.linalg.norm(hessians, 2, axis=(1, 2))
+    return float(np.max(grads / (rows @ problem.direction)))
 
 
 def order_lipschitz_holds(problem: Problem, x1, x2, ell: float,
@@ -256,18 +272,19 @@ def _cone_certificate(kind: str, problem: Problem, x) -> Certificate:
     return Certificate(kind=kind, status=HOLDS, residual=m, duals=duals)
 
 
-def check_penalization_condition(problem: Problem, x, alpha: float,
+def check_penalization_condition(problem: Problem, x, sigma: float,
                                  ell: float) -> Certificate:
     """Necessary condition via merit penalization: along no tangent
-    direction v may f'(x; v) + (ell / (alpha - 1)) <x*, v> e fall in the
+    direction v may f'(x; v) + (ell / sigma) <x*, v> e fall in the
     negative interior of the ordering cone, x* an upper gradient of the
     merit function.  One exists only where :func:`merit_is_flat` holds, and
     it is 0 there, so the term drops and :func:`_cone_certificate` decides
-    the condition over T_S(x); alpha > 1 (a certified increase rate) and
-    ell >= 0 (an order-Lipschitz bound) stay the checked hypotheses.
+    the condition over T_S(x); sigma > 0 (an error-bound constant, inf where
+    merit is 0 nearby) and ell >= 0 (an order-Lipschitz bound) stay the
+    checked hypotheses.
     """
-    if alpha <= 1.0:
-        raise PreconditionError("penalization needs alpha > 1")
+    if not sigma > 0.0:
+        raise PreconditionError("penalization needs sigma > 0")
     if ell < 0.0:
         raise PreconditionError("penalization needs ell >= 0")
     return _cone_certificate("penalization", problem, x)
@@ -332,21 +349,22 @@ def _scalarized_residual(vectors: np.ndarray, y: np.ndarray) -> float:
     return float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
 
 
-def convex_scalarized_certificate(problem: Problem, x, alpha: float, ell: float,
+def convex_scalarized_certificate(problem: Problem, x, sigma: float, ell: float,
                                   dir_count: int = 64, seed: int = 0) -> Certificate:
     """Scalarized penalization condition for convex data: search for a dual
     vector y* in the positive dual of the ordering cone, normalized, with
 
-        y* . [ f'(x; v) + (ell/(alpha-1)) Dphi(x; v) e ]  >=  0
+        y* . [ f'(x; v) + (ell/sigma) Dphi(x; v) e ]  >=  0
 
     along tangent generators and sampled tangent directions, where
-    Dphi(x; v) is the merit function's exact slope (:func:`merit_slopes`).
-    The certificate keeps beta = ell/(alpha-1) and the directions, from
+    Dphi(x; v) is the merit function's exact slope (:func:`merit_slopes`)
+    and sigma > 0 an error-bound constant (inf gives beta = 0).
+    The certificate keeps beta = ell/sigma and the directions, from
     which :func:`replay_certificate` recomputes the slopes and the system."""
-    if alpha <= 1.0:
-        raise PreconditionError("scalarization needs alpha > 1")
+    if not sigma > 0.0:
+        raise PreconditionError("scalarization needs sigma > 0")
     x = np.asarray(x, dtype=float).ravel()
-    beta = ell / (alpha - 1.0)
+    beta = ell / sigma
     tangent = contingent_cone(problem.region, x)
     try:
         gens = cone_generators(tangent)

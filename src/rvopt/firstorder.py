@@ -15,6 +15,7 @@ sampling.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,18 @@ class PolyhedralSet:
             return np.clip(pts, self.lo, self.hi)
         return np.array([self.project(p) for p in pts]).reshape(pts.shape)
 
+    @cached_property
+    def rows(self) -> tuple:
+        """(A, b) with the set = {x : A x <= b}, read-only: a halfspace
+        intersection's unit rows, or -e_i, e_i for the finite bounds of a
+        box, axis by axis."""
+        if self.kind != "box":
+            return self.a, self.b
+        keep = np.isfinite(np.column_stack([self.lo, self.hi]))
+        axes = np.eye(self.dim)
+        return (_readonly(np.stack([-axes, axes], axis=1)[keep]),
+                _readonly(np.column_stack([-self.lo, self.hi])[keep]))
+
     def to_document(self) -> dict:
         if self.kind == "box":
             lo = [None if not np.isfinite(v) else float(v) for v in self.lo]
@@ -127,19 +140,13 @@ class PolyhedralSet:
 
 
 def _active_normals(region: PolyhedralSet, x, tol: float, what: str) -> np.ndarray:
-    """Outward unit normals of the constraints active at a member point:
-    -e_i / +e_i for a box's lower / upper bounds, rows of A for halfspaces."""
+    """Outward unit normals of the region rows (:attr:`PolyhedralSet.rows`)
+    active at a member point."""
     x = np.asarray(x, dtype=float).ravel()
     if not region.contains(x, tol=max(tol, 1e-9)):
         raise PreconditionError(f"{what} cone requested at a non-member point")
-    if region.kind == "box":
-        lower = np.isfinite(region.lo) & (x <= region.lo + tol)
-        upper = np.isfinite(region.hi) & (x >= region.hi - tol)
-        axes = np.arange(region.dim)
-        pairs = np.zeros((region.dim, 2, region.dim))    # -e_i, +e_i for each axis i
-        pairs[axes, 0, axes], pairs[axes, 1, axes] = -1.0, 1.0
-        return pairs[np.column_stack([lower, upper])]
-    return region.a[region.a @ x - region.b >= -tol]
+    a, b = region.rows
+    return a[a @ x - b >= -tol]
 
 
 def contingent_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
@@ -247,8 +254,10 @@ class QuadraticObjective:
                 + np.matmul(self.lins[None], pts[:, :, None])[..., 0] + self.consts)
 
     def jacobian(self, x) -> np.ndarray:
+        """Row k is (Q_k + Q_k^T) x + j_k, the gradient of component k for
+        any Q_k; 2 Q_k x bit for bit when Q_k is symmetric."""
         x = np.asarray(x, dtype=float).ravel()
-        return 2.0 * np.einsum("kij,j->ki", self.quads, x) + self.lins
+        return np.einsum("kij,j->ki", self.quads + self.quads.transpose(0, 2, 1), x) + self.lins
 
     def directional(self, x, v) -> np.ndarray:
         return self.jacobian(x) @ np.asarray(v, dtype=float).ravel()

@@ -161,6 +161,20 @@ class Problem:
         return _readonly(rows), _readonly(norms), keep
 
     @cached_property
+    def solv_rows(self) -> tuple:
+        """(G, h, count) with Solv = {z : G z <= h}, read-only: the first
+        ``count`` rows are -m_j A_w, h = m_j b_w for each scenario w and unit
+        facet row m_j of C (zero rows dropped), the rest the region's rows.
+        A region point's C-row excess is at most its merit."""
+        rows = self.constraint_cone.facets()
+        g = -np.matmul(rows, self.scenarios.mats).reshape(-1, self.domain_dim)
+        h = (self.scenarios.offsets @ rows.T).ravel()
+        keep = np.linalg.norm(g, axis=1) >= 1e-12
+        a, b = self.region.rows
+        return (_readonly(np.vstack([g[keep], a])), _readonly(np.concatenate([h[keep], b])),
+                int(np.count_nonzero(keep)))
+
+    @cached_property
     def _latest_program(self) -> dict:
         """Single-entry memo of the latest point's certificate program."""
         return {}

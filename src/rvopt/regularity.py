@@ -13,6 +13,9 @@ for the scaled merit function, which then bounds the distance to the
 feasible region:  dist(x, Solv) <= merit(x) / sigma  near the reference.
 Both facts are checked by sampling: the inclusion on boundary spheres of
 the enlarged images, the error bound on a lattice approximation of Solv.
+Solv is polyhedral, so the report takes sigma instead from the exact
+local Hoffman modulus of its active rows (:func:`local_error_bound`); the
+sampled checks stay as independent checks of it.
 
 The increase samples (probes, radii, candidate steps and their scenario
 images) do not depend on alpha.  They are drawn once per check or per
@@ -34,19 +37,24 @@ over the feasible points at exactly D, and it equals, bit for bit, the
 minimum over every feasible point.
 """
 
+import functools
 from dataclasses import dataclass
-from math import isqrt
+from itertools import combinations
+from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .cones import Cone, distance_many
 from .errors import PreconditionError
-from .firstorder import PolyhedralSet
+from .firstorder import ACTIVE_TOL, PolyhedralSet
+from .problem import Problem, max_margin_point
 from .sampling import ball_points, grid_points, sphere_directions
 from .scenarios import ScenarioMap
 
 INCREASE_FLOOR = 1.0 + 1e-3
 INCREASE_CAP = 10.0
+SUBSET_BUDGET = 256        # bases of the active rows the modulus may try
 _CHUNK_ENTRIES = 1 << 18   # entries per difference or distance buffer: 2 MiB
 
 
@@ -220,11 +228,64 @@ def estimate_increase_bound(scenario_map: ScenarioMap, cone: Cone,
     return lo
 
 
-def cq_sigma(alpha_hat: float) -> float:
-    """Descent constant sigma = alpha_hat - 1 from an increase estimate."""
-    if alpha_hat is None or alpha_hat <= 1.0:
-        raise PreconditionError("increase estimate must exceed 1")
-    return float(alpha_hat) - 1.0
+class LocalErrorBound(NamedTuple):
+    """Outcome of :func:`local_error_bound`; ``active_rows`` index the rows
+    of :attr:`Problem.solv_rows`.  A NamedTuple, as building a frozen
+    dataclass costs about 1 ms at every import."""
+
+    established: bool
+    sigma: float | None
+    radius: float | None
+    active_rows: tuple
+    subsets: int
+    notes: tuple = ()
+
+
+def local_error_bound(problem: Problem, x) -> LocalErrorBound:
+    """dist(z, Solv) <= merit(z) / sigma for region points z within the
+    radius rho / 2 of x, sigma the exact local Hoffman modulus of Solv =
+    {z : G z <= h} (Hoffman 1952; Pena, Vera & Zuluaga, Math. Program. 2021).
+
+    Rows with slack at most ACTIVE_TOL are active, and rho is the least
+    slack / |row| of the others (radius None: no row is inactive).  The
+    projection p of such a z onto Solv lies within rho of x, and z - p =
+    sum lam_j G_j over rows active at p, so |z - p|^2 <= merit(z) L, L the
+    C-row weight, while |z - p| >= L sigma for sigma = dist(0, conv(active
+    C rows) + cone(active region rows)), one :func:`max_margin_point` call.
+    With no active C row merit is 0 on the radius and sigma is None.  When
+    the distance reads as 0 the weights can be taken on linearly independent
+    rows (Caratheodory): sigma is the least distance over the bases of the
+    active rows that hold a C row, if there are at most SUBSET_BUDGET, and
+    otherwise the bound is not established."""
+    x = np.asarray(x, dtype=float).ravel()
+    g, h, count = problem.solv_rows
+    slack = h - g @ x
+    on = slack <= ACTIVE_TOL
+    rho = float(np.min(slack[~on] / np.linalg.norm(g[~on], axis=1), initial=np.inf))
+    active = np.flatnonzero(on)
+    bound = functools.partial(LocalErrorBound, radius=rho / 2.0 if rho < np.inf else None,
+                              active_rows=tuple(active.tolist()))
+    if not np.any(active < count):
+        return bound(True, None, subsets=0,
+                     notes=("no constraint row is active: merit is 0 on the radius",))
+
+    def modulus(rows):
+        return max_margin_point(g[rows[rows < count]], x.size, g[rows[rows >= count]])[0]
+
+    sigma = modulus(active)
+    if sigma > 0.0:
+        return bound(True, sigma, subsets=0)
+    rank = np.linalg.matrix_rank(g[active])
+    if comb(active.size, rank) > SUBSET_BUDGET:
+        return bound(False, None, subsets=0, notes=(
+            f"not established: over {SUBSET_BUDGET} subsets of {rank} active rows",))
+    bases = [np.array(b) for b in combinations(active.tolist(), rank)
+             if b[0] < count and np.linalg.matrix_rank(g[list(b)]) == rank]
+    sigma = min(map(modulus, bases))
+    if sigma > 0.0:
+        return bound(True, sigma, subsets=len(bases))
+    return bound(False, None, subsets=len(bases),
+                 notes=("not established: a basis of the active rows reads as degenerate",))
 
 
 def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,

@@ -1,5 +1,6 @@
-"""Staged audit of one reference point: merit, regularity estimates, and
-every first-order certificate, composed into a machine-readable report.
+"""Staged audit of one reference point: merit, the exact local error-bound
+constant and a closed-form order-Lipschitz bound, and every first-order
+certificate, composed into a machine-readable report.
 
 The stages run in a fixed order; a stage that cannot run (missing estimate
 upstream, an upstream error, or a hypothesis that fails, such as a flat
@@ -17,17 +18,21 @@ import numpy as np
 from .certificates import (HOLDS, LP_INFEASIBLE, VIOLATED,
                            check_penalization_condition,
                            check_tangential_condition,
-                           convex_scalarized_certificate,
-                           estimate_order_lipschitz, merit_is_flat,
-                           multiplier_certificate, qualification_check,
-                           scalarized_fan_certificate, slater_check)
+                           convex_scalarized_certificate, merit_is_flat,
+                           multiplier_certificate, order_lipschitz_bound,
+                           qualification_check, scalarized_fan_certificate,
+                           slater_check)
 from .docio import Tolerances, problem_to_document
-# unused; the two firstorder.subgradient sites of bench/tracing.py wrap these
-# names in rvopt.reporting, so they stay until it drops those sites
-from .firstorder import check_upper_subgradient, upper_subgradient_candidate  # noqa: F401
+from .firstorder import ACTIVE_TOL
 from .oracle import refute_efficiency
 from .problem import Problem
-from .regularity import cq_sigma, estimate_increase_bound, verify_error_bound
+from .regularity import SUBSET_BUDGET, local_error_bound
+# unused; bench/tracing.py wraps these names in rvopt.reporting (its regularity,
+# certificates.order_lipschitz and firstorder.subgradient sites), so they stay
+# until it drops those sites
+from .certificates import estimate_order_lipschitz  # noqa: F401
+from .firstorder import check_upper_subgradient, upper_subgradient_candidate  # noqa: F401
+from .regularity import estimate_increase_bound, verify_error_bound  # noqa: F401
 
 REPORT_VERSION = 1
 
@@ -151,9 +156,9 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
         "feasible": problem.feasible(x, tol=tol.feasibility)})
     feasible = bool(merit_detail["feasible"]) if merit_detail else False
 
-    later = ["increase", "sigma", "error_bound", "order_lipschitz",
-             "penalization", "tangential", "scalarized_fan",
-             "scalarized_convex", "multiplier", "qualification", "oracle"]
+    later = ["error_bound", "order_lipschitz", "penalization", "tangential",
+             "scalarized_fan", "scalarized_convex", "multiplier", "qualification",
+             "oracle"]
     if not feasible:
         reason = "reference point infeasible" if merit_detail else "merit stage failed"
         for name in later:
@@ -164,41 +169,20 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                          "not applicable: reference point is infeasible",
                          EXIT_INCONCLUSIVE)
 
-    smap, cone, region = problem.scenarios, problem.constraint_cone, problem.region
-    inc = pipe.run("increase", {"radius": radius, "seed": seed}, lambda: {
-        "alpha_hat": estimate_increase_bound(smap, cone, region, x, radius,
-                                             seed=seed)})
-    alpha_hat = inc["alpha_hat"] if inc else None
-    audit.append({"hypothesis": "metric increase around the reference point",
-                  "status": "certified-on-samples" if alpha_hat is not None
-                  else "not established"})
+    bound = pipe.run("error_bound", {"active_tol": ACTIVE_TOL, "subset_budget": SUBSET_BUDGET},
+                     lambda: local_error_bound(problem, x)._asdict())
+    sigma = None
+    if bound and bound["established"]:
+        # a null sigma: no constraint row is active, merit is 0 nearby, beta = 0
+        sigma = np.inf if bound["sigma"] is None else bound["sigma"]
+    audit.append({"hypothesis": "local error bound of the merit function",
+                  "status": "established" if sigma is not None else "not established"})
 
-    if alpha_hat is None:
-        reason = "no increase bound established" if inc else \
-            "increase stage failed"
-        pipe.skip("sigma", reason)
-        sigma = None
-    else:
-        sig = pipe.run("sigma", {"alpha_hat": alpha_hat},
-                       lambda: {"sigma": cq_sigma(alpha_hat)})
-        sigma = sig["sigma"] if sig else None
-
-    if sigma is None:
-        pipe.skip("error_bound", "no descent constant available")
-    else:
-        pipe.run("error_bound", {"sigma": sigma, "radius": radius,
-                                 "resolution": 41}, lambda: {
-            "report": vars(verify_error_bound(smap, cone, region, x, sigma,
-                                              radius, resolution=41,
-                                              feas_tol=tol.feasibility))})
-
-    lip = pipe.run("order_lipschitz", {"radius": radius, "seed": seed},
-                   lambda: {"ell": estimate_order_lipschitz(
-                       problem, x, radius=radius, seed=seed).ell})
+    lip = pipe.run("order_lipschitz", {"radius": radius},
+                   lambda: {"ell": order_lipschitz_bound(problem, x, radius)})
     ell = lip["ell"] if lip else None
     audit.append({"hypothesis": "order-Lipschitz bound for the objective",
-                  "status": "certified-on-samples" if ell is not None
-                  else "not established"})
+                  "status": "established" if ell is not None else "not established"})
 
     certs = {}
 
@@ -209,9 +193,9 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
             return _certificate_entry(cert)
         pipe.run(name, inputs, wrapped)
 
-    if alpha_hat is None or ell is None:
-        pipe.skip("penalization", "needs both the increase bound and the "
-                  "order-Lipschitz estimate")
+    hypotheses = "needs both the error-bound constant and the order-Lipschitz bound"
+    if sigma is None or ell is None:
+        pipe.skip("penalization", hypotheses)
     else:
         def _penalization():
             flat = merit_is_flat(problem, x)
@@ -220,22 +204,19 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
             if not flat:
                 raise _NotApplicable("not applicable: the merit function has a "
                                      "nonzero slope at the reference point")
-            return check_penalization_condition(problem, x, alpha_hat, ell)
+            return check_penalization_condition(problem, x, sigma, ell)
 
-        _cert_stage("penalization", {"alpha": alpha_hat, "ell": ell}, _penalization)
+        _cert_stage("penalization", {"sigma": bound["sigma"], "ell": ell}, _penalization)
 
     _cert_stage("tangential", {}, lambda: check_tangential_condition(problem, x))
     _cert_stage("scalarized_fan", {}, lambda: scalarized_fan_certificate(problem, x))
     if not problem.objective.is_affine:
         pipe.skip("scalarized_convex", "objective is not affine")
-    elif alpha_hat is None or ell is None:
-        pipe.skip("scalarized_convex", "needs both the increase bound and "
-                  "the order-Lipschitz estimate")
+    elif sigma is None or ell is None:
+        pipe.skip("scalarized_convex", hypotheses)
     else:
-        _cert_stage("scalarized_convex", {"alpha": alpha_hat, "ell": ell,
-                                          "seed": seed},
-                    lambda: convex_scalarized_certificate(problem, x,
-                                                          alpha_hat, ell,
+        _cert_stage("scalarized_convex", {"sigma": bound["sigma"], "ell": ell, "seed": seed},
+                    lambda: convex_scalarized_certificate(problem, x, sigma, ell,
                                                           seed=seed))
     _cert_stage("multiplier", {},
                 lambda: multiplier_certificate(problem, x, tol=tol.feasibility))

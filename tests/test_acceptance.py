@@ -22,7 +22,6 @@ from rvopt import (
     ScenarioMap,
     check_penalization_transfer,
     check_tangential_condition,
-    cq_sigma,
     estimate_increase_bound,
     estimate_order_lipschitz,
     fan_from_scenarios,
@@ -104,7 +103,7 @@ def increase_sigma():
                                         problem.region,
                                         (0.25, 1.0), 0.5, seed=0)
         _shared["alpha"] = alpha
-        _shared["sigma"] = cq_sigma(alpha)
+        _shared["sigma"] = alpha - 1.0
     return _shared["sigma"]
 
 

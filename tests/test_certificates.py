@@ -17,17 +17,18 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASI
                                 check_tangential_condition, cone_generators,
                                 convex_scalarized_certificate,
                                 estimate_order_lipschitz, merit_slopes,
-                                multiplier_certificate, order_lipschitz_holds,
-                                qualification_check, replay_certificate,
+                                multiplier_certificate, order_lipschitz_bound,
+                                order_lipschitz_holds, qualification_check, replay_certificate,
                                 scalarized_fan_certificate, slater_check)
 from rvopt.cones import Cone
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
-                              _merge_directions, contingent_cone, fan_from_scenarios,
+                              QuadraticObjective, _merge_directions, contingent_cone, fan_from_scenarios,
                               polytope_distance, sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
 from rvopt.reporting import run_report
+from rvopt.sampling import ball_points
 from rvopt.scenarios import ScenarioMap
 from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
@@ -192,18 +193,66 @@ class TestOrderLipschitz:
                                          [1.0, 0.0], 1.0)
 
 
+def lipschitz_cases():
+    """(label, problem, x): the 139 harness points (affine f, orthant K),
+    then affine, symmetric-quadratic and nonsymmetric-quadratic f under an
+    orthant and a halfspace K."""
+    cases = grid_cases() + synthetic_cases()
+    base = cases[0][1]
+    rng = np.random.default_rng(47)
+    quads = rng.standard_normal((2, 2, 2))
+    lins = rng.standard_normal((2, 2))
+    objectives = {"affine": AffineObjective(rng.standard_normal((2, 2)), np.zeros(2)),
+                  "symmetric": QuadraticObjective(quads + quads.transpose(0, 2, 1), lins,
+                                                  np.zeros(2)),
+                  "nonsymmetric": QuadraticObjective(quads, lins, np.zeros(2))}
+    for name, objective in objectives.items():
+        for cone in (Cone.orthant(2), Cone.halfspaces([[1.0, -0.3], [-0.3, 1.0]])):
+            problem = dataclasses.replace(base, objective=objective, ordering_cone=cone,
+                                          direction=None)
+            for x in ([0.5, 1.0], [-1.2, 0.3]):
+                cases.append((f"{name}-{cone.kind}{x}", problem, np.array(x)))
+    return cases
+
+
+class TestOrderLipschitzBound:
+    def test_hand_values(self, free_negative):
+        """The identity needs sqrt(2) with e = (1, 1)/sqrt(2); x1 x2 (a
+        nonsymmetric Q) on the ball of radius 0.5 around (1, 2) needs its
+        gradient norm sqrt(5) plus 0.5 |Q + Q^T|_2 = 0.5."""
+        assert order_lipschitz_bound(free_negative, [3.0, -1.0], 0.5) == pytest.approx(ROOT2)
+        product = dataclasses.replace(
+            free_negative, ordering_cone=Cone.orthant(1), direction=None,
+            objective=QuadraticObjective([[[0.0, 1.0], [0.0, 0.0]]], [[0.0, 0.0]], [0.0]))
+        assert order_lipschitz_bound(product, [1.0, 2.0], 0.5) \
+            == pytest.approx(np.sqrt(5.0) + 0.5)
+
+    def test_bounds_the_sampled_estimate_and_every_sampled_pair(self):
+        """The sampled estimate is a lower estimate of the same constant, so
+        it may exceed the closed form only by the rounding of its quotients
+        (the identity's sqrt(2) reads 2 ulps high there); every pair of 12
+        ball points passes the inclusion at the closed form."""
+        for label, problem, x in lipschitz_cases():
+            ell = order_lipschitz_bound(problem, x, 0.5)
+            sampled = estimate_order_lipschitz(problem, x, radius=0.5).ell
+            assert ell >= sampled * (1.0 - 8.0 * np.finfo(float).eps), label
+            pts = ball_points(x, 0.5, 12, seed=3)
+            assert all(order_lipschitz_holds(problem, p, q, ell)
+                       for i, p in enumerate(pts) for q in pts[:i]), label
+
+
 class TestPenalizationCondition:
     def test_unrestricted_descent_violates(self, free_negative):
         """With the whole plane tangent, v = -e drives f into -int K."""
         cert = check_penalization_condition(free_negative, [-1.0, -1.0],
-                                            alpha=1.5, ell=ROOT2)
+                                            sigma=0.5, ell=ROOT2)
         assert cert.status == VIOLATED
         assert_allclose(cert.witness, -np.ones(2) / ROOT2, atol=1e-9)
         assert cert.residual == pytest.approx(1.0 / ROOT2, abs=1e-9)
 
     def test_edge_point_holds(self, boxed_negative):
         cert = check_penalization_condition(boxed_negative, [-1.0, 0.0],
-                                            alpha=1.5, ell=ROOT2)
+                                            sigma=0.5, ell=ROOT2)
         assert cert.status == HOLDS
 
     def test_pinned_region_is_vacuous(self, free_negative):
@@ -217,17 +266,17 @@ class TestPenalizationCondition:
                        ordering_cone=free_negative.ordering_cone,
                        constraint_cone=free_negative.constraint_cone,
                        region=point, scenarios=free_negative.scenarios)
-        cert = check_penalization_condition(prob, [0.0, 0.0], alpha=1.5,
+        cert = check_penalization_condition(prob, [0.0, 0.0], sigma=0.5,
                                             ell=1.0)
         assert cert.status == HOLDS and cert.residual == 0.0
         assert multiplier_gap(prob, [0.0, 0.0], cert) <= 1e-12
 
     def test_preconditions(self, free_negative):
         with pytest.raises(PreconditionError):
-            check_penalization_condition(free_negative, [0.0, 0.0], alpha=1.0,
+            check_penalization_condition(free_negative, [0.0, 0.0], sigma=0.0,
                                          ell=1.0)
         with pytest.raises(PreconditionError):
-            check_penalization_condition(free_negative, [0.0, 0.0], alpha=1.5,
+            check_penalization_condition(free_negative, [0.0, 0.0], sigma=0.5,
                                          ell=-1.0)
 
 
@@ -303,19 +352,19 @@ class TestScalarizedFan:
 class TestConvexScalarized:
     def test_weakly_efficient_point_holds(self, quarter_box):
         cert = convex_scalarized_certificate(quarter_box, [0.5, 1.0],
-                                             alpha=1.704046875, ell=ROOT2)
+                                             sigma=1.704046875 - 1.0, ell=ROOT2)
         assert cert.status == HOLDS
         assert_allclose(cert.y_star, [1.0, 0.0], atol=1e-6)
 
     def test_dominated_point_infeasible(self, free_negative):
         cert = convex_scalarized_certificate(free_negative, [-1.0, -1.0],
-                                             alpha=1.5, ell=ROOT2)
+                                             sigma=0.5, ell=ROOT2)
         assert cert.status == LP_INFEASIBLE
 
-    def test_alpha_must_exceed_one(self, free_negative):
+    def test_sigma_must_be_positive(self, free_negative):
         with pytest.raises(PreconditionError):
             convex_scalarized_certificate(free_negative, [0.0, 0.0],
-                                          alpha=1.0, ell=1.0)
+                                          sigma=0.0, ell=1.0)
 
 
     @pytest.mark.parametrize("region, x", [
@@ -335,7 +384,7 @@ class TestConvexScalarized:
         for v in sampled_cone_directions(tangent, 64, seed=0):
             if not any(np.linalg.norm(v - w) < 1e-9 for w in dirs):
                 dirs.append(v)
-        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=1.0)
         assert np.array_equal(cert.directions, np.array(dirs).reshape(-1, 2))
 
 
@@ -354,12 +403,12 @@ class TestConvexScalarized:
             return solve(prob, vectors)
 
         monkeypatch.setattr(rvopt.certificates, "_dual_vector_lp", spy)
-        alpha, ell = 1.5, ROOT2
-        cert = convex_scalarized_certificate(problem, x, alpha, ell)
+        sigma, ell = 0.5, ROOT2
+        cert = convex_scalarized_certificate(problem, x, sigma, ell)
         x = np.asarray(x, dtype=float)
         slopes = reference_slopes(problem, x, cert.directions)
         vectors = np.array([problem.objective.directional(x, v)
-                            + ell / (alpha - 1.0) * slope * problem.direction
+                            + ell / sigma * slope * problem.direction
                             for v, slope in zip(cert.directions, slopes)])
         assert_allclose(seen[0], vectors, rtol=0.0, atol=1e-12)
         y, _ = solve(problem, seen[0])
@@ -377,13 +426,13 @@ class TestConvexScalarized:
         monkeypatch.setattr(Problem, "merit_many", refuse)
         monkeypatch.setattr(ScenarioMap, "merit_many", refuse)
         for name, problem, x in SLOPE_CASES:
-            convex_scalarized_certificate(problem, x, alpha=1.5, ell=ROOT2)
+            convex_scalarized_certificate(problem, x, sigma=0.5, ell=ROOT2)
 
     def test_ray_cone_in_r5_runs_every_stage(self):
         """A ray C in R^5 gets its facet rows from the one double-description
         path, so the slopes are formed and every report stage runs."""
         problem, x = ray_cone_r5_problem(), np.zeros(2)
-        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
+        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=1.0)
         assert replay_certificate(problem, x, cert) == cert.residual
         stages = run_report(problem, x)["stages"]
         assert [s["name"] for s in stages if s["status"] == "error"] == []
@@ -601,7 +650,7 @@ class TestReplay:
         and directions, recomputing the merit slopes, so it reproduces the
         stored residual; dropping the slope term leaves a violation here."""
         problem = load_problem(PROBLEMS_DIR / f"{name}.json")
-        cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
+        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
         assert cert.status == HOLDS and cert.beta == 6.0
         assert np.max(merit_slopes(problem, x, cert.directions)) > 0.0
         assert replay_certificate(problem, x, cert) == cert.residual
@@ -648,7 +697,7 @@ class TestReplay:
             assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-12
             assert np.min(a @ cert.witness) == cert.residual > INTERIOR_MARGIN
         else:
-            cert = convex_scalarized_certificate(problem, x, alpha=1.5, ell=3.0)
+            cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
             vectors = rvopt.certificates._penalized_vectors(
                 problem, x, cert.directions, cert.beta)
             g, h, _ = rvopt.certificates._dual_vector_system(problem, vectors)
@@ -666,7 +715,7 @@ class TestReplay:
         negated or zeroed vector, and the negated, zeroed or tripled
         witness, replay to inf."""
         e2 = load_problem(PROBLEMS_DIR / "e2.json")
-        cert = convex_scalarized_certificate(e2, [0.0, 0.0], 1.5, 3.0)
+        cert = convex_scalarized_certificate(e2, [0.0, 0.0], 0.5, 3.0)
         assert cert.status == LP_INFEASIBLE
         assert replay_certificate(e2, [0.0, 0.0], cert) == cert.residual == 0.0
         for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
@@ -708,7 +757,7 @@ class TestReplay:
         simplex, so all replay to inf."""
         x = [0.0, 0.0]
         for cert in (check_tangential_condition(boxed_negative, x),
-                     check_penalization_condition(boxed_negative, x, alpha=1.5, ell=ROOT2),
+                     check_penalization_condition(boxed_negative, x, sigma=0.5, ell=ROOT2),
                      scalarized_fan_certificate(boxed_negative, x),
                      multiplier_certificate(boxed_negative, x)):
             assert cert.status in (VIOLATED, LP_INFEASIBLE)
@@ -961,7 +1010,7 @@ class TestSharedConeProgram:
     scalarized-fan and multiplier certificates read; penalization's T_S(x)
     program replaces it.  No order of calls may change an answer."""
 
-    READERS = {"penalization": lambda p, x: check_penalization_condition(p, x, 1.5, 1.0),
+    READERS = {"penalization": lambda p, x: check_penalization_condition(p, x, 0.5, 1.0),
                "tangential": check_tangential_condition,
                "scalarized-fan": scalarized_fan_certificate,
                "multiplier": multiplier_certificate}
@@ -1110,7 +1159,7 @@ def exact_and_sampled():
     for label, problem, x in grid_cases() + synthetic_cases() + bench_cases():
         assert problem.feasible(x), label
         exact = {"tangential": check_tangential_condition(problem, x),
-                 "penalization": check_penalization_condition(problem, x, alpha=1.5, ell=1.0),
+                 "penalization": check_penalization_condition(problem, x, sigma=0.5, ell=1.0),
                  "scalarized-fan": scalarized_fan_certificate(problem, x)}
         rows.append((label, problem, x, exact, sampled_certificates(problem, x)))
     return rows
@@ -1148,8 +1197,8 @@ class TestPastTheFormerLimits:
         refuted = 0
         for label, problem, x in past_limit_cases():
             assert problem.feasible(x), label
-            convex_scalarized_certificate(problem, x, alpha=1.5, ell=1.0)
-            check_penalization_condition(problem, x, alpha=1.5, ell=1.0)
+            convex_scalarized_certificate(problem, x, sigma=0.5, ell=1.0)
+            check_penalization_condition(problem, x, sigma=0.5, ell=1.0)
             qualification_check(problem, x)
             tangential = check_tangential_condition(problem, x).status
             fan = scalarized_fan_certificate(problem, x).status

@@ -274,9 +274,9 @@ class TestReportCommand:
         assert document["summary"] == "consistent with necessary conditions"
         assert tail.strip() == "consistent with necessary conditions"
         assert [s["name"] for s in document["stages"]] == [
-            "merit", "increase", "sigma", "error_bound", "order_lipschitz",
-            "penalization", "tangential", "scalarized_fan",
-            "scalarized_convex", "multiplier", "qualification", "oracle",
+            "merit", "error_bound", "order_lipschitz", "penalization",
+            "tangential", "scalarized_fan", "scalarized_convex", "multiplier",
+            "qualification", "oracle",
         ]
 
     def test_ray_cone_report_runs_every_stage(self, tmp_path):

@@ -236,13 +236,37 @@ class TestObjectives:
         obj = QuadraticObjective(quads=rng.standard_normal((2, 3, 3)),
                                  lins=rng.standard_normal((2, 3)),
                                  consts=rng.standard_normal(2))
-        # symmetrize so jacobian(x) = 2 Q x + j is the true derivative
-        sym = 0.5 * (obj.quads + np.transpose(obj.quads, (0, 2, 1)))
-        obj = QuadraticObjective(quads=sym, lins=obj.lins, consts=obj.consts)
         x, v = rng.standard_normal(3), rng.standard_normal(3)
         for t in (0.5, 2.0, 7.0):
             assert_allclose(obj.directional(x, t * v),
                             t * obj.directional(x, v), rtol=1e-12)
+
+    def test_quadratic_jacobian_for_nonsymmetric_q(self):
+        """x^T Q x with Q = [[0, 1], [0, 0]] is x1 x2, whose gradient at
+        (1, 2) is (2, 1), not 2 Q x = (4, 0).  Random nonsymmetric blocks
+        match central differences, which are exact for quadratics up to
+        rounding."""
+        obj = QuadraticObjective(quads=[[[0.0, 1.0], [0.0, 0.0]]], lins=[[0.0, 0.0]],
+                                 consts=[0.0])
+        assert np.array_equal(obj.jacobian([1.0, 2.0]), [[2.0, 1.0]])
+        rng = np.random.default_rng(29)
+        obj = QuadraticObjective(quads=rng.standard_normal((3, 4, 4)),
+                                 lins=rng.standard_normal((3, 4)), consts=rng.standard_normal(3))
+        t = 1e-3
+        for x in rng.standard_normal((5, 4)):
+            central = np.column_stack([(obj.value(x + t * e) - obj.value(x - t * e)) / (2 * t)
+                                       for e in np.eye(4)])
+            assert_allclose(obj.jacobian(x), central, rtol=0.0, atol=1e-10)
+
+    def test_symmetric_quadratic_jacobian_is_two_q_x_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        quads = rng.standard_normal((3, 4, 4))
+        quads = quads + quads.transpose(0, 2, 1)
+        obj = QuadraticObjective(quads=quads, lins=rng.standard_normal((3, 4)),
+                                 consts=np.zeros(3))
+        for x in 3.0 * rng.standard_normal((50, 4)):
+            assert np.array_equal(obj.jacobian(x),
+                                  2.0 * np.einsum("kij,j->ki", quads, x) + obj.lins)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_value_many_matches_value(self, n):

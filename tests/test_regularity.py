@@ -1,16 +1,21 @@
-"""Metric increase sampling, descent constants, and the error bound."""
+"""Metric increase sampling, the exact local error-bound modulus, and the
+lattice error bound."""
 
 import numpy as np
 import pytest
 
 import rvopt.regularity
+from rvopt.certificates import convex_scalarized_certificate
 from rvopt.cones import Cone, distance_many
 from rvopt.errors import PreconditionError
-from rvopt.firstorder import PolyhedralSet
+from rvopt.firstorder import AffineObjective, PolyhedralSet
 from rvopt.docio import load_problem
-from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, _distance_passes,
-                              _tie_shell_min, check_metric_increase, cq_sigma,
-                              estimate_increase_bound, verify_error_bound)
+from rvopt.problem import Problem
+from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, SUBSET_BUDGET, _distance_passes,
+                              _tie_shell_min, check_metric_increase,
+                              estimate_increase_bound, local_error_bound,
+                              verify_error_bound)
+from rvopt.reporting import run_report
 from rvopt.sampling import ball_points, grid_points, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
@@ -303,16 +308,64 @@ class TestIncreaseEstimate:
         assert est is None
 
 
-class TestDescentConstant:
-    def test_sigma_from_rate(self):
-        assert cq_sigma(1.5) == pytest.approx(0.5)
-        assert cq_sigma(2.0) == pytest.approx(1.0)
+def orthant_problem(mats, offsets):
+    """Identity objective over the plane with the orthant C and the given
+    scenarios."""
+    return Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                   ordering_cone=CONE, constraint_cone=CONE, region=PLANE,
+                   scenarios=ScenarioMap(mats, offsets))
 
-    def test_rejects_unusable_rates(self):
-        with pytest.raises(PreconditionError):
-            cq_sigma(1.0)
-        with pytest.raises(PreconditionError):
-            cq_sigma(None)
+
+def fan_rows_problem(count):
+    """Solv = {0}: 2 count unit rows A z >= 0 spread evenly around the
+    circle, two per scenario, all active at 0 and of rank 2."""
+    angles = np.pi * np.arange(2 * count) / count
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    return orthant_problem(rows.reshape(count, 2, 2), np.zeros((count, 2)))
+
+
+class TestLocalErrorBound:
+    def test_dependent_active_rows_take_the_bases(self):
+        """On Solv = {x1 = 0}, cut out by the rows x1 >= 0 and -x1 >= 0, 0
+        lies in the hull of the active rows; each single row is a basis,
+        and dist(z, Solv) = |z1| = merit(z) gives sigma = 1."""
+        problem = orthant_problem([[[1.0, 0.0], [-1.0, 0.0]]], [[0.0, 0.0]])
+        bound = local_error_bound(problem, [0.0, 0.3])
+        assert (bound.established, bound.sigma, bound.radius, bound.subsets) \
+            == (True, 1.0, None, 2)
+        assert verify_error_bound(problem.scenarios, CONE, PLANE, [0.0, 0.3], bound.sigma,
+                                  0.5, resolution=41).passed
+
+    def test_the_subset_budget(self):
+        """22 active rows of rank 2 have 231 pairs, 11 of them parallel, so
+        220 bases are tried; 24 rows have 276 pairs, past the budget, and
+        the report names it and skips both penalization stages."""
+        bound = local_error_bound(fan_rows_problem(11), [0.0, 0.0])
+        assert bound.established and bound.subsets == 220 and bound.sigma > 0.0
+        problem = fan_rows_problem(12)
+        bound = local_error_bound(problem, [0.0, 0.0])
+        assert (bound.established, bound.sigma, bound.subsets) == (False, None, 0)
+        assert bound.notes == (f"not established: over {SUBSET_BUDGET} subsets of 2 active rows",)
+        report = run_report(problem, [0.0, 0.0])
+        stages = {s["name"]: s for s in report["stages"]}
+        assert stages["error_bound"]["notes"] == list(bound.notes)
+        reason = "needs both the error-bound constant and the order-Lipschitz bound"
+        assert stages["penalization"]["reason"] == stages["scalarized_convex"]["reason"] == reason
+        assert report["audit"][0] == {"hypothesis": "local error bound of the merit function",
+                                      "status": "not established"}
+
+    def test_no_active_constraint_row(self, quarter_box):
+        """At (1, 1) in [0, 2]^2 with Solv = {x1 >= 0.5, x2 >= 0} no row is
+        active and the nearest one is x1 >= 0.5: merit is 0 on the radius
+        0.25, sigma is null in the report, and beta = ell / inf = 0."""
+        bound = local_error_bound(quarter_box, [1.0, 1.0])
+        assert (bound.established, bound.sigma, bound.radius, bound.active_rows) \
+            == (True, None, 0.25, ())
+        report = run_report(quarter_box, [1.0, 1.0])
+        stages = {s["name"]: s for s in report["stages"]}
+        assert (stages["error_bound"]["sigma"], stages["error_bound"]["radius"]) == (None, 0.25)
+        assert stages["scalarized_convex"]["inputs"]["sigma"] is None
+        assert convex_scalarized_certificate(quarter_box, [1.0, 1.0], np.inf, 1.0).beta == 0.0
 
 
 class TestErrorBound:
@@ -338,7 +391,7 @@ class TestErrorBound:
         est = estimate_increase_bound(self.smap, CONE, PLANE, [0.25, 1.0],
                                       0.5, seed=0)
         rep = verify_error_bound(self.smap, CONE, PLANE, [0.25, 1.0],
-                                 cq_sigma(est), radius=0.5, resolution=101)
+                                 est - 1.0, radius=0.5, resolution=101)
         assert rep.passed
 
     def test_feasible_points_have_zero_gap(self):

@@ -13,6 +13,8 @@ instances of every constraint-cone kind.
 import contextlib
 import dataclasses
 import io
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -21,13 +23,14 @@ from numpy.testing import assert_allclose
 import rvopt.firstorder
 import rvopt.reporting
 from rvopt import (AffineObjective, Cone, PolyhedralSet, Problem, ScenarioMap,
-                   run_report, save_problem)
+                   render_report, run_report, save_problem, verify_error_bound)
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 Certificate, merit_is_flat, merit_slopes)
 from rvopt.cli import main
 from rvopt.firstorder import check_upper_subgradient, upper_subgradient_candidate
+from rvopt.regularity import local_error_bound
 from rvopt.reporting import verdict
-from rvopt.sampling import sphere_directions
+from rvopt.sampling import ball_points, sphere_directions
 from rvopt.simplex import OPTIMAL, LinearProgram, solve_lp
 
 from conftest import (KINDS, SCENARIO_COUNTS, boundary_points, grid_cases,
@@ -116,17 +119,47 @@ def certify_code(tmp_path, problem, x):
 
 
 @pytest.fixture(scope="module")
-def outcomes(tmp_path_factory):
+def harness_reports():
+    """(source, label, problem, x, report) over the grid and four synthetic
+    points per instance."""
+    return [(source, label, problem, x, run_report(problem, x))
+            for source, cases in (("grid", grid_cases()), ("synthetic", synthetic_cases(4)))
+            for label, problem, x in cases]
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory, harness_reports):
     """(source, label, weakly efficient, report exit code, certify exit
-    code) over the grid and four synthetic points per instance."""
+    code) for every point of ``harness_reports``."""
     tmp_path = tmp_path_factory.mktemp("verdict")
-    rows = []
-    for source, cases in (("grid", grid_cases()), ("synthetic", synthetic_cases(4))):
-        for label, problem, x in cases:
-            rows.append((source, label, exact_weakly_efficient(problem, x),
-                         run_report(problem, x)["exit_code"],
-                         certify_code(tmp_path, problem, x)))
-    return rows
+    return [(source, label, exact_weakly_efficient(problem, x), report["exit_code"],
+             certify_code(tmp_path, problem, x))
+            for source, label, problem, x, report in harness_reports]
+
+
+@pytest.fixture(scope="module")
+def error_bounds():
+    """(label, problem, x, local_error_bound) at the 139 harness points: the
+    grid and every synthetic point."""
+    return [(label, problem, x, local_error_bound(problem, x))
+            for label, problem, x in grid_cases() + synthetic_cases()]
+
+
+def polygon_distances(points, g, h):
+    """Distance from each row z of ``points`` to the polygon {y : g y <= h}
+    in the plane: its nearest point is z, the projection of z onto the line
+    of a row, or the meeting point of two rows' lines, whichever feasible
+    one is nearest."""
+    vertices = [np.linalg.solve(g[[i, j]], h[[i, j]])
+                for i, j in itertools.combinations(range(h.size), 2)
+                if abs(np.linalg.det(g[[i, j]])) > 1e-12]
+    feet = points[:, None, :] - ((points @ g.T - h) / np.sum(g * g, axis=1))[:, :, None] * g
+    candidates = np.concatenate([points[:, None, :], feet,
+                                 np.broadcast_to(vertices, (len(points), len(vertices), 2))],
+                                axis=1)
+    gaps = np.linalg.norm(candidates - points[:, None, :], axis=2)
+    gaps[np.any(candidates @ g.T > h + 1e-12, axis=2)] = np.inf
+    return gaps.min(axis=1)
 
 
 # ----- tests ---------------------------------------------------------------
@@ -271,6 +304,21 @@ class TestSoundness:
         assert len(dominated) == 28
         assert [label for _, label, _, report, _ in dominated if report != 2] == []
 
+    def test_penalization_stages_never_fail_at_a_weakly_efficient_point(self, outcomes,
+                                                                          harness_reports):
+        """The penalization and scalarized-convex stages run wherever the
+        error bound is established, and at a weakly efficient point neither
+        reads violated or lp-infeasible, downgraded or not."""
+        ran, failed = 0, []
+        for (_, label, weak, *_), (*_, report) in zip(outcomes, harness_reports):
+            for stage in report["stages"]:
+                if stage["name"] in ("penalization", "scalarized_convex") \
+                        and stage["status"] != "skipped":
+                    ran += 1
+                    if weak and stage["status"] in (VIOLATED, LP_INFEASIBLE):
+                        failed.append((label, stage["name"]))
+        assert failed == [] and ran > 0
+
     def test_report_never_calls_a_dominated_point_consistent(self, outcomes):
         """Off the grid a dominating sliver can be thinner than the spacing
         of the report's lattice oracle, so a dominated point may be left
@@ -293,3 +341,68 @@ class TestNoFiniteDifferenceUpperGradient:
             report = run_report(problem, x)
             errors = [s["name"] for s in report["stages"] if s["status"] == "error"]
             assert errors == [], name
+
+
+class TestReportDocuments:
+    def test_strict_json_and_no_stage_error(self, harness_reports):
+        """No NaN or Infinity reaches a rendered report: an established
+        error bound with no active constraint row records sigma null."""
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        for _, label, _, _, report in harness_reports:
+            parsed = json.loads(render_report(report), parse_constant=refuse)
+            assert [s["name"] for s in parsed["stages"] if s["status"] == "error"] == [], label
+        stages = [{s["name"]: s for s in report["stages"]}
+                  for *_, report in harness_reports]
+        assert {s["error_bound"]["sigma"] is None for s in stages} == {True, False}
+
+
+class TestLocalErrorBound:
+    """The exact local modulus sigma held against the lattice check, against
+    exact distances to Solv, and against a hand-derived value."""
+
+    def test_established_everywhere(self, error_bounds):
+        assert all(bound.established for *_, bound in error_bounds)
+        vacuous = [bound.sigma is None for *_, bound in error_bounds]
+        assert len(vacuous) == 139 and 0 < sum(vacuous) < 139
+
+    def test_lattice_check_passes(self, error_bounds):
+        """verify_error_bound at sigma on min(0.5, certified radius), 41 per
+        axis, at every point with an active constraint row."""
+        checked = 0
+        for label, problem, x, bound in error_bounds:
+            if bound.sigma is None:
+                continue
+            radius = min(0.5, bound.radius)
+            report = verify_error_bound(problem.scenarios, problem.constraint_cone,
+                                        problem.region, x, bound.sigma, radius, resolution=41)
+            assert report.passed, (label, bound, report.max_violation)
+            checked += 1
+        assert checked == 68
+
+    def test_exact_distances_on_the_certified_ball(self, error_bounds):
+        """dist(z, Solv) <= merit(z) / sigma at 32 sampled region points z
+        within the certified radius (1 where it is unbounded), the distance
+        taken to this module's own rows of Solv.  With no active constraint
+        row z lies in Solv."""
+        for label, problem, x, bound in error_bounds:
+            points = ball_points(x, min(1.0, bound.radius or 1.0), 32, seed=1)
+            points = points[problem.region.contains_many(points, tol=0.0)]
+            dist, merit = polygon_distances(points, *solv_rows(problem)), problem.merit_many(points)
+            if bound.sigma is None:     # merit reads 0 up to projection rounding
+                assert np.all(merit <= 1e-12) and np.all(dist <= 1e-12), label
+            else:
+                assert np.all(dist <= merit / bound.sigma + 1e-12), label
+
+    def test_two_active_rows_by_hand(self, error_bounds):
+        """At halfspaces-w1-1 only the two constraint rows G_0, G_1 are
+        active, so sigma is the distance from 0 to the segment [G_0, G_1]."""
+        (problem, x, bound), = [case[1:] for case in error_bounds
+                                if case[0] == "halfspaces-w1-1"]
+        g, h = solv_rows(problem)
+        assert np.flatnonzero(h - g @ x <= 1e-7).tolist() == [0, 1]
+        d = g[0] - g[1]
+        t = np.clip(-(g[1] @ d) / (d @ d), 0.0, 1.0)
+        assert bound.sigma == pytest.approx(np.linalg.norm(g[1] + t * d), abs=1e-12)
+        assert bound.sigma == pytest.approx(0.79331, abs=1e-5)
