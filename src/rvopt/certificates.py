@@ -13,31 +13,31 @@ This module checks several necessary conditions of that kind:
   constraint-cone duals per fan matrix and a normal-cone element: one
   conic least-distance program decides these four exactly, its nearest
   point giving a violating direction and its weights the multipliers; and
-* a scalarized penalization condition for convex data, searching for a
-  dual vector by least-distance programming over sampled directions
-  weighted by the merit slopes of :func:`merit_slopes`.
+* a scalarized penalization condition for convex data, decided exactly by
+  column generation on the same program, its atoms built from the merit
+  slopes of :func:`merit_slopes`.
 
 Every program here, the qualification margins included, runs on the one
-Lawson-Hanson kernel of :mod:`rvopt.cones`.  Certificates carry status,
-raw multipliers, and a residual, and can be re-validated from the stored
-data without re-solving, memberships, witnesses, slopes and Farkas vectors
-included.  An infeasible scalarization or multiplier rule refutes weak
-efficiency whenever the accompanying qualification check passes.
+Lawson-Hanson kernel of :mod:`rvopt.cones`, and none samples.  Certificates
+carry status, raw multipliers, and a residual, and can be re-validated from
+the stored data without re-solving, memberships, witnesses, slopes and
+atoms included.  An infeasible scalarization or multiplier rule refutes
+weak efficiency whenever the accompanying qualification check passes.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, Cone, _readonly, cone_generators,
-                    distance_many, least_distance_point)
-from .errors import PreconditionError, RepresentationError
-from .firstorder import (ACTIVE_TOL, _merge_directions, contingent_cone, normal_cone,
-                         sampled_cone_directions)
+from .cones import (ORTHANT, PROJECTION_TOL, Cone, _norms, _readonly, nearest_hull_point,
+                    project_many)
+from .errors import PreconditionError
+from .firstorder import ACTIVE_TOL, contingent_cone, normal_cone
 from .problem import Problem, interior_witness, max_margin_point
 from .sampling import ball_points
-# unused; bench/tracing.py wraps rvopt.problem.solve_lp, rvopt.certificates.solve_lp
-# and rvopt.certificates.feasibility by name, so they stay until it drops those sites
+# unused; bench/tracing.py wraps these names here, and rvopt.problem.solve_lp, so
+# they stay until it drops those sites
+from .firstorder import sampled_cone_directions  # noqa: F401
 from .simplex import feasibility, solve_lp  # noqa: F401
 
 HOLDS = "holds"
@@ -47,13 +47,14 @@ INCONCLUSIVE = "inconclusive"
 
 LP_SLACK = 1e-8
 INTERIOR_MARGIN = 1e-7
+COLUMN_ROUNDS = 16      # atom rounds of convex_scalarized_certificate
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of one first-order check; raw multipliers included: ``duals``
-    holds the multiplier rule's constraint duals when ``v`` is set, else the
-    weights (lam, mu) of a fan-cone program (:func:`_cone_certificate`)."""
+    holds the multiplier rule's constraint duals when ``v`` is set, else its
+    program's weights, (lam, mu) or scalarized-convex's (lam, theta, mu)."""
 
     kind: str
     status: str
@@ -63,10 +64,9 @@ class Certificate:
     duals: tuple = ()
     normal: np.ndarray | None = None
     witness: np.ndarray | None = None
-    directions: np.ndarray | None = None
     notes: tuple = field(default_factory=tuple)
     beta: float | None = None
-    farkas: np.ndarray | None = None
+    atoms: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -176,17 +176,29 @@ def merit_is_flat(problem: Problem, x) -> bool:
 
 def merit_slopes(problem: Problem, x, dirs) -> np.ndarray:
     """The merit function's slope at a feasible x along each row d of
-    ``dirs``, max_w dist(A_w d, T_C(A_w x + b_w)) (Rockafellar & Wets 1998),
-    T_C the halfspace cone of the rows of :func:`_slope_facets`; all exactly
-    0 where :func:`merit_is_flat` holds."""
+    ``dirs``, max_w dist(A_w d, T_w) (Rockafellar & Wets 1998), T_w the
+    halfspace cone of the rows of :func:`_slope_facets`; all exactly 0
+    where :func:`merit_is_flat` holds."""
+    return _slope_residuals(problem, x, dirs)[0]
+
+
+def _slope_residuals(problem: Problem, x, dirs):
+    """(slopes, scenarios, residuals) along the rows d of ``dirs``: the first
+    w attaining each slope, and the Moreau residual r = A_w d - P_{T_w}(A_w d)
+    in T_w°, |r| the slope and r . A_w d = |r|^2 (w = 0, r = 0 at slope 0)."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     rows = problem.constraint_cone.facets()
-    slopes = np.zeros(dirs.shape[0])
-    for mat, active in zip(problem.scenarios.mats, _slope_facets(problem, x)):
+    slopes, scenarios = np.zeros(dirs.shape[0]), np.zeros(dirs.shape[0], dtype=int)
+    residuals = np.zeros((dirs.shape[0], rows.shape[1]))
+    for w, (mat, active) in enumerate(zip(problem.scenarios.mats, _slope_facets(problem, x))):
         if active.any():
-            tangent = Cone.halfspaces(rows[active])
-            slopes = np.maximum(slopes, distance_many(tangent, dirs @ mat.T))
-    return slopes
+            images = dirs @ mat.T
+            moved = images - project_many(Cone.halfspaces(rows[active]), images)
+            dist = _norms(moved)
+            steeper = dist > slopes
+            scenarios[steeper], residuals[steeper] = w, moved[steeper]
+            slopes = np.maximum(slopes, dist)
+    return slopes, scenarios, residuals
 
 
 def _direction_cone_rows(problem: Problem, x: np.ndarray, kind: str) -> np.ndarray:
@@ -309,77 +321,61 @@ def _normalization_row(problem: Problem) -> np.ndarray:
     return problem.direction
 
 
-def _dual_vector_system(problem: Problem, constraint_vectors: np.ndarray):
-    """The dual-vector search as g c >= h: [V G; I; 1; -1] c >= [0; 0; 1; -1],
-    with the rows of V the constraint vectors and the columns of G
-    generators of the positive dual of the ordering cone; returns g, h, G."""
-    dual_gens = problem.ordering_cone.facets().T      # columns generate K+
-    q = dual_gens.shape[1]
-    ones = np.ones(q)
-    g = np.vstack([constraint_vectors @ dual_gens, np.eye(q), ones, -ones])
-    h = np.concatenate([np.zeros(constraint_vectors.shape[0] + q), [1.0, -1.0]])
-    return g, h, dual_gens
+def _penalized_depth(problem: Problem, x, v, beta: float, slope: float) -> float:
+    """min_j r_j . -(J v + beta slope e) over the facet rows r_j of K: the
+    depth of the penalized derivative in -K, positive when v refutes."""
+    scale = problem.ordering_cone.facets() @ problem.direction
+    return float(np.min(_depth_rows(problem, x) @ v - beta * slope * scale))
 
 
-def _dual_vector_lp(problem: Problem, constraint_vectors: np.ndarray):
-    """A dual vector y = G c with c >= 0, n . c = 1 and y . w >= 0 for every
-    constraint vector w, where n is the normalization row.  K+ is pointed
-    and n . c = e . G c, so n . c > 0 for every nonzero c >= 0: the program
-    takes the least-norm c on the simplex, one least-distance program over
-    :func:`_dual_vector_system`, and scales it by 1 / n . c.  The simplex
-    keeps |c| <= 1 whatever e is, where normalizing by n directly makes |c|
-    grow like 1 / |e|.  Returns y and the least-distance multipliers u;
-    y is None when the system is inconsistent, and u is then its Farkas
-    vector (:func:`replay_certificate`)."""
-    g, h, dual_gens = _dual_vector_system(problem, constraint_vectors)
-    coeffs, u = least_distance_point(g, h)
-    if coeffs is None:
-        return None, u
-    return dual_gens @ (coeffs / float(_normalization_row(problem) @ dual_gens @ coeffs)), u
+def convex_scalarized_certificate(problem: Problem, x, sigma: float, ell: float) -> Certificate:
+    """Scalarized penalization condition for convex data: a y* in K+ with
+    y* . e = 1 and  y* . [f'(x; v) + beta Dphi(x; v) e] >= 0  on T = T_S(x)
+    = {v : P v >= 0}, Dphi the slope of :func:`merit_slopes`, beta = ell /
+    sigma, sigma > 0 an error-bound constant (inf gives beta = 0).
 
-
-def _penalized_vectors(problem: Problem, x, dirs, beta: float) -> np.ndarray:
-    """f'(x; v) + beta slope_v e for every direction v (:func:`merit_slopes`)."""
-    vectors = [problem.objective.directional(x, v) + beta * slope * problem.direction
-               for v, slope in zip(dirs, merit_slopes(problem, x, dirs))]
-    return np.array(vectors) if vectors else np.zeros((0, problem.ordering_cone.dim))
-
-
-def _scalarized_residual(vectors: np.ndarray, y: np.ndarray) -> float:
-    return float(max(0.0, np.max(-(vectors @ y), initial=0.0)))
-
-
-def convex_scalarized_certificate(problem: Problem, x, sigma: float, ell: float,
-                                  dir_count: int = 64, seed: int = 0) -> Certificate:
-    """Scalarized penalization condition for convex data: search for a dual
-    vector y* in the positive dual of the ordering cone, normalized, with
-
-        y* . [ f'(x; v) + (ell/sigma) Dphi(x; v) e ]  >=  0
-
-    along tangent generators and sampled tangent directions, where
-    Dphi(x; v) is the merit function's exact slope (:func:`merit_slopes`)
-    and sigma > 0 an error-bound constant (inf gives beta = 0).
-    The certificate keeps beta = ell/sigma and the directions, from
-    which :func:`replay_certificate` recomputes the slopes and the system."""
+    Dphi is the support function of U = union_w A_w^T (T_w° cap B), so by
+    minimax y* exists iff 0 is in conv{a_j - beta (r_j . e) u : u in U} +
+    cone(P), a_j = -r_j J over the facet rows r_j of K.  Column generation
+    (fully corrective Frank-Wolfe: Gilbert 1966; von Hohenbalken 1977) runs
+    one :func:`nearest_hull_point` per round on the pairs a_j - beta (r_j . e)
+    u_k of the atoms, first 0.  |p| <= LP_SLACK holds with y* = sum_j lam_j
+    r_j / (r_j . e), lam and theta the sums of w_jk (r_j . e) / s per row and
+    atom, s their total, and residual |p| / s = |J^T y* + beta sum_k theta_k
+    u_k - P^T mu / s|.  Otherwise v = p / |p| in T of depth above
+    INTERIOR_MARGIN (:func:`_penalized_depth`) is lp-infeasible; else the
+    atom A_w^T r / |r| of v's Moreau residual (:func:`_slope_residuals`)
+    joins, kept as (w, r / |r|) in ``atoms``.  A repeated atom or
+    COLUMN_ROUNDS rounds leave it inconclusive."""
     if not sigma > 0.0:
         raise PreconditionError("scalarization needs sigma > 0")
     x = np.asarray(x, dtype=float).ravel()
-    beta = ell / sigma
-    tangent = contingent_cone(problem.region, x)
-    try:
-        gens = cone_generators(tangent)
-    except RepresentationError:
-        gens = np.zeros((0, x.size))
-    dirs = _merge_directions(gens, sampled_cone_directions(tangent, dir_count, seed=seed))
-
-    vectors = _penalized_vectors(problem, x, dirs, beta)
-    y, farkas = _dual_vector_lp(problem, vectors)
-    if y is None:
-        return Certificate(kind="scalarized-convex", status=LP_INFEASIBLE,
-                           directions=dirs, beta=beta, farkas=farkas)
-    return Certificate(kind="scalarized-convex", status=HOLDS, y_star=y, directions=dirs,
-                       residual=_scalarized_residual(vectors, y), beta=beta,
-                       notes=("sampled directions; holds is not proof-grade between generators",))
+    beta, facets, mats = ell / sigma, problem.ordering_cone.facets(), problem.scenarios.mats
+    depth, scale = _depth_rows(problem, x), facets @ problem.direction
+    rows = contingent_cone(problem.region, x).rows
+    stored = [(0, np.zeros(problem.constraint_cone.dim))]
+    for _ in range(COLUMN_ROUNDS):
+        atoms = np.array([mats[w].T @ r for w, r in stored])
+        pairs = depth[:, None, :] - beta * scale[:, None, None] * atoms[None, :, :]
+        p, weights, mu = nearest_hull_point(pairs.reshape(-1, x.size), rows)
+        weights = weights.reshape(pairs.shape[:2]) * scale[:, None]
+        total, norm = float(np.sum(weights)), float(np.linalg.norm(p))
+        lam = weights.sum(axis=1) / total
+        cert = Certificate(kind="scalarized-convex", status=INCONCLUSIVE, residual=norm / total,
+                           duals=(lam, weights.sum(axis=0) / total, mu / total),
+                           beta=beta, atoms=tuple(stored))
+        if norm <= LP_SLACK:
+            return replace(cert, status=HOLDS, y_star=facets.T @ (lam / scale))
+        v = p / norm
+        slopes, scenarios, residuals = _slope_residuals(problem, x, v)
+        bound = _penalized_depth(problem, x, v, beta, slopes[0])
+        if np.min(rows @ v, initial=0.0) >= -PROJECTION_TOL and bound > INTERIOR_MARGIN:
+            return replace(cert, status=LP_INFEASIBLE, residual=bound, witness=v)
+        w, r = int(scenarios[0]), residuals[0] / (slopes[0] if slopes[0] > 0.0 else 1.0)
+        if np.min(_norms(atoms - mats[w].T @ r)) <= PROJECTION_TOL:
+            return replace(cert, notes=("the next atom is already an atom",))
+        stored.append((w, r))
+    return replace(cert, notes=(f"no decision within {COLUMN_ROUNDS} atom rounds",))
 
 
 def scalarized_fan_certificate(problem: Problem, x) -> Certificate:
@@ -465,17 +461,46 @@ def _replay_cone_certificate(problem: Problem, x: np.ndarray, cert: Certificate)
     return cert.residual if cert.witness is None else float(np.min(a @ cert.witness))
 
 
+def _replay_convex_certificate(problem: Problem, x: np.ndarray, cert: Certificate) -> float:
+    """Replay of :func:`convex_scalarized_certificate`.  A witness: inf unless
+    a unit vector in T, else its depth (slope by :func:`merit_slopes`).  A y*:
+    inf unless in K+ with y* . e = 1, lam and theta on the simplex, mu >= 0,
+    each atom (w, r) with r in T_w° and |r| <= 1, and |J^T y* + beta sum_k theta_k
+    A_w^T r_k - P^T mu| <= residual + LP_SLACK (to PROJECTION_TOL).  Else the residual."""
+    rows = contingent_cone(problem.region, x).rows
+    if cert.witness is not None:
+        v = cert.witness
+        if (abs(np.linalg.norm(v) - 1.0) > PROJECTION_TOL
+                or np.min(rows @ v, initial=0.0) < -PROJECTION_TOL):
+            return np.inf
+        return _penalized_depth(problem, x, v, cert.beta, merit_slopes(problem, x, v)[0])
+    if cert.y_star is None:
+        return cert.residual
+    (lam, theta, mu), y, mats = cert.duals, cert.y_star, problem.scenarios.mats
+    c_rows, masks = problem.constraint_cone.facets(), _slope_facets(problem, x)
+    valid = (abs(float(y @ problem.direction) - 1.0) <= PROJECTION_TOL
+             and problem.ordering_cone.negative_dual().contains(
+                 -y, tol=PROJECTION_TOL * (1.0 + np.linalg.norm(y)))
+             and all(np.min(z) >= 0.0 and abs(np.sum(z) - 1.0) <= PROJECTION_TOL
+                     for z in (lam, theta))
+             and len(theta) == len(cert.atoms) and np.min(mu, initial=0.0) >= 0.0
+             and all(0 <= w < len(mats) and np.linalg.norm(r) <= 1.0 + PROJECTION_TOL
+                     and Cone.rays(-c_rows[masks[w]], dim=c_rows.shape[1]).contains(
+                         r, tol=PROJECTION_TOL) for w, r in cert.atoms))
+    if valid:
+        pull = sum(t * (mats[w].T @ r) for t, (w, r) in zip(theta, cert.atoms))
+        gap = problem.objective.jacobian(x).T @ y + cert.beta * pull - rows.T @ mu
+        valid = np.linalg.norm(gap) <= cert.residual + LP_SLACK
+    return cert.residual if valid else np.inf
+
+
 def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
     """Recompute a certificate's residual from its stored multipliers, against
-    the problem's fan, or from its stored weights and witness
-    (:func:`_replay_cone_certificate`; an infeasible multiplier rule
-    included), or, for scalarized-convex, from its stored directions and
-    merit slopes.  Multipliers replay to inf unless v lies in K+ on its
-    normalization row, each c_i in -C* and n in N_S(x), each membership to
-    PROJECTION_TOL relative to the vector's length.
-    An infeasible scalarized system g c >= h (:func:`_dual_vector_system`)
-    does so while its Farkas vector u >= 0 has |g^T u| < h . u: every c with
-    g c >= h lies on the simplex, so |c| <= 1 and h . u <= u . g c <= |g^T u|."""
+    the problem's fan, or from its stored weights, atoms and witness
+    (:func:`_replay_cone_certificate`, :func:`_replay_convex_certificate`).
+    Multipliers replay to inf unless v lies in K+ on its normalization row,
+    each c_i in -C* and n in N_S(x), each membership to PROJECTION_TOL
+    relative to the vector's length."""
     x = np.asarray(x, dtype=float).ravel()
     if cert.kind == "multiplier" and cert.v is not None:
         cones = [problem.ordering_cone.negative_dual(), normal_cone(problem.region, x)]
@@ -487,20 +512,9 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
                          for cone, z in members))
         return _multiplier_residual(problem, x, cert.v, cert.duals, cert.normal) \
             if valid else np.inf
-    if cert.kind in ("tangential", "penalization", "scalarized-fan", "multiplier"):
-        return _replay_cone_certificate(problem, x, cert)
-    if cert.directions is None:
-        return cert.residual
-    vectors = _penalized_vectors(problem, x, cert.directions, cert.beta)
-    if cert.status == LP_INFEASIBLE:
-        g, h, _ = _dual_vector_system(problem, vectors)
-        u = cert.farkas
-        separates = (u is not None and np.min(u) >= 0.0
-                     and np.linalg.norm(g.T @ u) < h @ u)
-        return cert.residual if separates else np.inf
-    if cert.y_star is None:
-        return cert.residual
-    return _scalarized_residual(vectors, cert.y_star)
+    if cert.kind == "scalarized-convex":
+        return _replay_convex_certificate(problem, x, cert)
+    return _replay_cone_certificate(problem, x, cert)
 
 
 # ===== qualification =====================================================

@@ -18,8 +18,7 @@ from .docio import load_document, problem_from_document, tolerances_from_documen
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
                      RepresentationError, SamplingError, ValidationError)
 from .oracle import grid_scan
-from .regularity import check_metric_increase, estimate_increase_bound, \
-    verify_error_bound
+from .regularity import check_metric_increase, estimate_increase_bound, verify_error_bound
 from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
                         EXIT_REFUTED, render_report, run_report, verdict,
                         write_report)
@@ -28,7 +27,7 @@ from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
 def _common_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
+                        help="sampling seed of increase (default 0)")
     parent.add_argument("--tol-scale", type=float, default=1.0,
                         help="scale on the feasibility tolerance (default 1)")
     return parent
@@ -211,8 +210,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_report(args) -> int:
     problem, tolerances = _load(args)
-    report = run_report(problem, args.at, seed=args.seed, radius=args.radius,
-                        skip_cq=args.skip_cq, tolerances=tolerances)
+    report = run_report(problem, args.at, radius=args.radius, skip_cq=args.skip_cq,
+                        tolerances=tolerances)
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}")

@@ -20,9 +20,8 @@ K° = cone{-m_j} is a ray cone.  Least-distance programming
 (:func:`least_distance`) reduces every other Euclidean projection in the
 library to the same solver: onto a polyhedral region, and onto the
 convex hull of finitely many points plus the cone of others
-(:func:`nearest_hull_point`).  The certificates' programs run on it too:
-the max-margin and fan-cone programs through :func:`nearest_hull_point`,
-the dual-vector search through :func:`least_distance_point`.
+(:func:`nearest_hull_point`).  The certificates' programs, max-margin,
+fan-cone and column generation, run on it through :func:`nearest_hull_point`.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
 facet rows (:meth:`Cone.facets`): by Minkowski-Weyl the facet normals of

@@ -19,19 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import (Cone, _norms, _unit_rows, least_distance_point,
+from .cones import (Cone, _norms, _readonly, _unit_rows, least_distance_point,
                     nearest_hull_point, project_many)
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
 
 ACTIVE_TOL = 1e-7
-
-
-def _readonly(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 # ===== ambient sets ======================================================
@@ -418,24 +412,18 @@ def check_outer_prederivative(scenario_map: ScenarioMap, x, fan: Fan,
 
 
 def sampled_cone_directions(cone: Cone, count: int = 64, seed: int = 0) -> np.ndarray:
-    """Nonzero unit directions inside a cone, by projecting a sphere sample.
+    """Nonzero unit directions inside a cone, by projecting a sphere sample,
+    each kept when it lies at least 1e-9 from every one kept before it.
 
     Projection catches thin cones that rejection sampling would miss; the
     result may be empty only when the cone is (numerically) {0}.
     """
     proj = project_many(cone, sphere_directions(cone.dim, count, seed=seed))
     norms = _norms(proj)
-    keep = norms >= 1e-9
-    return _merge_directions(np.zeros((0, cone.dim)), proj[keep] / norms[keep, None])
-
-
-def _merge_directions(kept: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """``kept`` followed by each row of ``extra`` that lies at least 1e-9
-    from every row taken before it: a greedy dedupe in first-seen order."""
-    pool = np.concatenate([kept, extra])
-    gaps = (extra[:, None, :] - pool[None, :, :]).reshape(-1, pool.shape[1])
-    close = (_norms(gaps) < 1e-9).reshape(extra.shape[0], pool.shape[0])
-    take = np.ones(pool.shape[0], dtype=bool)
-    for i, j in enumerate(range(kept.shape[0], pool.shape[0])):
-        take[j] = not np.any(close[i, :j] & take[:j])
-    return pool[take]
+    dirs = proj[norms >= 1e-9] / norms[norms >= 1e-9, None]
+    gaps = (dirs[:, None, :] - dirs[None, :, :]).reshape(-1, cone.dim)
+    close = (_norms(gaps) < 1e-9).reshape(dirs.shape[0], dirs.shape[0])
+    take = np.ones(dirs.shape[0], dtype=bool)
+    for j in range(dirs.shape[0]):
+        take[j] = not np.any(close[j, :j] & take[:j])
+    return dirs[take]

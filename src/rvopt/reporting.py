@@ -6,8 +6,8 @@ The stages run in a fixed order; a stage that cannot run (missing estimate
 upstream, an upstream error, or a hypothesis that fails, such as a flat
 merit function for the penalization stage) is recorded as skipped with its
 reason rather than aborting the run.  :func:`verdict` is the one verdict
-rule of ``report`` and ``certify``.  Reports contain the full instance
-echo, the seed, and all stage inputs, so a replay with the same seed is
+rule of ``report`` and ``certify``.  No stage samples, and reports
+contain the full instance echo and all stage inputs, so a replay is
 byte-identical.
 """
 
@@ -108,7 +108,8 @@ def _certificate_entry(cert) -> dict:
             "duals": list(cert.duals),
             "normal": cert.normal,
             "witness": cert.witness,
-            "notes": list(cert.notes)}
+            "notes": list(cert.notes),
+            **({"atoms": list(cert.atoms)} if cert.atoms else {})}
 
 
 class _NotApplicable(Exception):
@@ -139,7 +140,7 @@ class _Pipeline:
         self.stages.append({"name": name, "status": "skipped", "reason": reason})
 
 
-def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
+def run_report(problem: Problem, x, radius: float = 0.5,
                oracle_resolution: int = 21, skip_cq: bool = False,
                tolerances: Tolerances | None = None) -> dict:
     """Full audit of a reference point; returns the report document."""
@@ -164,8 +165,8 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
         for name in later:
             pipe.skip(name, reason)
         if merit_detail is None:
-            return _finish(problem, x, seed, options, pipe, audit, {}, None)
-        return _document(problem, x, seed, options, pipe, audit,
+            return _finish(problem, x, options, pipe, audit, {}, None)
+        return _document(problem, x, options, pipe, audit,
                          "not applicable: reference point is infeasible",
                          EXIT_INCONCLUSIVE)
 
@@ -215,9 +216,8 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
     elif sigma is None or ell is None:
         pipe.skip("scalarized_convex", hypotheses)
     else:
-        _cert_stage("scalarized_convex", {"sigma": bound["sigma"], "ell": ell, "seed": seed},
-                    lambda: convex_scalarized_certificate(problem, x, sigma, ell,
-                                                          seed=seed))
+        _cert_stage("scalarized_convex", {"sigma": bound["sigma"], "ell": ell},
+                    lambda: convex_scalarized_certificate(problem, x, sigma, ell))
     _cert_stage("multiplier", {},
                 lambda: multiplier_certificate(problem, x, tol=tol.feasibility))
 
@@ -243,7 +243,7 @@ def run_report(problem: Problem, x, seed: int = 0, radius: float = 0.5,
                                          oracle_resolution,
                                          feas_tol=tol.feasibility))})
 
-    return _finish(problem, x, seed, options, pipe, audit, certs, cq_passed)
+    return _finish(problem, x, options, pipe, audit, certs, cq_passed)
 
 
 def _qualification_entry(main, slater) -> dict:
@@ -253,7 +253,7 @@ def _qualification_entry(main, slater) -> dict:
             "notes": list(main.notes + slater.notes)}
 
 
-def _finish(problem, x, seed, options, pipe, audit, certs, cq_passed):
+def _finish(problem, x, options, pipe, audit, certs, cq_passed):
     stages = {s["name"]: s for s in pipe.stages}
     oracle = stages.get("oracle", {}).get("result")
     errored = [name for name, s in stages.items() if s["status"] == "error"]
@@ -261,13 +261,12 @@ def _finish(problem, x, seed, options, pipe, audit, certs, cq_passed):
         certs, cq_passed, oracle is not None and oracle["witness"] is not None, errored)
     for name in downgraded:
         stages[name]["notes"] = stages[name]["notes"] + [DOWNGRADED]
-    return _document(problem, x, seed, options, pipe, audit, summary, exit_code)
+    return _document(problem, x, options, pipe, audit, summary, exit_code)
 
 
-def _document(problem, x, seed, options, pipe, audit, summary, exit_code):
+def _document(problem, x, options, pipe, audit, summary, exit_code):
     return _clean({"format": "robust-vopt-report",
                    "version": REPORT_VERSION,
-                   "seed": seed,
                    "reference": x.tolist(),
                    "options": options,
                    "instance": problem_to_document(problem),

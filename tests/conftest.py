@@ -101,6 +101,17 @@ def ray_cone_r5_problem() -> Problem:
                    scenarios=ScenarioMap(mats, np.ones((1, 5))))
 
 
+def merge_directions(kept, extra):
+    """``kept`` followed by each row of ``extra`` that lies at least 1e-9
+    from every row taken before it: the greedy first-seen merge of
+    generators and sampled directions of the former sampled certificates."""
+    out = np.asarray(kept, dtype=float).reshape(-1, extra.shape[1])
+    for v in extra:
+        if np.all(np.linalg.norm(out - v, axis=1) >= 1e-9):
+            out = np.vstack([out, v])
+    return out
+
+
 def line_search_boundary(problem, d, steps=60):
     """The last feasible point of the ray from the origin along d, by
     bisection on [0, 4] (the far end leaves the box)."""

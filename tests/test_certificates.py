@@ -14,26 +14,27 @@ import rvopt.reporting
 from rvopt.cli import main as cli_main
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASIBLE,
                                 LP_SLACK, VIOLATED, check_penalization_condition,
-                                check_tangential_condition, cone_generators,
-                                convex_scalarized_certificate,
+                                check_tangential_condition, convex_scalarized_certificate,
                                 estimate_order_lipschitz, merit_slopes,
                                 multiplier_certificate, order_lipschitz_bound,
                                 order_lipschitz_holds, qualification_check, replay_certificate,
                                 scalarized_fan_certificate, slater_check)
-from rvopt.cones import Cone
+from rvopt.cones import Cone, cone_generators, distance_many, least_distance_point
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
-                              QuadraticObjective, _merge_directions, contingent_cone, fan_from_scenarios,
+                              QuadraticObjective, contingent_cone, fan_from_scenarios,
                               polytope_distance, sampled_cone_directions)
 from rvopt.problem import Problem, max_margin_point
+from rvopt.regularity import local_error_bound
 from rvopt.reporting import run_report
-from rvopt.sampling import ball_points
+from rvopt.sampling import ball_points, sphere_directions
 from rvopt.scenarios import ScenarioMap
 from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve_lp
 
 from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
-                      merit_cases, negated_scenario, ray_cone_r5_problem, synthetic_problem)
+                      merge_directions, merit_cases, negated_scenario, ray_cone_r5_problem,
+                      synthetic_problem)
 from test_verdict import certify_code, exact_weakly_efficient, synthetic_cases
 
 BENCH_CASES = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
@@ -93,6 +94,89 @@ def multiplier_gap(problem, x, cert):
     assert np.min(lam) >= 0.0 and abs(np.sum(lam) - 1.0) <= 1e-12
     assert np.min(mu, initial=0.0) >= 0.0 and mu.shape == (rows.shape[0],)
     return float(np.linalg.norm(a.T @ lam + rows.T @ mu))
+
+
+def distance_slopes(problem, x, dirs):
+    """The slopes as merit_slopes computed them before the Moreau residuals
+    were kept: the largest distance_many to each scenario's tangent cone."""
+    rows = problem.constraint_cone.facets()
+    slopes = np.zeros(len(dirs))
+    for mat, active in zip(problem.scenarios.mats,
+                           rvopt.certificates._slope_facets(problem, x)):
+        if active.any():
+            slopes = np.maximum(slopes, distance_many(Cone.halfspaces(rows[active]),
+                                                      dirs @ mat.T))
+    return slopes
+
+
+def report_constants(problem, x):
+    """(sigma, ell) as run_report takes them: the exact local modulus (inf
+    where no C row is active) and the closed-form ell on radius 0.5."""
+    bound = local_error_bound(problem, x)
+    assert bound.established
+    return (np.inf if bound.sigma is None else bound.sigma), order_lipschitz_bound(problem, x, 0.5)
+
+
+def penalized_derivative(problem, x, cert):
+    """J v + beta slope_v e at the certificate's witness v."""
+    v = cert.witness
+    slope = merit_slopes(problem, x, v)[0]
+    return problem.objective.jacobian(x) @ v + cert.beta * slope * problem.direction
+
+
+# ----- the former sampled scalarized-convex certificate, kept as a reference
+
+def dual_vector_system(problem, vectors):
+    """The dual-vector search as g c >= h: [V G; I; 1; -1] c >= [0; 0; 1; -1],
+    with the rows of V the constraint vectors and the columns of G the
+    facet rows of the ordering cone, which generate its positive dual."""
+    dual_gens = problem.ordering_cone.facets().T
+    q = dual_gens.shape[1]
+    ones = np.ones(q)
+    g = np.vstack([vectors @ dual_gens, np.eye(q), ones, -ones])
+    h = np.concatenate([np.zeros(vectors.shape[0] + q), [1.0, -1.0]])
+    return g, h, dual_gens
+
+
+def dual_vector_lp(problem, vectors):
+    """A dual vector y = G c, c >= 0 on the simplex, with y . w >= 0 for
+    every constraint vector w, by one least-distance program, scaled to the
+    normalization row; or None and the multipliers u of the inconsistent
+    system, its Farkas vector (farkas_separates)."""
+    g, h, dual_gens = dual_vector_system(problem, vectors)
+    coeffs, u = least_distance_point(g, h)
+    if coeffs is None:
+        return None, u
+    y = dual_gens @ coeffs
+    return y / float(rvopt.certificates._normalization_row(problem) @ y), u
+
+
+def farkas_separates(g, h, u):
+    """u >= 0 with |g^T u| < h . u: every c with g c >= h lies on the
+    simplex, so |c| <= 1 and h . u <= u . g c <= |g^T u|, a contradiction."""
+    return bool(np.min(u) >= 0.0 and np.linalg.norm(g.T @ u) < h @ u)
+
+
+def sampled_convex_certificate(problem, x, sigma, ell):
+    """The former sampled scalarized-convex rule: (status, y, vectors, u).
+    Its directions are the generators of T_S(x), where double description
+    gives them, followed by the new ones of 64 sampled directions (seed 0);
+    the vectors are f'(x; v) + beta slope_v e, and y . w >= 0 is asked of
+    each.  Every direction lies in T_S(x), so lp-infeasible is proof-grade;
+    holds is not, between the directions."""
+    x = np.asarray(x, dtype=float)
+    tangent = contingent_cone(problem.region, x)
+    try:
+        gens = cone_generators(tangent)
+    except RepresentationError:
+        gens = np.zeros((0, x.size))
+    dirs = merge_directions(gens, sampled_cone_directions(tangent, 64, seed=0))
+    beta = ell / sigma
+    vectors = np.array([problem.objective.directional(x, v) + beta * slope * problem.direction
+                        for v, slope in zip(dirs, merit_slopes(problem, x, dirs))])
+    vectors = vectors.reshape(-1, problem.ordering_cone.dim)
+    y, u = dual_vector_lp(problem, vectors)
+    return (LP_INFEASIBLE if y is None else HOLDS), y, vectors, u
 
 
 # merit_cases() and the halfspace-C boundary points, whose scenario images
@@ -354,7 +438,8 @@ class TestConvexScalarized:
         cert = convex_scalarized_certificate(quarter_box, [0.5, 1.0],
                                              sigma=1.704046875 - 1.0, ell=ROOT2)
         assert cert.status == HOLDS
-        assert_allclose(cert.y_star, [1.0, 0.0], atol=1e-6)
+        assert abs(cert.y_star @ quarter_box.direction - 1.0) <= 1e-12
+        assert_allclose(cert.y_star / np.linalg.norm(cert.y_star), [1.0, 0.0], atol=1e-6)
 
     def test_dominated_point_infeasible(self, free_negative):
         cert = convex_scalarized_certificate(free_negative, [-1.0, -1.0],
@@ -366,57 +451,26 @@ class TestConvexScalarized:
             convex_scalarized_certificate(free_negative, [0.0, 0.0],
                                           sigma=0.0, ell=1.0)
 
-
-    @pytest.mark.parametrize("region, x", [
-        (PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]), [0.0, 0.0]),
-        (PolyhedralSet.box([0.0, 0.0], [2.0, 2.0]), [0.5, 0.0]),
-        (PolyhedralSet.whole_space(2), [0.5, 0.5]),
-        (PolyhedralSet.halfspaces([[1.0, 1.0], [-1.0, 2.0]], [1.0, 1.0]), [1.0 / 3, 2.0 / 3]),
-    ], ids=["corner", "edge", "interior", "halfspace-vertex"])
-    def test_directions_merge_like_the_loop(self, quarter_box, region, x):
-        """Tangent generators first, then each new sampled direction."""
-        problem = Problem(objective=quarter_box.objective,
-                          ordering_cone=quarter_box.ordering_cone,
-                          constraint_cone=quarter_box.constraint_cone,
-                          region=region, scenarios=quarter_box.scenarios)
-        tangent = contingent_cone(region, x)
-        dirs = list(cone_generators(tangent))
-        for v in sampled_cone_directions(tangent, 64, seed=0):
-            if not any(np.linalg.norm(v - w) < 1e-9 for w in dirs):
-                dirs.append(v)
-        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=1.0)
-        assert np.array_equal(cert.directions, np.array(dirs).reshape(-1, 2))
-
-
     @pytest.mark.parametrize("name, problem, x", SLOPE_CASES,
                              ids=[case[0] for case in SLOPE_CASES])
-    def test_dual_vector_program_gets_the_exact_slopes(self, monkeypatch, name,
-                                                      problem, x):
-        """The program receives f'(x; v) + beta slope_v e with the slopes of
-        reference_slopes, to 1e-12; its y* and residual are the
-        certificate's."""
-        seen = []
-        solve = rvopt.certificates._dual_vector_lp
-
-        def spy(prob, vectors):
-            seen.append(vectors)
-            return solve(prob, vectors)
-
-        monkeypatch.setattr(rvopt.certificates, "_dual_vector_lp", spy)
-        sigma, ell = 0.5, ROOT2
-        cert = convex_scalarized_certificate(problem, x, sigma, ell)
-        x = np.asarray(x, dtype=float)
-        slopes = reference_slopes(problem, x, cert.directions)
-        vectors = np.array([problem.objective.directional(x, v)
-                            + ell / sigma * slope * problem.direction
-                            for v, slope in zip(cert.directions, slopes)])
-        assert_allclose(seen[0], vectors, rtol=0.0, atol=1e-12)
-        y, _ = solve(problem, seen[0])
-        if y is None:
-            assert cert.status == LP_INFEASIBLE and cert.y_star is None
-        else:
-            assert np.array_equal(cert.y_star, y)
-            assert cert.residual == float(max(0.0, np.max(-(seen[0] @ y), initial=0.0)))
+    def test_slope_residuals_attain_the_exact_slopes(self, name, problem, x):
+        """Along 64 unit directions the slopes are distance_slopes' bit for
+        bit and reference_slopes' to 1e-12, and the residual r of the
+        scenario w attaining each lies in the polar of T_w, with |r| the
+        slope and r . A_w d = |r|^2: the Moreau residual of A_w d, from
+        which the next atom A_w^T r / |r| is built."""
+        dirs = sphere_directions(2, 64, seed=0)
+        slopes, scenarios, residuals = rvopt.certificates._slope_residuals(problem, x, dirs)
+        assert np.array_equal(slopes, distance_slopes(problem, x, dirs))
+        assert np.array_equal(merit_slopes(problem, x, dirs), slopes)
+        assert_allclose(slopes, reference_slopes(problem, x, dirs), rtol=0.0, atol=1e-12)
+        rows = problem.constraint_cone.facets()
+        active = rvopt.certificates._slope_facets(problem, x)
+        for d, slope, w, r in zip(dirs, slopes, scenarios, residuals):
+            polar = Cone.rays(-rows[active[w]], dim=rows.shape[1])
+            assert polar.distance(r) <= 1e-12, name
+            assert abs(np.linalg.norm(r) - slope) <= 1e-12, name
+            assert abs(r @ problem.scenarios.mats[w] @ d - slope ** 2) <= 1e-12, name
 
     def test_makes_no_merit_call(self, monkeypatch):
         """The slopes come from the active facet rows, not from merit values."""
@@ -619,10 +673,22 @@ class TestShortDirection:
 
     @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999]])
     def test_dual_vector_without_constraints(self, e):
-        y, _ = rvopt.certificates._dual_vector_lp(self.boxed(e), np.zeros((0, 2)))
+        """The sampled reference's program, which the exact one is held to."""
+        y, _ = dual_vector_lp(self.boxed(e), np.zeros((0, 2)))
         assert y is not None
         assert abs(np.dot(e, y) - 1.0) <= 1e-12
         assert np.min(y) >= -1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [0.999, 1e-8], [1e-8, 1e-8]])
+    def test_scalarized_convex_holds_on_the_edge(self, e):
+        """At (-1, 0) the slope is 0 on T_S(x) and y* = (1, 0) / e1: the pair
+        atoms are the unit depth rows, and y* is scaled afterwards."""
+        problem, x = self.boxed(e), [-1.0, 0.0]
+        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=1.0)
+        assert cert.status == HOLDS
+        assert abs(np.dot(e, cert.y_star) - 1.0) <= 1e-12
+        assert_allclose(cert.y_star / np.linalg.norm(cert.y_star), [1.0, 0.0], atol=1e-12)
+        assert replay_certificate(problem, x, cert) == cert.residual
 
     @pytest.mark.parametrize("e", [[1e-6, 1e-6], [1e-8, 0.999], [0.999, 1e-8], [1e-8, 1e-8]])
     def test_scalarized_fan_holds_on_the_edge(self, e):
@@ -644,18 +710,21 @@ class TestShortDirection:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("name, x", [("e1", [0.5, 1.0]), ("e3", [0.5, 0.0])])
-    def test_scalarized_convex_replay_keeps_the_slope_term(self, name, x):
-        """Replay rebuilds f'(x; v) + beta slope_v e from the stored beta
-        and directions, recomputing the merit slopes, so it reproduces the
-        stored residual; dropping the slope term leaves a violation here."""
-        problem = load_problem(PROBLEMS_DIR / f"{name}.json")
+    def test_scalarized_convex_replay_keeps_the_slope_term(self):
+        """At e1's (0.5, 1) with beta = 6 the program needs the atom
+        A_w^T r of its first witness: replay rebuilds J^T y + beta sum_k
+        theta_k A_w^T r_k - P^T mu from the stored beta, weights and atoms,
+        so it reproduces the stored residual; dropping the slope term leaves
+        a gap, which replays to inf."""
+        problem, x = load_problem(PROBLEMS_DIR / "e1.json"), [0.5, 1.0]
         cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
         assert cert.status == HOLDS and cert.beta == 6.0
-        assert np.max(merit_slopes(problem, x, cert.directions)) > 0.0
+        (w0, r0), (_, r1) = cert.atoms
+        assert w0 == 0 and np.all(r0 == 0.0) and abs(np.linalg.norm(r1) - 1.0) <= 1e-12
+        assert cert.duals[1][1] > 0.0
         assert replay_certificate(problem, x, cert) == cert.residual
         unweighted = dataclasses.replace(cert, beta=0.0)
-        assert replay_certificate(problem, x, unweighted) > 0.0
+        assert replay_certificate(problem, x, unweighted) == np.inf
 
     def test_report_certificates_replay_to_their_stored_residual(self, monkeypatch):
         """Every certificate run_report stores on the e1-e3 grid, of every
@@ -683,50 +752,73 @@ class TestReplay:
     @pytest.mark.parametrize("kind", ["scalarized-fan", "scalarized-convex"])
     @pytest.mark.parametrize("x", [[-0.5, -0.5], [-0.5, 0.0], [0.0, -0.5], [0.0, 0.0]])
     def test_infeasible_scalarized_systems_store_a_separating_vector(self, kind, x):
-        """The four e2 grid points with no dual vector.  Scalarized-convex
-        stores multipliers u >= 0 of its inconsistent system g c >= h with
-        |g^T u| < h . u, which no c on the simplex can meet; scalarized-fan
-        stores a unit witness v in its direction cone with R_K J v < 0, on
-        which y* . J v < 0 for every nonzero y* in K+.  Both replay to their
-        stored residual."""
+        """The four e2 grid points with no dual vector.  Both certificates
+        store a unit witness v in their direction cone: scalarized-fan's has
+        R_K J v < 0, scalarized-convex's R_K (J v + beta slope_v e) < 0, on
+        which every nonzero y* in K+ fails.  The sampled reference's
+        inconsistent system g c >= h has multipliers u >= 0 with
+        |g^T u| < h . u there.  Both replay to their stored residual."""
         problem = load_problem(PROBLEMS_DIR / "e2.json")
         if kind == "scalarized-fan":
             cert = scalarized_fan_certificate(problem, x)
             a, rows = cone_program_rows(problem, x, kind)
-            assert np.min(rows @ cert.witness) >= -1e-12
-            assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-12
             assert np.min(a @ cert.witness) == cert.residual > INTERIOR_MARGIN
         else:
             cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
-            vectors = rvopt.certificates._penalized_vectors(
-                problem, x, cert.directions, cert.beta)
-            g, h, _ = rvopt.certificates._dual_vector_system(problem, vectors)
-            u = cert.farkas
-            assert u.shape == h.shape and np.min(u) >= 0.0
+            rows = contingent_cone(problem.region, x).rows
+            depth = -(problem.ordering_cone.facets() @ penalized_derivative(problem, x, cert))
+            assert abs(np.min(depth) - cert.residual) <= 1e-12
+            assert cert.residual > INTERIOR_MARGIN
+            status, _, vectors, u = sampled_convex_certificate(problem, x, 0.5, 3.0)
+            g, h, _ = dual_vector_system(problem, vectors)
+            assert status == LP_INFEASIBLE and farkas_separates(g, h, u)
             assert np.linalg.norm(g.T @ u) < 1e-9 < h @ u
+        assert np.min(rows @ cert.witness, initial=0.0) >= -1e-12
+        assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-12
         assert cert.kind == kind and cert.status == LP_INFEASIBLE
         assert replay_certificate(problem, x, cert) == cert.residual
 
-    def test_tampered_farkas_vector_replays_differently(self, free_negative):
-        """The infeasible scalarized-convex system of e2 at (0, 0) replays to
-        its stored residual 0 because its vector u >= 0 has |g^T u| < h . u,
-        and the infeasible multiplier rule at (-1, -1) replays to its margin
-        because its witness is a unit vector in the direction cone; the
-        negated or zeroed vector, and the negated, zeroed or tripled
-        witness, replay to inf."""
-        e2 = load_problem(PROBLEMS_DIR / "e2.json")
-        cert = convex_scalarized_certificate(e2, [0.0, 0.0], 0.5, 3.0)
+    def test_tampered_witnesses_replay_to_inf(self, free_negative):
+        """The infeasible scalarized-convex certificate of e2 at (0, 0) and the
+        infeasible multiplier rule at (-1, -1) replay to their residuals
+        because their witnesses are unit vectors in the direction cone; the
+        negated (outside T_S(x) at e2's corner), zeroed or tripled witness
+        replays to inf."""
+        e2, x = load_problem(PROBLEMS_DIR / "e2.json"), [0.0, 0.0]
+        cert = convex_scalarized_certificate(e2, x, 0.5, 3.0)
         assert cert.status == LP_INFEASIBLE
-        assert replay_certificate(e2, [0.0, 0.0], cert) == cert.residual == 0.0
-        for farkas in (-cert.farkas, np.zeros_like(cert.farkas)):
-            tampered = dataclasses.replace(cert, farkas=farkas)
-            assert replay_certificate(e2, [0.0, 0.0], tampered) == np.inf
+        assert replay_certificate(e2, x, cert) == cert.residual > INTERIOR_MARGIN
+        for scale in (-1.0, 0.0, 3.0):
+            tampered = dataclasses.replace(cert, witness=scale * cert.witness)
+            assert replay_certificate(e2, x, tampered) == np.inf
         cert = multiplier_certificate(free_negative, [-1.0, -1.0])
         assert cert.status == LP_INFEASIBLE and cert.residual > INTERIOR_MARGIN
         assert replay_certificate(free_negative, [-1.0, -1.0], cert) == cert.residual
         for scale in (-1.0, 0.0, 3.0):
             tampered = dataclasses.replace(cert, witness=scale * cert.witness)
             assert replay_certificate(free_negative, [-1.0, -1.0], tampered) == np.inf
+
+    def test_tampered_scalarized_convex_weights_replay_to_inf(self):
+        """At e1's (0.5, 1) with beta = 6 the holding certificate replays to
+        its residual.  Weights off the simplex or negative, a y* that is not
+        sum_j lam_j r_j / (r_j . e), an atom longer than 1 or outside the
+        polar of its T_w, an atom moved to another scenario, or swapped atom
+        weights replay to inf."""
+        problem, x = load_problem(PROBLEMS_DIR / "e1.json"), [0.5, 1.0]
+        cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
+        assert cert.status == HOLDS
+        assert replay_certificate(problem, x, cert) == cert.residual
+        lam, theta, mu = cert.duals
+        (w0, r0), (w1, r1) = cert.atoms
+        for tampered in (dataclasses.replace(cert, duals=(2.0 * lam, theta, mu)),
+                         dataclasses.replace(cert, duals=(lam, -theta, mu)),
+                         dataclasses.replace(cert, duals=(lam, theta[::-1], mu)),
+                         dataclasses.replace(cert, y_star=2.0 * cert.y_star),
+                         dataclasses.replace(cert, atoms=((w0, r0), (w1, 2.0 * r1))),
+                         dataclasses.replace(cert, atoms=((w0, r0), (w1, -r1))),
+                         dataclasses.replace(cert, atoms=((w0, r0), (1 - w1, r1))),
+                         dataclasses.replace(cert, atoms=((w0, r0),))):
+            assert replay_certificate(problem, x, tampered) == np.inf
 
     def test_tampered_multiplier_rule_replays_to_inf(self):
         """On e2 at (-1, 0) the negated multipliers and the all-zero ones
@@ -936,15 +1028,14 @@ class TestFanDataDerivedOnce:
         assert outputs[0][1].startswith("qualification passed")
 
     def test_report_derives_once(self, monkeypatch):
-        """Only scalarized-convex samples directions, in T_S(x)."""
+        """No report stage samples directions."""
         problem, x = load_problem(PROBLEMS_DIR / "e1.json"), np.array([0.5, 1.0])
         bundle = fan_from_scenarios(problem.scenarios).bundle
         tangent = contingent_cone(problem.region, x).rows
         calls = self.spy(monkeypatch)
         report = run_report(problem, x)
         self.assert_derived_once(calls, bundle)
-        assert len(calls["sampled"]) == 1
-        assert np.array_equal(calls["sampled"][0].rows, tangent)
+        assert calls["sampled"] == []
         stages = {stage["name"]: stage["status"] for stage in report["stages"]}
         assert stages["tangential"] == stages["scalarized_fan"] == "holds"
         fan_rows = np.vstack([problem.preimage_rows, tangent])
@@ -1125,7 +1216,7 @@ def sampled_directional(problem, x, dirs, gens):
     """The former tangential and penalization rule: (status, worst depth)
     over the samples merged with the generators."""
     if gens is not None:
-        dirs = _merge_directions(dirs, gens)
+        dirs = merge_directions(dirs, gens)
     if dirs.shape[0] == 0:
         return (HOLDS if gens is not None else INCONCLUSIVE), 0.0
     rows = problem.ordering_cone.facets()
@@ -1144,7 +1235,7 @@ def sampled_certificates(problem, x):
         Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size))
     pen_dirs, pen_gens = sampled_directions(tangent)
     vectors = (fan_dirs if fan_gens is None else fan_gens) @ problem.objective.jacobian(x).T
-    y, _ = rvopt.certificates._dual_vector_lp(problem, vectors)
+    y, _ = dual_vector_lp(problem, vectors)
     fan = LP_INFEASIBLE if y is None else (HOLDS if fan_gens is not None else INCONCLUSIVE)
     return {"tangential": sampled_directional(problem, x, fan_dirs, fan_gens) + (fan_gens is not None,),
             "penalization": sampled_directional(problem, x, pen_dirs, pen_gens) + (pen_gens is not None,),
@@ -1294,3 +1385,79 @@ class TestExactAgainstSampled:
         for label, _, _, exact, sampled in wide:
             assert sampled["scalarized-fan"][0] == INCONCLUSIVE, label
             assert exact["tangential"].status == exact["scalarized-fan"].status == HOLDS
+
+
+def family_boundary(kind):
+    """The bench family Family(6, 4, kind, 0.3, 2.0, 1.0, 31) at workload
+    seed 7, at its last feasible point from x0 = 2 * 1 along -x0 / |x0|:
+    60 bisection steps on t in [0, 8] with feasible(., tol=0.0)."""
+    bench = bench_module()
+    problem = bench.synthetic(bench.Family(6, 4, kind, 0.3, 2.0, 1.0, 31), 7)
+    x0 = np.full(6, 2.0)
+    d = -x0 / np.linalg.norm(x0)
+    lo, hi = 0.0, 8.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if problem.feasible(x0 + mid * d, tol=0.0) else (lo, mid)
+    return problem, x0 + lo * d
+
+
+@pytest.fixture(scope="module")
+def convex_and_sampled():
+    """(label, problem, x, exact certificate, sampled reference) for
+    scalarized-convex at the 139 harness points, at the report's sigma and
+    ell."""
+    rows = []
+    for label, problem, x in grid_cases() + synthetic_cases():
+        sigma, ell = report_constants(problem, x)
+        rows.append((label, problem, x, convex_scalarized_certificate(problem, x, sigma, ell),
+                     sampled_convex_certificate(problem, x, sigma, ell)))
+    return rows
+
+
+class TestConvexScalarizedAgainstSampled:
+    def test_status_matches_the_sampled_reference(self, convex_and_sampled):
+        """Equal statuses at all 139 points, so every sampled lp-infeasible
+        is an exact one too, and both statuses occur."""
+        assert len(convex_and_sampled) == 139
+        for label, _, _, cert, sampled in convex_and_sampled:
+            assert cert.status == sampled[0], label
+        assert {cert.status for *_, cert, _ in convex_and_sampled} == {HOLDS, LP_INFEASIBLE}
+
+    def test_certificates_replay_and_check(self, convex_and_sampled):
+        """A holding certificate gives y* in K+ with y* . e = 1 from weights
+        on the simplex; a refuting one a unit witness in T_S(x) on which
+        R_K (J v + beta slope_v e) <= -residual.  Both replay to their
+        residual, and at most one atom joins 0."""
+        for label, problem, x, cert, _ in convex_and_sampled:
+            assert replay_certificate(problem, x, cert) == cert.residual, label
+            assert 1 <= len(cert.atoms) <= 2, label
+            if cert.status == HOLDS:
+                assert np.min(problem.ordering_cone.facets() @ cert.y_star) >= -1e-12
+                assert abs(cert.y_star @ problem.direction - 1.0) <= 1e-12, label
+                assert cert.residual <= 1e-9, label
+            else:
+                rows = contingent_cone(problem.region, x).rows
+                assert np.min(rows @ cert.witness, initial=0.0) >= -1e-12, label
+                depth = -(problem.ordering_cone.facets()
+                          @ penalized_derivative(problem, x, cert))
+                assert np.min(depth) >= cert.residual - 1e-12 > 0.0, label
+
+    @pytest.mark.parametrize("kind", ["orthant", "halfspaces"])
+    def test_sampled_holds_is_refuted(self, kind):
+        """At the family's last feasible point toward 0 the sampled
+        directions miss the refuting one: the exact program finds a witness
+        v in T_S(x) with every component of J v + beta slope_v e at most
+        -0.02, and the qualification check passes, while the max-t LP
+        confirms that the point is dominated."""
+        problem, x = family_boundary(kind)
+        sigma, ell = report_constants(problem, x)
+        assert sampled_convex_certificate(problem, x, sigma, ell)[0] == HOLDS
+        cert = convex_scalarized_certificate(problem, x, sigma, ell)
+        assert cert.status == LP_INFEASIBLE
+        rows = contingent_cone(problem.region, x).rows
+        assert np.min(rows @ cert.witness, initial=0.0) >= 0.0
+        assert np.max(penalized_derivative(problem, x, cert)) <= -0.02
+        assert replay_certificate(problem, x, cert) == cert.residual
+        assert qualification_check(problem, x).passed
+        assert not exact_weakly_efficient(problem, x)

@@ -24,16 +24,17 @@ from rvopt import (
     problem_to_document,
     save_problem,
 )
-from rvopt.cli import main
+from rvopt.cli import _HANDLERS, build_parser, main
 from rvopt.docio import (
     Tolerances,
     load_document,
     parse_document,
     tolerances_from_document,
 )
-from rvopt.reporting import REPORT_VERSION
+from rvopt.reporting import REPORT_VERSION, run_report
 
 from conftest import ray_cone_r5_problem, synthetic_problem
+from test_certificates import bench_cases
 
 
 def run_cli(argv):
@@ -332,6 +333,28 @@ class TestReportCommand:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestSeedlessReport:
+    def test_report_bytes_do_not_depend_on_the_seed(self, problems_dir):
+        """No report stage samples, so --seed reaches nothing a report
+        prints, and the document carries no seed."""
+        path = str(problems_dir / "e2.json")
+        first, second = (run_cli(["report", path, "--at", "-1", "0", "--seed", seed])
+                         for seed in ("0", "1"))
+        assert first == second and first[0] == 0
+        assert "seed" not in json.loads(first[1].rpartition("\nsummary:")[0])
+
+    def test_every_subcommand_parses_seed(self):
+        """--seed stays a common flag: increase samples with it, and
+        existing command lines keep working."""
+        argvs = {"merit": ["--at", "0"], "feasible": ["--at", "0"], "increase": ["--at", "0"],
+                 "errorbound": ["--at", "0", "--sigma", "1"], "certify": ["--at", "0"],
+                 "scan": ["--box", "0", "1"], "report": ["--at", "0"]}
+        assert set(argvs) == set(_HANDLERS)
+        for command, rest in argvs.items():
+            args = build_parser().parse_args([command, "problem.json", *rest, "--seed", "3"])
+            assert args.seed == 3, command
+
+
 class TestCommandErrors:
     def test_missing_file(self):
         code, out, err = run_cli(["merit", "missing.json", "--at", "0", "0"])
@@ -427,4 +450,28 @@ class TestNoSimplexOnCertificatePaths:
             report = json.loads(out.rsplit("summary:", 1)[0])
             for stage in report["stages"]:
                 assert stage["status"] != "error", (path, stage)
+        assert calls == []
+
+
+class TestNoSamplingOnReportStages:
+    """No report stage samples: with the Halton generator made to raise, and
+    the sphere-direction cache that would hide its calls cleared, no stage
+    errors on the report bench cases or on a ray C in R^5."""
+
+    def test_halton_is_never_called(self, monkeypatch):
+        import rvopt.sampling
+        rvopt.sampling._sphere_directions_cached.cache_clear()
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("sampling reached")
+
+        monkeypatch.setattr(rvopt.sampling, "halton", refuse)
+        runs = [case for case in bench_cases() if case[0].endswith("-report")]
+        assert len(runs) == 5
+        runs.append(("rays-r5", ray_cone_r5_problem(), np.zeros(2)))
+        for label, problem, x in runs:
+            report = run_report(problem, x)
+            assert [s["name"] for s in report["stages"] if s["status"] == "error"] == [], label
         assert calls == []

@@ -6,9 +6,8 @@ from numpy.testing import assert_allclose
 
 from rvopt.cones import Cone, project_many
 from rvopt.errors import DimensionError, PreconditionError
-from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, _merge_directions,
-                              QuadraticObjective, check_outer_prederivative,
-                              check_upper_subgradient, contingent_cone,
+from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, QuadraticObjective,
+                              check_outer_prederivative, check_upper_subgradient, contingent_cone,
                               fan_from_scenarios, normal_cone,
                               polytope_distance, sampled_cone_directions,
                               upper_subgradient_candidate)
@@ -16,7 +15,7 @@ from rvopt.problem import Problem
 from rvopt.sampling import ball_points, sphere_directions
 from rvopt.scenarios import ScenarioMap, excess, hausdorff
 
-from conftest import merit_cases, shifted_pair_scenarios
+from conftest import merge_directions, merit_cases, shifted_pair_scenarios
 
 
 def fan_preimage_cone(fan, cone):
@@ -567,15 +566,6 @@ class TestSampledDirections:
         assert sampled_cone_directions(cone, 16, seed=0).shape[0] == 0
 
 
-def greedy_merge_loop(kept, extra, dim):
-    """Reference dedupe: one norm per pair, first seen wins."""
-    out = list(kept)
-    for v in extra:
-        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return np.array(out) if out else np.zeros((0, dim))
-
-
 def sampled_directions_loop(cone, count, seed):
     """Reference for sampled_cone_directions: one row at a time."""
     unit = []
@@ -583,7 +573,7 @@ def sampled_directions_loop(cone, count, seed):
         norm = float(np.linalg.norm(v))
         if norm >= 1e-9:
             unit.append(v / norm)
-    return greedy_merge_loop([], unit, cone.dim)
+    return merge_directions(np.zeros((0, cone.dim)), np.array(unit).reshape(-1, cone.dim))
 
 
 class TestMergeDirections:
@@ -599,15 +589,18 @@ class TestMergeDirections:
                               sampled_directions_loop(cone, count, 3))
 
     def test_near_duplicates_first_seen_wins(self):
+        """The reference merge of the former sampled certificates; a ray
+        cone's projected sample dedupes to its one generator."""
         kept = np.array([[1.0, 0.0], [0.0, 1.0]])
         extra = np.array([[1.0, 5e-10], [0.6, 0.8], [0.6, 0.8 + 2e-9],
                           [0.6, 0.8 + 5e-10], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0],
                           [0.0, 1.0 + 8e-10], [0.0, 1.0 + 1.6e-9]])
-        merged = _merge_directions(kept, extra)
-        assert np.array_equal(merged, greedy_merge_loop(kept, extra, 2))
+        merged = merge_directions(kept, extra)
         # a dropped row does not shadow a later one that is near only to it
         assert np.array_equal(merged, [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8],
                                        [0.6, 0.8 + 2e-9], [-1.0, 0.0],
                                        [0.0, 1.0 + 1.6e-9]])
-        assert np.array_equal(_merge_directions(kept, np.zeros((0, 2))), kept)
-        assert _merge_directions(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+        assert np.array_equal(merge_directions(kept, np.zeros((0, 2))), kept)
+        assert merge_directions(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+        assert np.array_equal(sampled_cone_directions(Cone.rays([[1.0, 0.0]]), 16, seed=0),
+                              [[1.0, 0.0]])
