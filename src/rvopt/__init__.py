@@ -12,7 +12,7 @@ from .cones import Cone
 from .docio import (Tolerances, load_problem, problem_from_document,
                     problem_to_document, save_problem)
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
-                     RepresentationError, SamplingError, ValidationError)
+                     RepresentationError, ValidationError)
 from .firstorder import (AffineObjective, Fan, PolyhedralSet,
                          QuadraticObjective, contingent_cone,
                          fan_from_scenarios, normal_cone)
@@ -34,9 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineObjective", "Certificate", "Cone", "ConvergenceError",
     "DimensionError", "Fan", "GridScan", "PointCloud", "PolyhedralSet",
-    "PreconditionError", "Problem",
-    "QuadraticObjective", "RepresentationError", "SamplingError",
-    "ScenarioMap", "Tolerances", "ValidationError",
+    "PreconditionError", "Problem", "QuadraticObjective",
+    "RepresentationError", "ScenarioMap", "Tolerances", "ValidationError",
     "check_metric_increase", "check_penalization_condition",
     "check_penalization_transfer", "check_tangential_condition",
     "contingent_cone", "convex_scalarized_certificate",

@@ -32,8 +32,7 @@ import numpy as np
 from .cones import (ORTHANT, PROJECTION_TOL, Cone, _norms, _readonly, nearest_hull_point,
                     project_many)
 from .errors import PreconditionError
-from .firstorder import ACTIVE_TOL, contingent_cone, normal_cone
-from .problem import Problem, interior_witness, max_margin_point
+from .problem import Activity, Problem, interior_witness, max_margin_point
 from .sampling import ball_points
 # unused; bench/tracing.py wraps these names here, and rvopt.problem.solve_lp, so
 # they stay until it drops those sites
@@ -154,31 +153,31 @@ def order_lipschitz_holds(problem: Problem, x1, x2, ell: float,
                                           tol=tol)
 
 
-def _slope_facets(problem: Problem, x) -> np.ndarray:
-    """(w, q) mask of the facet rows of C active at A_w x + b_w (within
-    ACTIVE_TOL), cleared where every active row annihilates A_w (within
-    ACTIVE_TOL): the one source of the merit function's flatness and slopes."""
-    rows = problem.constraint_cone.facets()
-    smap = problem.scenarios
-    active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL                     # (w, q)
-    moving = np.any(np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL, axis=2)   # (w, q)
-    return active & np.any(active & moving, axis=1)[:, None]
+def _region_activity(problem: Problem, x) -> Activity:
+    """:meth:`Problem.activity` at a region point, whose ``tangent`` rows P
+    give T_S(x) = {v : P v >= 0}; PreconditionError outside the region."""
+    reading = problem.activity(x)
+    if reading.tangent is None:
+        raise PreconditionError("tangent cone requested at a non-member point")
+    return reading
 
 
 def merit_is_flat(problem: Problem, x) -> bool:
     """Whether merit(x + h) = o(|h|) at a feasible x: merit >= 0 = merit(x)
     leaves 0 as the only possible upper gradient, and it is one exactly
-    when every slope of :func:`merit_slopes` is 0, each facet row of C
-    active at A_w x + b_w annihilating A_w.  A rank-deficient A_w can sit
-    on the boundary of C with merit 0 nearby."""
-    return not np.any(_slope_facets(problem, x))
+    when every slope of :func:`merit_slopes` is 0: no scenario has an
+    active facet row m_j of C that moves, |m_j A_w| >= 1e-12
+    (:meth:`Problem.activity`).  A rank-deficient A_w can sit on the
+    boundary of C with merit 0 nearby."""
+    return not np.any(problem.activity(x).slopes)
 
 
 def merit_slopes(problem: Problem, x, dirs) -> np.ndarray:
     """The merit function's slope at a feasible x along each row d of
     ``dirs``, max_w dist(A_w d, T_w) (Rockafellar & Wets 1998), T_w the
-    halfspace cone of the rows of :func:`_slope_facets`; all exactly 0
-    where :func:`merit_is_flat` holds."""
+    halfspace cone of the facet rows of C that :meth:`Problem.activity`
+    marks for scenario w (``slopes``), the rows of Solv active at x; all
+    exactly 0 where :func:`merit_is_flat` holds."""
     return _slope_residuals(problem, x, dirs)[0]
 
 
@@ -190,7 +189,7 @@ def _slope_residuals(problem: Problem, x, dirs):
     rows = problem.constraint_cone.facets()
     slopes, scenarios = np.zeros(dirs.shape[0]), np.zeros(dirs.shape[0], dtype=int)
     residuals = np.zeros((dirs.shape[0], rows.shape[1]))
-    for w, (mat, active) in enumerate(zip(problem.scenarios.mats, _slope_facets(problem, x))):
+    for w, (mat, active) in enumerate(zip(problem.scenarios.mats, problem.activity(x).slopes)):
         if active.any():
             images = dirs @ mat.T
             moved = images - project_many(Cone.halfspaces(rows[active]), images)
@@ -205,7 +204,7 @@ def _direction_cone_rows(problem: Problem, x: np.ndarray, kind: str) -> np.ndarr
     """Unit rows P of the direction cone T = {v : P v >= 0} of a
     certificate: T_S(x) for penalization, else the fan preimage cone of C
     intersected with T_S(x)."""
-    tangent = contingent_cone(problem.region, x).rows
+    tangent = _region_activity(problem, x).tangent
     return tangent if kind == "penalization" else np.vstack([problem.preimage_rows, tangent])
 
 
@@ -352,7 +351,7 @@ def convex_scalarized_certificate(problem: Problem, x, sigma: float, ell: float)
     x = np.asarray(x, dtype=float).ravel()
     beta, facets, mats = ell / sigma, problem.ordering_cone.facets(), problem.scenarios.mats
     depth, scale = _depth_rows(problem, x), facets @ problem.direction
-    rows = contingent_cone(problem.region, x).rows
+    rows = _region_activity(problem, x).tangent
     stored = [(0, np.zeros(problem.constraint_cone.dim))]
     for _ in range(COLUMN_ROUNDS):
         atoms = np.array([mats[w].T @ r for w, r in stored])
@@ -467,7 +466,8 @@ def _replay_convex_certificate(problem: Problem, x: np.ndarray, cert: Certificat
     inf unless in K+ with y* . e = 1, lam and theta on the simplex, mu >= 0,
     each atom (w, r) with r in T_w° and |r| <= 1, and |J^T y* + beta sum_k theta_k
     A_w^T r_k - P^T mu| <= residual + LP_SLACK (to PROJECTION_TOL).  Else the residual."""
-    rows = contingent_cone(problem.region, x).rows
+    reading = _region_activity(problem, x)
+    rows = reading.tangent
     if cert.witness is not None:
         v = cert.witness
         if (abs(np.linalg.norm(v) - 1.0) > PROJECTION_TOL
@@ -477,7 +477,7 @@ def _replay_convex_certificate(problem: Problem, x: np.ndarray, cert: Certificat
     if cert.y_star is None:
         return cert.residual
     (lam, theta, mu), y, mats = cert.duals, cert.y_star, problem.scenarios.mats
-    c_rows, masks = problem.constraint_cone.facets(), _slope_facets(problem, x)
+    c_rows, masks = problem.constraint_cone.facets(), reading.slopes
     valid = (abs(float(y @ problem.direction) - 1.0) <= PROJECTION_TOL
              and problem.ordering_cone.negative_dual().contains(
                  -y, tol=PROJECTION_TOL * (1.0 + np.linalg.norm(y)))
@@ -503,7 +503,8 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
     relative to the vector's length."""
     x = np.asarray(x, dtype=float).ravel()
     if cert.kind == "multiplier" and cert.v is not None:
-        cones = [problem.ordering_cone.negative_dual(), normal_cone(problem.region, x)]
+        normal = Cone.rays(-_region_activity(problem, x).tangent, dim=x.size)
+        cones = [problem.ordering_cone.negative_dual(), normal]
         members = zip(cones + [problem.constraint_cone.negative_dual()] * len(cert.duals),
                       [-cert.v, cert.normal, *cert.duals])
         valid = (abs(float(_normalization_row(problem) @ cert.v) - 1.0) <= PROJECTION_TOL
@@ -520,7 +521,7 @@ def replay_certificate(problem: Problem, x, cert: Certificate) -> float:
 # ===== qualification =====================================================
 
 
-def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> QualificationReport:
+def qualification_check(problem: Problem, x) -> QualificationReport:
     """Interior-compatibility of the fan preimages with the tangent cone.
 
     The condition asks for a direction interior to every fan-matrix
@@ -531,25 +532,26 @@ def qualification_check(problem: Problem, x, tol: float = LP_SLACK) -> Qualifica
     tangent cone's.  The report also runs :func:`slater_check`.
     """
     x = np.asarray(x, dtype=float).ravel()
-    rows = np.vstack([problem.preimage_rows, contingent_cone(problem.region, x).rows])
+    rows = np.vstack([problem.preimage_rows, _region_activity(problem, x).tangent])
     margin, witness, _, _ = max_margin_point(rows, x.size)
     notes = () if rows.shape[0] else ("no active rows; condition vacuous",)
-    return QualificationReport(passed=margin > tol, margin=margin, witness=witness, notes=notes)
+    return QualificationReport(passed=margin > LP_SLACK, margin=margin, witness=witness,
+                               notes=notes)
 
 
-def slater_check(problem: Problem, x, tol: float = LP_SLACK) -> QualificationReport:
+def slater_check(problem: Problem, x) -> QualificationReport:
     """The Slater variant of :func:`qualification_check`: a direction mapped
     into the interior of the constraint cone by every fan matrix.  It
     applies only when that interior is nonempty and the point is interior
     to the region, where the tangent cone has no rows."""
     x = np.asarray(x, dtype=float).ravel()
-    if interior_witness(problem.constraint_cone)[1] <= tol:
+    if interior_witness(problem.constraint_cone)[1] <= LP_SLACK:
         reason = "constraint cone has empty interior"
-    elif contingent_cone(problem.region, x).rows.shape[0]:
+    elif _region_activity(problem, x).tangent.shape[0]:
         reason = "reference point is not interior to the region"
     else:
         stacked = np.vstack([problem.constraint_cone.facets() @ mat
                              for mat in problem.fan().bundle])
         margin, witness, _, _ = max_margin_point(stacked, x.size)
-        return QualificationReport(passed=margin > tol, margin=margin, witness=witness)
+        return QualificationReport(passed=margin > LP_SLACK, margin=margin, witness=witness)
     return QualificationReport(False, 0.0, None, notes=(reason,), applicable=False)

@@ -16,7 +16,7 @@ from .certificates import (check_tangential_condition, multiplier_certificate,
                            qualification_check, scalarized_fan_certificate)
 from .docio import load_document, problem_from_document, tolerances_from_document
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
-                     RepresentationError, SamplingError, ValidationError)
+                     RepresentationError, ValidationError)
 from .oracle import grid_scan
 from .regularity import check_metric_increase, estimate_increase_bound, verify_error_bound
 from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
@@ -237,8 +237,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValidationError, DimensionError, PreconditionError,
-            RepresentationError, ConvergenceError, SamplingError,
-            OSError) as exc:
+            RepresentationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

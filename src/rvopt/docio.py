@@ -63,32 +63,32 @@ def _matrix(value, label: str) -> list:
     return rows
 
 
+def _positive_int(value, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{label}: expected a positive integer")
+    return value
+
+
 def _cone_from_document(doc, label: str) -> Cone:
     if not isinstance(doc, dict):
         raise ValidationError(f"{label}: expected an object")
     kind = _require(doc, "kind", label)
+    if kind not in ("orthant", "halfspaces", "rays"):
+        raise ValidationError(f"{label}.kind: unknown cone kind {kind!r}")
+    dim = _positive_int(_require(doc, "dim", label), f"{label}.dim")
     if kind == "orthant":
-        dim = _require(doc, "dim", label)
-        return Cone.orthant(int(dim))
-    if kind == "halfspaces":
-        dim = int(_require(doc, "dim", label))
-        rows = _require(doc, "rows", label)
-        if rows == []:
-            return Cone.whole_space(dim)
-        rows = _matrix(rows, f"{label}.rows")
-        if len(rows[0]) != dim:
-            raise ValidationError(f"{label}.rows: width differs from dim")
-        return Cone.halfspaces(rows)
-    if kind == "rays":
-        dim = int(_require(doc, "dim", label))
-        gens = _require(doc, "gens", label)
-        if gens == []:
-            return Cone.rays([], dim=dim)
-        gens = _matrix(gens, f"{label}.gens")
-        if len(gens[0]) != dim:
-            raise ValidationError(f"{label}.gens: width differs from dim")
-        return Cone.rays(gens)
-    raise ValidationError(f"{label}.kind: unknown cone kind {kind!r}")
+        return Cone.orthant(dim)
+    field = "rows" if kind == "halfspaces" else "gens"
+    rows = _require(doc, field, label)
+    if rows == []:
+        return Cone.whole_space(dim) if kind == "halfspaces" else Cone.rays([], dim=dim)
+    rows = _matrix(rows, f"{label}.{field}")
+    if len(rows[0]) != dim:
+        raise ValidationError(f"{label}.{field}: width differs from dim")
+    try:
+        return Cone.halfspaces(rows) if kind == "halfspaces" else Cone.rays(rows)
+    except ValueError as exc:       # a zero row
+        raise ValidationError(f"{label}.{field}: {exc}") from exc
 
 
 def _objective_from_document(doc) -> AffineObjective | QuadraticObjective:
@@ -143,13 +143,20 @@ def _region_from_document(doc) -> PolyhedralSet:
                     out.append(float(v))
             return out
 
-        return PolyhedralSet.box(side(lo, "lo", -np.inf), side(hi, "hi", np.inf))
+        lo, hi = side(lo, "lo", -np.inf), side(hi, "hi", np.inf)
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            if a > b:
+                raise ValidationError(f"s.lo[{i}]: exceeds s.hi[{i}]")
+        return PolyhedralSet.box(lo, hi)
     if kind == "halfspaces":
         mat = _matrix(_require(doc, "A", "s"), "s.A")
         rhs = _number_list(_require(doc, "b", "s"), "s.b")
         if len(rhs) != len(mat):
             raise ValidationError("s.b: length differs from the row count of s.A")
-        return PolyhedralSet.halfspaces(np.array(mat), np.array(rhs))
+        try:
+            return PolyhedralSet.halfspaces(np.array(mat), np.array(rhs))
+        except ValueError as exc:   # a zero row
+            raise ValidationError(f"s.A: {exc}") from exc
     raise ValidationError(f"s.kind: unknown set kind {kind!r}")
 
 
@@ -183,9 +190,7 @@ def problem_from_document(doc: dict) -> Problem:
     if version != FORMAT_VERSION:
         raise ValidationError(f"version: unsupported version {version!r}")
     for field in ("n", "m", "p"):
-        value = _require(doc, field)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{field}: expected a positive integer")
+        _positive_int(_require(doc, field), field)
 
     objective = _objective_from_document(_require(doc, "objective"))
     k_cone = _cone_from_document(_require(doc, "k"), "k")

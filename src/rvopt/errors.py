@@ -31,7 +31,3 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-
-
-class SamplingError(RuntimeError):
-    """A sampling-based check could not draw any admissible samples."""

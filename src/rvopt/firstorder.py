@@ -133,27 +133,27 @@ class PolyhedralSet:
         return {"kind": "halfspaces", "A": self.a.tolist(), "b": self.b.tolist()}
 
 
-def _active_normals(region: PolyhedralSet, x, tol: float, what: str) -> np.ndarray:
+def _active_normals(region: PolyhedralSet, x, what: str) -> np.ndarray:
     """Outward unit normals of the region rows (:attr:`PolyhedralSet.rows`)
-    active at a member point."""
+    active at a member point, both within ACTIVE_TOL."""
     x = np.asarray(x, dtype=float).ravel()
-    if not region.contains(x, tol=max(tol, 1e-9)):
+    if not region.contains(x, tol=ACTIVE_TOL):
         raise PreconditionError(f"{what} cone requested at a non-member point")
     a, b = region.rows
-    return a[a @ x - b >= -tol]
+    return a[a @ x - b >= -ACTIVE_TOL]
 
 
-def contingent_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
+def contingent_cone(region: PolyhedralSet, x) -> Cone:
     """Tangent cone of the region at a member point, as a halfspace cone."""
-    normals = _active_normals(region, x, tol, "tangent")
+    normals = _active_normals(region, x, "tangent")
     if normals.shape[0] == 0:
         return Cone.whole_space(region.dim)
     return Cone.halfspaces(-normals)
 
 
-def normal_cone(region: PolyhedralSet, x, tol: float = ACTIVE_TOL) -> Cone:
+def normal_cone(region: PolyhedralSet, x) -> Cone:
     """Normal cone at a member point: generated by active outward normals."""
-    return Cone.rays(_active_normals(region, x, tol, "normal"), dim=region.dim)
+    return Cone.rays(_active_normals(region, x, "normal"), dim=region.dim)
 
 
 # ===== objectives ========================================================

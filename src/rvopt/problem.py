@@ -12,13 +12,14 @@ interior witness of the ordering cone.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .cones import (ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point,
                     preimage_rows)
 from .errors import ValidationError
-from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
+from .firstorder import ACTIVE_TOL, Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
 # unused; bench/tracing.py wraps rvopt.problem.solve_lp by name (see certificates.py)
 from .simplex import solve_lp  # noqa: F401
@@ -71,6 +72,15 @@ def interior_witness(cone: Cone):
     if margin <= INTERIOR_WITNESS_TOL:
         return np.zeros(cone.dim), 0.0
     return z, margin
+
+
+class Activity(NamedTuple):
+    """The rows of Solv active at a point; see :meth:`Problem.activity`."""
+
+    slack: np.ndarray
+    solv: np.ndarray
+    slopes: np.ndarray
+    tangent: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -161,18 +171,43 @@ class Problem:
         return _readonly(rows), _readonly(norms), keep
 
     @cached_property
+    def _c_rows(self) -> tuple:
+        """(G_C, h_C, moving) for every scenario w and unit facet row m_j of
+        C, in (w, j) order: G_C[w, j] = -m_j A_w, h_C[w, j] = m_j b_w, and
+        the mask |m_j A_w| >= 1e-12 of the rows that move with x."""
+        rows = self.constraint_cone.facets()
+        g = -np.matmul(rows, self.scenarios.mats)
+        return g, self.scenarios.offsets @ rows.T, np.linalg.norm(g, axis=2) >= 1e-12
+
+    @cached_property
     def solv_rows(self) -> tuple:
         """(G, h, count) with Solv = {z : G z <= h}, read-only: the first
-        ``count`` rows are -m_j A_w, h = m_j b_w for each scenario w and unit
-        facet row m_j of C (zero rows dropped), the rest the region's rows.
-        A region point's C-row excess is at most its merit."""
-        rows = self.constraint_cone.facets()
-        g = -np.matmul(rows, self.scenarios.mats).reshape(-1, self.domain_dim)
-        h = (self.scenarios.offsets @ rows.T).ravel()
-        keep = np.linalg.norm(g, axis=1) >= 1e-12
+        ``count`` rows are the moving rows of the C-row table, in (w, j)
+        order, the rest the region's rows.  A region point's C-row excess
+        is at most its merit."""
+        g, h, moving = self._c_rows
         a, b = self.region.rows
-        return (_readonly(np.vstack([g[keep], a])), _readonly(np.concatenate([h[keep], b])),
-                int(np.count_nonzero(keep)))
+        return (_readonly(np.vstack([g[moving], a])), _readonly(np.concatenate([h[moving], b])),
+                int(np.count_nonzero(moving)))
+
+    def activity(self, x) -> Activity:
+        """The one activity rule: a row of Solv is active at x when its slack
+        h - G x (``slack`` over :attr:`solv_rows`) is at most ACTIVE_TOL
+        (``solv``).  ``slopes`` is the (w, j) mask of the facet rows of C
+        active at A_w x + b_w, a row that does not move having slack m_j b_w,
+        cleared in each scenario where no active row moves: the source of
+        the merit function's flatness and slopes.  ``tangent`` is the rows
+        -a_i of the active region rows, which give T_S(x) = {v : -a_i v >=
+        0}, or None when x misses the region by more than ACTIVE_TOL."""
+        g, h, count = self.solv_rows
+        slack = h - g @ np.asarray(x, dtype=float).ravel()
+        on = slack <= ACTIVE_TOL
+        _, h_c, moving = self._c_rows
+        c_on = h_c <= ACTIVE_TOL
+        c_on[moving] = on[:count]
+        inside = np.all(slack[count:] >= -ACTIVE_TOL)
+        return Activity(slack, on, c_on & np.any(c_on & moving, axis=1)[:, None],
+                        -self.region.rows[0][on[count:]] if inside else None)
 
     @cached_property
     def _latest_program(self) -> dict:

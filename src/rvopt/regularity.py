@@ -47,7 +47,7 @@ import numpy as np
 
 from .cones import Cone, distance_many
 from .errors import PreconditionError
-from .firstorder import ACTIVE_TOL, PolyhedralSet
+from .firstorder import PolyhedralSet
 from .problem import Problem, max_margin_point
 from .sampling import ball_points, grid_points, sphere_directions
 from .scenarios import ScenarioMap
@@ -246,8 +246,8 @@ def local_error_bound(problem: Problem, x) -> LocalErrorBound:
     radius rho / 2 of x, sigma the exact local Hoffman modulus of Solv =
     {z : G z <= h} (Hoffman 1952; Pena, Vera & Zuluaga, Math. Program. 2021).
 
-    Rows with slack at most ACTIVE_TOL are active, and rho is the least
-    slack / |row| of the others (radius None: no row is inactive).  The
+    The active rows are those of :meth:`Problem.activity`, and rho is the
+    least slack / |row| of the others (radius None: no row is inactive).  The
     projection p of such a z onto Solv lies within rho of x, and z - p =
     sum lam_j G_j over rows active at p, so |z - p|^2 <= merit(z) L, L the
     C-row weight, while |z - p| >= L sigma for sigma = dist(0, conv(active
@@ -258,9 +258,9 @@ def local_error_bound(problem: Problem, x) -> LocalErrorBound:
     active rows that hold a C row, if there are at most SUBSET_BUDGET, and
     otherwise the bound is not established."""
     x = np.asarray(x, dtype=float).ravel()
-    g, h, count = problem.solv_rows
-    slack = h - g @ x
-    on = slack <= ACTIVE_TOL
+    g, _, count = problem.solv_rows
+    reading = problem.activity(x)
+    slack, on = reading.slack, reading.solv
     rho = float(np.min(slack[~on] / np.linalg.norm(g[~on], axis=1), initial=np.inf))
     active = np.flatnonzero(on)
     bound = functools.partial(LocalErrorBound, radius=rho / 2.0 if rho < np.inf else None,

@@ -35,6 +35,7 @@ from .firstorder import check_upper_subgradient, upper_subgradient_candidate  # 
 from .regularity import estimate_increase_bound, verify_error_bound  # noqa: F401
 
 REPORT_VERSION = 1
+ORACLE_RESOLUTION = 21      # lattice points per axis of the oracle stage
 
 EXIT_CONSISTENT = 0
 EXIT_ERROR = 1
@@ -140,13 +141,12 @@ class _Pipeline:
         self.stages.append({"name": name, "status": "skipped", "reason": reason})
 
 
-def run_report(problem: Problem, x, radius: float = 0.5,
-               oracle_resolution: int = 21, skip_cq: bool = False,
+def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
                tolerances: Tolerances | None = None) -> dict:
     """Full audit of a reference point; returns the report document."""
     x = np.asarray(x, dtype=float).ravel()
     tol = tolerances if tolerances is not None else Tolerances()
-    options = {"radius": radius, "oracle_resolution": oracle_resolution,
+    options = {"radius": radius, "oracle_resolution": ORACLE_RESOLUTION,
                "skip_cq": skip_cq, "tolerances": {"feasibility": tol.feasibility}}
     pipe = _Pipeline()
     audit = []
@@ -238,9 +238,9 @@ def run_report(problem: Problem, x, radius: float = 0.5,
     lo = x - radius
     hi = x + radius
     pipe.run("oracle", {"lo": lo.tolist(), "hi": hi.tolist(),
-                        "resolution": oracle_resolution}, lambda: {
+                        "resolution": ORACLE_RESOLUTION}, lambda: {
         "result": vars(refute_efficiency(problem, x, lo, hi,
-                                         oracle_resolution,
+                                         ORACLE_RESOLUTION,
                                          feas_tol=tol.feasibility))})
 
     return _finish(problem, x, options, pipe, audit, certs, cq_passed)

@@ -11,6 +11,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SEED_STRIDE = 8191
 _NORMAL = NormalDist()
@@ -29,7 +31,7 @@ def _van_der_corput(index: int, base: int) -> float:
 def halton(count: int, dim: int, seed: int = 0) -> np.ndarray:
     """First ``count`` Halton points in [0, 1)^dim, offset by the seed."""
     if dim > len(_PRIMES):
-        raise ValueError(f"halton supports dim <= {len(_PRIMES)}, got {dim}")
+        raise PreconditionError(f"halton supports dim <= {len(_PRIMES)}, got {dim}")
     start = 1 + seed * _SEED_STRIDE
     pts = np.empty((count, dim))
     for i in range(count):

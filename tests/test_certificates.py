@@ -101,8 +101,7 @@ def distance_slopes(problem, x, dirs):
     were kept: the largest distance_many to each scenario's tangent cone."""
     rows = problem.constraint_cone.facets()
     slopes = np.zeros(len(dirs))
-    for mat, active in zip(problem.scenarios.mats,
-                           rvopt.certificates._slope_facets(problem, x)):
+    for mat, active in zip(problem.scenarios.mats, problem.activity(x).slopes):
         if active.any():
             slopes = np.maximum(slopes, distance_many(Cone.halfspaces(rows[active]),
                                                       dirs @ mat.T))
@@ -465,7 +464,7 @@ class TestConvexScalarized:
         assert np.array_equal(merit_slopes(problem, x, dirs), slopes)
         assert_allclose(slopes, reference_slopes(problem, x, dirs), rtol=0.0, atol=1e-12)
         rows = problem.constraint_cone.facets()
-        active = rvopt.certificates._slope_facets(problem, x)
+        active = problem.activity(x).slopes
         for d, slope, w, r in zip(dirs, slopes, scenarios, residuals):
             polar = Cone.rays(-rows[active[w]], dim=rows.shape[1])
             assert polar.distance(r) <= 1e-12, name

@@ -383,6 +383,51 @@ class TestCommandErrors:
         assert "usage:" in err
 
 
+class TestMalformedDocuments:
+    """Every malformed field exits 1 with one field-path error line and no
+    traceback."""
+
+    ZERO_ROW = [[1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", {"kind": "orthant", "dim": "two"}, "k.dim: expected a positive integer"),
+        ("k", {"kind": "orthant", "dim": None}, "k.dim: expected a positive integer"),
+        ("k", {"kind": "orthant", "dim": [2]}, "k.dim: expected a positive integer"),
+        ("k", {"kind": "orthant", "dim": 2.5}, "k.dim: expected a positive integer"),
+        ("k", {"kind": "orthant", "dim": True}, "k.dim: expected a positive integer"),
+        ("c", {"kind": "halfspaces", "dim": "2", "rows": [[1.0, 0.0]]},
+         "c.dim: expected a positive integer"),
+        ("c", {"kind": "rays", "dim": 0, "gens": [[1.0, 0.0]]},
+         "c.dim: expected a positive integer"),
+        ("k", {"kind": "halfspaces", "dim": 2, "rows": ZERO_ROW}, "k.rows: halfspaces: zero row"),
+        ("c", {"kind": "halfspaces", "dim": 2, "rows": ZERO_ROW}, "c.rows: halfspaces: zero row"),
+        ("c", {"kind": "rays", "dim": 2, "gens": ZERO_ROW}, "c.gens: rays: zero row"),
+        ("s", {"kind": "halfspaces", "A": ZERO_ROW, "b": [1.0, 1.0]},
+         "s.A: halfspaces: zero row"),
+        ("s", {"kind": "box", "lo": [0.0, 1.0], "hi": [1.0, 0.0]}, "s.lo[1]: exceeds s.hi[1]"),
+    ])
+    def test_field_path_error(self, tmp_path, problems_dir, field, value, message):
+        doc = load_document(problems_dir / "e1.json")
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["merit", str(path), "--at", "0", "0"]) == (1, "", f"error: {message}\n")
+
+    def test_increase_past_the_sampling_dimension_cap(self, tmp_path):
+        """The increase check draws ball points in n + 1 = 13 dimensions,
+        past the Halton cap of 12: a precondition error, not a traceback."""
+        n = 12
+        problem = Problem(objective=AffineObjective(np.eye(n), np.zeros(n)),
+                          ordering_cone=Cone.orthant(n), constraint_cone=Cone.orthant(n),
+                          region=PolyhedralSet.box(np.zeros(n), np.ones(n)),
+                          scenarios=ScenarioMap([np.eye(n)], [np.zeros(n)]))
+        path = tmp_path / "n12.json"
+        save_problem(problem, path)
+        code, out, err = run_cli(["increase", str(path), "--at"] + ["0.5"] * n)
+        assert (code, out) == (1, "")
+        assert err == "error: halton supports dim <= 12, got 13\n"
+
+
 class TestParserBuiltOnce:
     def test_reused_parser_matches_a_fresh_one(self, monkeypatch, problems_dir):
         """One process builds the parser once; reusing it across commands,

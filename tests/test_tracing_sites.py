@@ -2,13 +2,17 @@
 
 ``bench/tracing.py`` looks every site up by attribute name, so renaming or
 deleting a traced function breaks ``bench/run.py --trace 1``.  Installing
-and uninstalling the tracer here makes that a test failure.
+and uninstalling the tracer here makes that a test failure.  Names a module
+imports only for the tracer carry ``# noqa: F401``; each must be a site on
+that module, so the tracer-only imports form one checked list.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -31,3 +35,22 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+def tracer_only_imports():
+    """(module, name) for every name imported under ``# noqa: F401`` in
+    src/rvopt."""
+    found = []
+    for path in sorted((ROOT / "src" / "rvopt").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                found += [(f"rvopt.{path.stem}", alias.name) for alias in node.names]
+    return found
+
+
+def test_tracer_only_imports_are_sites():
+    tracing = load_tracing()
+    sites = {(owner.__name__, attr) for owner, attr, _layer, _count in tracing.SITES}
+    for module, name in tracer_only_imports():
+        assert (module, name) in sites, (module, name)

@@ -25,9 +25,14 @@ import rvopt.reporting
 from rvopt import (AffineObjective, Cone, PolyhedralSet, Problem, ScenarioMap,
                    render_report, run_report, save_problem, verify_error_bound)
 from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
-                                Certificate, merit_is_flat, merit_slopes)
+                                Certificate, check_penalization_condition,
+                                check_tangential_condition, convex_scalarized_certificate,
+                                merit_is_flat, merit_slopes, qualification_check,
+                                replay_certificate, slater_check)
 from rvopt.cli import main
-from rvopt.firstorder import check_upper_subgradient, upper_subgradient_candidate
+from rvopt.errors import PreconditionError
+from rvopt.firstorder import (ACTIVE_TOL, check_upper_subgradient, contingent_cone,
+                              upper_subgradient_candidate)
 from rvopt.regularity import local_error_bound
 from rvopt.reporting import verdict
 from rvopt.sampling import ball_points, sphere_directions
@@ -282,6 +287,69 @@ class TestMeritSlopes:
                 assert_allclose(quotient, slopes, rtol=0.0, atol=1e-10)
                 sloped += np.max(slopes) > 0.0
         assert sloped >= 15
+
+
+class TestOneActivityRule:
+    """Problem.activity decides which rows of Solv are active at x for the
+    error bound, the merit slopes and every certificate."""
+
+    def test_agrees_with_the_rules_it_replaced(self):
+        """At the 139 harness points the reading equals, bit for bit, the C
+        activity m_j . (A_w x + b_w) <= ACTIVE_TOL of the evaluated images,
+        the slope mask built from it with the moving test max|m_j A_w| >
+        ACTIVE_TOL, and the rows of contingent_cone(region, x), zero sign
+        bits included."""
+        cases = grid_cases() + synthetic_cases()
+        assert len(cases) == 139
+        for label, problem, x in cases:
+            reading = problem.activity(x)
+            rows, smap = problem.constraint_cone.facets(), problem.scenarios
+            active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL
+            moving = np.any(np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL, axis=2)
+            count = problem.solv_rows[2]
+            assert moving.all() and count == moving.size, label
+            assert np.array_equal(reading.solv[:count], active.ravel()), label
+            assert np.array_equal(reading.slopes,
+                                  active & np.any(active & moving, axis=1)[:, None]), label
+            tangent = contingent_cone(problem.region, x).rows
+            assert reading.tangent.shape == tangent.shape, label
+            assert reading.tangent.tobytes() == tangent.tobytes(), label
+
+    def test_a_barely_moving_row_has_a_slope(self):
+        """A x + b = (0, 1) at x = 0 with A = diag(1e-9, 1): the one active
+        facet product m_1 A = (1e-9, 0) is below ACTIVE_TOL but moves, so
+        merit grows as 1e-9 t along -e1.  The merit slopes and the error
+        bound count the same row."""
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2),
+                          constraint_cone=Cone.orthant(2),
+                          region=PolyhedralSet.whole_space(2),
+                          scenarios=ScenarioMap([[[1e-9, 0.0], [0.0, 1.0]]], [[0.0, 1.0]]))
+        x = np.zeros(2)
+        assert problem.merit([-1.0, 0.0]) == pytest.approx(1e-9, rel=1e-12)
+        assert not merit_is_flat(problem, x)
+        assert merit_slopes(problem, x, [[-1.0, 0.0]])[0] == pytest.approx(1e-9, rel=1e-12)
+        bound = local_error_bound(problem, x)
+        assert bound.established and bound.active_rows == (0,)
+        assert bound.sigma == pytest.approx(1e-9, rel=1e-12)
+
+    def test_certificates_refuse_points_outside_the_region(self):
+        """Every certificate reading the tangent rows raises outside the
+        region, as contingent_cone does."""
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2), constraint_cone=Cone.orthant(2),
+                          region=PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]),
+                          scenarios=ScenarioMap([np.eye(2)], [[2.0, 2.0]]))
+        cert = convex_scalarized_certificate(problem, [1.0, 0.0], sigma=1.0, ell=1.0)
+        outside = [1.0 + 1e-6, 0.0]
+        for check in (lambda: check_tangential_condition(problem, outside),
+                      lambda: check_penalization_condition(problem, outside, 1.0, 1.0),
+                      lambda: convex_scalarized_certificate(problem, outside, 1.0, 1.0),
+                      lambda: qualification_check(problem, outside),
+                      lambda: slater_check(problem, outside),
+                      lambda: replay_certificate(problem, outside, cert)):
+            with pytest.raises(PreconditionError, match="non-member point"):
+                check()
 
 
 class TestSoundness:
