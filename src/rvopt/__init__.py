@@ -14,8 +14,7 @@ from .docio import (Tolerances, load_problem, problem_from_document,
 from .errors import (ConvergenceError, DimensionError, PreconditionError,
                      RepresentationError, ValidationError)
 from .firstorder import (AffineObjective, Fan, PolyhedralSet,
-                         QuadraticObjective, contingent_cone,
-                         fan_from_scenarios, normal_cone)
+                         QuadraticObjective, fan_from_scenarios)
 from .oracle import (GridScan, check_penalization_transfer, grid_scan,
                      refute_efficiency)
 from .problem import Problem
@@ -38,12 +37,10 @@ __all__ = [
     "RepresentationError", "ScenarioMap", "Tolerances", "ValidationError",
     "check_metric_increase", "check_penalization_condition",
     "check_penalization_transfer", "check_tangential_condition",
-    "contingent_cone", "convex_scalarized_certificate",
-    "estimate_increase_bound", "estimate_order_lipschitz",
-    "excess", "fan_from_scenarios", "grid_scan", "hausdorff",
-    "load_problem", "multiplier_certificate", "normal_cone",
+    "convex_scalarized_certificate", "estimate_increase_bound",
+    "estimate_order_lipschitz", "excess", "fan_from_scenarios", "grid_scan",
+    "hausdorff", "load_problem", "multiplier_certificate",
     "problem_from_document", "problem_to_document", "qualification_check",
     "refute_efficiency", "render_report", "run_report", "save_problem",
-    "scalarized_fan_certificate", "verify_error_bound",
-    "write_report",
+    "scalarized_fan_certificate", "verify_error_bound", "write_report",
 ]

@@ -8,6 +8,7 @@ human-readable result, and exits with the shared code convention:
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -20,8 +21,8 @@ from .errors import (ConvergenceError, DimensionError, PreconditionError,
 from .oracle import grid_scan
 from .regularity import check_metric_increase, estimate_increase_bound, verify_error_bound
 from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
-                        EXIT_REFUTED, render_report, run_report, verdict,
-                        write_report)
+                        EXIT_REFUTED, reference_gate, render_report, run_report,
+                        verdict, write_report)
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -35,7 +36,13 @@ def _common_flags() -> argparse.ArgumentParser:
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors exit with the generic error code, keeping
-    code 2 reserved for refutations."""
+    code 2 reserved for refutations, and that reads every negative decimal
+    literal, exponent form included (-1e-3, -.5e2), as a value, where
+    argparse alone takes -1e-3 for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -168,8 +175,9 @@ def _cmd_errorbound(args) -> int:
 def _cmd_certify(args) -> int:
     problem, tol = _load(args)
     x = args.at
-    if not problem.feasible(x, tol=tol.feasibility):
-        print("reference point infeasible; no certificates computed")
+    reason = reference_gate(problem, x, tol.feasibility)
+    if reason is not None:
+        print(f"{reason}; no certificates computed")
         return EXIT_INCONCLUSIVE
     results = {
         "tangential": check_tangential_condition(problem, x),

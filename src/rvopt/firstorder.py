@@ -1,11 +1,10 @@
-"""First-order geometry: ambient sets, tangent and normal cones, sampled
-upper subgradients, and matrix-bundle fans.
+"""First-order geometry: ambient sets, objectives, sampled upper
+subgradients, and matrix-bundle fans.
 
-Tangent cones of polyhedral sets are computed from active constraints at
-the reference point; normal cones are their negative duals, generated by
-the outward normals of the active constraints.  Central finite-difference
-upper subgradients, checked on a sampled ball, are kept as the sampled
-reference for the exact rule of :func:`certificates.merit_is_flat`.
+A polyhedral region exposes its rows {x : A x <= b}, from which the one
+activity rule, :meth:`Problem.activity`, reads T_S(x) and N_S(x).
+Central finite-difference upper subgradients, checked on a sampled ball,
+are kept as the sampled reference for :func:`certificates.merit_is_flat`.
 
 A fan is a positively homogeneous convex-valued map generated by a matrix
 bundle: H(u) = conv{L_1 u, ..., L_p u}.  For finite affine scenario
@@ -24,8 +23,6 @@ from .cones import (Cone, _norms, _readonly, _unit_rows, least_distance_point,
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
 from .scenarios import PointCloud, ScenarioMap
-
-ACTIVE_TOL = 1e-7
 
 
 # ===== ambient sets ======================================================
@@ -131,29 +128,6 @@ class PolyhedralSet:
             hi = [None if not np.isfinite(v) else float(v) for v in self.hi]
             return {"kind": "box", "lo": lo, "hi": hi}
         return {"kind": "halfspaces", "A": self.a.tolist(), "b": self.b.tolist()}
-
-
-def _active_normals(region: PolyhedralSet, x, what: str) -> np.ndarray:
-    """Outward unit normals of the region rows (:attr:`PolyhedralSet.rows`)
-    active at a member point, both within ACTIVE_TOL."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not region.contains(x, tol=ACTIVE_TOL):
-        raise PreconditionError(f"{what} cone requested at a non-member point")
-    a, b = region.rows
-    return a[a @ x - b >= -ACTIVE_TOL]
-
-
-def contingent_cone(region: PolyhedralSet, x) -> Cone:
-    """Tangent cone of the region at a member point, as a halfspace cone."""
-    normals = _active_normals(region, x, "tangent")
-    if normals.shape[0] == 0:
-        return Cone.whole_space(region.dim)
-    return Cone.halfspaces(-normals)
-
-
-def normal_cone(region: PolyhedralSet, x) -> Cone:
-    """Normal cone at a member point: generated by active outward normals."""
-    return Cone.rays(_active_normals(region, x, "normal"), dim=region.dim)
 
 
 # ===== objectives ========================================================

@@ -19,12 +19,13 @@ import numpy as np
 from .cones import (ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point,
                     preimage_rows)
 from .errors import ValidationError
-from .firstorder import ACTIVE_TOL, Fan, Objective, PolyhedralSet, fan_from_scenarios
+from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
 from .scenarios import ScenarioMap
 # unused; bench/tracing.py wraps rvopt.problem.solve_lp by name (see certificates.py)
 from .simplex import solve_lp  # noqa: F401
 
 INTERIOR_WITNESS_TOL = 1e-8
+ACTIVE_TOL = 1e-7          # slack of an active row; see Problem.activity
 
 
 def max_margin_point(rows: np.ndarray, dim: int, cone_rows: np.ndarray | None = None):

@@ -294,9 +294,11 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
                        tol: float = 1e-9) -> ErrorBoundReport:
     """Lattice check of  dist(., Solv) <= merit(.) / sigma  near ``x``.
 
-    Solv is approximated by the feasible sublattice of the radius box; the
-    comparison gets a slack of two lattice spacings to absorb the
-    discretization.  Points are tested inside the half-radius ball, the
+    Solv is approximated by the feasible sublattice of the radius box: the
+    points in the region within ``feas_tol`` whose merit is at most
+    ``feas_tol``, as :func:`oracle.grid_scan` reads them.  The comparison
+    gets a slack of two lattice spacings to absorb the discretization.
+    Points of the region are tested inside the half-radius ball, the
     localization under which the bound is justified.
 
     The distances equal, bit for bit, those of a comparison with every
@@ -322,7 +324,7 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     spacing = 2.0 * radius / (resolution - 1)
     slack = 2.0 * spacing
 
-    in_region = region.contains_many(pts)
+    in_region = region.contains_many(pts, tol=feas_tol)
     phi = scenario_map.merit_many(cone, pts)
     feasible = in_region & (phi <= feas_tol)
     if not feasible.any():

@@ -23,9 +23,8 @@ from .certificates import (HOLDS, LP_INFEASIBLE, VIOLATED,
                            qualification_check, scalarized_fan_certificate,
                            slater_check)
 from .docio import Tolerances, problem_to_document
-from .firstorder import ACTIVE_TOL
 from .oracle import refute_efficiency
-from .problem import Problem
+from .problem import ACTIVE_TOL, Problem
 from .regularity import SUBSET_BUDGET, local_error_bound
 # unused; bench/tracing.py wraps these names in rvopt.reporting (its regularity,
 # certificates.order_lipschitz and firstorder.subgradient sites), so they stay
@@ -44,6 +43,9 @@ EXIT_INCONCLUSIVE = 3
 
 SUMMARY_CONSISTENT = "consistent with necessary conditions"
 DOWNGRADED = "downgraded: qualification check failed"
+INFEASIBLE = "reference point infeasible"
+OUTSIDE_REGION = ("reference point lies outside the region by more than the "
+                  "activity tolerance 1e-7")         # 1e-7 is ACTIVE_TOL
 
 # (certificate kind, failing status, evidence), in the order evidence is cited
 _EVIDENCE = (("multiplier", LP_INFEASIBLE, "multiplier LP infeasible"),
@@ -83,6 +85,17 @@ def verdict(certs: dict, cq_passed, witness_found: bool = False, errored=()):
     if reasons:
         return "inconclusive: " + "; ".join(reasons), EXIT_INCONCLUSIVE, downgraded
     return SUMMARY_CONSISTENT, EXIT_CONSISTENT, downgraded
+
+
+def reference_gate(problem: Problem, x, tol: float):
+    """The one reference-point gate of ``report`` and ``certify``: None when
+    x is feasible within ``tol`` and :meth:`Problem.activity` reads tangent
+    rows there (within ACTIVE_TOL of the region), else the reason to stop."""
+    if not problem.feasible(x, tol=tol):
+        return INFEASIBLE
+    if problem.activity(x).tangent is None:
+        return OUTSIDE_REGION
+    return None
 
 
 def _clean(value):
@@ -155,19 +168,19 @@ def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
         "merit": problem.merit(x),
         "in_region": problem.region.contains(x, tol=tol.feasibility),
         "feasible": problem.feasible(x, tol=tol.feasibility)})
-    feasible = bool(merit_detail["feasible"]) if merit_detail else False
+    reason = reference_gate(problem, x, tol.feasibility) if merit_detail \
+        else "merit stage failed"
 
     later = ["error_bound", "order_lipschitz", "penalization", "tangential",
              "scalarized_fan", "scalarized_convex", "multiplier", "qualification",
              "oracle"]
-    if not feasible:
-        reason = "reference point infeasible" if merit_detail else "merit stage failed"
+    if reason is not None:
         for name in later:
             pipe.skip(name, reason)
         if merit_detail is None:
             return _finish(problem, x, options, pipe, audit, {}, None)
-        return _document(problem, x, options, pipe, audit,
-                         "not applicable: reference point is infeasible",
+        summary = "reference point is infeasible" if reason == INFEASIBLE else reason
+        return _document(problem, x, options, pipe, audit, "not applicable: " + summary,
                          EXIT_INCONCLUSIVE)
 
     bound = pipe.run("error_bound", {"active_tol": ACTIVE_TOL, "subset_budget": SUBSET_BUDGET},

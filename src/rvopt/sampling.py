@@ -11,9 +11,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import PreconditionError
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SEED_STRIDE = 8191
 _NORMAL = NormalDist()
 
@@ -29,14 +26,18 @@ def _van_der_corput(index: int, base: int) -> float:
 
 
 def halton(count: int, dim: int, seed: int = 0) -> np.ndarray:
-    """First ``count`` Halton points in [0, 1)^dim, offset by the seed."""
-    if dim > len(_PRIMES):
-        raise PreconditionError(f"halton supports dim <= {len(_PRIMES)}, got {dim}")
+    """First ``count`` Halton points in [0, 1)^dim, offset by the seed; axis
+    j takes the (j + 1)-th prime as its base."""
+    primes, candidate = [], 2
+    while len(primes) < dim:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
     start = 1 + seed * _SEED_STRIDE
     pts = np.empty((count, dim))
     for i in range(count):
         for j in range(dim):
-            pts[i, j] = _van_der_corput(start + i, _PRIMES[j])
+            pts[i, j] = _van_der_corput(start + i, primes[j])
     return pts
 
 

@@ -11,7 +11,7 @@ scenarios make the merit function convex and globally Lipschitz with
 constant max_w ||A_w||.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

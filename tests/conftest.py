@@ -22,7 +22,7 @@ import pytest
 from rvopt.cones import Cone
 from rvopt.docio import load_problem
 from rvopt.firstorder import AffineObjective, PolyhedralSet
-from rvopt.problem import Problem
+from rvopt.problem import ACTIVE_TOL, Problem
 from rvopt.sampling import sphere_directions
 from rvopt.scenarios import ScenarioMap
 
@@ -110,6 +110,13 @@ def merge_directions(kept, extra):
         if np.all(np.linalg.norm(out - v, axis=1) >= 1e-9):
             out = np.vstack([out, v])
     return out
+
+
+def tangent_rows(region, x):
+    """Rows P of T_S(x) = {v : P v >= 0}, computed apart from Problem.activity:
+    -a_i for each region row with a_i . x - b_i >= -ACTIVE_TOL."""
+    a, b = region.rows
+    return -a[a @ np.asarray(x, dtype=float).ravel() - b >= -ACTIVE_TOL]
 
 
 def line_search_boundary(problem, d, steps=60):

@@ -22,10 +22,9 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASI
 from rvopt.cones import Cone, cone_generators, distance_many, least_distance_point
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
-from rvopt.firstorder import (ACTIVE_TOL, AffineObjective, Fan, PolyhedralSet,
-                              QuadraticObjective, contingent_cone, fan_from_scenarios,
-                              polytope_distance, sampled_cone_directions)
-from rvopt.problem import Problem, max_margin_point
+from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, QuadraticObjective,
+                              fan_from_scenarios, polytope_distance, sampled_cone_directions)
+from rvopt.problem import ACTIVE_TOL, Problem, max_margin_point
 from rvopt.regularity import local_error_bound
 from rvopt.reporting import run_report
 from rvopt.sampling import ball_points, sphere_directions
@@ -34,7 +33,7 @@ from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve
 
 from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
                       merge_directions, merit_cases, negated_scenario, ray_cone_r5_problem,
-                      synthetic_problem)
+                      synthetic_problem, tangent_rows)
 from test_verdict import certify_code, exact_weakly_efficient, synthetic_cases
 
 BENCH_CASES = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
@@ -73,13 +72,18 @@ def reference_slopes(problem, x, dirs):
     return slopes
 
 
+def rows_cone(rows, dim):
+    """The cone {v : rows v >= 0}, all of R^dim when there are no rows."""
+    return Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(dim)
+
+
 def cone_program_rows(problem, x, kind):
     """A = -R_K J(x) and the rows P of a certificate's direction cone
     {v : P v >= 0}: T_S(x) for penalization, else each fan matrix's
     Cone.linear_preimage rows and then T_S(x)'s."""
     x = np.asarray(x, dtype=float)
     a = -(problem.ordering_cone.facets() @ problem.objective.jacobian(x))
-    rows = [contingent_cone(problem.region, x).rows]
+    rows = [tangent_rows(problem.region, x)]
     if kind != "penalization":
         rows = [problem.constraint_cone.linear_preimage(m).rows
                 for m in problem.fan().bundle] + rows
@@ -164,7 +168,7 @@ def sampled_convex_certificate(problem, x, sigma, ell):
     each.  Every direction lies in T_S(x), so lp-infeasible is proof-grade;
     holds is not, between the directions."""
     x = np.asarray(x, dtype=float)
-    tangent = contingent_cone(problem.region, x)
+    tangent = rows_cone(tangent_rows(problem.region, x), x.size)
     try:
         gens = cone_generators(tangent)
     except RepresentationError:
@@ -764,7 +768,7 @@ class TestReplay:
             assert np.min(a @ cert.witness) == cert.residual > INTERIOR_MARGIN
         else:
             cert = convex_scalarized_certificate(problem, x, sigma=0.5, ell=3.0)
-            rows = contingent_cone(problem.region, x).rows
+            rows = tangent_rows(problem.region, x)
             depth = -(problem.ordering_cone.facets() @ penalized_derivative(problem, x, cert))
             assert abs(np.min(depth) - cert.residual) <= 1e-12
             assert cert.residual > INTERIOR_MARGIN
@@ -1030,7 +1034,7 @@ class TestFanDataDerivedOnce:
         """No report stage samples directions."""
         problem, x = load_problem(PROBLEMS_DIR / "e1.json"), np.array([0.5, 1.0])
         bundle = fan_from_scenarios(problem.scenarios).bundle
-        tangent = contingent_cone(problem.region, x).rows
+        tangent = tangent_rows(problem.region, x)
         calls = self.spy(monkeypatch)
         report = run_report(problem, x)
         self.assert_derived_once(calls, bundle)
@@ -1228,11 +1232,10 @@ def sampled_directional(problem, x, dirs, gens):
 def sampled_certificates(problem, x):
     """Statuses of the former sampled certificates, with the flags telling
     where their directions included a complete generator set."""
-    tangent = contingent_cone(problem.region, x)
-    rows = np.vstack([problem.preimage_rows, tangent.rows])
+    tangent = tangent_rows(problem.region, x)
     fan_dirs, fan_gens = sampled_directions(
-        Cone.halfspaces(rows) if rows.shape[0] else Cone.whole_space(x.size))
-    pen_dirs, pen_gens = sampled_directions(tangent)
+        rows_cone(np.vstack([problem.preimage_rows, tangent]), x.size))
+    pen_dirs, pen_gens = sampled_directions(rows_cone(tangent, x.size))
     vectors = (fan_dirs if fan_gens is None else fan_gens) @ problem.objective.jacobian(x).T
     y, _ = dual_vector_lp(problem, vectors)
     fan = LP_INFEASIBLE if y is None else (HOLDS if fan_gens is not None else INCONCLUSIVE)
@@ -1436,7 +1439,7 @@ class TestConvexScalarizedAgainstSampled:
                 assert abs(cert.y_star @ problem.direction - 1.0) <= 1e-12, label
                 assert cert.residual <= 1e-9, label
             else:
-                rows = contingent_cone(problem.region, x).rows
+                rows = tangent_rows(problem.region, x)
                 assert np.min(rows @ cert.witness, initial=0.0) >= -1e-12, label
                 depth = -(problem.ordering_cone.facets()
                           @ penalized_derivative(problem, x, cert))
@@ -1454,7 +1457,7 @@ class TestConvexScalarizedAgainstSampled:
         assert sampled_convex_certificate(problem, x, sigma, ell)[0] == HOLDS
         cert = convex_scalarized_certificate(problem, x, sigma, ell)
         assert cert.status == LP_INFEASIBLE
-        rows = contingent_cone(problem.region, x).rows
+        rows = tangent_rows(problem.region, x)
         assert np.min(rows @ cert.witness, initial=0.0) >= 0.0
         assert np.max(penalized_derivative(problem, x, cert)) <= -0.02
         assert replay_certificate(problem, x, cert) == cert.residual

@@ -31,7 +31,8 @@ from rvopt.docio import (
     parse_document,
     tolerances_from_document,
 )
-from rvopt.reporting import REPORT_VERSION, run_report
+from rvopt.problem import ACTIVE_TOL
+from rvopt.reporting import OUTSIDE_REGION, REPORT_VERSION, run_report
 
 from conftest import ray_cone_r5_problem, synthetic_problem
 from test_certificates import bench_cases
@@ -180,6 +181,15 @@ class TestEvaluationCommands:
         assert code == 2
         assert out == "increase fails at alpha 5; witness (0.25, 1)\n"
 
+    def test_negative_numbers_in_exponent_form(self, problems_dir):
+        """-1e-3 and -.5e2 are values of --at, not options."""
+        path = str(problems_dir / "e1.json")
+        assert run_cli(["merit", path, "--at", "0.25", "-1e-3"]) \
+            == run_cli(["merit", path, "--at", "0.25", "-0.001"]) \
+            == (0, "merit 0.250001999992\n", "")
+        assert run_cli(["merit", path, "--at", "-.5e2", "1"]) \
+            == run_cli(["merit", path, "--at", "-50", "1"])
+
     def test_error_bound_holds(self, problems_dir):
         path = str(problems_dir / "e1.json")
         code, out, _ = run_cli(["errorbound", path, "--at", "0.25", "1",
@@ -256,6 +266,14 @@ class TestScanCommands:
                             "efficient,dominance_count,f1,f2")
         assert len(lines) == 26  # header plus one row per lattice point
 
+    def test_box_takes_negative_numbers_in_exponent_form(self, problems_dir):
+        path = str(problems_dir / "e1.json")
+        code, out, err = run_cli(["scan", path, "--box", "-1e-1", "2", "-1E0", "2",
+                                  "--res", "11"])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(["scan", path, "--box", "-0.1", "2", "-1", "2",
+                                            "--res", "11"])
+
     def test_scan_rejects_odd_bounds(self, problems_dir):
         path = str(problems_dir / "e1.json")
         code, out, err = run_cli(["scan", path, "--box", "-1", "2", "-1"])
@@ -321,6 +339,34 @@ class TestReportCommand:
         later = [s["status"] for s in document["stages"] if s["name"] != "merit"]
         assert set(later) == {"skipped"}
         assert document["audit"] == []
+
+    def test_reference_outside_the_region_is_not_applicable(self, problems_dir):
+        """e3 at (0.5, -5e-7) with --tol-scale 1000 (feasibility 1e-6) is
+        feasible, but misses the box x2 >= 0 by more than ACTIVE_TOL, where
+        the activity rule reads no tangent rows: report and certify share
+        one gate, and both exit 3 with its one reason, no stage erring."""
+        argv = [str(problems_dir / "e3.json"), "--at", "0.5", "-5e-7", "--tol-scale", "1000"]
+        code, out, err = run_cli(["report"] + argv)
+        assert (code, err) == (3, "")
+        head, _, tail = out.rpartition("\nsummary:")
+        assert tail.strip() == "not applicable: " + OUTSIDE_REGION
+        merit, *later = json.loads(head)["stages"]
+        assert merit["feasible"] and merit["in_region"]
+        assert len(later) == 9
+        assert {(s["status"], s["reason"]) for s in later} == {("skipped", OUTSIDE_REGION)}
+        assert run_cli(["certify"] + argv) \
+            == (3, OUTSIDE_REGION + "; no certificates computed\n", "")
+        assert OUTSIDE_REGION.endswith(" 1e-7") and float("1e-7") == ACTIVE_TOL
+
+    def test_reference_within_the_activity_tolerance_runs(self, problems_dir):
+        """At (0.5, -5e-8) the same tolerance passes the gate: the stages run
+        and none errs (penalization is skipped for the merit slope there)."""
+        argv = [str(problems_dir / "e3.json"), "--at", "0.5", "-5e-8", "--tol-scale", "1000"]
+        code, out, _ = run_cli(["report"] + argv)
+        stages = json.loads(out.rpartition("\nsummary:")[0])["stages"]
+        assert [(s["name"], s["status"]) for s in stages
+                if s["status"] in ("skipped", "error")] == [("penalization", "skipped")]
+        assert run_cli(["certify"] + argv)[0] == code
 
     def test_written_report_is_deterministic(self, tmp_path, problems_dir):
         path = str(problems_dir / "e2.json")
@@ -415,7 +461,8 @@ class TestMalformedDocuments:
 
     def test_increase_past_the_sampling_dimension_cap(self, tmp_path):
         """The increase check draws ball points in n + 1 = 13 dimensions,
-        past the Halton cap of 12: a precondition error, not a traceback."""
+        past the former 12-prime Halton table, and runs: the 13th axis takes
+        the 13th prime, 41, as its base."""
         n = 12
         problem = Problem(objective=AffineObjective(np.eye(n), np.zeros(n)),
                           ordering_cone=Cone.orthant(n), constraint_cone=Cone.orthant(n),
@@ -424,8 +471,8 @@ class TestMalformedDocuments:
         path = tmp_path / "n12.json"
         save_problem(problem, path)
         code, out, err = run_cli(["increase", str(path), "--at"] + ["0.5"] * n)
-        assert (code, out) == (1, "")
-        assert err == "error: halton supports dim <= 12, got 13\n"
+        assert (code, err) == (0, "")
+        assert out.startswith("increase estimate alpha ")
 
 
 class TestParserBuiltOnce:

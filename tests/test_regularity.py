@@ -10,13 +10,14 @@ from rvopt.cones import Cone, distance_many
 from rvopt.errors import PreconditionError
 from rvopt.firstorder import AffineObjective, PolyhedralSet
 from rvopt.docio import load_problem
+from rvopt.oracle import grid_scan
 from rvopt.problem import Problem
 from rvopt.regularity import (INCREASE_CAP, INCREASE_FLOOR, SUBSET_BUDGET, _distance_passes,
                               _tie_shell_min, check_metric_increase,
                               estimate_increase_bound, local_error_bound,
                               verify_error_bound)
 from rvopt.reporting import run_report
-from rvopt.sampling import ball_points, grid_points, sphere_directions
+from rvopt.sampling import ball_points, grid_points, halton, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
 from conftest import PROBLEMS_DIR, shifted_pair_scenarios
@@ -435,11 +436,12 @@ class TestErrorBound:
 def brute_error_bound(smap, cone, region, x, sigma, radius, resolution,
                       feas_tol=1e-9, tol=1e-9):
     """The error-bound check comparing every tested point with every feasible
-    lattice point, in blocks of 256: returns (max_violation, passed, witness)."""
+    lattice point, in blocks of 256: returns (max_violation, passed, witness).
+    Region membership and merit are both read within ``feas_tol``."""
     x = np.asarray(x, dtype=float).ravel()
     pts = grid_points(x - radius, x + radius, resolution)
     slack = 2.0 * (2.0 * radius / (resolution - 1))
-    in_region = region.contains_many(pts)
+    in_region = region.contains_many(pts, tol=feas_tol)
     phi = smap.merit_many(cone, pts)
     solv = pts[in_region & (phi <= feas_tol)]
     tested = in_region & (np.linalg.norm(pts - x[None, :], axis=1) <= radius / 2.0)
@@ -545,6 +547,27 @@ class TestErrorBoundTransform:
                     for sigma in (0.05, 0.5, 9.0)}
         assert False in verdicts
 
+    def test_feasibility_tolerance_reaches_the_region(self):
+        """Region [0, 2] x [5e-7, 2] around (0.5, 0) at spacing 0.05: the
+        lattice row x2 = 0 misses the region by 5e-7.  At feas_tol 1e-6 it is
+        feasible for x1 >= 0.5 and tested, as grid_scan reads it, and its
+        point (0.25, 0), 0.25 from Solv with merit 0.25, breaks sigma = 2;
+        at the default 1e-9 the row is out and the bound holds."""
+        region = PolyhedralSet.box([0.0, 5e-7], [2.0, 2.0])
+        smap, x = shifted_pair_scenarios(), [0.5, 0.0]
+        for feas_tol, passed in ((1e-9, True), (1e-6, False)):
+            rep = verify_error_bound(smap, CONE, region, x, 2.0, 0.5, resolution=21,
+                                     feas_tol=feas_tol)
+            worst, brute_passed, witness = brute_error_bound(smap, CONE, region, x, 2.0, 0.5,
+                                                             21, feas_tol=feas_tol)
+            assert (rep.max_violation, rep.passed) == (worst, brute_passed)
+            assert rep.passed is passed
+        assert rep.witness.tolist() == witness.tolist() == [0.25, 0.0]
+        scan = grid_scan(Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                                 ordering_cone=CONE, constraint_cone=CONE, region=region,
+                                 scenarios=smap), [0.0, -0.5], [1.0, 0.5], 21, feas_tol=1e-6)
+        assert scan.feasible[scan.points[:, 1] == 0.0].sum() == 11
+
     def test_tied_violations_keep_the_first_witness(self):
         """Solv is the columns i >= 15.  The merit is large on the leftmost
         tested column i = 5 and constant on the others, so every tested
@@ -604,3 +627,13 @@ class TestErrorBoundTransform:
         diff *= diff
         assert np.array_equal(_tie_shell_min(pts, _distance_passes(mask), tested),
                               diff.sum(axis=2).min(axis=1))
+
+
+class TestHalton:
+    def test_axes_take_the_first_primes(self):
+        """Axis j is the radical inverse in the (j + 1)-th prime, so the first
+        point, index 1, is 1 / p_j on every axis, past the former 12-prime
+        table too; a longer point keeps the shorter one's axes."""
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        assert halton(1, 16)[0].tolist() == [1.0 / p for p in primes]
+        assert np.array_equal(halton(40, 13, seed=2)[:, :12], halton(40, 12, seed=2))

@@ -31,15 +31,15 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
                                 replay_certificate, slater_check)
 from rvopt.cli import main
 from rvopt.errors import PreconditionError
-from rvopt.firstorder import (ACTIVE_TOL, check_upper_subgradient, contingent_cone,
-                              upper_subgradient_candidate)
+from rvopt.firstorder import check_upper_subgradient, upper_subgradient_candidate
+from rvopt.problem import ACTIVE_TOL
 from rvopt.regularity import local_error_bound
 from rvopt.reporting import verdict
 from rvopt.sampling import ball_points, sphere_directions
 from rvopt.simplex import OPTIMAL, LinearProgram, solve_lp
 
 from conftest import (KINDS, SCENARIO_COUNTS, boundary_points, grid_cases,
-                      merit_cases, synthetic_problem)
+                      merit_cases, synthetic_problem, tangent_rows)
 
 
 
@@ -297,7 +297,7 @@ class TestOneActivityRule:
         """At the 139 harness points the reading equals, bit for bit, the C
         activity m_j . (A_w x + b_w) <= ACTIVE_TOL of the evaluated images,
         the slope mask built from it with the moving test max|m_j A_w| >
-        ACTIVE_TOL, and the rows of contingent_cone(region, x), zero sign
+        ACTIVE_TOL, and the tangent rows of conftest.tangent_rows, zero sign
         bits included."""
         cases = grid_cases() + synthetic_cases()
         assert len(cases) == 139
@@ -311,7 +311,7 @@ class TestOneActivityRule:
             assert np.array_equal(reading.solv[:count], active.ravel()), label
             assert np.array_equal(reading.slopes,
                                   active & np.any(active & moving, axis=1)[:, None]), label
-            tangent = contingent_cone(problem.region, x).rows
+            tangent = tangent_rows(problem.region, x)
             assert reading.tangent.shape == tangent.shape, label
             assert reading.tangent.tobytes() == tangent.tobytes(), label
 
@@ -335,7 +335,7 @@ class TestOneActivityRule:
 
     def test_certificates_refuse_points_outside_the_region(self):
         """Every certificate reading the tangent rows raises outside the
-        region, as contingent_cone does."""
+        region, where Problem.activity reads none."""
         problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
                           ordering_cone=Cone.orthant(2), constraint_cone=Cone.orthant(2),
                           region=PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]),
