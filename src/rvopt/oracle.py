@@ -8,14 +8,16 @@ calculus.  Dominance uses the interior of the ordering cone with a small
 absolute margin; efficiency uses the punctured cone, so the efficient set
 is always contained in the weakly efficient set.
 
-The comparison is exhaustive in result but blocked in execution: objective
-values and region membership are evaluated for the whole lattice at once,
-feasible points are sorted by their first order-row value, and each block
-of lattice points is compared, one order row at a time, only with the
-sorted prefix that can still improve on some point of the block.  Float
-subtraction is monotone, so skipping the rest changes no mask or count
-(see ``grid_scan``).  Weak-hit masks cover the block's feasible points
-only.  The scan table formats each distinct value once per block of rows.
+The comparison is exhaustive in result but made in rank space: objective
+values and region membership are evaluated for the whole lattice at once;
+float subtraction is monotone, so per order row the feasible values that
+pass a point's gap test are a prefix of that row's sorted distinct
+values, and the feasible points passing every row are the AND of
+bit-packed prefix sets, one gathered row per order row (counting
+dominance by sorted prefixes: Kung, Luccio & Preparata, J. ACM 1975).
+Prefix tables and hit sets stay within one byte budget, so memory does
+not grow with the square of the feasible count.  The scan table formats
+each distinct value once per block of rows.
 """
 
 import warnings
@@ -24,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Cone
-from .errors import PreconditionError
+from .errors import DimensionError, PreconditionError
 from .problem import Problem
 from .sampling import grid_points
 
 DOMINANCE_MARGIN = 1e-9
-_BLOCK_ENTRIES = 1 << 18   # entries per dominance-pass buffer: 2 MiB of float gaps
-_CSV_BLOCK_ROWS = 1 << 9   # scan-table rows formatted per write
+_BLOCK_BYTES = 1 << 21     # bytes of a chunk's prefix tables; hit-set blocks take 1/8
+_CSV_BLOCK_ROWS = 1 << 11  # scan-table rows formatted per write
+# position of a byte's first set bit, counting from bit 7 as np.packbits does
+_LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
 
 
 def _interior_gaps(cone: Cone, fx, others) -> np.ndarray:
@@ -97,6 +101,11 @@ def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
         res_tuple = (int(resolution),) * lo.size
     else:
         res_tuple = tuple(int(r) for r in resolution)
+    n = problem.domain_dim
+    if not lo.size == hi.size == len(res_tuple) == n:
+        raise DimensionError(f"the lattice of a problem in dimension {n} needs {n} lo, "
+                             f"hi and resolution entries, got {lo.size}, {hi.size} "
+                             f"and {len(res_tuple)}")
     if min(res_tuple) < 3:
         raise PreconditionError("grid resolution must be at least 3 per axis")
     if np.prod(res_tuple) > 1_000_000:
@@ -113,21 +122,21 @@ def grid_scan(problem: Problem, lo, hi, resolution,
               feas_tol: float = 1e-9, margin: float = DOMINANCE_MARGIN) -> GridScan:
     """Feasibility, weak efficiency, and efficiency masks on a lattice.
 
-    A lattice point is feasible when it lies in the region and its merit
-    is at most ``feas_tol``.  Given masks F (feasible) and values f, a
-    point is weakly efficient when no feasible lattice point improves on it
-    into the interior of the ordering cone, and efficient when no other
-    feasible lattice point improves into the punctured cone;
-    ``dominance_count`` counts, for every lattice point, the feasible
-    points that improve on it into the interior.
+    lo, hi and a per-axis resolution need one entry per variable
+    (DimensionError otherwise).  A lattice point is feasible when it lies
+    in the region and its merit is at most ``feas_tol``.  Given masks F
+    (feasible) and values f, a point is weakly efficient when no feasible
+    lattice point improves on it into the interior of the ordering cone,
+    and efficient when no other feasible lattice point improves into the
+    punctured cone; ``dominance_count`` counts, for every lattice point,
+    the feasible points that improve on it into the interior.
 
-    The pairwise pass is blocked: feasible points are sorted by their first
-    order-row value fp0, lattice points are taken in blocks in the same
-    order, and a block is compared only with the sorted prefix where
-    max_block_proj0 - fp0 >= -margin.  The prefix is exact because float
-    a - b is monotone in b: every later feasible point fails the weak test
-    (and so the strict one) on the first order row for every point of the
-    block.  The results equal those of comparing every pair.
+    The pass works in rank space (``_dominance_pass``).  Float a - b is
+    monotone in b, so per order row the feasible values b with
+    a - b >= margin (or >= -margin) are a prefix of the row's sorted
+    distinct values, found with that very float test; the feasible points
+    that pass every row are the AND of bit-packed prefix sets.  The masks
+    and counts equal those of comparing every pair, bit for bit.
     """
     lo, hi, res_tuple, pts, values, phi, _, feasible = _sample_lattice(
         problem, lo, hi, resolution, feas_tol)
@@ -144,59 +153,108 @@ def _dominance_pass(proj, values, feasible, margin):
 
     Feasible j improves on point i strictly when every order-row gap
     proj[i] - proj[j] is >= margin, and weakly when every gap is >= -margin.
-    A block holds as many points as keep its (block, feasible) buffers
-    within _BLOCK_ENTRIES entries; its points are taken feasible first (no
-    result depends on the order within a block).  The strict mask is built
-    for every point and the weak-hit mask for the feasible ones only, one
-    order row at a time.  A feasible point is weakly efficient when its
-    count is 0, and efficient when none of its weak hits lies farther than
-    margin from it: each row's first hit (smallest fp0) is tested, and only
-    rows whose first hit lies within margin test all their hits.
+    Per order row, the feasible values that pass either test for point i
+    form a prefix of that row's sorted distinct values (``_prefix_counts``),
+    so the points passing all rows are the AND of one packed row per order
+    row of a prefix table (``_prefix_table``).  Feasible points, sorted by
+    their first order-row value, are taken in column chunks whose tables
+    fit _BLOCK_BYTES, and points in blocks whose gathered hit sets fit an
+    eighth of it, so that they stay in cache.  ``dominance_count`` is the popcount of the strict hit
+    set, and a feasible point is weakly efficient when it is 0.  A feasible
+    point is efficient when none of its weak hits lies farther than margin
+    from it: the first hit of each point (smallest first order-row value)
+    is tested, and only points whose first hit lies within margin test all
+    their hits; a point stops being tested once a far hit is found.
     """
-    n_pts = proj.shape[0]
-    eff = np.zeros(n_pts, dtype=bool)
+    n_pts, n_rows = proj.shape
     dom_count = np.zeros(n_pts, dtype=int)
     feas_idx = np.flatnonzero(feasible)
     if not feas_idx.size:
-        return np.zeros(n_pts, dtype=bool), eff, dom_count
+        return np.zeros(n_pts, dtype=bool), np.zeros(n_pts, dtype=bool), dom_count
     feas_idx = feas_idx[np.argsort(proj[feas_idx, 0], kind="stable")]
-    feas_proj = np.ascontiguousarray(proj[feas_idx].T)      # one row per order row
     feas_vals = values[feas_idx]
-    block_rows = max(1, _BLOCK_ENTRIES // feas_idx.size)
-    gap_buf = np.empty(block_rows * feas_idx.size)
-    strict_buf = np.empty(gap_buf.size, dtype=bool)
-    weak_buf = np.empty(gap_buf.size, dtype=bool)
-    order = np.argsort(proj[:, 0], kind="stable")
-    for start in range(0, n_pts, block_rows):
-        idx = order[start:start + block_rows]
-        idx = idx[np.argsort(~feasible[idx], kind="stable")]
-        n_feas = int(np.count_nonzero(feasible[idx]))
-        block = proj[idx]
-        # fmax skips NaN rows, whose gaps all compare false; one column at
-        # least, so that every row has a first column below
-        width = max(1, int(np.count_nonzero(
-            np.fmax.reduce(block[:, 0]) - feas_proj[0] >= -margin)))
-        gap, strict = (buf[:idx.size * width].reshape(idx.size, width)
-                       for buf in (gap_buf, strict_buf))
-        weak_gap = weak_buf[:n_feas * width].reshape(n_feas, width)
-        strict[...] = True
-        weak_gap[...] = True
-        for k in range(proj.shape[1]):
-            np.subtract(block[:, k, None], feas_proj[k, :width], out=gap)
-            strict &= gap >= margin
-            weak_gap &= gap[:n_feas] >= -margin
-        dom_count[idx] = np.count_nonzero(strict, axis=1)
-        first = np.argmax(weak_gap, axis=1)
-        far_first = weak_gap[np.arange(n_feas), first] & (np.linalg.norm(
-            values[idx[:n_feas]] - feas_vals[first], axis=1) > margin)
-        rows = np.flatnonzero(~far_first)
-        pair_row, pair_col = np.nonzero(weak_gap[rows])
-        far = np.linalg.norm(values[idx[rows[pair_row]]] - feas_vals[pair_col],
-                             axis=1) > margin
-        dominated = np.zeros(rows.size, dtype=bool)
-        dominated[pair_row[far]] = True
-        eff[idx[rows]] = ~dominated
+    ranks, sizes, strict_cuts, weak_cuts = [], [], [], []
+    for k in range(n_rows):
+        # a NaN sorts last and fails every test, so its rank is never counted
+        distinct, rank = np.unique(proj[feas_idx, k], return_inverse=True)
+        ranks.append(rank)
+        sizes.append(distinct.size)
+        strict_cuts.append(_prefix_counts(proj[:, k], distinct, margin))
+        weak_cuts.append(_prefix_counts(proj[feas_idx, k], distinct, -margin))
+    chunk = 8 * max(1, _BLOCK_BYTES // (sum(sizes) + n_rows))
+    dominated = np.zeros(feas_idx.size, dtype=bool)
+    for start in range(0, feas_idx.size, chunk):
+        cols = slice(start, start + chunk)
+        tables = [_prefix_table(rank[cols], size) for rank, size in zip(ranks, sizes)]
+        block = max(1, _BLOCK_BYTES // 8 // tables[0][0].nbytes)
+        for lo in range(0, n_pts, block):
+            rows = slice(lo, lo + block)
+            hits = _hit_sets(tables, strict_cuts, rows)
+            dom_count[rows] += np.bitwise_count(hits).sum(axis=1, dtype=int)
+        open_rows = np.flatnonzero(~dominated)
+        for lo in range(0, open_rows.size, block):
+            rows = open_rows[lo:lo + block]
+            hits = _hit_sets(tables, weak_cuts, rows).view(np.uint8)
+            dominated[rows] = _far_hits(hits, feas_vals, rows, start, margin)
+    eff = np.zeros(n_pts, dtype=bool)
+    eff[feas_idx] = ~dominated
     return feasible & (dom_count == 0), eff, dom_count
+
+
+def _prefix_counts(a, distinct, threshold):
+    """For each entry of ``a``, how many of the sorted ``distinct`` values b
+    have fl(a - b) >= threshold.  Float a - b is monotone in b, so those b
+    are a prefix; ``searchsorted`` places its end, and the same float test
+    moves each end until it holds.  A NaN entry counts 0."""
+    count = np.searchsorted(distinct, a - threshold, side="right")
+    count[np.isnan(a)] = 0
+    padded = np.concatenate(([np.nan], distinct, [np.nan]))   # NaN gaps fail
+    while (grow := a - padded[count + 1] >= threshold).any():
+        count += grow
+    while (shrink := (count > 0) & ~(a - padded[count] >= threshold)).any():
+        count -= shrink
+    return count
+
+
+def _prefix_table(rank, size):
+    """Packed bit sets over a chunk of points, in 64-bit words: row u holds
+    the points whose rank is below u, for u = 0..size; bit q is bit 7 - q % 8
+    of byte q // 8, as ``np.packbits`` sets it."""
+    table = np.zeros((size + 1, 8 * -(-rank.size // 64)), dtype=np.uint8)
+    col = np.arange(rank.size)
+    np.bitwise_or.at(table, (rank + 1, col >> 3), (0x80 >> (col & 7)).astype(np.uint8))
+    np.bitwise_or.accumulate(table, axis=0, out=table)
+    return table.view(np.uint64)
+
+
+def _hit_sets(tables, cuts, rows):
+    """Each point's hit set in the chunk: the AND over the order rows of its
+    prefix row."""
+    hits = tables[0][cuts[0][rows]]
+    for table, cut in zip(tables[1:], cuts[1:]):
+        hits &= table[cut[rows]]
+    return hits
+
+
+def _far_hits(hits, feas_vals, rows, start, margin):
+    """Which of the feasible points ``rows`` have a weak hit, among the
+    chunk's columns from ``start`` on, that lies farther than margin."""
+    first_byte = np.argmax(hits != 0, axis=1)
+    byte = hits[np.arange(rows.size), first_byte]
+    first = start + 8 * first_byte + _LEADING_ZEROS[byte]
+    has = byte != 0
+    far = np.zeros(rows.size, dtype=bool)
+    far[has] = np.linalg.norm(feas_vals[rows[has]] - feas_vals[first[has]],
+                              axis=1) > margin
+    listed = np.flatnonzero(has & ~far)
+    step = max(1, _BLOCK_BYTES // (64 * hits.shape[1]))
+    for lo in range(0, listed.size, step):
+        sub = listed[lo:lo + step]
+        pair_row, pair_col = np.nonzero(np.unpackbits(hits[sub], axis=1))
+        far_pair = np.linalg.norm(feas_vals[rows[sub[pair_row]]]
+                                  - feas_vals[start + pair_col], axis=1) > margin
+        far[sub[pair_row[far_pair]]] = True
+    return far
 
 
 # ===== penalization ======================================================

@@ -280,6 +280,15 @@ class TestScanCommands:
         assert (code, out) == (1, "")
         assert err == "error: --box expects lo hi pairs\n"
 
+    @pytest.mark.parametrize("argv", [["--box", "-1", "2", "-1", "2", "-1", "2", "--res", "5"],
+                                      ["--box", "-1", "2", "--res", "5"],
+                                      ["--box", "-1", "2", "-1", "2", "--res", "5", "7", "9"]])
+    def test_scan_rejects_a_lattice_of_another_dimension(self, problems_dir, argv):
+        code, out, err = run_cli(["scan", str(problems_dir / "e1.json"), *argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the lattice of a problem in dimension 2 needs 2 ")
+        assert err.count("\n") == 1
+
 
 class TestReportCommand:
     def test_stdout_is_json_plus_summary(self, problems_dir):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from rvopt.cones import ORTHANT, Cone
 from rvopt.docio import load_problem
-from rvopt.errors import PreconditionError
+from rvopt.errors import DimensionError, PreconditionError
 from rvopt import oracle
 from rvopt.firstorder import AffineObjective, PolyhedralSet, QuadraticObjective
 from rvopt.oracle import (check_penalization_transfer, grid_scan,
@@ -250,6 +251,16 @@ class TestGridScan:
         with pytest.raises(PreconditionError, match="at least 3"):
             grid_scan(quarter_box, [0.0, 0.0], [2.0, 2.0], 2)
 
+    @pytest.mark.parametrize("lo, hi, res", [([0.0] * 3, [2.0] * 3, 5),
+                                             ([0.0], [2.0], 5),
+                                             ([0.0, 0.0], [2.0, 2.0], (5, 7, 9)),
+                                             ([0.0, 0.0], [2.0], 5)])
+    def test_dimensions_must_match_the_problem(self, quarter_box, lo, hi, res):
+        with pytest.raises(DimensionError, match="dimension 2 needs 2"):
+            grid_scan(quarter_box, lo, hi, res)
+        with pytest.raises(DimensionError):
+            refute_efficiency(quarter_box, [1.0, 1.0], lo, hi, res)
+
     def test_point_cap(self, quarter_box):
         with pytest.raises(PreconditionError, match="cap"):
             grid_scan(quarter_box, [0.0, 0.0], [2.0, 2.0], 1001)
@@ -281,7 +292,7 @@ class TestGridScan:
         huge values, repeated in every block and across block boundaries,
         keep the bytes csv.writer writes; so do counts of two digits."""
         monkeypatch.setattr(oracle, "_CSV_BLOCK_ROWS", block_rows)
-        scan = grid_scan(quarter_box, [0.0, 0.0], [2.0, 2.0], 25)
+        scan = grid_scan(quarter_box, [0.0, 0.0], [2.0, 2.0], 49)
         assert scan.points.shape[0] > oracle._CSV_BLOCK_ROWS
         special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
                             -1e300, 0.1, 1.0 / 3.0, -0.0])
@@ -345,17 +356,18 @@ class TestBlockedScanMatchesLoop:
         scan = self.assert_same(make(), [-1.0, -1.0], [1.0, 1.0], 25)
         assert np.unique(scan.values, axis=0).shape[0] < scan.points.shape[0]
 
-    @pytest.mark.parametrize("entries", [1, 500])
-    def test_small_buffers(self, monkeypatch, entries):
-        """One lattice point per block, and blocks of a few points."""
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+    @pytest.mark.parametrize("budget", [1, 256])
+    def test_small_buffers(self, monkeypatch, budget):
+        """8-point column chunks with one lattice point per block, and chunks
+        of a few dozen points with blocks of a few."""
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
         self.assert_same(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0],
                          [2.0, 2.0], 21)
         self.assert_same(three_objective_problem(), np.zeros(3), np.full(3, 2.0), 7)
 
-    @pytest.mark.parametrize("entries", [1, 500, oracle._BLOCK_ENTRIES])
-    def test_feasibility_alternating_within_blocks(self, monkeypatch, entries):
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
+    @pytest.mark.parametrize("budget", [1, 256, oracle._BLOCK_BYTES])
+    def test_feasibility_alternating_within_blocks(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
         e1 = load_problem(PROBLEMS_DIR / "e1.json")
         problem = CheckerboardProblem(**{f.name: getattr(e1, f.name)
                                          for f in dataclasses.fields(e1)})
@@ -366,6 +378,108 @@ class TestBlockedScanMatchesLoop:
     def test_no_feasible_point(self, free_negative):
         scan = self.assert_same(free_negative, [1.0, 1.0], [2.0, 2.0], 11)
         assert not scan.feasible.any()
+
+
+def pairwise_pass(proj, values, feasible, margin):
+    """O(N·F) reference for the dominance pass: every point against every
+    feasible point, with the gap and distance tests written out."""
+    feas = np.flatnonzero(feasible)
+    weak = np.zeros(len(proj), dtype=bool)
+    eff = np.zeros(len(proj), dtype=bool)
+    count = np.zeros(len(proj), dtype=int)
+    for i in range(len(proj)):
+        gap = proj[i] - proj[feas]
+        count[i] = np.count_nonzero(np.all(gap >= margin, axis=1))
+        if feasible[i]:
+            weak[i] = count[i] == 0
+            far = np.linalg.norm(values[i] - values[feas], axis=1) > margin
+            eff[i] = not np.any(np.all(gap >= -margin, axis=1) & far)
+    return weak, eff, count
+
+
+class TestDominancePassFuzz:
+    """The rank-space pass against the pairwise reference on integer values
+    with 1e-9 jitter (ties and near-ties at exactly ±margin), NaN and ±inf
+    entries, 1 to 4 order rows, and small to tiny buffers."""
+
+    @staticmethod
+    def random_case(rng):
+        p = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 90))
+        values = rng.integers(-3, 4, size=(n, p)) \
+            + rng.integers(-2, 3, size=(n, p)) * 1e-9 * (rng.random((n, p)) < 0.5)
+        if rng.random() < 0.3:
+            values.flat[rng.integers(0, values.size, size=3)] = \
+                rng.choice([np.nan, np.inf, -np.inf], size=3)
+        rows = np.eye(p) if rng.random() < 0.5 else rng.integers(-1, 3, size=(p, p))
+        with np.errstate(invalid="ignore"):
+            proj = values @ rows.T
+        feasible = rng.random(n) < rng.choice([0.1, 0.5, 1.0])
+        return proj, values, feasible
+
+    @staticmethod
+    def assert_matches(proj, values, feasible, margin=1e-9):
+        with np.errstate(invalid="ignore"):
+            got = oracle._dominance_pass(proj, values, feasible, margin)
+            want = pairwise_pass(proj, values, feasible, margin)
+        for mask, ref in zip(got, want):
+            assert np.array_equal(mask, ref)
+
+    def test_prefix_counts_at_rounding_boundaries(self):
+        """fl(a - b) >= t can hold for b just above fl(a - t), and fail for
+        b just below it; the counts follow the float test, not the sort."""
+        tiny = np.nextafter(1e-9, np.inf) - 1e-9
+        grows = oracle._prefix_counts(np.array([np.nextafter(1e-9, np.inf)]),
+                                      np.array([np.nextafter(tiny, np.inf)]), 1e-9)
+        shrinks = oracle._prefix_counts(np.array([0.36159505490948474]),
+                                        np.array([0.36159505590948476]), -1e-9)
+        assert (grows[0], shrinks[0]) == (1, 0)
+        rng = np.random.default_rng(29)
+        for scale in 10.0 ** np.arange(-12, 17, 2):
+            base = rng.standard_normal(4) * scale
+            pool = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+                                   base + 1e-9, base - 1e-9, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+            distinct = np.unique(rng.choice(pool, size=12))
+            a = rng.choice(pool, size=40)
+            for threshold in (1e-9, -1e-9, 0.0):
+                with np.errstate(invalid="ignore"):
+                    passes = a[:, None] - distinct[None, :] >= threshold
+                    counts = oracle._prefix_counts(a, distinct, threshold)
+                assert np.array_equal(counts, passes.sum(axis=1))
+                assert np.array_equal(passes, np.arange(distinct.size) < counts[:, None])
+
+    @pytest.mark.parametrize("budget", [1, 64, oracle._BLOCK_BYTES])
+    def test_random_cases(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            proj, values, feasible = self.random_case(rng)
+            self.assert_matches(proj, values, feasible, margin=rng.choice([1e-9, 0.0, 0.5]))
+
+    def test_empty_and_single_feasible_sets(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            proj, values, feasible = self.random_case(rng)
+            self.assert_matches(proj, values, np.zeros_like(feasible))
+            single = np.zeros_like(feasible)
+            single[rng.integers(feasible.size)] = True
+            self.assert_matches(proj, values, single)
+
+
+class TestScanMemory:
+    def test_peak_stays_bounded_at_res_301(self):
+        """30,351 feasible points: the hit sets and prefix tables stay within
+        their byte budget instead of growing as F²."""
+        problem = load_problem(PROBLEMS_DIR / "e1.json")
+        tracemalloc.start()
+        try:
+            scan = grid_scan(problem, [-1.0, -1.0], [2.0, 2.0], 301)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(scan.feasible.sum()) == 30351
+        assert peak < 32 * 2**20
+        assert np.array_equal(scan.weak_efficient, scan.feasible & (scan.dominance_count == 0))
 
 
 class TestBatchedWitnesses:
