@@ -15,8 +15,7 @@ from .errors import (ConvergenceError, DimensionError, PreconditionError,
                      RepresentationError, ValidationError)
 from .firstorder import (AffineObjective, Fan, PolyhedralSet,
                          QuadraticObjective, fan_from_scenarios)
-from .oracle import (GridScan, check_penalization_transfer, grid_scan,
-                     refute_efficiency)
+from .oracle import GridScan, grid_scan, refute_efficiency
 from .problem import Problem
 from .regularity import (check_metric_increase, estimate_increase_bound,
                          verify_error_bound)
@@ -26,21 +25,20 @@ from .certificates import (Certificate, check_penalization_condition,
                            estimate_order_lipschitz, multiplier_certificate,
                            qualification_check, scalarized_fan_certificate)
 from .reporting import run_report, render_report, write_report
-from .scenarios import PointCloud, ScenarioMap, excess, hausdorff
+from .scenarios import ScenarioMap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineObjective", "Certificate", "Cone", "ConvergenceError",
-    "DimensionError", "Fan", "GridScan", "PointCloud", "PolyhedralSet",
-    "PreconditionError", "Problem", "QuadraticObjective",
-    "RepresentationError", "ScenarioMap", "Tolerances", "ValidationError",
-    "check_metric_increase", "check_penalization_condition",
-    "check_penalization_transfer", "check_tangential_condition",
+    "DimensionError", "Fan", "GridScan", "PolyhedralSet", "PreconditionError",
+    "Problem", "QuadraticObjective", "RepresentationError", "ScenarioMap",
+    "Tolerances", "ValidationError", "check_metric_increase",
+    "check_penalization_condition", "check_tangential_condition",
     "convex_scalarized_certificate", "estimate_increase_bound",
-    "estimate_order_lipschitz", "excess", "fan_from_scenarios", "grid_scan",
-    "hausdorff", "load_problem", "multiplier_certificate",
-    "problem_from_document", "problem_to_document", "qualification_check",
-    "refute_efficiency", "render_report", "run_report", "save_problem",
+    "estimate_order_lipschitz", "fan_from_scenarios", "grid_scan",
+    "load_problem", "multiplier_certificate", "problem_from_document",
+    "problem_to_document", "qualification_check", "refute_efficiency",
+    "render_report", "run_report", "save_problem",
     "scalarized_fan_certificate", "verify_error_bound", "write_report",
 ]

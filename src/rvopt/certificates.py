@@ -26,6 +26,7 @@ weak efficiency whenever the accompanying qualification check passes.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class Certificate:
     atoms: tuple = ()
 
 
-@dataclass(frozen=True)
-class KLipschitzEstimate:
+class KLipschitzEstimate(NamedTuple):
     """Sampled order-Lipschitz bound: f(x1) - f(x2) + ell |x1-x2| e stays in
     the ordering cone for all sampled pairs."""
 
@@ -78,12 +78,11 @@ class KLipschitzEstimate:
     pair_count: int
 
 
-@dataclass(frozen=True)
-class QualificationReport:
+class QualificationReport(NamedTuple):
     passed: bool
     margin: float
     witness: np.ndarray | None
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple = ()
     applicable: bool = True     # False where the Slater variant does not apply
 
 
@@ -142,15 +141,6 @@ def order_lipschitz_bound(problem: Problem, x, radius: float) -> float:
         hessians = np.einsum("jk,kab->jab", rows, quads + quads.transpose(0, 2, 1))
         grads = grads + radius * np.linalg.norm(hessians, 2, axis=(1, 2))
     return float(np.max(grads / (rows @ problem.direction)))
-
-
-def order_lipschitz_holds(problem: Problem, x1, x2, ell: float,
-                          tol: float = 1e-9) -> bool:
-    """Direct test of the order-Lipschitz inclusion for one pair."""
-    gap = float(np.linalg.norm(np.asarray(x1, float) - np.asarray(x2, float)))
-    diff = problem.objective.value(x1) - problem.objective.value(x2)
-    return problem.ordering_cone.contains(diff + ell * gap * problem.direction,
-                                          tol=tol)
 
 
 def _region_activity(problem: Problem, x) -> Activity:

@@ -25,11 +25,22 @@ from .reporting import (EXIT_CONSISTENT, EXIT_ERROR, EXIT_INCONCLUSIVE,
                         verdict, write_report)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=0,
                         help="sampling seed of increase (default 0)")
-    parent.add_argument("--tol-scale", type=float, default=1.0,
+    parent.add_argument("--tol-scale", type=_finite_float, default=1.0,
                         help="scale on the feasibility tolerance (default 1)")
     return parent
 
@@ -62,43 +73,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merit", parents=[common],
                        help="constraint merit value at a point")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True,
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True,
                    metavar="X", help="evaluation point")
 
     p = sub.add_parser("feasible", parents=[common],
                        help="membership in the robust feasible set")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True, metavar="X")
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True, metavar="X")
 
     p = sub.add_parser("increase", parents=[common],
                        help="sampled metric increase check")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True, metavar="X")
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True, metavar="X")
+    p.add_argument("--alpha", type=_finite_float, default=None,
                    help="increase factor to test (default: estimate)")
-    p.add_argument("--delta", type=float, default=0.5,
+    p.add_argument("--delta", type=_finite_float, default=0.5,
                    help="neighborhood radius (default 0.5)")
 
     p = sub.add_parser("errorbound", parents=[common],
                        help="lattice check of the merit error bound")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True, metavar="X")
-    p.add_argument("--sigma", type=float, required=True,
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True, metavar="X")
+    p.add_argument("--sigma", type=_finite_float, required=True,
                    help="descent constant")
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=_finite_float, default=0.5)
     p.add_argument("--res", type=int, default=41, help="grid resolution")
 
     p = sub.add_parser("certify", parents=[common],
                        help="first-order certificates at a point")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True, metavar="X")
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True, metavar="X")
     p.add_argument("--skip-cq", action="store_true",
                    help="do not run the qualification check")
 
     p = sub.add_parser("scan", parents=[common],
                        help="brute-force lattice efficiency scan")
     p.add_argument("file")
-    p.add_argument("--box", type=float, nargs="+", required=True,
+    p.add_argument("--box", type=_finite_float, nargs="+", required=True,
                    metavar="B", help="bounds as lo hi pairs, one per axis")
     p.add_argument("--res", type=int, nargs="+", default=[41],
                    help="grid resolution (one value or one per axis)")
@@ -107,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="full staged audit of a point")
     p.add_argument("file")
-    p.add_argument("--at", type=float, nargs="+", required=True, metavar="X")
+    p.add_argument("--at", type=_finite_float, nargs="+", required=True, metavar="X")
     p.add_argument("--out", default=None, help="write the report here")
     p.add_argument("--skip-cq", action="store_true")
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=_finite_float, default=0.5)
 
     return parser
 

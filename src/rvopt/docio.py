@@ -8,6 +8,7 @@ load is field-identical.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class Tolerances:
     feasibility: float = 1e-9
 
     def scaled(self, factor: float) -> "Tolerances":
-        if factor <= 0.0:
-            raise ValidationError("tolerances: scale factor must be positive")
+        if not 0.0 < factor < np.inf:
+            raise ValidationError("tolerances: scale factor must be positive and finite")
         return Tolerances(feasibility=self.feasibility * factor)
 
 
@@ -41,14 +42,20 @@ def _require(doc: dict, field: str, path: str = ""):
     return doc[field]
 
 
+def _finite(value) -> bool:
+    """A number (not a bool) that a float holds finitely: no NaN, no
+    infinity, no integer past the float range."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and abs(value) <= sys.float_info.max
+
+
 def _number_list(value, label: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{label}: expected a list of numbers")
     out = []
     for i, entry in enumerate(value):
-        if entry is None or isinstance(entry, bool) \
-                or not isinstance(entry, (int, float)):
-            raise ValidationError(f"{label}[{i}]: expected a number")
+        if not _finite(entry):
+            raise ValidationError(f"{label}[{i}]: expected a finite number")
         out.append(float(entry))
     return out
 
@@ -112,8 +119,8 @@ def _objective_from_document(doc) -> AffineObjective | QuadraticObjective:
             quads.append(_matrix(_require(comp, "Q", label), f"{label}.Q"))
             lins.append(_number_list(_require(comp, "j", label), f"{label}.j"))
             const = _require(comp, "c", label)
-            if isinstance(const, bool) or not isinstance(const, (int, float)):
-                raise ValidationError(f"{label}.c: expected a number")
+            if not _finite(const):
+                raise ValidationError(f"{label}.c: expected a finite number")
             consts.append(float(const))
         return QuadraticObjective(np.array(quads), np.array(lins),
                                   np.array(consts))
@@ -136,9 +143,9 @@ def _region_from_document(doc) -> PolyhedralSet:
             for i, v in enumerate(values):
                 if v is None:
                     out.append(fill)
-                elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValidationError(f"s.{label}[{i}]: expected a number "
-                                          "or null")
+                elif not _finite(v):
+                    raise ValidationError(f"s.{label}[{i}]: expected a finite "
+                                          "number or null")
                 else:
                     out.append(float(v))
             return out
@@ -231,9 +238,8 @@ def tolerances_from_document(doc: dict) -> Tolerances:
         if key != "feasibility":
             raise ValidationError(f"tolerances.{key}: unknown field")
         value = section[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0.0:
-            raise ValidationError(f"tolerances.{key}: expected a positive number")
+        if not _finite(value) or value <= 0.0:
+            raise ValidationError(f"tolerances.{key}: expected a finite positive number")
     return Tolerances(**{k: float(v) for k, v in section.items()})
 
 
@@ -253,9 +259,16 @@ def problem_to_document(problem: Problem) -> dict:
     return doc
 
 
+def _non_finite_literal(name: str):
+    raise ValidationError(f"parse error: {name} is not a JSON number; "
+                          "numbers must be finite")
+
+
 def parse_document(text: str) -> dict:
+    """Parse strict JSON: the NaN and Infinity literals that Python's json
+    module accepts are refused."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_non_finite_literal)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"parse error at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc

@@ -8,21 +8,21 @@ are kept as the sampled reference for :func:`certificates.merit_is_flat`.
 
 A fan is a positively homogeneous convex-valued map generated by a matrix
 bundle: H(u) = conv{L_1 u, ..., L_p u}.  For finite affine scenario
-families the bundle of scenario matrices is an exact outer prederivative
-of the constraint map, which ``check_outer_prederivative`` verifies by
-sampling.
+families the bundle of distinct scenario matrices is an exact outer
+prederivative of the constraint map; the certificates read it through
+:attr:`Problem.preimage_rows`.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .cones import (Cone, _norms, _readonly, _unit_rows, least_distance_point,
-                    nearest_hull_point, project_many)
+from .cones import Cone, _norms, _readonly, _unit_rows, least_distance_point, project_many
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
-from .scenarios import PointCloud, ScenarioMap
+from .scenarios import ScenarioMap
 
 
 # ===== ambient sets ======================================================
@@ -170,9 +170,6 @@ class AffineObjective:
         del x
         return self.jac
 
-    def directional(self, x, v) -> np.ndarray:
-        return self.jac @ np.asarray(v, dtype=float).ravel()
-
     def to_document(self) -> dict:
         return {"kind": "affine", "J": self.jac.tolist(), "c": self.offset.tolist()}
 
@@ -227,9 +224,6 @@ class QuadraticObjective:
         x = np.asarray(x, dtype=float).ravel()
         return np.einsum("kij,j->ki", self.quads + self.quads.transpose(0, 2, 1), x) + self.lins
 
-    def directional(self, x, v) -> np.ndarray:
-        return self.jacobian(x) @ np.asarray(v, dtype=float).ravel()
-
     def to_document(self) -> dict:
         return {"kind": "quadratic",
                 "components": [{"Q": self.quads[k].tolist(),
@@ -254,8 +248,7 @@ def upper_subgradient_candidate(phi, x, step: float = 1e-5) -> np.ndarray:
     return (values[:x.size] - values[x.size:]) / (2.0 * step)
 
 
-@dataclass(frozen=True)
-class SubgradientCheck:
+class SubgradientCheck(NamedTuple):
     passed: bool
     worst_violation: float
     witness: np.ndarray | None
@@ -316,14 +309,6 @@ class Fan:
     def domain_dim(self) -> int:
         return self.bundle.shape[2]
 
-    def image_vertices(self, u) -> PointCloud:
-        u = np.asarray(u, dtype=float).ravel()
-        return PointCloud(self.bundle @ u)
-
-    def lipschitz_bound(self) -> float:
-        """max_i ||bundle[i]||, the largest spectral norm."""
-        return float(max(np.linalg.norm(mat, 2) for mat in self.bundle))
-
     def to_document(self) -> dict:
         return {"bundle": self.bundle.tolist()}
 
@@ -335,54 +320,6 @@ def fan_from_scenarios(scenario_map: ScenarioMap) -> Fan:
     mats = scenario_map.mats
     flat = mats.reshape(mats.shape[0], -1) + 0.0
     return Fan(mats[np.sort(np.unique(flat, axis=0, return_index=True)[1])])
-
-
-def polytope_distance(point, vertices) -> float:
-    """Distance from a point to conv(vertices): the length of the hull
-    point nearest to it (:func:`cones.nearest_hull_point` of the offsets
-    v_i - point).  The nearest vertex is taken too, so exact vertex hits
-    give 0."""
-    point = np.asarray(point, dtype=float).ravel()
-    offsets = np.atleast_2d(np.asarray(vertices, dtype=float)) - point
-    best = float(np.min(np.linalg.norm(offsets, axis=1)))
-    return min(best, float(np.linalg.norm(nearest_hull_point(offsets)[0])))
-
-
-@dataclass(frozen=True)
-class PrederivativeReport:
-    residual: float
-    passed: bool
-    witness: np.ndarray | None
-
-
-def check_outer_prederivative(scenario_map: ScenarioMap, x, fan: Fan,
-                              eps: float = 0.0, radius: float = 0.5,
-                              samples: int = 32, seed: int = 0,
-                              tol: float = 1e-9) -> PrederivativeReport:
-    """Sampled residual of the outer prederivative inclusion
-
-        G(y)  subset of  G(x) + H(y - x) + eps |y - x| B
-
-    over points y near x.  For affine scenario families with the full
-    scenario bundle the residual is exactly zero.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    base = scenario_map.evaluate(x)
-    worst, witness = -np.inf, None
-    if radius <= 0.0 or samples <= 0:
-        return PrederivativeReport(residual=0.0, passed=True, witness=None)
-    for y in ball_points(x, radius, samples, seed=seed):
-        u = y - x
-        verts = fan.image_vertices(u).points
-        gap = 0.0
-        for z in scenario_map.evaluate(y).points:
-            gap = max(gap, min(polytope_distance(z - q, verts)
-                               for q in base.points))
-        slack = gap - eps * float(np.linalg.norm(u))
-        if slack > worst:
-            worst, witness = slack, y
-    return PrederivativeReport(residual=worst, passed=worst <= tol,
-                               witness=None if worst <= tol else witness)
 
 
 def sampled_cone_directions(cone: Cone, count: int = 64, seed: int = 0) -> np.ndarray:

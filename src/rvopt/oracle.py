@@ -1,5 +1,4 @@
-"""Brute-force lattice oracles: Pareto scans, penalization transfer and
-refutation search.
+"""Brute-force lattice oracles: Pareto scans and refutation search.
 
 These are the ground-truth side of the package: dominance is decided by
 exhaustive pairwise comparison on a lattice, so the first-order
@@ -20,8 +19,8 @@ not grow with the square of the feasible count.  The scan table formats
 each distinct value once per block of rows.
 """
 
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,60 +256,7 @@ def _far_hits(hits, feas_vals, rows, start, margin):
     return far
 
 
-# ===== penalization ======================================================
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    passed: bool
-    dominator: np.ndarray | None
-    ell: float
-    sigma: float
-
-
-def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
-                                lo, hi, resolution,
-                                margin: float = DOMINANCE_MARGIN,
-                                feas_tol: float = 1e-9) -> TransferReport:
-    """Does the reference point stay weakly efficient when the constraint is
-    replaced by the merit penalty?
-
-    Precondition: the point is weakly efficient for the constrained lattice
-    scan.  The check then drops the constraint, keeps the region, and looks
-    for a lattice point whose penalized value f + (ell / sigma) merit e
-    improves on the reference into the interior of the ordering cone.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    _, _, _, pts, values, _, in_region, feasible = _sample_lattice(
-        problem, lo, hi, resolution, feas_tol)
-    fx = problem.objective.value(x)
-    if not problem.feasible(x, tol=feas_tol):
-        raise PreconditionError("reference point is not feasible")
-    if np.any(_interior_gaps(problem.ordering_cone, fx, values[feasible]) >= margin):
-        raise PreconditionError("reference point is not weakly efficient "
-                                "on the constrained lattice")
-    if sigma <= 0.0:
-        raise PreconditionError("penalization needs sigma > 0")
-    if ell < 0.0:
-        raise PreconditionError("penalty weight must be nonnegative")
-    if ell == 0.0:
-        warnings.warn("penalization with ell = 0 is degenerate", stacklevel=2)
-
-    def penalized(points):
-        return problem.objective.value_many(points) \
-            + (ell / sigma) * problem.merit_many(points)[:, None] * problem.direction
-
-    region_pts = pts[in_region]
-    beats = _interior_gaps(problem.ordering_cone, penalized(x[None])[0],
-                           penalized(region_pts)) >= margin
-    if beats.any():
-        return TransferReport(passed=False, dominator=region_pts[np.argmax(beats)],
-                              ell=ell, sigma=sigma)
-    return TransferReport(passed=True, dominator=None, ell=ell, sigma=sigma)
-
-
-@dataclass(frozen=True)
-class RefutationResult:
+class RefutationResult(NamedTuple):
     witness: np.ndarray | None
     searched: int
     note: str

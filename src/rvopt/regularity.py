@@ -38,7 +38,6 @@ minimum over every feasible point.
 """
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 from typing import NamedTuple
@@ -58,8 +57,7 @@ SUBSET_BUDGET = 256        # bases of the active rows the modulus may try
 _CHUNK_ENTRIES = 1 << 18   # entries per difference or distance buffer: 2 MiB
 
 
-@dataclass(frozen=True)
-class IncreaseReport:
+class IncreaseReport(NamedTuple):
     alpha_tested: float
     radius: float
     passed: bool
@@ -67,8 +65,7 @@ class IncreaseReport:
     alpha_hat: float
 
 
-@dataclass(frozen=True)
-class ErrorBoundReport:
+class ErrorBoundReport(NamedTuple):
     sigma: float
     radius: float
     slack: float
@@ -103,8 +100,7 @@ def check_metric_increase(scenario_map: ScenarioMap, cone: Cone,
                           witness=samples.pairs[failed], alpha_hat=1.0)
 
 
-@dataclass(frozen=True)
-class _IncreaseSamples:
+class _IncreaseSamples(NamedTuple):
     """The alpha-independent part of the increase check, one entry per
     (probe, r) pair in checking order: ``images[k, c, w]`` is A_w z_c + b_w
     for candidate step c of pair k (candidate 0 is the probe itself) and
@@ -141,7 +137,7 @@ def _increase_samples(scenario_map, region, x, radius, seed, point_samples=12,
     # images[k, c, w] = A_w z_c + b_w, each rounded like ScenarioMap.evaluate
     images = (np.matmul(scenario_map.mats[None, None], candidates[:, :, None, :, None])[..., 0]
               + scenario_map.offsets)
-    base = np.repeat([scenario_map.evaluate(p).points for p in probes], radius_levels, axis=0)
+    base = np.repeat([scenario_map.evaluate(p) for p in probes], radius_levels, axis=0)
     return _IncreaseSamples(pairs=pairs, radii=radii, images=images, base=base,
                             sphere=sphere_directions(scenario_map.image_dim,
                                                      boundary_dirs, seed=seed))

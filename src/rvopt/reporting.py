@@ -23,6 +23,7 @@ from .certificates import (HOLDS, LP_INFEASIBLE, VIOLATED,
                            qualification_check, scalarized_fan_certificate,
                            slater_check)
 from .docio import Tolerances, problem_to_document
+from .errors import DimensionError, PreconditionError
 from .oracle import refute_efficiency
 from .problem import ACTIVE_TOL, Problem
 from .regularity import SUBSET_BUDGET, local_error_bound
@@ -156,8 +157,14 @@ class _Pipeline:
 
 def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
                tolerances: Tolerances | None = None) -> dict:
-    """Full audit of a reference point; returns the report document."""
+    """Full audit of a reference point; returns the report document.  A point
+    of another dimension raises DimensionError, and a radius that is not
+    positive and finite PreconditionError, before any stage runs."""
     x = np.asarray(x, dtype=float).ravel()
+    if x.size != problem.domain_dim:
+        raise DimensionError(f"expected a point of dim {problem.domain_dim}")
+    if not 0.0 < radius < np.inf:
+        raise PreconditionError("report needs a finite radius > 0")
     tol = tolerances if tolerances is not None else Tolerances()
     options = {"radius": radius, "oracle_resolution": ORACLE_RESOLUTION,
                "skip_cq": skip_cq, "tolerances": {"feasibility": tol.feasibility}}
@@ -252,9 +259,8 @@ def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
     hi = x + radius
     pipe.run("oracle", {"lo": lo.tolist(), "hi": hi.tolist(),
                         "resolution": ORACLE_RESOLUTION}, lambda: {
-        "result": vars(refute_efficiency(problem, x, lo, hi,
-                                         ORACLE_RESOLUTION,
-                                         feas_tol=tol.feasibility))})
+        "result": refute_efficiency(problem, x, lo, hi, ORACLE_RESOLUTION,
+                                    feas_tol=tol.feasibility)._asdict()})
 
     return _finish(problem, x, options, pipe, audit, certs, cq_passed)
 

@@ -1,8 +1,9 @@
 """Finite families of affine maps and the merit function they induce.
 
 An uncertain constraint mapping is a finite family x |-> {A_w x + b_w}.
-Its image at a point is a finite point cloud, and the merit of a point
-against a constraint cone is the excess of that cloud over the cone:
+Its image at a point is the (w, m) array of scenario images, one row per
+scenario, and the merit of a point against a constraint cone is the
+largest distance from one of them to the cone:
 
     merit(x) = max_w dist(A_w x + b_w, cone),
 
@@ -17,27 +18,6 @@ import numpy as np
 
 from .cones import Cone, distance_many
 from .errors import DimensionError
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """A finite set of points in a common space, stored row-wise."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        pts = np.array(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,11 +55,12 @@ class ScenarioMap:
     def domain_dim(self) -> int:
         return self.mats.shape[2]
 
-    def evaluate(self, x) -> PointCloud:
+    def evaluate(self, x) -> np.ndarray:
+        """The scenario images A_w x + b_w, one row per scenario: (w, m)."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.domain_dim:
             raise DimensionError(f"expected a point of dim {self.domain_dim}")
-        return PointCloud(self.mats @ x + self.offsets)
+        return self.mats @ x + self.offsets
 
     def merit(self, cone: Cone, x) -> float:
         """Excess of the scenario image over the cone; 0 iff all scenarios fit."""
@@ -103,31 +84,3 @@ class ScenarioMap:
     def to_document(self) -> list:
         return [{"A": self.mats[w].tolist(), "b": self.offsets[w].tolist()}
                 for w in range(self.scenario_count)]
-
-
-def _point_set_distance(z: np.ndarray, cloud: PointCloud) -> float:
-    return float(np.min(np.linalg.norm(cloud.points - z[None, :], axis=1)))
-
-
-def excess(cloud: PointCloud, target) -> float:
-    """sup over the cloud of the distance to ``target``.
-
-    ``target`` may be a Cone, another PointCloud, or a (PointCloud, Cone)
-    pair standing for the Minkowski sum of the two: the distance from z to
-    {p} + C is dist(z - p, C), minimized over the cloud.
-    """
-    if isinstance(target, Cone):
-        return float(np.max(distance_many(target, cloud.points)))
-    if isinstance(target, PointCloud):
-        return float(max(_point_set_distance(z, target) for z in cloud.points))
-    base, cone = target
-    diffs = cloud.points[:, None, :] - base.points
-    dist = distance_many(cone, diffs.reshape(-1, cloud.dim)).reshape(diffs.shape[:-1])
-    return float(np.max(np.min(dist, axis=1), initial=0.0))
-
-
-def hausdorff(a: PointCloud, b: PointCloud) -> float:
-    """Hausdorff distance between two point clouds."""
-    if a.dim != b.dim:
-        raise DimensionError("clouds live in different spaces")
-    return max(excess(a, b), excess(b, a))

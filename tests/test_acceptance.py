@@ -20,13 +20,11 @@ from rvopt import (
     PolyhedralSet,
     Problem,
     ScenarioMap,
-    check_penalization_transfer,
     check_tangential_condition,
     estimate_increase_bound,
     estimate_order_lipschitz,
     fan_from_scenarios,
     grid_scan,
-    hausdorff,
     load_problem,
     multiplier_certificate,
     problem_from_document,
@@ -37,9 +35,11 @@ from rvopt import (
 )
 from rvopt.cli import main as cli_main
 from rvopt.docio import load_document
-from rvopt.firstorder import check_outer_prederivative, polytope_distance
 from rvopt.cones import _nnls
 from rvopt.simplex import OPTIMAL, LinearProgram, solve_lp
+
+from setvalued import (check_outer_prederivative, check_penalization_transfer, hausdorff,
+                       image_vertices, lipschitz_bound, polytope_distance)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -305,23 +305,23 @@ def test_criterion_09_prederivative_exactness(announce):
             # sampled fan axioms: homogeneity, convex values, subadditivity
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
-            np.testing.assert_allclose(fan.image_vertices(2.5 * u).points,
-                                       2.5 * fan.image_vertices(u).points,
+            np.testing.assert_allclose(image_vertices(fan, 2.5 * u),
+                                       2.5 * image_vertices(fan, u),
                                        atol=1e-12)
-            verts = fan.image_vertices(u).points
+            verts = image_vertices(fan, u)
             mid = 0.5 * (verts[0] + verts[-1])
             assert polytope_distance(mid, verts) <= 1e-9
-            sum_verts = (fan.image_vertices(u).points[:, None, :]
-                         + fan.image_vertices(v).points[None, :, :])
+            sum_verts = (image_vertices(fan, u)[:, None, :]
+                         + image_vertices(fan, v)[None, :, :])
             sum_verts = sum_verts.reshape(-1, m)
-            for vertex in fan.image_vertices(u + v).points:
+            for vertex in image_vertices(fan, u + v):
                 assert polytope_distance(vertex, sum_verts) <= 1e-9
 
-            bound = fan.lipschitz_bound()
+            bound = lipschitz_bound(fan)
             for _pair in range(100):
                 a = rng.standard_normal(n)
                 b = rng.standard_normal(n)
-                gap = hausdorff(fan.image_vertices(a), fan.image_vertices(b))
+                gap = hausdorff(image_vertices(fan, a), image_vertices(fan, b))
                 assert gap <= bound * np.linalg.norm(a - b) + 1e-8
 
 

@@ -17,13 +17,13 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, INTERIOR_MARGIN, LP_INFEASI
                                 check_tangential_condition, convex_scalarized_certificate,
                                 estimate_order_lipschitz, merit_slopes,
                                 multiplier_certificate, order_lipschitz_bound,
-                                order_lipschitz_holds, qualification_check, replay_certificate,
+                                qualification_check, replay_certificate,
                                 scalarized_fan_certificate, slater_check)
 from rvopt.cones import Cone, cone_generators, distance_many, least_distance_point
 from rvopt.docio import load_problem, save_problem
 from rvopt.errors import PreconditionError, RepresentationError
 from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, QuadraticObjective,
-                              fan_from_scenarios, polytope_distance, sampled_cone_directions)
+                              fan_from_scenarios, sampled_cone_directions)
 from rvopt.problem import ACTIVE_TOL, Problem, max_margin_point
 from rvopt.regularity import local_error_bound
 from rvopt.reporting import run_report
@@ -34,6 +34,7 @@ from rvopt.simplex import INFEASIBLE, OPTIMAL, LinearProgram, feasibility, solve
 from conftest import (PROBLEMS_DIR, SCENARIO_COUNTS, boundary_points, grid_cases,
                       merge_directions, merit_cases, negated_scenario, ray_cone_r5_problem,
                       synthetic_problem, tangent_rows)
+from setvalued import order_lipschitz_holds, polytope_distance
 from test_verdict import certify_code, exact_weakly_efficient, synthetic_cases
 
 BENCH_CASES = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
@@ -58,7 +59,7 @@ def reference_slopes(problem, x, dirs):
     or 0, and the distance is the least over those that lie in T_w."""
     rows = problem.constraint_cone.facets()
     slopes = np.zeros(len(dirs))
-    for mat, image in zip(problem.scenarios.mats, problem.scenarios.evaluate(x).points):
+    for mat, image in zip(problem.scenarios.mats, problem.scenarios.evaluate(x)):
         active = rows[rows @ image <= ACTIVE_TOL]
         for i, d in enumerate(dirs):
             u = mat @ d
@@ -175,7 +176,7 @@ def sampled_convex_certificate(problem, x, sigma, ell):
         gens = np.zeros((0, x.size))
     dirs = merge_directions(gens, sampled_cone_directions(tangent, 64, seed=0))
     beta = ell / sigma
-    vectors = np.array([problem.objective.directional(x, v) + beta * slope * problem.direction
+    vectors = np.array([problem.objective.jacobian(x) @ v + beta * slope * problem.direction
                         for v, slope in zip(dirs, merit_slopes(problem, x, dirs))])
     vectors = vectors.reshape(-1, problem.ordering_cone.dim)
     y, u = dual_vector_lp(problem, vectors)
@@ -1223,7 +1224,7 @@ def sampled_directional(problem, x, dirs, gens):
     if dirs.shape[0] == 0:
         return (HOLDS if gens is not None else INCONCLUSIVE), 0.0
     rows = problem.ordering_cone.facets()
-    worst = max(float(np.min(rows @ (-problem.objective.directional(x, v)))) for v in dirs)
+    worst = max(float(np.min(rows @ (-(problem.objective.jacobian(x) @ v)))) for v in dirs)
     if worst > INTERIOR_MARGIN:
         return VIOLATED, worst
     return (INCONCLUSIVE if worst > LP_SLACK else HOLDS), worst

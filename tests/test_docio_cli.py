@@ -8,6 +8,7 @@ through the in-memory model without losing a field.
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from rvopt import (
     AffineObjective,
     Cone,
+    DimensionError,
     PolyhedralSet,
+    PreconditionError,
     Problem,
     ScenarioMap,
     ValidationError,
@@ -377,6 +380,28 @@ class TestReportCommand:
                 if s["status"] in ("skipped", "error")] == [("penalization", "skipped")]
         assert run_cli(["certify"] + argv)[0] == code
 
+    @pytest.mark.parametrize("rest, message", [
+        (["--at", "1"], "expected a point of dim 2"),
+        (["--at", "0.5", "1", "2"], "expected a point of dim 2"),
+        (["--at", "0.5", "1", "--radius", "0"], "report needs a finite radius > 0"),
+        (["--at", "0.5", "1", "--radius", "-1"], "report needs a finite radius > 0"),
+    ])
+    def test_reference_and_radius_are_checked_before_any_stage(self, problems_dir,
+                                                               rest, message):
+        """A point of the wrong dimension exits 1 as certify does, not 3
+        with a merit stage error; a radius of 0 or less scans no copies of
+        x or reversed boxes."""
+        path = str(problems_dir / "e1.json")
+        assert run_cli(["report", path, *rest]) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+    def test_library_radius_must_be_positive_and_finite(self, problems_dir, radius):
+        problem = load_problem(problems_dir / "e1.json")
+        with pytest.raises(PreconditionError, match="radius > 0"):
+            run_report(problem, [0.5, 1.0], radius=radius)
+        with pytest.raises(DimensionError, match="dim 2"):
+            run_report(problem, [0.5])
+
     def test_written_report_is_deterministic(self, tmp_path, problems_dir):
         path = str(problems_dir / "e2.json")
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -482,6 +507,73 @@ class TestMalformedDocuments:
         code, out, err = run_cli(["increase", str(path), "--at"] + ["0.5"] * n)
         assert (code, err) == (0, "")
         assert out.startswith("increase estimate alpha ")
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinities are refused wherever a number enters: document
+    literals, in-memory documents, every float flag and the tolerance
+    scale.  Each case exits 1 with one error line."""
+
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ('"J": [[1, 0]', '"J": [[NaN, 0]', ["--at", "0.5", "1"],
+         "parse error: NaN is not a JSON number; numbers must be finite"),
+        ('"c": [0, 0]', '"c": [-Infinity, 0]', ["--at", "0.5", "1"],
+         "parse error: -Infinity is not a JSON number; numbers must be finite"),
+        ('"version"', '"tolerances": {"feasibility": Infinity}, "version"',
+         ["--at", "5", "-7"],
+         "parse error: Infinity is not a JSON number; numbers must be finite"),
+        ('"J": [[1, 0]', '"J": [[1e999, 0]', ["--at", "0.5", "1"],
+         "objective.J[0][0]: expected a finite number"),
+        ('"version"', '"tolerances": {"feasibility": 1e999}, "version"',
+         ["--at", "5", "-7"], "tolerances.feasibility: expected a finite positive number"),
+    ])
+    def test_document_numbers(self, tmp_path, problems_dir, old, new, argv, message):
+        text = json.dumps(load_document(problems_dir / "e1.json"))
+        assert old in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(old, new, 1))
+        assert run_cli(["certify", str(path), *argv]) == (1, "", f"error: {message}\n")
+
+    EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objective", {"kind": "affine", "J": [[1.0, 0.0], [0.0, np.nan]], "c": [0.0, 0.0]},
+         "objective.J[1][1]: expected a finite number"),
+        ("scenarios", [{"A": EYE, "b": [np.inf, 0.0]}],
+         "scenarios[0].b[0]: expected a finite number"),
+        ("s", {"kind": "box", "lo": [-np.inf, 0.0], "hi": [1.0, 1.0]},
+         "s.lo[0]: expected a finite number or null"),
+        ("objective", {"kind": "quadratic",
+                       "components": [{"Q": EYE, "j": [0.0, 0.0], "c": np.nan}]},
+         "objective.components[0].c: expected a finite number"),
+    ])
+    def test_in_memory_documents(self, problems_dir, field, value, message):
+        doc = load_document(problems_dir / "e1.json")
+        doc[field] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            problem_from_document(doc)
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["errorbound", "e1.json", "--at", "0.5", "1", "--sigma", "nan"], "--sigma", "nan"),
+        (["report", "e1.json", "--at", "0.5", "1", "--radius", "nan"], "--radius", "nan"),
+        (["certify", "e1.json", "--at", "5", "-7", "--tol-scale", "inf"], "--tol-scale", "inf"),
+        (["merit", "e1.json", "--at", "nan", "1"], "--at", "nan"),
+        (["feasible", "e1.json", "--at", "0.5", "1e999"], "--at", "1e999"),
+        (["scan", "e1.json", "--box", "-1", "nan", "-1", "2"], "--box", "nan"),
+        (["increase", "e1.json", "--at", "0.5", "1", "--alpha", "nan"], "--alpha", "nan"),
+        (["increase", "e1.json", "--at", "0.5", "1", "--delta", "inf"], "--delta", "inf"),
+    ])
+    def test_float_flags(self, problems_dir, argv, flag, value):
+        argv = [str(problems_dir / a) if a == "e1.json" else a for a in argv]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"rvopt {argv[0]}: error: argument {flag}: expected a finite number, got {value!r}"]
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_tolerance_scale(self, factor):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            Tolerances().scaled(factor)
 
 
 class TestParserBuiltOnce:

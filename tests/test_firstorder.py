@@ -7,14 +7,15 @@ from numpy.testing import assert_allclose
 from rvopt.cones import Cone, project_many
 from rvopt.errors import DimensionError, PreconditionError
 from rvopt.firstorder import (AffineObjective, Fan, PolyhedralSet, QuadraticObjective,
-                              check_outer_prederivative, check_upper_subgradient,
-                              fan_from_scenarios, polytope_distance, sampled_cone_directions,
-                              upper_subgradient_candidate)
+                              check_upper_subgradient, fan_from_scenarios,
+                              sampled_cone_directions, upper_subgradient_candidate)
 from rvopt.problem import Problem
 from rvopt.sampling import ball_points, sphere_directions
-from rvopt.scenarios import ScenarioMap, excess, hausdorff
+from rvopt.scenarios import ScenarioMap
 
 from conftest import merge_directions, merit_cases, shifted_pair_scenarios
+from setvalued import (check_outer_prederivative, excess, hausdorff, image_vertices,
+                       lipschitz_bound, polytope_distance)
 
 
 def fan_preimage_cone(fan, cone):
@@ -206,17 +207,17 @@ class TestObjectives:
     def test_affine_directional_is_linear_map(self):
         obj = AffineObjective([[1.0, 2.0], [0.0, 1.0]], [3.0, -1.0])
         assert_allclose(obj.value([1.0, 1.0]), [6.0, 0.0])
-        assert_allclose(obj.directional([9.0, 9.0], [1.0, -1.0]), [-1.0, -1.0])
+        assert_allclose(obj.jacobian([9.0, 9.0]) @ [1.0, -1.0], [-1.0, -1.0])
 
     def test_quadratic_directional_matches_finite_difference(self):
         """d/dt of x1^2 at (1, 0) along (1, 0) is 2."""
         obj = QuadraticObjective(quads=[[[1.0, 0.0], [0.0, 0.0]]],
                                  lins=[[0.0, 0.0]], consts=[0.0])
         x, v = np.array([1.0, 0.0]), np.array([1.0, 0.0])
-        assert_allclose(obj.directional(x, v), [2.0])
+        assert_allclose(obj.jacobian(x) @ v, [2.0])
         t = 1e-6
         fd = (obj.value(x + t * v) - obj.value(x)) / t
-        assert_allclose(obj.directional(x, v), fd, atol=1e-5)
+        assert_allclose(obj.jacobian(x) @ v, fd, atol=1e-5)
 
     def test_directional_positively_homogeneous(self):
         rng = np.random.default_rng(32)
@@ -225,8 +226,8 @@ class TestObjectives:
                                  consts=rng.standard_normal(2))
         x, v = rng.standard_normal(3), rng.standard_normal(3)
         for t in (0.5, 2.0, 7.0):
-            assert_allclose(obj.directional(x, t * v),
-                            t * obj.directional(x, v), rtol=1e-12)
+            assert_allclose(obj.jacobian(x) @ (t * v),
+                            t * (obj.jacobian(x) @ v), rtol=1e-12)
 
     def test_quadratic_jacobian_for_nonsymmetric_q(self):
         """x^T Q x with Q = [[0, 1], [0, 0]] is x1 x2, whose gradient at
@@ -408,37 +409,36 @@ class TestFans:
 
     def test_image_vertices(self):
         fan = Fan(np.array([np.eye(2), 2.0 * np.eye(2)]))
-        cloud = fan.image_vertices([1.0, 0.0])
-        assert_allclose(cloud.points, [[1.0, 0.0], [2.0, 0.0]])
+        assert_allclose(image_vertices(fan, [1.0, 0.0]), [[1.0, 0.0], [2.0, 0.0]])
 
     def test_lipschitz_bound_is_max_norm(self):
         fan = Fan(np.array([np.eye(2), np.diag([1.0, 3.0])]))
-        assert fan.lipschitz_bound() == pytest.approx(3.0, abs=1e-9)
+        assert lipschitz_bound(fan) == pytest.approx(3.0, abs=1e-9)
 
     def test_fan_axioms_on_samples(self):
         """Positive homogeneity, 0 in H(0), and additivity up to hulls."""
         rng = np.random.default_rng(33)
         fan = Fan(rng.standard_normal((3, 2, 2)))
-        assert_allclose(fan.image_vertices(np.zeros(2)).points,
+        assert_allclose(image_vertices(fan, np.zeros(2)),
                         np.zeros((3, 2)), atol=1e-12)
         for _ in range(20):
             u, w = rng.standard_normal((2, 2))
             for t in (0.5, 2.0):
-                assert_allclose(fan.image_vertices(t * u).points,
-                                t * fan.image_vertices(u).points, rtol=1e-12)
+                assert_allclose(image_vertices(fan, t * u),
+                                t * image_vertices(fan, u), rtol=1e-12)
             # H(u + w) vertices lie inside H(u) + H(w) vertex sums
-            sums = (fan.image_vertices(u).points[:, None, :]
-                    + fan.image_vertices(w).points[None, :, :]).reshape(-1, 2)
-            for z in fan.image_vertices(u + w).points:
+            sums = (image_vertices(fan, u)[:, None, :]
+                    + image_vertices(fan, w)[None, :, :]).reshape(-1, 2)
+            for z in image_vertices(fan, u + w):
                 assert polytope_distance(z, sums) <= 1e-9
 
     def test_hausdorff_lipschitz_inequality(self):
         rng = np.random.default_rng(34)
         fan = Fan(rng.standard_normal((3, 2, 2)))
-        bound = fan.lipschitz_bound()
+        bound = lipschitz_bound(fan)
         for _ in range(100):
             u, w = rng.standard_normal((2, 2))
-            gap = hausdorff(fan.image_vertices(u), fan.image_vertices(w))
+            gap = hausdorff(image_vertices(fan, u), image_vertices(fan, w))
             assert gap <= bound * np.linalg.norm(u - w) + 1e-8
 
     def test_empty_bundle_rejected(self):

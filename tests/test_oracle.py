@@ -13,13 +13,13 @@ from rvopt.docio import load_problem
 from rvopt.errors import DimensionError, PreconditionError
 from rvopt import oracle
 from rvopt.firstorder import AffineObjective, PolyhedralSet, QuadraticObjective
-from rvopt.oracle import (check_penalization_transfer, grid_scan,
-                          refute_efficiency, strictly_dominates)
+from rvopt.oracle import grid_scan, refute_efficiency, strictly_dominates
 from rvopt.problem import Problem
 from rvopt.sampling import grid_points
 from rvopt.scenarios import ScenarioMap
 
 from conftest import PROBLEMS_DIR, shifted_pair_scenarios
+from setvalued import check_penalization_transfer
 
 ROOT2 = np.sqrt(2.0)
 SIGMA = 0.704046875  # certified descent constant for the shifted pair

@@ -86,12 +86,12 @@ def increase_oracle(smap, cone, region, x, alpha, radius, point_samples,
     steps = sphere_directions(x.size, step_dirs)
     sphere = sphere_directions(smap.image_dim, boundary_dirs)
     for probe in probes:
-        base = smap.evaluate(probe).points
+        base = smap.evaluate(probe)
         for k in range(radius_levels):
             r = radius * 0.75 / 2.0 ** k
             candidates = [probe] + [region.project(probe + r * d) for d in steps]
             if not any(all(min(cone.distance(g + alpha * r * s - q) for q in base) <= r + tol
-                           for g in smap.evaluate(z).points for s in sphere)
+                           for g in smap.evaluate(z) for s in sphere)
                        for z in candidates):
                 return False, (probe, r)
     return True, None
@@ -133,7 +133,7 @@ def increase_pair_loop(smap, cone, region, x, alpha, radius, point_samples,
     steps = sphere_directions(x.size, step_dirs)
     sphere = sphere_directions(smap.image_dim, boundary_dirs)
     for probe in probes:
-        base = smap.evaluate(probe).points
+        base = smap.evaluate(probe)
         for k in range(radius_levels):
             r = radius * 0.75 / 2.0 ** k
             cands = np.array([probe] + [region.project(probe + r * d) for d in steps])

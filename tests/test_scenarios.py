@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 from rvopt.cones import Cone
 from rvopt.errors import DimensionError
 from rvopt.firstorder import fan_from_scenarios
-from rvopt.scenarios import PointCloud, ScenarioMap, excess, hausdorff
+from rvopt.scenarios import ScenarioMap
 
 from conftest import shifted_pair_scenarios
+from setvalued import excess, hausdorff, lipschitz_bound
 
 
 def orthant_distance(z):
@@ -29,9 +30,9 @@ def merit_by_hand(scenario_map, x):
 class TestEvaluate:
     def test_shifted_pair_images(self):
         smap = shifted_pair_scenarios()
-        cloud = smap.evaluate([1.0, 1.0])
-        assert_allclose(cloud.points, [[1.0, 1.0], [0.5, 1.0]])
-        assert cloud.size == 2 and cloud.dim == 2
+        images = smap.evaluate([1.0, 1.0])
+        assert images.shape == (2, 2)
+        assert_allclose(images, [[1.0, 1.0], [0.5, 1.0]])
 
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
@@ -120,7 +121,7 @@ class TestMerit:
         smap = ScenarioMap(mats=np.array([[[2.0, 0.0], [0.0, 1.0]],
                                           [[1.0, 1.0], [0.0, 1.0]]]),
                            offsets=np.array([[0.0, -1.0], [0.5, 0.0]]))
-        lip = fan_from_scenarios(smap).lipschitz_bound()
+        lip = lipschitz_bound(fan_from_scenarios(smap))
         assert lip == pytest.approx(2.0, abs=1e-9)
         rng = np.random.default_rng(24)
         cone = Cone.orthant(2)
@@ -141,35 +142,35 @@ class TestMerit:
 
 class TestSetDistances:
     def test_excess_over_cone(self):
-        cloud = PointCloud([[-1.0, 0.0], [0.0, -2.0]])
+        cloud = np.array([[-1.0, 0.0], [0.0, -2.0]])
         assert excess(cloud, Cone.orthant(2)) == pytest.approx(2.0)
 
     def test_excess_over_cloud(self):
-        a = PointCloud([[0.0, 0.0], [1.0, 0.0]])
-        b = PointCloud([[0.0, 0.0]])
+        a = np.array([[0.0, 0.0], [1.0, 0.0]])
+        b = np.array([[0.0, 0.0]])
         assert excess(a, b) == pytest.approx(1.0)
         assert excess(b, a) == pytest.approx(0.0)
 
     def test_excess_over_minkowski_sum(self):
         """dist to {p} + orthant can use either anchor point."""
-        base = PointCloud([[0.0, 0.0], [2.0, -1.0]])
-        cloud = PointCloud([[2.0, -0.5]])
+        base = np.array([[0.0, 0.0], [2.0, -1.0]])
+        cloud = np.array([[2.0, -0.5]])
         assert excess(cloud, (base, Cone.orthant(2))) == pytest.approx(0.0)
-        below = PointCloud([[-1.0, -1.0]])
+        below = np.array([[-1.0, -1.0]])
         assert excess(below, (base, Cone.orthant(2))) == pytest.approx(np.sqrt(2.0))
 
     def test_hausdorff_two_singletons(self):
-        a = PointCloud([[0.0, 0.0]])
-        b = PointCloud([[3.0, 4.0]])
+        a = np.array([[0.0, 0.0]])
+        b = np.array([[3.0, 4.0]])
         assert hausdorff(a, b) == pytest.approx(5.0)
 
     def test_hausdorff_symmetry_and_identity(self):
         rng = np.random.default_rng(25)
-        a = PointCloud(rng.standard_normal((5, 3)))
-        b = PointCloud(rng.standard_normal((4, 3)))
+        a = np.array(rng.standard_normal((5, 3)))
+        b = np.array(rng.standard_normal((4, 3)))
         assert hausdorff(a, b) == pytest.approx(hausdorff(b, a))
         assert hausdorff(a, a) == 0.0
 
     def test_hausdorff_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            hausdorff(PointCloud([[0.0, 0.0]]), PointCloud([[0.0, 0.0, 0.0]]))
+            hausdorff(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0, 0.0]]))

@@ -279,7 +279,7 @@ class TestMeritSlopes:
             problem = synthetic_problem("halfspaces", w)
             smap = problem.scenarios
             for x in boundary_points(problem, w):
-                moved = -np.minimum(smap.evaluate(x).points @ rows.T, 0.0) @ rows
+                moved = -np.minimum(smap.evaluate(x) @ rows.T, 0.0) @ rows
                 exact = dataclasses.replace(
                     problem, scenarios=ScenarioMap(smap.mats, smap.offsets + moved))
                 quotient = (exact.merit_many(x + 1e-4 * dirs) - exact.merit(x)) / 1e-4
@@ -304,7 +304,7 @@ class TestOneActivityRule:
         for label, problem, x in cases:
             reading = problem.activity(x)
             rows, smap = problem.constraint_cone.facets(), problem.scenarios
-            active = smap.evaluate(x).points @ rows.T <= ACTIVE_TOL
+            active = smap.evaluate(x) @ rows.T <= ACTIVE_TOL
             moving = np.any(np.abs(np.matmul(rows, smap.mats)) > ACTIVE_TOL, axis=2)
             count = problem.solv_rows[2]
             assert moving.all() and count == moving.size, label
