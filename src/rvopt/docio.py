@@ -29,6 +29,10 @@ class Tolerances:
 
     feasibility: float = 1e-9
 
+    def __post_init__(self):
+        if not 0.0 < self.feasibility < np.inf:
+            raise ValidationError("tolerances.feasibility: expected a finite positive number")
+
     def scaled(self, factor: float) -> "Tolerances":
         if not 0.0 < factor < np.inf:
             raise ValidationError("tolerances: scale factor must be positive and finite")
@@ -237,8 +241,7 @@ def tolerances_from_document(doc: dict) -> Tolerances:
     for key in section:
         if key != "feasibility":
             raise ValidationError(f"tolerances.{key}: unknown field")
-        value = section[key]
-        if not _finite(value) or value <= 0.0:
+        if not _finite(section[key]):
             raise ValidationError(f"tolerances.{key}: expected a finite positive number")
     return Tolerances(**{k: float(v) for k, v in section.items()})
 
@@ -266,12 +269,18 @@ def _non_finite_literal(name: str):
 
 def parse_document(text: str) -> dict:
     """Parse strict JSON: the NaN and Infinity literals that Python's json
-    module accepts are refused."""
+    module accepts are refused, and so is an integer literal longer than
+    Python's int-conversion digit limit."""
     try:
         return json.loads(text, parse_constant=_non_finite_literal)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"parse error at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+    except ValidationError:
+        raise
+    except ValueError as exc:       # int() past sys.get_int_max_str_digits()
+        raise ValidationError(f"parse error: an integer literal exceeds "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def load_document(path) -> dict:

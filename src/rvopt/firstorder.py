@@ -70,12 +70,19 @@ class PolyhedralSet:
         return bool(self.contains_many(np.asarray(x, dtype=float).reshape(1, -1), tol=tol)[0])
 
     def contains_many(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Membership of each row of ``points``, within ``tol``."""
+        """Membership of each row of ``points``, within ``tol``.  A box is
+        tested one coordinate column at a time into one mask, which avoids
+        numpy's slow reduction over rows of a few entries; the comparisons
+        are those of the row-wise rule, so the mask is the same."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionError(f"expected rows of dim {self.dim}")
         if self.kind == "box":
-            return np.all(pts >= self.lo - tol, axis=1) & np.all(pts <= self.hi + tol, axis=1)
+            inside, test = np.ones(pts.shape[0], dtype=bool), np.empty(pts.shape[0], dtype=bool)
+            for column, lo, hi in zip(pts.T, self.lo - tol, self.hi + tol):
+                inside &= np.greater_equal(column, lo, out=test)
+                inside &= np.less_equal(column, hi, out=test)
+            return inside
         # stacked matrix-vector products round each row as ``a @ x`` does
         slack = np.matmul(self.a[None], pts[:, :, None])[..., 0] - self.b
         return np.max(slack, axis=1) <= tol

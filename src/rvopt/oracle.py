@@ -14,9 +14,10 @@ pass a point's gap test are a prefix of that row's sorted distinct
 values, and the feasible points passing every row are the AND of
 bit-packed prefix sets, one gathered row per order row (counting
 dominance by sorted prefixes: Kung, Luccio & Preparata, J. ACM 1975).
-Prefix tables and hit sets stay within one byte budget, so memory does
-not grow with the square of the feasible count.  The scan table formats
-each distinct value once per block of rows.
+Prefix tables and hit sets stay within the lattice kernels' WORK_BYTES,
+so memory does not grow with the square of the feasible count.  The scan
+table formats each distinct value, and each distinct tuple of its integer
+fields, once per block of rows.
 """
 
 from dataclasses import dataclass
@@ -24,13 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import Cone
+from .cones import Cone, work_rows
 from .errors import DimensionError, PreconditionError
 from .problem import Problem
 from .sampling import grid_points
 
 DOMINANCE_MARGIN = 1e-9
-_BLOCK_BYTES = 1 << 21     # bytes of a chunk's prefix tables; hit-set blocks take 1/8
 _CSV_BLOCK_ROWS = 1 << 11  # scan-table rows formatted per write
 # position of a byte's first set bit, counting from bit 7 as np.packbits does
 _LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
@@ -66,30 +66,38 @@ class GridScan:
 
     def to_csv(self, path) -> None:
         """The scan table in the csv module's default dialect: floats as
-        ``repr``, masks as 0/1, rows ended by CRLF; written in row blocks."""
+        ``repr``, masks as 0/1, rows ended by CRLF; written in row blocks.
+        The four integer fields of a row are one int64 key, 8 * count +
+        4 * efficient + 2 * weak + feasible, formatted once per distinct key."""
         n, m = self.points.shape[1], self.values.shape[1]
         header = [f"x{i + 1}" for i in range(n)] + ["merit", "feasible",
                                                     "weak_efficient", "efficient",
                                                     "dominance_count"] \
             + [f"f{k + 1}" for k in range(m)]
-        counts = (self.feasible, self.weak_efficient, self.efficient, self.dominance_count)
+        key = ((self.dominance_count.astype(np.int64) * 2 + self.efficient) * 2
+               + self.weak_efficient) * 2 + self.feasible
         with open(path, "w", newline="") as handle:
             handle.write(",".join(header) + "\r\n")
             for start in range(0, self.points.shape[0], _CSV_BLOCK_ROWS):
                 rows = slice(start, start + _CSV_BLOCK_ROWS)
-                columns = ([*self.points[rows].T, self.merit[rows]]
-                           + [col[rows].astype(np.int64) for col in counts]
-                           + [*self.values[rows].T])
-                lines = map(",".join, zip(*map(_formatted, columns)))
-                handle.write("\r\n".join(lines) + "\r\n")
+                fields = ([_formatted(col) for col in (*self.points[rows].T, self.merit[rows])]
+                          + [_formatted(key[rows], _count_fields)]
+                          + [_formatted(col) for col in self.values[rows].T])
+                handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
-def _formatted(column) -> list:
-    """``repr`` of each entry of a float64 or int64 column, called once per
+def _formatted(column, text=repr) -> list:
+    """``text`` of each entry of a float64 or int64 column, called once per
     distinct bit pattern in the block (so -0.0 and 0.0 stay apart)."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(column.dtype).tolist()], dtype=object)
-    return text[inverse].tolist()
+    distinct = np.array([text(v) for v in bits.view(column.dtype).tolist()], dtype=object)
+    return distinct[inverse].tolist()
+
+
+def _count_fields(key: int) -> str:
+    """The feasible,weak_efficient,efficient,dominance_count fields of a
+    scan-table key."""
+    return f"{key & 1},{key >> 1 & 1},{key >> 2 & 1},{key >> 3}"
 
 
 def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
@@ -107,8 +115,6 @@ def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
                              f"and {len(res_tuple)}")
     if min(res_tuple) < 3:
         raise PreconditionError("grid resolution must be at least 3 per axis")
-    if np.prod(res_tuple) > 1_000_000:
-        raise PreconditionError("grid exceeds the 1e6 point cap")
     pts = grid_points(lo, hi, resolution)
     values = problem.objective.value_many(pts)
     phi = problem.merit_many(pts)
@@ -157,13 +163,14 @@ def _dominance_pass(proj, values, feasible, margin):
     so the points passing all rows are the AND of one packed row per order
     row of a prefix table (``_prefix_table``).  Feasible points, sorted by
     their first order-row value, are taken in column chunks whose tables
-    fit _BLOCK_BYTES, and points in blocks whose gathered hit sets fit an
-    eighth of it, so that they stay in cache.  ``dominance_count`` is the popcount of the strict hit
-    set, and a feasible point is weakly efficient when it is 0.  A feasible
-    point is efficient when none of its weak hits lies farther than margin
-    from it: the first hit of each point (smallest first order-row value)
-    is tested, and only points whose first hit lies within margin test all
-    their hits; a point stops being tested once a far hit is found.
+    fit WORK_BYTES, and points in blocks whose gathered hit sets fit it
+    too, so that they stay in cache.  ``dominance_count`` is the
+    popcount of the strict hit set, and a feasible point is weakly
+    efficient when it is 0.  A feasible point is efficient when none of its
+    weak hits lies farther than margin from it: the first hit of each point
+    (smallest first order-row value) is tested, and only points whose first
+    hit lies within margin test all their hits; a point stops being tested
+    once a far hit is found.
     """
     n_pts, n_rows = proj.shape
     dom_count = np.zeros(n_pts, dtype=int)
@@ -180,12 +187,12 @@ def _dominance_pass(proj, values, feasible, margin):
         sizes.append(distinct.size)
         strict_cuts.append(_prefix_counts(proj[:, k], distinct, margin))
         weak_cuts.append(_prefix_counts(proj[feas_idx, k], distinct, -margin))
-    chunk = 8 * max(1, _BLOCK_BYTES // (sum(sizes) + n_rows))
+    chunk = 8 * work_rows(sum(sizes) + n_rows)
     dominated = np.zeros(feas_idx.size, dtype=bool)
     for start in range(0, feas_idx.size, chunk):
         cols = slice(start, start + chunk)
         tables = [_prefix_table(rank[cols], size) for rank, size in zip(ranks, sizes)]
-        block = max(1, _BLOCK_BYTES // 8 // tables[0][0].nbytes)
+        block = work_rows(tables[0][0].nbytes)
         for lo in range(0, n_pts, block):
             rows = slice(lo, lo + block)
             hits = _hit_sets(tables, strict_cuts, rows)
@@ -246,7 +253,7 @@ def _far_hits(hits, feas_vals, rows, start, margin):
     far[has] = np.linalg.norm(feas_vals[rows[has]] - feas_vals[first[has]],
                               axis=1) > margin
     listed = np.flatnonzero(has & ~far)
-    step = max(1, _BLOCK_BYTES // (64 * hits.shape[1]))
+    step = work_rows(64 * hits.shape[1])
     for lo in range(0, listed.size, step):
         sub = listed[lo:lo + step]
         pair_row, pair_col = np.nonzero(np.unpackbits(hits[sub], axis=1))

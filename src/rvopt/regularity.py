@@ -29,12 +29,13 @@ Whether some step passes is still decided exactly for every pair.
 The error bound needs the distance from each tested lattice point to the
 feasible sublattice.  An exact separable distance transform gives every
 lattice point its integer squared index distance D to that sublattice,
-with O(N R n) integer work for N lattice points, R per axis, in place of
-the O(N |Solv|) float work of comparing every pair.  Feasible points at a
-larger integer distance are at least one squared spacing farther away,
-far more than any rounding error.  So the float distance is the minimum
-over the feasible points at exactly D, and it equals, bit for bit, the
-minimum over every feasible point.
+with O(N R (n - 1)) integer work for N lattice points, R per axis (the
+first axis takes O(N)), in place of the O(N |Solv|) float work of
+comparing every pair.  Feasible points at a larger integer distance are
+at least one squared spacing farther away, far more than any rounding
+error.  So the float distance is the minimum over the feasible points at
+exactly D, and it equals, bit for bit, the minimum over every feasible
+point.
 """
 
 import functools
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import Cone, distance_many
+from .cones import Cone, distance_many, work_rows
 from .errors import PreconditionError
 from .firstorder import PolyhedralSet
 from .problem import Problem, max_margin_point
@@ -54,7 +55,6 @@ from .scenarios import ScenarioMap
 INCREASE_FLOOR = 1.0 + 1e-3
 INCREASE_CAP = 10.0
 SUBSET_BUDGET = 256        # bases of the active rows the modulus may try
-_CHUNK_ENTRIES = 1 << 18   # entries per difference or distance buffer: 2 MiB
 
 
 class IncreaseReport(NamedTuple):
@@ -175,12 +175,12 @@ def _candidate_passes(samples, cone, alpha, tol, pairs, candidates):
     """Yield (chunk, passes) over the index array ``pairs`` in order, where
     ``passes[i, j]`` tells whether candidate j of the slice ``candidates``
     keeps the enlarged images of pair chunk[i] within r + tol of its
-    G(probe) + C on every sampled boundary point.  Chunks hold at most
-    _CHUNK_ENTRIES difference entries (but at least one pair), one
-    distance call each."""
+    G(probe) + C on every sampled boundary point.  Chunks' float
+    differences fit WORK_BYTES (but hold at least one pair), one distance
+    call each."""
     images = samples.images[:, candidates]
-    per_pair = images[0].size * samples.sphere.shape[0] * samples.base.shape[1]
-    step = max(1, _CHUNK_ENTRIES // per_pair)
+    per_pair = images[0].nbytes * samples.sphere.shape[0] * samples.base.shape[1]
+    step = work_rows(per_pair)
     for start in range(0, pairs.size, step):
         chunk = pairs[start:start + step]
         r = samples.radii[chunk]
@@ -307,7 +307,8 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     offset o with |o|^2 = D.  The float distance is the smallest one over
     the tie shell (``_tie_shell_min``), computed with the same arithmetic
     as a comparison with every point.  The witness is the first largest
-    violation in row-major lattice order.
+    violation in row-major lattice order.  A lattice of more than
+    LATTICE_CAP points, the oracle's cap, is refused before it is built.
     """
     if sigma <= 0.0:
         raise PreconditionError("sigma must be positive")
@@ -325,8 +326,13 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
     feasible = in_region & (phi <= feas_tol)
     if not feasible.any():
         raise PreconditionError("no feasible lattice points within the radius")
-    close = np.linalg.norm(pts - x[None, :], axis=1) <= radius / 2.0
-    tested = np.flatnonzero(in_region & close)
+    # |pt - x|^2 summed one column at a time, in numpy's order for rows below 8
+    square, part = np.zeros(pts.shape[0]), np.empty(pts.shape[0])
+    for column, centre in zip(pts.T, x):
+        np.subtract(column, centre, out=part)
+        part *= part
+        square += part
+    tested = np.flatnonzero(in_region & (np.sqrt(square, out=square) <= radius / 2.0))
     if tested.size == 0:
         raise PreconditionError("no region lattice points within half the radius")
 
@@ -344,28 +350,47 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
 def _distance_passes(feasible: np.ndarray) -> list:
     """Exact squared index distances to the True entries of the n-d mask
     ``feasible``, which has at least one: the list [D_0, ..., D_n], where
-    D_0 is 0 on the mask and huge elsewhere, and
+    D_0 is 0 on the mask and ``far`` elsewhere, and
 
         D_(k+1)(i) = min_j D_k(j) + (i - j)^2   along every line of axis k
 
     (Felzenszwalb & Huttenlocher, "Distance transforms of sampled
     functions", Theory of Computing 2012).  D_n is the squared index
-    distance to the nearest True entry.  Each pass runs over blocks of
-    lines and output positions whose sum buffer holds at most
-    _CHUNK_ENTRIES entries, but at least one line of sums.
+    distance to the nearest True entry.  Every D_k holds distances, at
+    most sum (R_k - 1)^2, or ``far`` on lines with no True entry yet; the
+    stages are int32 while that sum stays below int32's ``far``, int64
+    otherwise, and ``far`` + (i - j)^2 fits either way.
+
+    D_0 is 0 or ``far``, so D_1 is the squared offset to the nearest True
+    entry of each axis-0 line: the last True index at or before i and the
+    first at or after it come from one running max and one running min
+    along the axis, O(N) work for N entries.  The later passes are the
+    min-plus itself, over blocks of lines and output positions whose sum
+    buffer fits WORK_BYTES, but at least one line of sums.
     """
-    far = np.iinfo(np.int64).max // 2      # no feasible point yet; far + (i - j)^2 fits
-    stages = [np.where(feasible, 0, far)]
-    for axis in range(feasible.ndim):
+    shape = feasible.shape
+    dtype = np.int32 if sum((r - 1) ** 2 for r in shape) < np.iinfo(np.int32).max // 2 \
+        else np.int64
+    far = dtype(np.iinfo(dtype).max // 2)   # above every distance; far + (i - j)^2 fits
+    stages = [np.where(feasible, dtype(0), far)]
+    length = shape[0]
+    index = np.arange(length, dtype=dtype).reshape((length,) + (1,) * (len(shape) - 1))
+    # sentinels a length or more away from every index: no True entry that side
+    before = np.maximum.accumulate(np.where(feasible, index, dtype(-length)), axis=0)
+    after = np.minimum.accumulate(np.where(feasible, index, dtype(2 * length))[::-1],
+                                  axis=0)[::-1]
+    offset = np.minimum(index - before, after - index)
+    stages.append(np.where(offset < length, offset * offset, far))
+    for axis in range(1, len(shape)):
         moved = np.moveaxis(stages[-1], axis, -1)
         length = moved.shape[-1]
         lines = np.ascontiguousarray(moved).reshape(-1, length)
         out = np.empty_like(lines)
-        per_out = max(1, min(length, _CHUNK_ENTRIES // length))
-        per_line = max(1, _CHUNK_ENTRIES // (per_out * length))
+        per_out = min(length, work_rows(lines.itemsize * length))
+        per_line = work_rows(lines.itemsize * per_out * length)
         for i0 in range(0, length, per_out):
-            i = np.arange(i0, min(length, i0 + per_out))
-            penalty = (i[:, None] - np.arange(length)) ** 2
+            i = np.arange(i0, min(length, i0 + per_out), dtype=dtype)
+            penalty = (i[:, None] - np.arange(length, dtype=dtype)) ** 2
             for l0 in range(0, lines.shape[0], per_line):
                 block = lines[l0:l0 + per_line, None, :] + penalty
                 out[l0:l0 + per_line, i0:i0 + i.size] = block.min(axis=2)
@@ -385,10 +410,11 @@ def _tie_shell_min(pts, stages, tested) -> np.ndarray:
     drops by (i - j)^2.  The paths that reach axis 0 end exactly on the
     shell, and every shell point ends one path.  Every D_k is >= 0, so a
     block of paths gathers only |i - j| <= isqrt(its largest remaining
-    distance), clipped to the line: at most 2 R - 1 positions per path and
-    _CHUNK_ENTRIES per block, but at least one path.  The differences are
-    squared in place and summed along the last axis, as in a comparison
-    with every feasible point.
+    distance), clipped to the line: at most 2 R - 1 positions per path, in
+    blocks whose index buffers, sized by the widest window of the axis,
+    fit WORK_BYTES, but of at least one path.  The differences are squared
+    in place and summed along the last axis, as in a comparison with every
+    feasible point.
     """
     shape = stages[0].shape
     owner = np.arange(tested.size)
@@ -396,7 +422,8 @@ def _tie_shell_min(pts, stages, tested) -> np.ndarray:
     remaining = stages[-1].ravel()[tested]
     for axis in reversed(range(len(shape))):
         lines = np.moveaxis(stages[axis], axis, -1)
-        step = max(1, _CHUNK_ENTRIES // (2 * shape[axis] - 1))
+        widest = min(isqrt(int(remaining.max())), shape[axis] - 1)
+        step = work_rows(8 * (2 * widest + 1))
         paths = []
         for start in range(0, owner.size, step):
             at = index[start:start + step]

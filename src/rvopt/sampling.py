@@ -7,11 +7,15 @@ normal CDF and normalized; a seed shifts the Halton start index.
 """
 
 from functools import lru_cache
+from math import prod
 from statistics import NormalDist
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _SEED_STRIDE = 8191
+LATTICE_CAP = 1_000_000     # points of the largest lattice a check may build
 _NORMAL = NormalDist()
 
 
@@ -88,11 +92,17 @@ def ball_points(center: np.ndarray, radius: float, count: int, seed: int = 0) ->
 
 def grid_points(lo, hi, resolution) -> np.ndarray:
     """Row-major lattice over the box [lo, hi] with ``resolution`` points per
-    axis (an int, or one int per axis)."""
+    axis (an int, or one int per axis).  A lattice of more than LATTICE_CAP
+    points is refused with a PreconditionError before anything is built."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
     if np.isscalar(resolution) or np.ndim(resolution) == 0:
         resolution = [int(resolution)] * lo.size
-    axes = [np.linspace(lo[i], hi[i], int(resolution[i])) for i in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    shape = tuple(int(r) for r in resolution)
+    if prod(shape) > LATTICE_CAP:
+        raise PreconditionError("grid exceeds the 1e6 point cap")
+    pts = np.empty(shape + (lo.size,))
+    for i in range(lo.size):        # axis i's coordinates, broadcast along the later axes
+        axis = np.linspace(lo[i], hi[i], shape[i])
+        pts[..., i] = axis.reshape((-1,) + (1,) * (lo.size - 1 - i))
+    return pts.reshape(-1, lo.size)

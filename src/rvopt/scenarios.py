@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, distance_many
+from .cones import Cone, distance_many, work_rows
 from .errors import DimensionError
 
 
@@ -67,19 +67,26 @@ class ScenarioMap:
         return float(self.merit_many(cone, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def merit_many(self, cone: Cone, points: np.ndarray) -> np.ndarray:
-        """Merit values for the rows of ``points``: one distance call over
-        all scenario images, then the max over scenarios.  The images are
-        stacked matrix-vector products, which round each row as
+        """Merit values for the rows of ``points``, in row blocks whose
+        scenario images fit the lattice kernels' WORK_BYTES: one distance
+        call over a block's images, then the max over scenarios.  The
+        images are stacked matrix-vector products, which round each row as
         ``evaluate`` does."""
         if cone.dim != self.image_dim:
             raise DimensionError("cone dimension must match the image space")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.domain_dim:
             raise DimensionError(f"expected points of dim {self.domain_dim}")
-        images = (np.matmul(self.mats[:, None], points[None, :, :, None])[..., 0]
-                  + self.offsets[:, None, :])
-        dist = distance_many(cone, images.reshape(-1, self.image_dim))
-        return np.max(dist.reshape(self.scenario_count, -1), axis=0, initial=0.0)
+        merit = np.empty(points.shape[0])
+        step = work_rows(self.offsets.nbytes)      # a point's images: one float per offset
+        for start in range(0, points.shape[0], step):
+            block = slice(start, start + step)
+            images = np.matmul(self.mats[:, None], points[None, block, :, None])[..., 0]
+            images += self.offsets[:, None, :]
+            dist = distance_many(cone, images.reshape(-1, self.image_dim))
+            np.max(dist.reshape(self.scenario_count, -1), axis=0, initial=0.0,
+                   out=merit[block])
+        return merit
 
     def to_document(self) -> list:
         return [{"A": self.mats[w].tolist(), "b": self.offsets[w].tolist()}

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from rvopt.docio import (
 )
 from rvopt.problem import ACTIVE_TOL
 from rvopt.reporting import OUTSIDE_REGION, REPORT_VERSION, run_report
+from rvopt.sampling import LATTICE_CAP
 
 from conftest import ray_cone_r5_problem, synthetic_problem
-from test_certificates import bench_cases
+from test_certificates import bench_cases, bench_module
 
 
 def run_cli(argv):
@@ -150,6 +152,15 @@ class TestDocumentValidation:
             with pytest.raises(ValidationError, match=message):
                 tolerances_from_document(doc)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tolerances_are_validated_when_built(self, value):
+        """A library caller's Tolerances is checked like a document's: an
+        infinite tolerance made every point feasible (an infeasible point
+        came out refuted), a NaN one none."""
+        with pytest.raises(ValidationError,
+                           match="tolerances.feasibility: expected a finite positive number"):
+            Tolerances(feasibility=value)
+
     def test_scaling_tolerances(self):
         scaled = Tolerances().scaled(2.0)
         assert scaled == Tolerances(feasibility=2e-9)
@@ -206,6 +217,23 @@ class TestEvaluationCommands:
                                 "--sigma", "100", "--res", "41"])
         assert code == 2
         assert out == "error bound fails; worst point (0, 1) violates by 0.445\n"
+
+    def test_error_bound_lattice_is_capped(self, tmp_path, monkeypatch):
+        """A bench-family point at n = 5 with the default --res 41 asks for
+        41^5 lattice points: one error line, before any lattice array is
+        built (an array past the cap fails the test instead of allocating)."""
+        empty = np.empty
+
+        def capped(shape, *args, **kwargs):
+            assert np.prod(shape) <= 5 * LATTICE_CAP
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", capped)
+        bench = bench_module()
+        path = tmp_path / "n5.json"
+        save_problem(bench.synthetic(bench.Family(5, 4, "orthant", 0.3, 2.0, 1.0, 31), 7), path)
+        assert run_cli(["errorbound", str(path), "--at"] + ["2"] * 5 + ["--sigma", "0.5"]) \
+            == (1, "", "error: grid exceeds the 1e6 point cap\n")
 
 
 class TestCertifyCommand:
@@ -492,6 +520,16 @@ class TestMalformedDocuments:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["merit", str(path), "--at", "0", "0"]) == (1, "", f"error: {message}\n")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, problems_dir):
+        """json.loads raises a plain ValueError for an integer literal longer
+        than Python's int-conversion limit; it reads as a parse error."""
+        text = json.dumps(load_document(problems_dir / "e1.json"))
+        path = tmp_path / "big.json"
+        path.write_text(text[:-1] + ', "big": ' + "7" * 5000 + "}")
+        assert run_cli(["merit", str(path), "--at", "0", "0"]) == (
+            1, "", f"error: parse error: an integer literal exceeds "
+                   f"{sys.get_int_max_str_digits()} digits\n")
 
     def test_increase_past_the_sampling_dimension_cap(self, tmp_path):
         """The increase check draws ball points in n + 1 = 13 dimensions,

@@ -108,6 +108,21 @@ class TestContainsMany:
         assert np.array_equal(region.contains_many(pts, tol=tol), rows)
         assert 0 < sum(rows) < len(rows)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+    def test_box_equals_the_row_reduction(self, tol):
+        """The column-by-column box test against the rule it replaced,
+        np.all over rows, with +-inf bounds (one axis unbounded both ways),
+        points on and just past the bounds, infinite and NaN coordinates."""
+        rng = np.random.default_rng(18)
+        region = PolyhedralSet.box([-1.0, -np.inf, 0.0, -np.inf], [1.0, 2.0, np.inf, np.inf])
+        pool = np.array([-1.0, 1.0, 2.0, 0.0, -0.0, np.nextafter(1.0, 2.0), -1.0 - tol,
+                         1.0 + tol, 2.0 + tol, -tol, np.inf, -np.inf, np.nan, 0.3, -7.0])
+        pts = rng.choice(pool, size=(4000, 4))
+        expect = (np.all(pts >= region.lo - tol, axis=1)
+                  & np.all(pts <= region.hi + tol, axis=1))
+        assert np.array_equal(region.contains_many(pts, tol=tol), expect)
+        assert 0 < expect.sum() < expect.size
+
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
             PolyhedralSet.box([0.0, 0.0], [1.0, 1.0]).contains_many(np.zeros((4, 3)))

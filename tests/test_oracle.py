@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from rvopt.cones import ORTHANT, Cone
 from rvopt.docio import load_problem
 from rvopt.errors import DimensionError, PreconditionError
-from rvopt import oracle
+from rvopt import cones, oracle
 from rvopt.firstorder import AffineObjective, PolyhedralSet, QuadraticObjective
 from rvopt.oracle import grid_scan, refute_efficiency, strictly_dominates
 from rvopt.problem import Problem
@@ -360,14 +360,14 @@ class TestBlockedScanMatchesLoop:
     def test_small_buffers(self, monkeypatch, budget):
         """8-point column chunks with one lattice point per block, and chunks
         of a few dozen points with blocks of a few."""
-        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(cones, "WORK_BYTES", budget)
         self.assert_same(load_problem(PROBLEMS_DIR / "e1.json"), [-1.0, -1.0],
                          [2.0, 2.0], 21)
         self.assert_same(three_objective_problem(), np.zeros(3), np.full(3, 2.0), 7)
 
-    @pytest.mark.parametrize("budget", [1, 256, oracle._BLOCK_BYTES])
+    @pytest.mark.parametrize("budget", [1, 256, cones.WORK_BYTES])
     def test_feasibility_alternating_within_blocks(self, monkeypatch, budget):
-        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(cones, "WORK_BYTES", budget)
         e1 = load_problem(PROBLEMS_DIR / "e1.json")
         problem = CheckerboardProblem(**{f.name: getattr(e1, f.name)
                                          for f in dataclasses.fields(e1)})
@@ -448,9 +448,9 @@ class TestDominancePassFuzz:
                 assert np.array_equal(counts, passes.sum(axis=1))
                 assert np.array_equal(passes, np.arange(distinct.size) < counts[:, None])
 
-    @pytest.mark.parametrize("budget", [1, 64, oracle._BLOCK_BYTES])
+    @pytest.mark.parametrize("budget", [1, 64, cones.WORK_BYTES])
     def test_random_cases(self, monkeypatch, budget):
-        monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(cones, "WORK_BYTES", budget)
         rng = np.random.default_rng(27)
         for _ in range(100):
             proj, values, feasible = self.random_case(rng)

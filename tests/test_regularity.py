@@ -1,6 +1,8 @@
 """Metric increase sampling, the exact local error-bound modulus, and the
 lattice error bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from rvopt.sampling import ball_points, grid_points, halton, sphere_directions
 from rvopt.scenarios import ScenarioMap
 
 from conftest import PROBLEMS_DIR, shifted_pair_scenarios
+from test_certificates import bench_module
 
 CONE = Cone.orthant(2)
 PLANE = PolyhedralSet.whole_space(2)
@@ -183,11 +186,10 @@ class TestSharedIncreaseSamples:
 
     @staticmethod
     def patch_chunks(monkeypatch, w, chunk_pairs):
-        """Chunks of one pair (budget 1 entry) or of ``chunk_pairs`` pairs."""
+        """Chunks of one pair (budget 1 byte) or of ``chunk_pairs`` pairs."""
         if chunk_pairs is not None:
             per_pair = (SAMPLES["step_dirs"] + 1) * w * 2 * SAMPLES["boundary_dirs"] * w
-            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES",
-                                max(1, chunk_pairs * per_pair))
+            monkeypatch.setattr(rvopt.cones, "WORK_BYTES", max(1, 8 * chunk_pairs * per_pair))
 
     @pytest.mark.parametrize("chunk_pairs", [0, 3, None], ids=["one", "three", "default"])
     @pytest.mark.parametrize("region", ["box", "halfspaces"])
@@ -432,6 +434,25 @@ class TestErrorBound:
             verify_error_bound(self.smap, CONE, PLANE, [1.0, 0.0],
                                sigma=0.5, radius=0.5, resolution=2)
 
+    def test_peak_memory_of_the_bench_case(self):
+        """The lattice workload's error-bound case, the bench family at n = 3
+        on a 25^3 lattice: working buffers stay within the lattice kernels'
+        budget, so the traced peak is a few lattice-sized arrays (5.6 MiB
+        when every kernel took 2 MiB buffers)."""
+        bench = bench_module()
+        problem = bench.synthetic(bench.Family(3, 4, "orthant", 0.3, 0.0, 1.0, 31), 7)
+        args = (problem.scenarios, problem.constraint_cone, problem.region,
+                np.full(3, 2.0), 0.5, 0.5)
+        verify_error_bound(*args, resolution=25)
+        tracemalloc.start()
+        try:
+            rep = verify_error_bound(*args, resolution=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 2.5 * 2**20
+
 
 def brute_error_bound(smap, cone, region, x, sigma, radius, resolution,
                       feas_tol=1e-9, tol=1e-9):
@@ -514,6 +535,18 @@ def mask_cases():
 MASK_CASES = mask_cases()
 
 
+def min_plus_stages(mask):
+    """D_0 = 0 on the mask and inf elsewhere, then D_(k+1)(i) = min_j D_k(j)
+    + (i - j)^2 along every line of axis k, written out in floats."""
+    stages = [np.where(mask, 0.0, np.inf)]
+    for axis in range(mask.ndim):
+        lines = np.moveaxis(stages[-1], axis, -1)
+        i = np.arange(lines.shape[-1])
+        out = np.min(lines[..., None, :] + (i[:, None] - i[None, :]) ** 2, axis=-1)
+        stages.append(np.moveaxis(out, -1, axis))
+    return stages
+
+
 class TestErrorBoundTransform:
     """The distance transform and its tie shells give the max violation,
     the verdict and the witness of the comparison with every feasible
@@ -538,9 +571,10 @@ class TestErrorBoundTransform:
     def test_lattice_sets_match_brute_force(self, monkeypatch, case, budget):
         x, radius, res, mask, level = MASK_CASES[case]
         if budget == "one-line":
-            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", res * res)
+            # one line of int32 sums per block
+            monkeypatch.setattr(rvopt.cones, "WORK_BYTES", 4 * res * res)
         elif budget == "few-entries":
-            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", 3)
+            monkeypatch.setattr(rvopt.cones, "WORK_BYTES", 3)
         smap = MaskMerit(x, radius, res, mask, level)
         region = PolyhedralSet.whole_space(len(x))
         verdicts = {self.assert_matches_brute(smap, CONE, region, x, sigma, radius, res)
@@ -610,6 +644,42 @@ class TestErrorBoundTransform:
             expect = ((index[:, None, :] - sites[None]) ** 2).sum(axis=2).min(axis=1)
             assert np.array_equal(_distance_passes(mask)[-1].ravel(), expect)
 
+    @pytest.mark.parametrize("budget", [1, 64, None])
+    def test_stages_equal_the_min_plus_recursion(self, monkeypatch, budget):
+        """Every stage, not only the last, on seeded 1-4-d masks with lines
+        that hold no True entry, single-True masks and a full mask: D_1 from
+        the running max and min along axis 0, the later stages from blocks of
+        the min-plus, ``far`` where the recursion is still infinite."""
+        if budget is not None:
+            monkeypatch.setattr(rvopt.cones, "WORK_BYTES", budget)
+        rng = np.random.default_rng(31)
+        masks = [np.ones((3, 4), dtype=bool)]
+        for shape in [(1,), (17,), (6, 9), (9, 1), (5, 7, 6), (4, 6, 3, 5)]:
+            for density in (0.0, 0.05, 0.4):
+                mask = rng.random(shape) < density
+                mask.flat[rng.integers(mask.size)] = True
+                masks.append(mask)
+        for mask in masks:
+            stages = _distance_passes(mask)
+            far = np.iinfo(np.int32).max // 2
+            assert len(stages) == mask.ndim + 1
+            for stage, expect in zip(stages, min_plus_stages(mask)):
+                assert stage.dtype == np.int32
+                assert np.array_equal(stage, np.where(np.isinf(expect), far, expect))
+
+    @pytest.mark.parametrize("length, dtype", [(32768, np.int32), (32769, np.int64)])
+    def test_stage_type_follows_the_largest_distance(self, length, dtype):
+        """int32 while the largest squared distance, (length - 1)^2 + 1 here,
+        stays below int32's far = 2^30 - 1, int64 past it; the far column
+        picks its distances up on the last axis either way."""
+        mask = np.zeros((length, 2), dtype=bool)
+        mask[0, 0] = True
+        stages = _distance_passes(mask)
+        i = np.arange(length, dtype=np.int64)
+        assert {stage.dtype for stage in stages} == {np.dtype(dtype)}
+        assert np.array_equal(stages[1][:, 1], np.full(length, np.iinfo(dtype).max // 2))
+        assert np.array_equal(stages[-1], np.stack([i * i, i * i + 1], axis=1))
+
     @pytest.mark.parametrize("budget", ["few-entries", "default"])
     @pytest.mark.parametrize("case", sorted(MASK_CASES))
     def test_tie_shells_give_every_nearest_distance(self, monkeypatch, case, budget):
@@ -617,7 +687,7 @@ class TestErrorBoundTransform:
         bits of their float distance; the tie shell keeps the smallest, the
         one a comparison with every feasible point finds, at every point."""
         if budget == "few-entries":
-            monkeypatch.setattr(rvopt.regularity, "_CHUNK_ENTRIES", 3)
+            monkeypatch.setattr(rvopt.cones, "WORK_BYTES", 3)
         x, radius, res, mask, _ = MASK_CASES[case]
         x = np.asarray(x) + 0.0123          # generic centre: uneven float spacing
         pts = grid_points(x - radius, x + radius, res)

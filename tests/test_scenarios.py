@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rvopt import cones
 from rvopt.cones import Cone
 from rvopt.errors import DimensionError
 from rvopt.firstorder import fan_from_scenarios
@@ -80,11 +81,15 @@ class TestMerit:
         assert_allclose(many, [self.smap.merit(self.cone, p) for p in pts],
                         atol=1e-12)
 
+    @pytest.mark.parametrize("budget", [1, 100, cones.WORK_BYTES])
     @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
-    def test_merit_many_rounds_like_merit(self, kind):
+    def test_merit_many_rounds_like_merit(self, monkeypatch, kind, budget):
         """Bit for bit, not only close: the batched images must round each
         row as ``A_w @ x + b_w`` does, for every dimension and scenario count,
-        so the values equal the excess of the evaluated image over the cone."""
+        so the values equal the excess of the evaluated image over the cone;
+        in row blocks of one point, of a few points (the last one short),
+        or of the default budget."""
+        monkeypatch.setattr(cones, "WORK_BYTES", budget)
         rng = np.random.default_rng(23)
         for n in range(1, 6):
             for w in range(1, 5):
