@@ -170,10 +170,8 @@ class Cone:
         return project_many(self, self._check_dim(z))[0]
 
     def distance(self, z) -> float:
-        z = self._check_dim(z)
-        if self.kind == ORTHANT:
-            return float(np.linalg.norm(np.minimum(z, 0.0)))
-        return float(np.linalg.norm(z - self.project(z)))
+        """Distance to the cone (one row of :func:`distance_many`)."""
+        return float(distance_many(self, self._check_dim(z))[0])
 
     # ----- duality --------------------------------------------------------
 
@@ -439,7 +437,8 @@ def distance_many(cone: Cone, points: np.ndarray) -> np.ndarray:
     time, in order, in one buffer; numpy's row reduction adds rows shorter
     than 8 entries in that same order, so below width 8 each distance equals
     ``np.linalg.norm(np.minimum(row, 0), axis=1)`` bit for bit (wider rows,
-    which numpy sums pairwise, get the plain sequential sum)."""
+    which numpy sums pairwise, get the plain sequential sum).  The NNLS
+    branch works on a C-ordered copy of a transposed or strided ``points``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if cone.kind == ORTHANT:
         total, part = np.zeros(points.shape[0]), np.empty(points.shape[0])
@@ -448,4 +447,5 @@ def distance_many(cone: Cone, points: np.ndarray) -> np.ndarray:
             part *= part
             total += part
         return np.sqrt(total, out=total)
+    points = np.ascontiguousarray(points)
     return _norms(points - project_many(cone, points))

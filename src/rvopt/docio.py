@@ -269,8 +269,9 @@ def _non_finite_literal(name: str):
 
 def parse_document(text: str) -> dict:
     """Parse strict JSON: the NaN and Infinity literals that Python's json
-    module accepts are refused, and so is an integer literal longer than
-    Python's int-conversion digit limit."""
+    module accepts are refused, and so are an integer literal longer than
+    Python's int-conversion digit limit and nesting deeper than the
+    decoder's recursion limit."""
     try:
         return json.loads(text, parse_constant=_non_finite_literal)
     except json.JSONDecodeError as exc:
@@ -278,6 +279,8 @@ def parse_document(text: str) -> dict:
                               f"column {exc.colno}: {exc.msg}") from exc
     except ValidationError:
         raise
+    except RecursionError as exc:
+        raise ValidationError("parse error: the document is nested too deeply") from exc
     except ValueError as exc:       # int() past sys.get_int_max_str_digits()
         raise ValidationError(f"parse error: an integer literal exceeds "
                               f"{sys.get_int_max_str_digits()} digits") from exc

@@ -22,7 +22,7 @@ import numpy as np
 from .cones import Cone, _norms, _readonly, _unit_rows, least_distance_point, project_many
 from .errors import DimensionError, PreconditionError
 from .sampling import ball_points, sphere_directions
-from .scenarios import ScenarioMap
+from .scenarios import ScenarioMap, column_sums
 
 
 # ===== ambient sets ======================================================
@@ -165,13 +165,24 @@ class AffineObjective:
     def image_dim(self) -> int:
         return self.jac.shape[0]
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """``column_sums``' operands: jac[:, j] at [j, :, 0], offset at [:, 0]."""
+        return np.ascontiguousarray(self.jac.T[..., None]), self.offset[:, None]
+
     def value(self, x) -> np.ndarray:
-        return self.jac @ np.asarray(x, dtype=float).ravel() + self.offset
+        """f(x): the one-row case of ``value_many``."""
+        return self.value_many(np.asarray(x, dtype=float).ravel()[None])[0]
 
     def value_many(self, points) -> np.ndarray:
-        """Row-wise ``value``, each row rounded exactly as ``value`` rounds it."""
-        pts = np.asarray(points, dtype=float)
-        return np.matmul(self.jac[None], pts[:, :, None])[..., 0] + self.offset
+        """f at each row p of ``points``: ((jac[:, 0] p_0 + jac[:, 1] p_1)
+        + ...) + offset, summed by :func:`scenarios.column_sums`' fixed rule
+        as the scenario images are, so a row's bits depend neither on the
+        batch nor on the host's BLAS.  Row-major, like ``points``."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.domain_dim:
+            raise DimensionError(f"expected points of dim {self.domain_dim}")
+        return np.ascontiguousarray(column_sums(*self._columns, pts).T)
 
     def jacobian(self, x) -> np.ndarray:
         del x

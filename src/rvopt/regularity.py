@@ -134,9 +134,12 @@ def _increase_samples(scenario_map, region, x, radius, seed, point_samples=12,
         (starts[:, None, :] + radii[:, None, None] * step_set).reshape(-1, x.size))
     candidates = np.concatenate([starts[:, None, :],
                                  steps.reshape(len(pairs), step_set.shape[0], x.size)], axis=1)
-    # images[k, c, w] = A_w z_c + b_w, each rounded like ScenarioMap.evaluate
-    images = (np.matmul(scenario_map.mats[None, None], candidates[:, :, None, :, None])[..., 0]
-              + scenario_map.offsets)
+    # images[k, c, w] = A_w z_c + b_w from the one image kernel, so candidate
+    # 0's images equal ``base`` (``evaluate`` of the probe) bit for bit
+    images = np.ascontiguousarray(
+        scenario_map.images(candidates.reshape(-1, x.size))
+        .reshape(scenario_map.image_dim, scenario_map.scenario_count, *candidates.shape[:2])
+        .transpose(2, 3, 1, 0))
     base = np.repeat([scenario_map.evaluate(p) for p in probes], radius_levels, axis=0)
     return _IncreaseSamples(pairs=pairs, radii=radii, images=images, base=base,
                             sphere=sphere_directions(scenario_map.image_dim,
@@ -364,9 +367,13 @@ def _distance_passes(feasible: np.ndarray) -> list:
     D_0 is 0 or ``far``, so D_1 is the squared offset to the nearest True
     entry of each axis-0 line: the last True index at or before i and the
     first at or after it come from one running max and one running min
-    along the axis, O(N) work for N entries.  The later passes are the
-    min-plus itself, over blocks of lines and output positions whose sum
-    buffer fits WORK_BYTES, but at least one line of sums.
+    along the axis, O(N) work for N entries.  Each later pass starts from
+    the previous stage S, laid out with the axis first, and lowers it
+    offset by offset: for d = 1, 2, ... it takes the minimum with S shifted
+    by d each way along the axis plus d^2.  It stops once d^2 reaches the
+    largest entry so far, as S >= 0 means no farther offset can lower any
+    entry; integer sums are exact, so the stages are those of the full
+    min-plus.
     """
     shape = feasible.shape
     dtype = np.int32 if sum((r - 1) ** 2 for r in shape) < np.iinfo(np.int32).max // 2 \
@@ -382,19 +389,17 @@ def _distance_passes(feasible: np.ndarray) -> list:
     offset = np.minimum(index - before, after - index)
     stages.append(np.where(offset < length, offset * offset, far))
     for axis in range(1, len(shape)):
-        moved = np.moveaxis(stages[-1], axis, -1)
-        length = moved.shape[-1]
-        lines = np.ascontiguousarray(moved).reshape(-1, length)
-        out = np.empty_like(lines)
-        per_out = min(length, work_rows(lines.itemsize * length))
-        per_line = work_rows(lines.itemsize * per_out * length)
-        for i0 in range(0, length, per_out):
-            i = np.arange(i0, min(length, i0 + per_out), dtype=dtype)
-            penalty = (i[:, None] - np.arange(length, dtype=dtype)) ** 2
-            for l0 in range(0, lines.shape[0], per_line):
-                block = lines[l0:l0 + per_line, None, :] + penalty
-                out[l0:l0 + per_line, i0:i0 + i.size] = block.min(axis=2)
-        stages.append(np.moveaxis(out.reshape(moved.shape), -1, axis))
+        # the axis first, C-ordered: a shift by d is one contiguous slice
+        prev = np.ascontiguousarray(np.moveaxis(stages[-1], axis, 0))
+        out, part = prev.copy(), np.empty_like(prev)
+        for d in range(1, shape[axis]):
+            square = dtype(d * d)
+            if square >= out.max():
+                break
+            for to, source in ((slice(d, None), slice(None, -d)),
+                               (slice(None, -d), slice(d, None))):
+                np.minimum(out[to], np.add(prev[source], square, out=part[to]), out=out[to])
+        stages.append(np.moveaxis(out, 0, axis))
     return stages
 
 

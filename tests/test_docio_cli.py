@@ -531,6 +531,15 @@ class TestMalformedDocuments:
             1, "", f"error: parse error: an integer literal exceeds "
                    f"{sys.get_int_max_str_digits()} digits\n")
 
+    def test_nesting_past_the_recursion_limit(self, tmp_path, problems_dir):
+        """json.loads raises RecursionError on 100,000 nested arrays; it reads
+        as a parse error, not a traceback."""
+        text = json.dumps(load_document(problems_dir / "e1.json"))
+        path = tmp_path / "deep.json"
+        path.write_text(text[:-1] + ', "deep": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run_cli(["merit", str(path), "--at", "0", "0"]) == (
+            1, "", "error: parse error: the document is nested too deeply\n")
+
     def test_increase_past_the_sampling_dimension_cap(self, tmp_path):
         """The increase check draws ball points in n + 1 = 13 dimensions,
         past the former 12-prime Halton table, and runs: the 13th axis takes

@@ -648,12 +648,28 @@ class TestErrorBoundTransform:
     def test_stages_equal_the_min_plus_recursion(self, monkeypatch, budget):
         """Every stage, not only the last, on seeded 1-4-d masks with lines
         that hold no True entry, single-True masks and a full mask: D_1 from
-        the running max and min along axis 0, the later stages from blocks of
-        the min-plus, ``far`` where the recursion is still infinite."""
+        the running max and min along axis 0, the later stages from the
+        offset passes, ``far`` where the recursion is still infinite; the
+        passes read no work budget.  The fixed masks make the offset passes
+        stop at either end: 1 x N and N x 1 lines, all-True masks, one True
+        entry at a corner or the centre, and True entries confined to one
+        line or one plane, which leaves whole lines and planes with no True
+        entry until the last pass."""
         if budget is not None:
             monkeypatch.setattr(rvopt.cones, "WORK_BYTES", budget)
         rng = np.random.default_rng(31)
-        masks = [np.ones((3, 4), dtype=bool)]
+        masks = []
+        for shape in [(1, 1), (1, 9), (9, 1), (1, 1, 7), (7, 1, 1), (3, 4), (3, 4, 5)]:
+            masks.append(np.ones(shape, dtype=bool))
+            for at in (0, -1, np.prod(shape) // 2):
+                single = np.zeros(shape, dtype=bool)
+                single.flat[at] = True
+                masks.append(single)
+        line, plane, ends = (np.zeros(shape, dtype=bool) for shape in [(6, 5, 4)] * 2 + [(2, 8)])
+        line[2, :, 1] = True
+        plane[:, :, 3] = True
+        ends[1, [0, -1]] = True
+        masks += [line, plane, ends, ~ends]
         for shape in [(1,), (17,), (6, 9), (9, 1), (5, 7, 6), (4, 6, 3, 5)]:
             for density in (0.0, 0.05, 0.4):
                 mask = rng.random(shape) < density

@@ -1,5 +1,7 @@
 """Scenario families, their merit function, and set distances."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 from rvopt import cones
 from rvopt.cones import Cone
 from rvopt.errors import DimensionError
-from rvopt.firstorder import fan_from_scenarios
+from rvopt.firstorder import AffineObjective, fan_from_scenarios
 from rvopt.scenarios import ScenarioMap
 
 from conftest import shifted_pair_scenarios
@@ -85,7 +87,7 @@ class TestMerit:
     @pytest.mark.parametrize("kind", ["orthant", "halfspaces", "rays"])
     def test_merit_many_rounds_like_merit(self, monkeypatch, kind, budget):
         """Bit for bit, not only close: the batched images must round each
-        row as ``A_w @ x + b_w`` does, for every dimension and scenario count,
+        row as ``evaluate`` does, for every dimension and scenario count,
         so the values equal the excess of the evaluated image over the cone;
         in row blocks of one point, of a few points (the last one short),
         or of the default budget."""
@@ -143,6 +145,89 @@ class TestMerit:
             self.smap.merit(self.cone, [1.0, 1.0, 1.0])
         with pytest.raises(DimensionError):
             self.smap.merit_many(self.cone, np.ones((4, 3)))
+
+
+def column_order_sum(coefs, point, offset):
+    """((coefs[0] p_0 + coefs[1] p_1) + ...) + offset in Python floats."""
+    total = coefs[0] * point[0]
+    for coef, coord in zip(coefs[1:], point[1:]):
+        total = total + coef * coord
+    return total + offset
+
+
+def orthant_excess(image):
+    """Sequential sum of the squared negative parts, then the root."""
+    total = 0.0
+    for v in image:
+        part = v if v < 0.0 or math.isnan(v) else 0.0
+        total = total + part * part
+    return math.sqrt(total) if not math.isnan(total) else math.nan
+
+
+def same_bits(got, expect):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    got, expect = np.asarray(got, dtype=float), np.asarray(expect, dtype=float)
+    nan = np.isnan(expect)
+    return (got.shape == expect.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), expect[~nan].view(np.int64)))
+
+
+class TestColumnOrder:
+    """Scenario images, merit values and affine objective values are summed
+    in a fixed column order with no BLAS call, so they equal a plain Python
+    float loop in that order, bit for bit, whatever the host's BLAS."""
+
+    SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, -2.2e-308, 1e300, -1e300])
+
+    def sprinkle(self, rng, arr):
+        mask = rng.random(arr.shape) < 0.15
+        arr[mask] = rng.choice(self.SPECIAL, size=np.count_nonzero(mask))
+        return arr
+
+    def cases(self):
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            w, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            scale = 10.0 ** rng.integers(-3, 4, (w, m, n))
+            mats = self.sprinkle(rng, rng.standard_normal((w, m, n)) * scale)
+            offsets = self.sprinkle(rng, rng.standard_normal((w, m)))
+            pts = self.sprinkle(rng, 3.0 * rng.standard_normal((int(rng.integers(1, 7)), n)))
+            yield ScenarioMap(mats, offsets), pts
+
+    def test_images_merit_and_values_equal_the_float_loop(self):
+        for smap, pts in self.cases():
+            w, m, _ = smap.mats.shape
+            k = pts.shape[0]
+            expect = np.empty((m, w * k))
+            for wi in range(w):
+                for r in range(k):
+                    for i in range(m):
+                        expect[i, wi * k + r] = column_order_sum(
+                            smap.mats[wi, i].tolist(), pts[r].tolist(), float(smap.offsets[wi, i]))
+            merit = []
+            for r in range(k):
+                dists = [orthant_excess(expect[:, wi * k + r].tolist()) for wi in range(w)]
+                merit.append(math.nan if any(map(math.isnan, dists)) else max([0.0] + dists))
+            objective = AffineObjective(smap.mats[0], smap.offsets[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert same_bits(smap.images(pts), expect), smap.mats.shape
+                assert same_bits(smap.merit_many(Cone.orthant(m), pts), merit), smap.mats.shape
+                assert same_bits(objective.value_many(pts), expect[:, :k].T), smap.mats.shape
+
+    def test_one_row_calls_equal_the_batch_rows(self):
+        for smap, pts in self.cases():
+            w, m, _ = smap.mats.shape
+            k = pts.shape[0]
+            cone = Cone.orthant(m)
+            objective = AffineObjective(smap.mats[-1], smap.offsets[-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                images = smap.images(pts).reshape(m, w, k)
+                merit = smap.merit_many(cone, pts)
+                values = objective.value_many(pts)
+                for r, p in enumerate(pts):
+                    assert same_bits(smap.evaluate(p), images[:, :, r].T)
+                    assert same_bits(smap.merit(cone, p), merit[r])
+                    assert same_bits(objective.value(p), values[r])
 
 
 class TestSetDistances:
