@@ -13,14 +13,15 @@ a batch of points and runs their active-set steps in lockstep: one matrix
 product pairs every live residual with the generators, and the
 least-squares solves are grouped by free set, one ``lstsq`` call per
 group.  :func:`project_many` and :func:`distance_many` hand it whole
-batches; :meth:`Cone.project` is its one-row case.  A ray cone is
-projected by solving for its generator coefficients directly.  A halfspace
-cone K uses Moreau's decomposition z = P_K(z) + P_{K°}(z), whose polar
-K° = cone{-m_j} is a ray cone.  Least-distance programming
-(:func:`least_distance`) reduces every other Euclidean projection in the
-library to the same solver: onto a polyhedral region, and onto the
-convex hull of finitely many points plus the cone of others
-(:func:`nearest_hull_point`).  The certificates' programs, max-margin,
+batches; a one-row call, such as :meth:`Cone.project`, runs the plain
+one-point loop :func:`_nnls_row`, whose arithmetic is the lockstep path's
+on a single row.  A ray cone is projected by solving for its generator
+coefficients directly.  A halfspace cone K uses Moreau's decomposition
+z = P_K(z) + P_{K°}(z), whose polar K° = cone{-m_j} is a ray cone.
+Least-distance programming (:func:`least_distance`) reduces every other
+Euclidean projection in the library to the same solver: onto a polyhedral
+region, and onto the convex hull of finitely many points plus the cone of
+others (:func:`nearest_hull_point`).  The certificates' programs, max-margin,
 fan-cone and column generation, run on it through :func:`nearest_hull_point`.
 Dual cones follow the polyhedral duality
 ``({z : m_j.z >= 0})^- = cone{-m_j}`` and its converse.  Every kind has
@@ -276,8 +277,29 @@ def _gemv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """Row norms, each rounded like ``np.linalg.norm`` of that row."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    """Row norms, each rounded like ``np.linalg.norm`` of that row, except
+    where the sum of squares of a finite row overflows (:func:`_rescale`)."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+        big = np.flatnonzero(np.isinf(out))
+        if big.size:
+            _rescale(out, big, rows[big])
+    return out
+
+
+def _rescale(norms: np.ndarray, index: np.ndarray, rows: np.ndarray):
+    """Recompute ``norms[index]``, infinite norms of ``rows``, as s |row / s|
+    with s the row's largest absolute entry, for the rows that are finite:
+    their sum of squares overflowed (past about 1.34e154), not their norm.
+    The scaled squares are summed one column at a time, in order.  Call
+    under ``np.errstate(over="ignore")``: a norm can still overflow."""
+    finite = np.isfinite(rows).all(axis=1)
+    rows = rows[finite]
+    scale = np.abs(rows).max(axis=1)
+    total = np.zeros(rows.shape[0])
+    for column in (rows / scale[:, None]).T:
+        total += column * column
+    norms[index[finite]] = scale * np.sqrt(total)
 
 
 def _solve_groups(gens: np.ndarray, points: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -307,14 +329,17 @@ def _nnls(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     steps back to lam >= 0 drop the coefficients reaching zero.  A row
     whose entering coefficient is <= 0 on its first solve is optimal: the
     entering pairing was rounding noise.  The result is exact up to
-    rounding, and each row rounds as it would alone while the dimension
-    and free-set size stay below 8 (LAPACK takes a blocked path for larger
-    solves with several right-hand sides).  The tolerance must stay well
-    above rounding, or dependent generators can enter the free set and the
-    steps cycle.  Raises ConvergenceError after PROJECTION_BUDGET entering
-    steps, carrying the point gens.T lam of the first unfinished row and
-    its largest pairing.
+    rounding, and each row rounds as it would alone, in :func:`_nnls_row`,
+    while the dimension and free-set size stay below 8 (LAPACK takes a
+    blocked path for larger solves with several right-hand sides).  A
+    single point skips the lockstep bookkeeping and runs that loop.  The
+    tolerance must stay well above rounding, or dependent generators can
+    enter the free set and the steps cycle.  Raises ConvergenceError after
+    PROJECTION_BUDGET entering steps, carrying the point gens.T lam of the
+    first unfinished row and its largest pairing.
     """
+    if points.shape[0] == 1:
+        return _nnls_row(gens, points[0])[None]
     out = np.zeros((points.shape[0], gens.shape[0]))
     # live rows: their indices, points, tolerances, coefficients, free sets
     rows, z = np.arange(points.shape[0]), points
@@ -343,6 +368,47 @@ def _nnls(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     point = gens.T @ lam[0]
     raise ConvergenceError("active-set NNLS exceeded its budget", last_iterate=point,
                            residual=float(np.max(gens @ (z[0] - point), initial=0.0)))
+
+
+def _nnls_row(gens: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`_nnls` for the one point z: the textbook Lawson-Hanson loop.
+    Every step is the lockstep path's arithmetic on a single row, one
+    one-column ``lstsq`` per least-squares solve, so the two round alike."""
+    tol = PROJECTION_TOL * _norms(z[None])[0]
+    lam, free = np.zeros(gens.shape[0]), np.zeros(gens.shape[0], dtype=bool)
+    for _ in range(PROJECTION_BUDGET):
+        pairing = gens @ (z - gens.T @ lam)
+        pairing[free] = -np.inf
+        if (pairing <= tol).all():
+            return lam
+        enter = pairing.argmax()
+        free[enter] = True
+        trial = _solve_row(gens, z, free)
+        if trial[enter] <= 0.0:
+            return lam           # the entering pairing was rounding noise
+        blocked = free & (trial <= 0.0)
+        while blocked.any():
+            ratios = np.full(lam.shape, np.inf)
+            ratios[blocked] = lam[blocked] / (lam[blocked] - trial[blocked])
+            drop = ratios.argmin()
+            lam += ratios.min() * (trial - lam)
+            lam[drop] = 0.0
+            free &= lam > 0.0
+            lam[~free] = 0.0
+            trial = _solve_row(gens, z, free)
+            blocked = free & (trial <= 0.0)
+        lam = trial
+    point = gens.T @ lam
+    raise ConvergenceError("active-set NNLS exceeded its budget", last_iterate=point,
+                           residual=float(np.max(gens @ (z - point), initial=0.0)))
+
+
+def _solve_row(gens: np.ndarray, z: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of z on the free generators, zero elsewhere."""
+    trial = np.zeros(free.shape)
+    cols = np.flatnonzero(free)
+    trial[cols] = np.linalg.lstsq(gens[cols].T, z[:, None], rcond=None)[0][:, 0]
+    return trial
 
 
 def _descend(gens, z, lam, free, enter) -> np.ndarray:
@@ -437,15 +503,21 @@ def distance_many(cone: Cone, points: np.ndarray) -> np.ndarray:
     time, in order, in one buffer; numpy's row reduction adds rows shorter
     than 8 entries in that same order, so below width 8 each distance equals
     ``np.linalg.norm(np.minimum(row, 0), axis=1)`` bit for bit (wider rows,
-    which numpy sums pairwise, get the plain sequential sum).  The NNLS
+    which numpy sums pairwise, get the plain sequential sum), except where
+    the squares of a finite row overflow (:func:`_rescale`).  The NNLS
     branch works on a C-ordered copy of a transposed or strided ``points``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if cone.kind == ORTHANT:
         total, part = np.zeros(points.shape[0]), np.empty(points.shape[0])
-        for column in points.T:
-            np.minimum(column, 0.0, out=part)
-            part *= part
-            total += part
-        return np.sqrt(total, out=total)
+        with np.errstate(over="ignore"):
+            for column in points.T:
+                np.minimum(column, 0.0, out=part)
+                part *= part
+                total += part
+            np.sqrt(total, out=total)
+            big = np.flatnonzero(np.isinf(total))
+            if big.size:
+                _rescale(total, big, np.minimum(points[big], 0.0))
+        return total
     points = np.ascontiguousarray(points)
     return _norms(points - project_many(cone, points))

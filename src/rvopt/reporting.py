@@ -171,10 +171,14 @@ def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
     pipe = _Pipeline()
     audit = []
 
-    merit_detail = pipe.run("merit", {"at": x.tolist()}, lambda: {
-        "merit": problem.merit(x),
-        "in_region": problem.region.contains(x, tol=tol.feasibility),
-        "feasible": problem.feasible(x, tol=tol.feasibility)})
+    def merit_stage():
+        # Problem.feasible's rule on the values read once
+        merit = problem.merit(x)
+        in_region = problem.region.contains(x, tol=tol.feasibility)
+        return {"merit": merit, "in_region": in_region,
+                "feasible": in_region and merit <= tol.feasibility}
+
+    merit_detail = pipe.run("merit", {"at": x.tolist()}, merit_stage)
     reason = reference_gate(problem, x, tol.feasibility) if merit_detail \
         else "merit stage failed"
 

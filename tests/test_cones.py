@@ -1,11 +1,13 @@
 """Cone representations, projections, duality."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.cones as cones_mod
-from rvopt.cones import Cone, distance_many, project_many
+from rvopt.cones import Cone, _nnls, _norms, distance_many, project_many
 from rvopt.errors import ConvergenceError, DimensionError
 from rvopt.sampling import grid_points, sphere_directions
 
@@ -88,8 +90,9 @@ class TestOrthant:
     @pytest.mark.parametrize("width", range(1, 8))
     def test_distance_many_equals_the_row_norm(self, width):
         """The column-by-column sum is numpy's row reduction bit for bit
-        below width 8, signed zeros, subnormals, +-1e300 (overflowing to inf
-        when squared) and NaN included."""
+        below width 8, signed zeros, subnormals, +-1e300 and NaN included.
+        A finite row whose squares overflow is that reduction on the row
+        divided by its largest absolute entry, times that entry."""
         rng = np.random.default_rng(40 + width)
         scale = 10.0 ** rng.integers(-160, 160, (20_000, width))
         pts = rng.standard_normal((20_000, width)) * scale
@@ -98,9 +101,14 @@ class TestOrthant:
         mask = rng.random(pts.shape) < 0.2
         pts[mask] = rng.choice(special, size=np.count_nonzero(mask))
         with np.errstate(over="ignore", invalid="ignore"):
-            expect = np.linalg.norm(np.minimum(pts, 0.0), axis=1)
+            clamped = np.minimum(pts, 0.0)
+            expect = np.linalg.norm(clamped, axis=1)
+            big = np.isinf(expect) & np.isfinite(clamped).all(axis=1)
+            scale = np.abs(clamped[big]).max(axis=1)
+            expect[big] = scale * np.linalg.norm(clamped[big] / scale[:, None], axis=1)
             got = distance_many(Cone.orthant(width), pts)
         assert np.array_equal(got, expect, equal_nan=True)
+        assert big.any() and np.isfinite(got[big]).all()
         assert np.isinf(got).any() and np.isnan(got).any() and (got == 0.0).any()
 
     def test_membership(self):
@@ -371,17 +379,23 @@ class TestBatchedProjection:
             assert np.array_equal(distance_many(cone, points),
                                   [cone.distance(z) for z in points])
 
-    @pytest.mark.parametrize("budget", (0, 1))
+    @pytest.mark.parametrize("budget", (0, 1, 2, 3))
     def test_budget_exhaustion_in_a_batch(self, monkeypatch, budget):
         """The error describes the first unfinished row, as a one-row call
-        on that row would; rows that finish within the budget are skipped."""
-        cones = (Cone.halfspaces([[-1.0, 1.0], [1.0, 1.0]]),
-                 Cone.rays([[1.0, 0.0], [1.0, 1.0]]))
-        points = np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 3.0], [-1.0, -2.0], [1.0, 0.0]])
+        on that row would; rows that finish within the budget are skipped.
+        A batch whose rows all finish equals its one-row calls.  The 4-D
+        points (4, 3, 2, 1) and its negative need four entering steps, so
+        every budget here leaves a row unfinished."""
+        tri = np.tril(np.ones((4, 4)))
+        plane = np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 3.0], [-1.0, -2.0], [1.0, 0.0]])
+        space = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 2.0, 0.5],
+                          [4.0, 3.0, 2.0, 1.0], [-4.0, -3.0, -2.0, -1.0]])
+        cases = ((Cone.halfspaces([[-1.0, 1.0], [1.0, 1.0]]), plane),
+                 (Cone.rays([[1.0, 0.0], [1.0, 1.0]]), plane),
+                 (Cone.halfspaces(tri), space), (Cone.rays(tri), space))
         monkeypatch.setattr(cones_mod, "PROJECTION_BUDGET", budget)
-        for cone in cones:
-            with pytest.raises(ConvergenceError) as err:
-                distance_many(cone, points)
+        raised = 0
+        for cone, points in cases:
             alone = None
             for z in points:
                 try:
@@ -389,10 +403,119 @@ class TestBatchedProjection:
                 except ConvergenceError as exc:
                     alone = exc
                     break
+            if alone is None:
+                assert np.array_equal(distance_many(cone, points),
+                                      [cone.distance(z) for z in points])
+                continue
+            with pytest.raises(ConvergenceError) as err:
+                distance_many(cone, points)
             assert err.value.last_iterate is not None
             assert err.value.residual is not None
             assert np.array_equal(err.value.last_iterate, alone.last_iterate)
             assert err.value.residual == alone.residual
+            raised += 1
+        assert raised >= 2
+
+
+def nnls_programs(seed, count):
+    """Seeded NNLS programs (gens, z), with generators in dimension 1-7, in
+    four shapes taken in turn: 1-12 random generators, a later one a
+    multiple of the first and another a repeat of the second, with a random
+    target; the same with a zero target; the least_distance program of a
+    random system g y >= h; and that of nearest_hull_point, whose h is 1 on
+    its points and 0 on its rays."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = i % 4
+        if shape < 2:
+            dim = int(rng.integers(1, 8))
+            gens = rng.standard_normal((int(rng.integers(1, 13)), dim))
+            if gens.shape[0] > 2:
+                gens[-1] = rng.uniform(0.5, 2.0) * gens[0]
+            if gens.shape[0] > 3:
+                gens[-2] = gens[1]
+            z = np.zeros(dim) if shape else rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            yield gens, z
+            continue
+        n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        g = rng.standard_normal((rows, n))
+        if shape == 2:
+            h = rng.standard_normal(rows)
+        else:
+            h = (np.arange(rows) < int(rng.integers(1, rows + 1))).astype(float)
+        z = np.zeros(n + 1)
+        z[-1] = 1.0
+        yield np.column_stack([g, h]), z
+
+
+class TestRowLoop:
+    """The one-point loop and the lockstep path are one iteration: below
+    dimension 8 each rounds every program exactly like the other."""
+
+    def test_lockstep_pair_equals_the_row_loop(self):
+        """Two copies of a point run the lockstep path on that point's
+        pattern; both rows equal the one-row call bit for bit."""
+        for gens, z in nnls_programs(35, 1_200):
+            alone = _nnls(gens, z[None])
+            pair = _nnls(gens, np.vstack([z, z]))
+            assert alone.shape == (1, gens.shape[0])
+            assert np.array_equal(pair[0], alone[0]) and np.array_equal(pair[1], alone[0])
+
+    def test_mixed_batch_rows_equal_the_row_loop(self):
+        """Every row of a batch mixing zero points, cone members and random
+        points at several scales equals its one-row call."""
+        rng = np.random.default_rng(135)
+        for dim in range(1, 8):
+            for count in (1, dim, dim + 3, 12):
+                gens = rng.standard_normal((count, dim))
+                points = rng.standard_normal((30, dim)) * 10.0 ** rng.uniform(-3, 3, (30, 1))
+                points[0] = 0.0
+                points[1:5] = rng.uniform(0.0, 2.0, (4, count)) @ gens
+                batch = _nnls(gens, points)
+                for z, row in zip(points, batch):
+                    assert np.array_equal(row, _nnls(gens, z[None])[0]), (dim, count)
+
+
+class TestOverflow:
+    """Norms whose squares overflow (entries past about 1.34e154) are taken
+    of the row scaled by its largest absolute entry, so distances and the
+    NNLS tolerance stay finite; nothing warns (warnings are errors here)."""
+
+    CONES = (Cone.halfspaces([[1.0, 0.0], [0.0, 1.0]]), Cone.rays([[1.0, 0.0], [0.0, 1.0]]),
+             Cone.orthant(2))
+
+    @pytest.mark.parametrize("cone", CONES, ids=lambda c: c.kind)
+    def test_projection_and_distance(self, cone):
+        z = np.array([1e154, -1e154])
+        assert np.array_equal(cone.project(z), [1e154, 0.0])
+        assert cone.distance(z) == 1e154
+        assert not cone.contains(z)
+        assert cone.distance([-1e200, 3.0]) == 1e200
+        assert cone.distance([-1e154, -1e154]) == pytest.approx(math.sqrt(2.0) * 1e154,
+                                                                 rel=1e-15)
+        points = np.array([[1e154, -1e154], [-1e200, 3.0], [1.0, -1.0], [2.0, 3.0]])
+        assert np.array_equal(distance_many(cone, points),
+                              [cone.distance(p) for p in points])
+        assert distance_many(cone, points)[2] == 1.0
+
+    def test_orthant_nonfinite_rows_keep_their_values(self):
+        points = np.array([[-np.inf, 1.0], [np.inf, -1e200], [np.nan, -1e200]])
+        got = distance_many(Cone.orthant(2), points)
+        assert got[0] == np.inf and got[1] == 1e200 and np.isnan(got[2])
+
+    def test_norms_rescale_only_overflowing_rows(self):
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((400, 5)) * 10.0 ** rng.integers(-150, 200, (400, 1))
+        rows[:3] = [[np.inf, 1.0, 0.0, 0.0, 0.0], [np.nan, 1e200, 0.0, 0.0, 0.0],
+                    [1e308, 1e308, 1e308, 1e308, 1e308]]
+        got = _norms(rows)
+        with np.errstate(over="ignore"):
+            plain = np.array([np.linalg.norm(row) for row in rows])
+        big = np.isinf(plain) & np.isfinite(rows).all(axis=1)
+        assert big[3:].any() and (~big[3:]).any()
+        assert np.array_equal(got[~big], plain[~big], equal_nan=True)
+        assert got[0] == np.inf and np.isnan(got[1]) and got[2] == np.inf
+        assert_allclose(got[big][1:], [math.hypot(*row) for row in rows[big][1:]], rtol=1e-15)
 
 
 class TestDuality:

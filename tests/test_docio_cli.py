@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import rvopt.reporting
 from rvopt import (
     AffineObjective,
     Cone,
@@ -182,6 +183,22 @@ class TestEvaluationCommands:
         assert run_cli(["feasible", path, "--at", "0.25", "1"]) \
             == (0, "infeasible\n", "")
 
+    def test_merit_past_the_square_overflow(self, problems_dir, tmp_path):
+        """Scenario images past about 1.34e154, whose squares overflow, keep
+        a finite merit for halfspace, ray and orthant C, and nothing warns
+        (warnings are errors here)."""
+        doc = json.loads((problems_dir / "e1.json").read_text())
+        for cone in ({"kind": "halfspaces", "dim": 2, "rows": [[1, 0], [0, 1]]},
+                     {"kind": "rays", "dim": 2, "gens": [[1, 0], [0, 1]]}, doc["c"]):
+            path = str(tmp_path / f"e1-{cone['kind']}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({**doc, "c": cone}, handle)
+            assert run_cli(["merit", path, "--at", "-1e154", "-1e154"]) \
+                == (0, "merit 1.41421356237e+154\n", "")
+            assert run_cli(["feasible", path, "--at", "-1e154", "-1e154"]) \
+                == (0, "infeasible\n", "")
+            assert run_cli(["merit", path, "--at", "-1e200", "3"]) == (0, "merit 1e+200\n", "")
+
     def test_increase_estimate(self, problems_dir):
         path = str(problems_dir / "e1.json")
         code, out, err = run_cli(["increase", path, "--at", "0.25", "1"])
@@ -337,6 +354,24 @@ class TestReportCommand:
             "tangential", "scalarized_fan", "scalarized_convex", "multiplier",
             "qualification", "oracle",
         ]
+
+    def test_merit_stage_evaluates_merit_once(self, problems_dir, monkeypatch):
+        """The merit stage reads merit once and applies Problem.feasible's
+        rule to it.  The reference gate, which runs next and is stubbed here
+        to end the report, sees one merit_many call."""
+        problem = load_problem(str(problems_dir / "e1.json"))
+        calls, seen = [], []
+        merit_many = ScenarioMap.merit_many
+        monkeypatch.setattr(ScenarioMap, "merit_many", lambda self, cone, points: (
+            calls.append(len(points)), merit_many(self, cone, points))[1])
+        monkeypatch.setattr(rvopt.reporting, "reference_gate",
+                            lambda *args: seen.append(len(calls)) or "stopped here")
+        for x, feasible in (([0.5, 1.0], True), ([0.25, 1.0], False)):
+            calls.clear()
+            merit = run_report(problem, x)["stages"][0]
+            assert seen.pop() == 1 and calls == [1]
+            assert merit["name"] == "merit" and merit["in_region"]
+            assert merit["feasible"] is feasible is problem.feasible(x)
 
     def test_ray_cone_report_runs_every_stage(self, tmp_path):
         """A ray constraint cone reaches every stage: its preimages, Slater

@@ -156,11 +156,19 @@ def column_order_sum(coefs, point, offset):
 
 
 def orthant_excess(image):
-    """Sequential sum of the squared negative parts, then the root."""
+    """Sequential sum of the squared negative parts, then the root; where
+    that sum overflows on finite parts, the same with the parts divided by
+    the largest of them, times it."""
+    parts = [v if v < 0.0 or math.isnan(v) else 0.0 for v in image]
     total = 0.0
-    for v in image:
-        part = v if v < 0.0 or math.isnan(v) else 0.0
+    for part in parts:
         total = total + part * part
+    if math.isinf(total) and all(map(math.isfinite, parts)):
+        scale = max(map(abs, parts))
+        total = 0.0
+        for part in parts:
+            total = total + (part / scale) * (part / scale)
+        return scale * math.sqrt(total)
     return math.sqrt(total) if not math.isnan(total) else math.nan
 
 
