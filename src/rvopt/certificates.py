@@ -206,19 +206,14 @@ def _depth_rows(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 def _cone_program(problem: Problem, x, kind: str) -> dict:
     """The program of :func:`_cone_certificate`, solved once per point and
-    direction cone (penalization's T_S(x) or the fan cone): the problem
-    keeps the latest solve, whose witness and weights every certificate
-    read from it shares, so they are read-only."""
-    x = np.asarray(x, dtype=float).ravel()
-    key = (x.tobytes(), kind == "penalization")
-    program = problem._latest_program
-    if program.get("key") != key:
+    direction cone (penalization's T_S(x) or the fan cone) in the problem's
+    memo (:meth:`Problem.reading`); certificates share it, so it is read-only."""
+    def solve(x):
         a, rows = _depth_rows(problem, x), _direction_cone_rows(problem, x, kind)
         m, witness, lam, mu = max_margin_point(a, x.size, rows)
-        program.clear()
-        program.update(key=key, a=a, rows=rows, m=m, witness=_readonly(witness),
-                       duals=(_readonly(lam), _readonly(mu)))
-    return program
+        return dict(a=a, rows=rows, m=m, witness=_readonly(witness),
+                    duals=(_readonly(lam), _readonly(mu)))
+    return problem.reading(x, "penalization" if kind == "penalization" else "fan", solve)
 
 
 def _exact_weights(problem: Problem, x):

@@ -69,9 +69,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _unit_rows(rows: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """The rows scaled to unit length, and the divisors used.  A row whose
     norm is within 4 eps of 1 is divided by 1, so that a second
-    normalization (a saved and reloaded problem) changes no bit."""
+    normalization (a saved and reloaded problem) changes no bit.  A finite
+    row whose sum of squares overflows gets :func:`_rescale`'s norm."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    norms = np.linalg.norm(rows, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            _rescale(norms, big, rows[big])
     if np.any(norms < 1e-12):
         raise ValueError(f"{label}: zero row")
     norms = np.where(np.abs(norms - 1.0) <= 4.0 * np.finfo(float).eps, 1.0, norms)

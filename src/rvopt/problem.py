@@ -139,14 +139,15 @@ class Problem:
         return self.objective.domain_dim
 
     def merit(self, x) -> float:
-        return self.scenarios.merit(self.constraint_cone, x)
+        return self.reading(x, "merit", lambda x: self.scenarios.merit(self.constraint_cone, x))
 
     def merit_many(self, points) -> np.ndarray:
         return self.scenarios.merit_many(self.constraint_cone, points)
 
     def feasible(self, x, tol: float = 1e-9) -> bool:
-        """Membership in Solv = region  intersect  {merit <= tol}."""
-        return self.region.contains(x, tol=tol) and self.merit(x) <= tol
+        """Membership in Solv = region  intersect  {merit <= tol}, read once per tol."""
+        return self.reading(x, ("feasible", tol), lambda x: self.region.contains(x, tol=tol)
+                            and self.merit(x) <= tol)
 
     def fan(self) -> Fan:
         """The fan of distinct scenario matrices, or ``fan_override``; derived
@@ -199,18 +200,33 @@ class Problem:
         cleared in each scenario where no active row moves: the source of
         the merit function's flatness and slopes.  ``tangent`` is the rows
         -a_i of the active region rows, which give T_S(x) = {v : -a_i v >=
-        0}, or None when x misses the region by more than ACTIVE_TOL."""
+        0}, or None when x misses the region by more than ACTIVE_TOL.  Read
+        once per point (:meth:`reading`)."""
+        return self.reading(x, "activity", self._activity)
+
+    def _activity(self, x) -> Activity:
         g, h, count = self.solv_rows
-        slack = h - g @ np.asarray(x, dtype=float).ravel()
+        slack = h - g @ x
         on = slack <= ACTIVE_TOL
         _, h_c, moving = self._c_rows
         c_on = h_c <= ACTIVE_TOL
         c_on[moving] = on[:count]
         inside = np.all(slack[count:] >= -ACTIVE_TOL)
-        return Activity(slack, on, c_on & np.any(c_on & moving, axis=1)[:, None],
-                        -self.region.rows[0][on[count:]] if inside else None)
+        reading = Activity(slack, on, c_on & np.any(c_on & moving, axis=1)[:, None],
+                           -self.region.rows[0][on[count:]] if inside else None)
+        for arr in (a for a in reading if a is not None):
+            arr.setflags(write=False)
+        return reading
+
+    def reading(self, x, name, compute):
+        """``compute(x)`` at the flat float point x, once per name until another
+        point is read; readings are shared, so their arrays are read-only."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.tobytes() not in self._memo:
+            self._memo.clear()
+        memo = self._memo.setdefault(x.tobytes(), {})
+        return memo[name] if name in memo else memo.setdefault(name, compute(x))
 
     @cached_property
-    def _latest_program(self) -> dict:
-        """Single-entry memo of the latest point's certificate program."""
+    def _memo(self) -> dict:
         return {}

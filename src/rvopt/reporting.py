@@ -11,7 +11,8 @@ contain the full instance echo and all stage inputs, so a replay is
 byte-identical.
 """
 
-import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -100,6 +101,8 @@ def reference_gate(problem: Problem, x, tol: float):
 
 
 def _clean(value):
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -171,14 +174,9 @@ def run_report(problem: Problem, x, radius: float = 0.5, skip_cq: bool = False,
     pipe = _Pipeline()
     audit = []
 
-    def merit_stage():
-        # Problem.feasible's rule on the values read once
-        merit = problem.merit(x)
-        in_region = problem.region.contains(x, tol=tol.feasibility)
-        return {"merit": merit, "in_region": in_region,
-                "feasible": in_region and merit <= tol.feasibility}
-
-    merit_detail = pipe.run("merit", {"at": x.tolist()}, merit_stage)
+    merit_detail = pipe.run("merit", {"at": x.tolist()}, lambda: {
+        "merit": problem.merit(x), "in_region": problem.region.contains(x, tol=tol.feasibility),
+        "feasible": problem.feasible(x, tol=tol.feasibility)})
     reason = reference_gate(problem, x, tol.feasibility) if merit_detail \
         else "merit stage failed"
 
@@ -300,8 +298,39 @@ def _document(problem, x, options, pipe, audit, summary, exit_code):
 
 
 def render_report(report: dict) -> str:
-    """Canonical serialization; equal reports render to equal bytes."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical bytes of JSON-native data such as a report, equal for equal
+    reports: those of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``."""
+    out = []
+    _write(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda v: "null",
+            bool: lambda v: "true" if v else "false", float: lambda v: float.__repr__(v)
+            if isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"}
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append ``value``'s text to ``out``, lines after its first indented by ``pad``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    elif kind is dict:
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):      # a key that is not a str raises TypeError
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            _write(value[key], inner, out)
+            sep = ","
+        out += (pad, "}") if value else ("{}",)
+    elif kind is list or kind is tuple:
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _write(item, inner, out)
+            sep = ","
+        out += (pad, "]") if value else ("[]",)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def write_report(report: dict, path) -> None:

@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rvopt.cones as cones_mod
-from rvopt.cones import Cone, _nnls, _norms, distance_many, project_many
+from rvopt.cones import Cone, _nnls, _norms, _unit_rows, distance_many, project_many
 from rvopt.errors import ConvergenceError, DimensionError
+from rvopt.firstorder import PolyhedralSet
 from rvopt.sampling import grid_points, sphere_directions
 
 
@@ -516,6 +517,24 @@ class TestOverflow:
         assert np.array_equal(got[~big], plain[~big], equal_nan=True)
         assert got[0] == np.inf and np.isnan(got[1]) and got[2] == np.inf
         assert_allclose(got[big][1:], [math.hypot(*row) for row in rows[big][1:]], rtol=1e-15)
+
+    def test_unit_rows_past_the_square_overflow(self):
+        """A cone or region row past about 1.34e154 becomes a unit row, not
+        a zero row; a row whose np.linalg.norm is finite keeps that divisor
+        bit for bit."""
+        rows = [[1e200, 1e200], [0.0, 1.0]]
+        unit = [[math.sqrt(0.5), math.sqrt(0.5)], [0.0, 1.0]]
+        region = PolyhedralSet.halfspaces(rows, [1e200, 2.0])
+        for got in (Cone.halfspaces(rows).rows, Cone.rays(rows).gens, region.a):
+            assert_allclose(got, unit, rtol=1e-15, atol=0.0)
+        assert_allclose(region.b, [math.sqrt(0.5), 2.0], rtol=1e-15)
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-10, 154, (300, 1))
+        units, norms = _unit_rows(rows, "rows")
+        plain = np.linalg.norm(rows, axis=1)
+        plain[np.abs(plain - 1.0) <= 4.0 * np.finfo(float).eps] = 1.0
+        assert np.array_equal(norms, plain)
+        assert np.array_equal(units, rows / plain[:, None])
 
 
 class TestDuality:

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import rvopt.cli
 import rvopt.reporting
 from rvopt import (
     AffineObjective,
@@ -198,6 +199,19 @@ class TestEvaluationCommands:
             assert run_cli(["feasible", path, "--at", "-1e154", "-1e154"]) \
                 == (0, "infeasible\n", "")
             assert run_cli(["merit", path, "--at", "-1e200", "3"]) == (0, "merit 1e+200\n", "")
+
+    def test_constraint_rows_past_the_square_overflow(self, problems_dir, tmp_path):
+        """A C row past about 1.34e154 normalizes to a unit row: (-5, 1)
+        misses the first halfspace of C, so it is infeasible with a
+        positive merit, and nothing warns (warnings are errors here)."""
+        doc = json.loads((problems_dir / "e1.json").read_text())
+        path = str(tmp_path / "e1-big-row.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({**doc, "c": {"kind": "halfspaces", "dim": 2,
+                                    "rows": [[1e200, 0], [0, 1]]}}, handle)
+        assert run_cli(["feasible", path, "--at", "-5", "1"]) == (0, "infeasible\n", "")
+        code, out, err = run_cli(["merit", path, "--at", "-5", "1"])
+        assert (code, err) == (0, "") and float(out.split()[1]) > 0.0
 
     def test_increase_estimate(self, problems_dir):
         path = str(problems_dir / "e1.json")
@@ -474,6 +488,49 @@ class TestReportCommand:
             assert code == 0
             assert out.splitlines()[0] == f"report written to {target}"
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestPointMemo:
+    """Problem.activity, merit and the certificate programs are read once
+    per point and kept for the latest point only."""
+
+    # two feasible points of synthetic_problem(kind, 2) whose error bounds differ
+    POINTS = {"orthant": ((0.3877412113712395, -0.08808702901658595),
+                          (-0.7370653667887974, 0.011398670409310972)),
+              "halfspaces": ((0.5787265840941123, -0.13147507644463152),
+                             (-0.7218425977996753, 0.01116325122636922)),
+              "rays": ((0.0, -0.0), (0.0819506868264146, 0.23928463686471257))}
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    def test_one_problem_across_points_prints_what_fresh_problems_print(
+            self, kind, tmp_path, monkeypatch):
+        """Reports at x, y and x again and certify at y on one Problem give
+        the bytes that a freshly loaded problem gives for each command."""
+        path = tmp_path / f"{kind}.json"
+        save_problem(synthetic_problem(kind, 2), path)
+        x, y = self.POINTS[kind]
+        runs = [("report", x), ("report", y), ("report", x), ("certify", y)]
+
+        def outputs():
+            return [run_cli([command, str(path), "--at", *map(repr, at)])
+                    for command, at in runs]
+
+        fresh = outputs()
+        shared = load_problem(path)
+        monkeypatch.setattr(rvopt.cli, "problem_from_document", lambda doc: shared)
+        assert outputs() == fresh
+        bounds = [json.loads(out.rpartition("\nsummary:")[0])["stages"][1]
+                  for _, out, _ in fresh[:3]]
+        assert bounds[0] == bounds[2] != bounds[1]
+
+    def test_activity_arrays_are_read_only(self):
+        problem = synthetic_problem("orthant", 2)
+        reading = problem.activity([2.0, 0.0])
+        assert reading is problem.activity(np.array([2.0, 0.0]))
+        assert reading.tangent.shape == (1, 2)
+        for arr in reading:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
 
 
 class TestSeedlessReport:

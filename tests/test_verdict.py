@@ -425,6 +425,29 @@ class TestReportDocuments:
                   for *_, report in harness_reports]
         assert {s["error_bound"]["sigma"] is None for s in stages} == {True, False}
 
+    def test_render_is_json_dumps(self, harness_reports):
+        """The writer's bytes are json.dumps(indent=2, sort_keys=True) plus a
+        newline on every harness report."""
+        for _, label, _, _, report in harness_reports:
+            assert render_report(report) == json.dumps(report, indent=2, sort_keys=True) \
+                + "\n", label
+
+    def test_render_edge_values(self):
+        document = {
+            "floats": [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1],
+            "ints": [10 ** 40, -3, True, 1, False, 0, None],
+            "text": ["caf\u00e9 \U0001f600", "\x00\x1f\x7f\"\\/\n\t\u2028", ""],
+            "\u00fc\x01": {"b": {}, "a": [[], {}, [{}], {"z": []}]},
+            "empty": {}, "none": [], "tuple": (1, (2.5, "x")),
+        }
+        assert render_report(document) \
+            == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("document", [{1: 0}, {"a": [{None: 0}]}, {"a": {2.5: 0}}])
+    def test_render_refuses_keys_that_are_not_str(self, document):
+        with pytest.raises(TypeError):
+            render_report(document)
+
 
 class TestLocalErrorBound:
     """The exact local modulus sigma held against the lattice check, against
