@@ -8,7 +8,7 @@ absolute margin; efficiency uses the punctured cone, so the efficient set
 is always contained in the weakly efficient set.
 
 The comparison is exhaustive in result but made in rank space: objective
-values and region membership are evaluated for the whole lattice at once;
+values and membership in Solv are evaluated for the whole lattice at once;
 float subtraction is monotone, so per order row the feasible values that
 pass a point's gap test are a prefix of that row's sorted distinct
 values, and the feasible points passing every row are the AND of
@@ -101,7 +101,7 @@ def _count_fields(key: int) -> str:
 
 
 def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
-    """Lattice points, objective values, merit, region and feasibility masks."""
+    """Lattice points, objective values and :meth:`Problem.feasible_many`'s mask."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
     if np.isscalar(resolution) or np.ndim(resolution) == 0:
@@ -117,10 +117,7 @@ def _sample_lattice(problem: Problem, lo, hi, resolution, feas_tol: float):
         raise PreconditionError("grid resolution must be at least 3 per axis")
     pts = grid_points(lo, hi, resolution)
     values = problem.objective.value_many(pts)
-    phi = problem.merit_many(pts)
-    in_region = problem.region.contains_many(pts, tol=feas_tol)
-    feasible = in_region & (phi <= feas_tol)
-    return lo, hi, res_tuple, pts, values, phi, in_region, feasible
+    return lo, hi, res_tuple, pts, values, problem.feasible_many(pts, tol=feas_tol)
 
 
 def grid_scan(problem: Problem, lo, hi, resolution,
@@ -129,7 +126,7 @@ def grid_scan(problem: Problem, lo, hi, resolution,
 
     lo, hi and a per-axis resolution need one entry per variable
     (DimensionError otherwise).  A lattice point is feasible when it lies
-    in the region and its merit is at most ``feas_tol``.  Given masks F
+    in Solv within ``feas_tol`` (:meth:`Problem.feasible_many`).  Given masks F
     (feasible) and values f, a point is weakly efficient when no feasible
     lattice point improves on it into the interior of the ordering cone,
     and efficient when no other feasible lattice point improves into the
@@ -143,12 +140,12 @@ def grid_scan(problem: Problem, lo, hi, resolution,
     that pass every row are the AND of bit-packed prefix sets.  The masks
     and counts equal those of comparing every pair, bit for bit.
     """
-    lo, hi, res_tuple, pts, values, phi, _, feasible = _sample_lattice(
-        problem, lo, hi, resolution, feas_tol)
+    lo, hi, res_tuple, pts, values, feasible = _sample_lattice(problem, lo, hi, resolution,
+                                                               feas_tol)
     proj = values @ problem.ordering_cone.facets().T    # dual-pairing values
     weak, eff, dom_count = _dominance_pass(proj, values, feasible, margin)
     return GridScan(lo=lo, hi=hi, resolution=res_tuple, points=pts,
-                    values=values, merit=phi, feasible=feasible,
+                    values=values, merit=problem.merit_many(pts), feasible=feasible,
                     weak_efficient=weak, efficient=eff,
                     dominance_count=dom_count)
 
@@ -278,8 +275,7 @@ def refute_efficiency(problem: Problem, x, lo, hi, resolution,
     if not problem.feasible(x, tol=feas_tol):
         return RefutationResult(witness=None, searched=0,
                                 note="reference point infeasible")
-    _, _, _, pts, values, _, _, feasible = _sample_lattice(problem, lo, hi, resolution,
-                                                           feas_tol)
+    _, _, _, pts, values, feasible = _sample_lattice(problem, lo, hi, resolution, feas_tol)
     feas_idx = np.flatnonzero(feasible)
     gaps = _interior_gaps(problem.ordering_cone, problem.objective.value(x),
                           values[feas_idx])

@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import (ORTHANT, PROJECTION_TOL, RAYS, Cone, _readonly, nearest_hull_point,
-                    preimage_rows)
-from .errors import ValidationError
+from .cones import (ORTHANT, PROJECTION_TOL, RAYS, Cone, _norms, _readonly, nearest_hull_point,
+                    preimage_rows, work_rows)
+from .errors import DimensionError, ValidationError
 from .firstorder import Fan, Objective, PolyhedralSet, fan_from_scenarios
-from .scenarios import ScenarioMap
+from .scenarios import ScenarioMap, column_sums
 # unused; bench/tracing.py wraps rvopt.problem.solve_lp by name (see certificates.py)
 from .simplex import solve_lp  # noqa: F401
 
@@ -145,9 +145,31 @@ class Problem:
         return self.scenarios.merit_many(self.constraint_cone, points)
 
     def feasible(self, x, tol: float = 1e-9) -> bool:
-        """Membership in Solv = region  intersect  {merit <= tol}, read once per tol."""
-        return self.reading(x, ("feasible", tol), lambda x: self.region.contains(x, tol=tol)
-                            and self.merit(x) <= tol)
+        """The one-row case of :meth:`feasible_many`, read once per tol."""
+        return self.reading(x, ("feasible", tol),
+                            lambda x: bool(self.feasible_many(x[None], tol)[0]))
+
+    def feasible_many(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Membership in Solv of each row z of ``points``: G z <= h + tol on the
+        unit rows of :attr:`solv_rows`, summed by ``column_sums`` in WORK_BYTES
+        row blocks.  A C row that does not move is the test m_j b_w >= -tol."""
+        coefs, offsets, fixed = self._unit_solv
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.domain_dim:
+            raise DimensionError(f"expected points of dim {self.domain_dim}")
+        inside, step = np.zeros(points.shape[0], dtype=bool), work_rows(max(offsets.nbytes, 8))
+        for i in range(0, points.shape[0] if fixed >= -tol else 0, step):
+            inside[i:i + step] = np.max(column_sums(coefs, offsets, points[i:i + step]),
+                                        axis=0, initial=-np.inf) <= tol
+        return inside
+
+    @cached_property
+    def _unit_solv(self) -> tuple:
+        """feasible_many's operands: solv_rows' unit rows (by _norms), least fixed m_j b_w."""
+        (g, h, _), (_, h_c, moving) = self.solv_rows, self._c_rows
+        norms = _norms(g)
+        return (np.ascontiguousarray((g / norms[:, None]).T[..., None]),
+                (-h / norms)[:, None], float(np.min(h_c[~moving], initial=np.inf)))
 
     def fan(self) -> Fan:
         """The fan of distinct scenario matrices, or ``fan_override``; derived

@@ -295,7 +295,7 @@ def verify_error_bound(scenario_map: ScenarioMap, cone: Cone,
 
     Solv is approximated by the feasible sublattice of the radius box: the
     points in the region within ``feas_tol`` whose merit is at most
-    ``feas_tol``, as :func:`oracle.grid_scan` reads them.  The comparison
+    ``feas_tol``: a merit rule, not :meth:`Problem.feasible_many`'s.  The comparison
     gets a slack of two lattice spacings to absorb the discretization.
     Points of the region are tested inside the half-radius ball, the
     localization under which the bound is justified.

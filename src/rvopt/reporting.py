@@ -101,8 +101,9 @@ def reference_gate(problem: Problem, x, tol: float):
 
 
 def _clean(value):
+    """Plain JSON values; a non-finite float becomes None, so reports are strict JSON."""
     if type(value) in _SCALARS:
-        return value
+        return value if type(value) is not float or isfinite(value) else None
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -110,7 +111,7 @@ def _clean(value):
     if isinstance(value, np.ndarray):
         return [_clean(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return _clean(float(value))
     if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, np.bool_):

@@ -135,7 +135,8 @@ def line_search_boundary(problem, d, steps=60):
 def boundary_points(problem, w) -> list:
     """Line-search boundary points of ``synthetic_problem(kind, w)`` along
     the Halton part of an 8-direction sphere sample (seed w), past the axes
-    and diagonals.  Their scenario images miss C by about 3e-10."""
+    and diagonals.  ``feasible(., tol=0.0)`` holds at each, so they lie on
+    a row of Solv up to rounding."""
     return [line_search_boundary(problem, d) for d in sphere_directions(2, 8, seed=w)[6:]]
 
 

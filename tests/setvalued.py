@@ -158,8 +158,7 @@ def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
     improves on the reference into the interior of the ordering cone.
     """
     x = np.asarray(x, dtype=float).ravel()
-    _, _, _, pts, values, _, in_region, feasible = _sample_lattice(
-        problem, lo, hi, resolution, feas_tol)
+    _, _, _, pts, values, feasible = _sample_lattice(problem, lo, hi, resolution, feas_tol)
     fx = problem.objective.value(x)
     if not problem.feasible(x, tol=feas_tol):
         raise PreconditionError("reference point is not feasible")
@@ -177,7 +176,7 @@ def check_penalization_transfer(problem: Problem, x, ell: float, sigma: float,
         return problem.objective.value_many(points) \
             + (ell / sigma) * problem.merit_many(points)[:, None] * problem.direction
 
-    region_pts = pts[in_region]
+    region_pts = pts[problem.region.contains_many(pts, tol=feas_tol)]
     beats = _interior_gaps(problem.ordering_cone, penalized(x[None])[0],
                            penalized(region_pts)) >= margin
     if beats.any():

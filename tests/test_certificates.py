@@ -184,7 +184,7 @@ def sampled_convex_certificate(problem, x, sigma, ell):
 
 
 # merit_cases() and the halfspace-C boundary points, whose scenario images
-# miss C by up to 3e-10
+# lie on facets of C up to rounding
 SLOPE_CASES = merit_cases() + [
     (f"halfspaces-w{w}-boundary{i}", problem, x)
     for w in SCENARIO_COUNTS for problem in [synthetic_problem("halfspaces", w)]
@@ -1420,11 +1420,15 @@ def convex_and_sampled():
 
 class TestConvexScalarizedAgainstSampled:
     def test_status_matches_the_sampled_reference(self, convex_and_sampled):
-        """Equal statuses at all 139 points, so every sampled lp-infeasible
-        is an exact one too, and both statuses occur."""
+        """At all 139 points every sampled lp-infeasible is an exact one too,
+        and both statuses occur.  Where the statuses differ the sampled
+        directions missed the refuting one: the exact program refutes, and
+        the max-t LP confirms that the point is dominated."""
         assert len(convex_and_sampled) == 139
-        for label, _, _, cert, sampled in convex_and_sampled:
-            assert cert.status == sampled[0], label
+        for label, problem, x, cert, sampled in convex_and_sampled:
+            if cert.status != sampled[0]:
+                assert (sampled[0], cert.status) == (HOLDS, LP_INFEASIBLE), label
+                assert not exact_weakly_efficient(problem, x), label
         assert {cert.status for *_, cert, _ in convex_and_sampled} == {HOLDS, LP_INFEASIBLE}
 
     def test_certificates_replay_and_check(self, convex_and_sampled):

@@ -18,7 +18,7 @@ from rvopt.problem import Problem
 from rvopt.sampling import grid_points
 from rvopt.scenarios import ScenarioMap
 
-from conftest import PROBLEMS_DIR, shifted_pair_scenarios
+from conftest import PROBLEMS_DIR, shifted_pair_scenarios, synthetic_problem
 from setvalued import check_penalization_transfer
 
 ROOT2 = np.sqrt(2.0)
@@ -64,11 +64,13 @@ def loop_lattice(problem, lo, hi, resolution, feas_tol=1e-9):
     return pts, values, phi, in_region, in_region & (phi <= feas_tol)
 
 
-def loop_scan(problem, lo, hi, resolution, feas_tol=1e-9, margin=1e-9):
+def loop_scan(problem, lo, hi, resolution, feas_tol=1e-9, margin=1e-9, feasible=None):
     """Per-point reference for grid_scan: every lattice point against every
-    feasible point, one row of gaps at a time, in any ordering cone."""
-    pts, values, phi, _, feasible = loop_lattice(problem, lo, hi, resolution,
-                                                 feas_tol)
+    feasible point, one row of gaps at a time, in any ordering cone; a given
+    ``feasible`` mask replaces loop_lattice's."""
+    pts, values, phi, _, lattice_feasible = loop_lattice(problem, lo, hi, resolution,
+                                                         feas_tol)
+    feasible = lattice_feasible if feasible is None else feasible
     proj = values @ order_rows(problem).T
     feas_idx = np.flatnonzero(feasible)
     weak = np.zeros(len(pts), dtype=bool)
@@ -136,9 +138,9 @@ class CheckerboardProblem(Problem):
     per axis is even, so feasible and infeasible points alternate in every
     block of the dominance pass."""
 
-    def merit_many(self, points):
+    def feasible_many(self, points, tol=1e-9):
         index = np.rint((np.asarray(points) + 1.0) * 10.0).astype(int)
-        return np.where(index.sum(axis=1) % 2 == 0, 0.0, 1.0)
+        return index.sum(axis=1) % 2 == 0
 
 
 def everywhere_feasible(objective, ordering_cone, region):
@@ -319,11 +321,12 @@ class TestBlockedScanMatchesLoop:
     multiples of the block size."""
 
     @staticmethod
-    def assert_same(problem, lo, hi, resolution, margin=1e-9):
+    def assert_same(problem, lo, hi, resolution, margin=1e-9, feasible=None):
         scan = grid_scan(problem, lo, hi, resolution, margin=margin)
         values, phi, feasible, weak, eff, count = loop_scan(problem, lo, hi,
                                                             resolution,
-                                                            margin=margin)
+                                                            margin=margin,
+                                                            feasible=feasible)
         assert np.array_equal(scan.values, values)
         assert np.array_equal(scan.merit, phi)
         assert np.array_equal(scan.feasible, feasible)
@@ -371,9 +374,21 @@ class TestBlockedScanMatchesLoop:
         e1 = load_problem(PROBLEMS_DIR / "e1.json")
         problem = CheckerboardProblem(**{f.name: getattr(e1, f.name)
                                          for f in dataclasses.fields(e1)})
-        scan = self.assert_same(problem, [-1.0, -1.0], [1.0, 1.0], 21)
+        index = np.add.outer(np.arange(21), np.arange(21)).ravel()
+        scan = self.assert_same(problem, [-1.0, -1.0], [1.0, 1.0], 21,
+                                feasible=index % 2 == 0)
         assert 0 < scan.weak_efficient.sum() < scan.feasible.sum() < scan.points.shape[0]
         assert scan.dominance_count[~scan.feasible].max() > 0
+
+    @pytest.mark.parametrize("kind", ["halfspaces", "rays"])
+    def test_non_orthant_constraint_cones(self, kind):
+        """On a 41^2 lattice Solv's unit rows give loop_lattice's masks,
+        which test region membership and merit <= 1e-9 point by point."""
+        for w in (1, 2, 4):
+            problem = synthetic_problem(kind, w)
+            scan = self.assert_same(problem, [-2.0, -2.0], [2.0, 2.0], 41)
+            assert 0 < scan.feasible.sum() < scan.points.shape[0]
+            assert np.array_equal(problem.feasible_many(scan.points), scan.feasible)
 
     def test_no_feasible_point(self, free_negative):
         scan = self.assert_same(free_negative, [1.0, 1.0], [2.0, 2.0], 11)

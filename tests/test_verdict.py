@@ -32,6 +32,7 @@ from rvopt.certificates import (HOLDS, INCONCLUSIVE, LP_INFEASIBLE, VIOLATED,
 from rvopt.cli import main
 from rvopt.errors import PreconditionError
 from rvopt.firstorder import check_upper_subgradient, upper_subgradient_candidate
+from rvopt.oracle import grid_scan
 from rvopt.problem import ACTIVE_TOL
 from rvopt.regularity import local_error_bound
 from rvopt.reporting import verdict
@@ -266,12 +267,10 @@ class TestMeritSlopes:
         assert 0 < flat < 139
 
     def test_difference_quotients_on_exact_data(self):
-        """At the halfspace-C boundary points the scenario images miss C by
-        up to 3e-10, within the projection tolerance, and a forward
-        difference at step 1e-6 reads that miss as a slope error of up to
-        3e-4.  Moving each image onto the facets it violates makes the data
-        exact, and the merit function's difference quotient at step 1e-4
-        then gives the slopes of the point as it is."""
+        """At the halfspace-C boundary points the scenario images lie on
+        facets of C up to rounding.  Moving each image onto the facets it
+        violates makes the data exact, and the merit function's difference
+        quotient at step 1e-4 then gives the slopes of the point as it is."""
         dirs = sphere_directions(2, 64, seed=0)
         rows = Cone.halfspaces([[1.0, 0.3], [-0.2, 1.0]]).facets()
         sloped = 0
@@ -287,6 +286,70 @@ class TestMeritSlopes:
                 assert_allclose(quotient, slopes, rtol=0.0, atol=1e-10)
                 sloped += np.max(slopes) > 0.0
         assert sloped >= 15
+
+
+def unit_slack(problem, x):
+    """The largest slack G_i x - h_i over the unit rows of this module's
+    rows of Solv."""
+    g, h = solv_rows(problem)
+    norms = np.linalg.norm(g, axis=1)
+    return float(np.max((g @ x - h) / norms))
+
+
+class TestOneMembershipRule:
+    """Problem.feasible is G z <= h + tol on the unit rows of Solv: a slack
+    per row, not a merit distance."""
+
+    def test_a_row_miss_below_the_projection_tolerance_is_infeasible(self):
+        """At a halfspace-C boundary point moved 3e-10 out along the unit
+        normal of its binding row the NNLS merit still reads 0, but the
+        point misses Solv."""
+        problem = synthetic_problem("halfspaces", 2)
+        g, h = solv_rows(problem)
+        norms = np.linalg.norm(g, axis=1)
+        x = boundary_points(problem, 2)[2]
+        binding = np.argmax((g @ x - h) / norms)
+        z = x + 3e-10 * g[binding] / norms[binding]
+        assert unit_slack(problem, z) == pytest.approx(3e-10, rel=1e-3)
+        assert problem.merit(z) == 0.0
+        assert not problem.feasible(z, tol=0.0)
+        assert problem.feasible(z, tol=1e-9)
+
+    @pytest.mark.parametrize("w", SCENARIO_COUNTS)
+    def test_the_ray_origin_is_feasible(self, w):
+        """The origin lies inside Solv for ray C, where the merit reads
+        rounding of order 1e-16."""
+        problem = synthetic_problem("rays", w)
+        assert unit_slack(problem, np.zeros(2)) < -0.05
+        assert problem.feasible(np.zeros(2), tol=0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_boundary_points_lie_on_the_boundary(self, kind):
+        """The line-search boundary points of each instance are distinct,
+        accepted at tol 0, and on a row of Solv: the largest unit-row slack,
+        in this module's arithmetic, is 0 up to rounding."""
+        for w in SCENARIO_COUNTS:
+            problem = synthetic_problem(kind, w)
+            points = np.array(boundary_points(problem, w))
+            assert np.unique(points, axis=0).shape[0] == len(points), (kind, w)
+            for x in points:
+                assert problem.feasible(x, tol=0.0), (kind, w, x)
+                assert -1e-12 <= unit_slack(problem, x) <= 1e-15, (kind, w, x)
+
+    @pytest.mark.parametrize("offset, tol", [(-5e-11, 0.0), (-1.0, 1e-9)])
+    def test_a_violated_fixed_row_empties_solv(self, offset, tol):
+        """The second image coordinate is the constant ``offset`` < 0, so the
+        C row e_2 does not move and fails m_j b_w >= -tol everywhere."""
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2),
+                          constraint_cone=Cone.halfspaces([[1.0, 0.0], [0.0, 1.0]]),
+                          region=PolyhedralSet.box([-1.0, -1.0], [1.0, 1.0]),
+                          scenarios=ScenarioMap([[[1.0, 0.0], [0.0, 0.0]]], [[0.0, offset]]))
+        assert problem.solv_rows[2] == 1
+        assert not problem.feasible([0.5, 0.0], tol=tol)
+        scan = grid_scan(problem, [-1.0, -1.0], [1.0, 1.0], 5, feas_tol=tol)
+        assert not (scan.feasible.any() or scan.weak_efficient.any() or scan.efficient.any())
+        assert problem.feasible([0.5, 0.0], tol=-offset)
 
 
 class TestOneActivityRule:
@@ -425,6 +488,30 @@ class TestReportDocuments:
                   for *_, report in harness_reports]
         assert {s["error_bound"]["sigma"] is None for s in stages} == {True, False}
 
+    def test_unbounded_margin_is_null(self):
+        """With C = {z : z_1 >= 0}, one zero scenario matrix and b = (1, 0)
+        at x = 0, the qualification program has no rows and its margin is
+        unbounded: the report writes it null and stays strict JSON."""
+        problem = Problem(objective=AffineObjective(np.eye(2), np.zeros(2)),
+                          ordering_cone=Cone.orthant(2),
+                          constraint_cone=Cone.halfspaces([[1.0, 0.0]]),
+                          region=PolyhedralSet.whole_space(2),
+                          scenarios=ScenarioMap(np.zeros((1, 2, 2)), [[1.0, 0.0]]))
+        with pytest.warns(UserWarning, match="preimage dropped zero rows"):
+            assert qualification_check(problem, np.zeros(2)).margin == np.inf
+
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        parsed = json.loads(render_report(run_report(problem, np.zeros(2))),
+                            parse_constant=refuse)
+        stages = {s["name"]: s for s in parsed["stages"]}
+        assert stages["merit"]["feasible"] is True      # Solv has no rows
+        stage = stages["qualification"]
+        assert stage["status"] == "ok"
+        assert stage["report"]["margin"] is None
+        assert stage["report"]["notes"] == ["no active rows; condition vacuous"]
+
     def test_render_is_json_dumps(self, harness_reports):
         """The writer's bytes are json.dumps(indent=2, sort_keys=True) plus a
         newline on every harness report."""
@@ -470,7 +557,7 @@ class TestLocalErrorBound:
                                         problem.region, x, bound.sigma, radius, resolution=41)
             assert report.passed, (label, bound, report.max_violation)
             checked += 1
-        assert checked == 68
+        assert checked == 88
 
     def test_exact_distances_on_the_certified_ball(self, error_bounds):
         """dist(z, Solv) <= merit(z) / sigma at 32 sampled region points z
